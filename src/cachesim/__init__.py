@@ -8,8 +8,8 @@ parameterized latency model.
 """
 
 from .config import AblationGrid, ExperimentConfig, load_config, save_config
-from .engine import (CacheEntry, CacheMatch, CacheStore, commit, dump_store,
-                     lookup, oracle_lookup, purge_expired)
+from .engine import (CacheEntry, CacheMatch, CacheStore, access, dump_store,
+                     oracle_access, oracle_lookup)
 from .errors import (ConfigError, DegenerateFitError, TranscriptParseError,
                      TranscriptValidationError, UndefinedBaselineError)
 from .policies import (CacheMode, PriceSchedule, ProviderPolicy, UsageRecord,
@@ -41,13 +41,13 @@ __all__ = [
     "ProviderPolicy", "Role", "SessionResult", "SessionTranscript",
     "StrategyMode", "TTestResult", "TokenSeq", "TranscriptParseError",
     "TranscriptValidationError", "UndefinedBaselineError", "UsageRecord",
-    "VirtualClock", "WorkloadSpec", "apply_strategy", "breaker_token",
-    "builtin_policies", "builtin_policy", "calibrate_latency", "commit",
+    "VirtualClock", "WorkloadSpec", "access", "apply_strategy", "breaker_token",
+    "builtin_policies", "builtin_policy", "calibrate_latency",
     "compare", "derive_seed", "dump_store", "expected_cacheable_prefix",
     "export_transcripts", "flat_length", "flatten", "generate", "ingest",
-    "load_config", "load_policies", "lookup", "oracle_lookup",
+    "load_config", "load_policies", "oracle_access", "oracle_lookup",
     "policy_from_dict", "policy_to_dict", "price_call", "price_storage",
-    "purge_expired", "regularized_incomplete_beta", "replay_call",
+    "regularized_incomplete_beta", "replay_call",
     "run_ablation", "run_condition", "run_experiment", "save_config",
     "save_policies", "student_t_two_sided_p", "summarize_experiment",
     "synth_tokens", "verify_run", "welch_t",

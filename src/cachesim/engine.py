@@ -1,31 +1,50 @@
 """Simulated provider-side prefix cache.
 
 The store holds previously cached token prefixes with creation and
-last-use timestamps under a virtual clock. Matching is exact token
-equality on prefixes: an entry contributes the length of the longest
-common prefix between the incoming prompt and the entry, the best
-contribution is rounded down to the policy's block granularity, and the
-result counts only if it clears the policy's minimum-token threshold.
-An entry is live at time ``t`` while ``t - reference <= ttl``, where
-the reference is the last use for refresh-on-read policies and the
-creation time otherwise.
+last-use timestamps under a virtual clock. An entry is live at time
+``t`` while ``t - reference <= ttl``, where the reference is the last
+use for refresh-on-read policies and the creation time otherwise.
 
-Writes are charged only for the delta beyond what was already cached:
-re-committing an already-cached prefix is free and leaves the store
-untouched. Committing a longer prefix drops entries it strictly
-subsumes, which keeps the store compact without changing any lookup
-result.
+Each API call is one :func:`access`, which works in three steps:
 
-``oracle_lookup`` reimplements the lookup contract as a plain linear
-scan with token-by-token comparison and no numpy, no mutation, and no
-shortcuts. It exists to referee the engine: both must agree on every
-store state, which is enforced by randomized interleaving tests.
+1. **Purge.** Entries no longer live are dropped. This changes no result:
+   the clock never goes back and a refresh only touches live entries, so
+   a dead entry can never serve a read again.
+2. **Read.** The cached length is the longest common prefix between the
+   prompt and any stored entry, rounded down to the policy's block
+   granularity; it counts only if it clears the policy's minimum. On a
+   hit under a refresh-on-read policy, one entry has its last use moved
+   to now: the earliest-inserted entry among those sharing the longest
+   common prefix.
+3. **Write.** The prompt prefix up to the cacheable limit, rounded down
+   to the granularity, is stored if it reaches the minimum and is longer
+   than the read. Only the tokens beyond the read are charged, so
+   re-caching an unchanged prompt is free. Entries that are prefixes of
+   the new one are dropped (subsumed): the new entry matches at least as
+   much and expires no sooner.
+
+The entries are indexed by a token-level radix tree. A node's children
+are keyed by the first token of their edge, and each edge is a range
+``rep.tokens[start:end]`` over the earliest-inserted entry ``rep`` in the
+node's subtree, so the tree copies no tokens and holds no back-pointers.
+A read walks the prompt's path, comparing each edge's tokens exactly, so
+membership is decided by token equality, never by a hash. The walk
+stops where the prompt leaves the tree; every entry below that point
+shares the longest common prefix and the node's ``rep`` is the one the
+tie-break refreshes. Because a new entry is never a prefix of a live one
+and the entries it extends are dropped, every entry ends at a leaf.
+
+``oracle_access`` restates the contract as a plain scan over a list of
+entries, with token-by-token comparison, no numpy and no index. It exists
+to referee the engine: both must agree on every read, every write and
+the resulting store, which randomized interleaving tests enforce.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -35,9 +54,12 @@ from .policies import ProviderPolicy
 from .tokens import TokenSeq
 
 
-@dataclass
+@dataclass(eq=False)
 class CacheEntry:
-    """One stored prefix. ``tokens`` is a read-only uint64 array."""
+    """One stored prefix. ``tokens`` is a read-only uint64 array.
+
+    Entries compare and hash by identity.
+    """
 
     tokens: np.ndarray
     created_at: float
@@ -53,11 +75,28 @@ class CacheMatch(NamedTuple):
     entry: CacheEntry | None
 
 
+class _Node:
+    """Radix-tree node; the edge into it spells ``rep.tokens[start:end]``."""
+
+    __slots__ = ("rep", "start", "end", "children")
+
+    def __init__(self, rep: CacheEntry | None, start: int, end: int,
+                 children: dict[int, _Node] | None = None) -> None:
+        self.rep = rep
+        self.start = start
+        self.end = end
+        self.children = {} if children is None else children
+
+
 class CacheStore:
     """Container for cached prefixes belonging to one (policy, run)."""
 
     def __init__(self) -> None:
-        self._entries: list[CacheEntry] = []
+        # Insertion order of the entries, which the read tie-break needs.
+        self._entries: dict[CacheEntry, int] = {}
+        self._inserted = 0
+        self._root = _Node(None, 0, 0)
+        self._now = -math.inf
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -66,121 +105,131 @@ class CacheStore:
         """Point-in-time view of the entries, in insertion order."""
         return tuple(self._entries)
 
-    def clear(self) -> None:
-        self._entries.clear()
+    def _repoint(self, path: list[_Node], gone: CacheEntry) -> None:
+        """Give the nodes of ``path`` (root first) that pointed at ``gone``
+        the earliest entry of their subtree again, deepest node first."""
+        order = self._entries.__getitem__
+        for node in reversed(path):
+            if node.rep is not gone:
+                break  # an ancestor's rep is never later than its child's
+            node.rep = min((child.rep for child in node.children.values()), key=order)
+
+    def _remove(self, entry: CacheEntry) -> None:
+        del self._entries[entry]
+        tokens = entry.tokens
+        path = []
+        node = self._root
+        while node.children:
+            path.append(node)
+            node = node.children[int(tokens[node.end])]
+        parent = path[-1]
+        del parent.children[int(tokens[parent.end])]
+        if parent is not self._root and len(parent.children) == 1:
+            # A one-child node is merged into its child.
+            path.pop()
+            (only,) = parent.children.values()
+            only.start = parent.start
+            path[-1].children[int(tokens[parent.start])] = only
+        self._repoint(path, entry)
+
+    def _purge(self, now: float, policy: ProviderPolicy) -> None:
+        ttl = policy.ttl_seconds
+        if policy.refresh_on_read:
+            dead = [e for e in self._entries if now - e.last_used_at > ttl]
+        else:
+            dead = [e for e in self._entries if now - e.created_at > ttl]
+        for entry in dead:
+            self._remove(entry)
 
 
-def _reference_time(entry: CacheEntry, policy: ProviderPolicy) -> float:
-    return entry.last_used_at if policy.refresh_on_read else entry.created_at
+def access(store: CacheStore, prompt: TokenSeq, cacheable_limit: int,
+           now: float, policy: ProviderPolicy) -> tuple[int, int]:
+    """One API call against the cache: returns ``(read, write)`` tokens.
 
-
-def _is_live(entry: CacheEntry, now: float, policy: ProviderPolicy) -> bool:
-    return now - _reference_time(entry, policy) <= policy.ttl_seconds
-
-
-def _common_prefix_len(a: np.ndarray, b: np.ndarray) -> int:
-    n = min(a.size, b.size)
-    if n == 0 or a[0] != b[0]:
-        return 0
-    neq = a[:n] != b[:n]
-    idx = int(np.argmax(neq))
-    return n if not neq[idx] else idx
-
-
-def lookup(store: CacheStore, prompt: TokenSeq, now: float,
-           policy: ProviderPolicy) -> CacheMatch:
-    """Longest usable cached prefix of ``prompt`` at time ``now``.
-
-    Returns 0 tokens unless the granularity-floored best match reaches
-    the policy minimum. On a hit under a refresh-on-read policy, the
-    matched entry's last-use timestamp is advanced to ``now``.
+    Purges expired entries, reads the longest usable cached prefix of
+    ``prompt`` (refreshing the matched entry under a refresh-on-read
+    policy), then caches the prefix up to ``cacheable_limit`` and charges
+    only the tokens beyond the read. A limit of 0 makes it a pure read.
     """
     ids = prompt.ids
-    best = 0
-    best_entry: CacheEntry | None = None
-    for entry in store._entries:
-        if not _is_live(entry, now, policy):
-            continue
-        lcp = _common_prefix_len(ids, entry.tokens)
-        if lcp > best:
-            best = lcp
-            best_entry = entry
-    usable = (best // policy.granularity_tokens) * policy.granularity_tokens
-    if usable < policy.min_cache_tokens:
-        return CacheMatch(0, None)
-    if policy.refresh_on_read:
-        best_entry.last_used_at = now
-    return CacheMatch(usable, best_entry)
-
-
-def _already_cached(store: CacheStore, ids: np.ndarray, now: float,
-                    policy: ProviderPolicy) -> tuple[int, list[int]]:
-    """Usable cached length for ``ids`` plus raw per-entry prefix lengths.
-
-    Same arithmetic as ``lookup`` but never refreshes timestamps. The raw
-    lengths cover every entry (live or not) so commit can detect entries
-    subsumed by a new, longer prefix.
-    """
-    best_live = 0
-    lcps: list[int] = []
-    for entry in store._entries:
-        lcp = _common_prefix_len(ids, entry.tokens)
-        lcps.append(lcp)
-        if lcp > best_live and _is_live(entry, now, policy):
-            best_live = lcp
-    usable = (best_live // policy.granularity_tokens) * policy.granularity_tokens
-    if usable < policy.min_cache_tokens:
-        usable = 0
-    return usable, lcps
-
-
-def commit(store: CacheStore, prompt: TokenSeq, cacheable_limit: int,
-           now: float, policy: ProviderPolicy) -> int:
-    """Cache the prompt prefix up to ``cacheable_limit``; return new write tokens.
-
-    The stored prefix length is the limit rounded down to the policy
-    granularity; nothing is stored below the policy minimum. Only
-    tokens beyond the currently cached prefix count as writes, so
-    repeated commits of an unchanged prompt are free.
-    """
-    if cacheable_limit < 0 or cacheable_limit > len(prompt):
+    n = int(ids.size)
+    if cacheable_limit < 0 or cacheable_limit > n:
         raise ValueError(
-            f"cacheable_limit {cacheable_limit} outside prompt of {len(prompt)} tokens")
+            f"cacheable_limit {cacheable_limit} outside prompt of {n} tokens")
+    if not store._now <= now < math.inf:
+        raise ValueError(
+            f"access at {now} s: the store was last accessed at {store._now} s "
+            "and time must stay finite and never go back")
+    store._now = now
+    if store._entries:
+        store._purge(now, policy)
+
+    # Walk the prompt's path: ``node`` is the last node fully matched and
+    # ``path`` the nodes above it; ``cut`` is the child whose edge the
+    # prompt leaves (or ends in) part-way, at ``depth``.
+    path: list[_Node] = []
+    node = store._root
+    cut: _Node | None = None
+    depth = 0
+    while depth < n:
+        child = node.children.get(int(ids[depth]))
+        if child is None:
+            break
+        end = min(child.end, n)
+        differs = ids[depth:end] != child.rep.tokens[depth:end]
+        k = int(differs.argmax())
+        if differs[k]:
+            depth += k
+            cut = child
+            break
+        depth = end
+        if end < child.end:
+            cut = child
+            break
+        path.append(node)
+        node = child
+
     g = policy.granularity_tokens
-    w = (cacheable_limit // g) * g
-    if w < policy.min_cache_tokens:
-        return 0
-    ids = prompt.ids
-    already, lcps = _already_cached(store, ids, now, policy)
-    if w <= already:
-        return 0
-    # Drop entries whose whole prefix is contained in the new one; the
-    # new entry matches at least as much and expires no sooner.
-    survivors = [
-        entry for entry, lcp in zip(store._entries, lcps)
-        if not (lcp == entry.length and entry.length <= w
-                and entry.created_at <= now and entry.last_used_at <= now)
-    ]
-    stored = ids[:w] if w == ids.size else ids[:w].copy()
+    read = depth // g * g
+    if read < policy.min_cache_tokens:
+        read = 0
+    elif policy.refresh_on_read:
+        (cut or node).rep.last_used_at = now
+
+    w = cacheable_limit // g * g
+    if w < policy.min_cache_tokens or w <= read:
+        return read, 0
+    # Here w > depth: the new entry extends past where the prompt left the tree.
+    stored = ids[:w] if w == n else ids[:w].copy()
     stored.setflags(write=False)
-    survivors.append(CacheEntry(tokens=stored, created_at=now, last_used_at=now))
-    store._entries = survivors
-    return w - already
-
-
-def purge_expired(store: CacheStore, now: float, policy: ProviderPolicy) -> int:
-    """Remove entries no longer live at ``now``; returns how many were dropped."""
-    before = len(store._entries)
-    store._entries = [e for e in store._entries if _is_live(e, now, policy)]
-    return before - len(store._entries)
+    entry = CacheEntry(tokens=stored, created_at=now, last_used_at=now)
+    store._entries[entry] = store._inserted
+    store._inserted += 1
+    if cut is not None:
+        # Split the edge the prompt left: ``mid`` keeps the shared part.
+        mid = _Node(cut.rep, cut.start, depth, {int(cut.rep.tokens[depth]): cut,
+                                                int(ids[depth]): _Node(entry, depth, w)})
+        node.children[int(ids[cut.start])] = mid
+        cut.start = depth
+    elif node.children or node is store._root:
+        node.children[int(ids[depth])] = _Node(entry, depth, w)
+    else:
+        # ``node`` is the leaf of an entry the new one extends: subsume it.
+        gone = node.rep
+        node.rep = entry
+        node.end = w
+        del store._entries[gone]
+        store._repoint(path, gone)
+    return read, w - read
 
 
 def oracle_lookup(store: CacheStore | Iterable[CacheEntry], prompt: TokenSeq,
                   now: float, policy: ProviderPolicy) -> CacheMatch:
-    """Reference lookup: pure-Python linear scan, token-by-token, no mutation.
+    """Reference read: pure-Python linear scan, token-by-token, no mutation.
 
-    Must return the same match as :func:`lookup` for any store state;
-    the randomized equivalence suite relies on that.
+    Returns the usable cached length and the entry a refresh would touch:
+    the first live entry, in iteration order, with the longest common
+    prefix. Dead entries are skipped, not dropped.
     """
     entries = store.snapshot() if isinstance(store, CacheStore) else tuple(store)
     prompt_list = prompt.to_list()
@@ -202,6 +251,37 @@ def oracle_lookup(store: CacheStore | Iterable[CacheEntry], prompt: TokenSeq,
     if usable < policy.min_cache_tokens:
         return CacheMatch(0, None)
     return CacheMatch(usable, best_entry)
+
+
+def oracle_access(entries: Iterable[CacheEntry], prompt: TokenSeq,
+                  cacheable_limit: int, now: float,
+                  policy: ProviderPolicy) -> tuple[int, int, list[CacheEntry]]:
+    """Reference for :func:`access` over a plain list of entries.
+
+    Returns ``(read, write, entries_after)``. The given entries are left
+    untouched: ``entries_after`` holds copies, in insertion order, with
+    the refresh applied and the new entry, if any, appended.
+    """
+    if cacheable_limit < 0 or cacheable_limit > len(prompt):
+        raise ValueError(
+            f"cacheable_limit {cacheable_limit} outside prompt of {len(prompt)} tokens")
+    live = []
+    for entry in entries:
+        reference = entry.last_used_at if policy.refresh_on_read else entry.created_at
+        if now - reference <= policy.ttl_seconds:
+            live.append(replace(entry))
+    read, hit = oracle_lookup(live, prompt, now, policy)
+    if hit is not None and policy.refresh_on_read:
+        hit.last_used_at = now
+    g = policy.granularity_tokens
+    w = cacheable_limit // g * g
+    if w < policy.min_cache_tokens or w <= read:
+        return read, 0, live
+    head = prompt.to_list()[:w]
+    kept = [entry for entry in live
+            if not (entry.length <= w and entry.tokens.tolist() == head[:entry.length])]
+    kept.append(CacheEntry(tokens=prompt.ids[:w], created_at=now, last_used_at=now))
+    return read, w - read, kept
 
 
 def dump_store(store: CacheStore, path: str | Path) -> None:

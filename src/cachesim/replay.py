@@ -1,8 +1,8 @@
 """Session replay: strategy + cache + pricing under a virtual clock.
 
 Each simulated API call applies the strategy to the session's message
-prefix, flattens it, consults the cache store, commits the cacheable
-prefix, prices the resulting usage, and models time-to-first-token as
+prefix, flattens it, reads from and writes to the cache store in one
+access, prices the resulting usage, and models time-to-first-token as
 
     ttft = (base + per_uncached * uncached + per_cached * cached
             + per_write * write) * exp(N(0, sigma))
@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import CacheStore, commit, lookup
+from .engine import CacheStore, access
 from .errors import DegenerateFitError
 from .policies import CacheMode, ProviderPolicy, UsageRecord, price_call
 from .seeding import derive_seed
@@ -86,6 +86,8 @@ class VirtualClock:
     now_s: float = 0.0
 
     def advance(self, dt: float) -> None:
+        if not math.isfinite(dt):
+            raise ValueError(f"clock step must be finite, got {dt}")
         if dt < 0:
             raise ValueError("clock cannot move backwards")
         self.now_s += dt
@@ -192,17 +194,14 @@ def replay_call(messages: Sequence[Message], mode: StrategyMode, request_index: 
     flat = flatten(prompt)
     now = clock.now_s
 
-    match = lookup(store, flat, now, policy)
-    cached = match.cached_tokens
-    if (segment_memo is not None and policy.opportunistic_segments
-            and policy.mode is not CacheMode.EXPLICIT_BREAKPOINTS):
-        cached += segment_memo.match_and_record(flat.ids, cached, policy.granularity_tokens)
-
     if policy.mode is CacheMode.EXPLICIT_BREAKPOINTS:
         limit = prompt.breakpoints[-1] if prompt.breakpoints else 0
     else:
         limit = len(flat)
-    write = commit(store, flat, limit, now, policy) if limit > 0 else 0
+    cached, write = access(store, flat, limit, now, policy)
+    if (segment_memo is not None and policy.opportunistic_segments
+            and policy.mode is not CacheMode.EXPLICIT_BREAKPOINTS):
+        cached += segment_memo.match_and_record(flat.ids, cached, policy.granularity_tokens)
 
     usage = UsageRecord(
         uncached_input=len(flat) - cached,

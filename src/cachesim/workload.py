@@ -22,6 +22,7 @@ from (session_id, line_number).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -251,6 +252,8 @@ def ingest(path: str | Path) -> list[SessionTranscript]:
                 stamp = float(record["timestamp_s"])
             except KeyError as exc:
                 raise TranscriptParseError(line_number, f"missing field {exc.args[0]!r}") from exc
+            if not math.isfinite(stamp):
+                raise TranscriptParseError(line_number, f"timestamp_s must be finite, got {stamp}")
             role = _ROLE_BY_NAME.get(role_name)
             if role is None:
                 raise TranscriptParseError(line_number, f"unknown role {role_name!r}")

@@ -19,10 +19,9 @@ import scipy.stats
 
 from cachesim import (AblationGrid, CacheMode, CacheStore, LatencyModel,
                       PriceSchedule, ProviderPolicy, StrategyMode, TokenSeq,
-                      UsageRecord, WorkloadSpec, builtin_policy, commit,
-                      generate, load_config, lookup, oracle_lookup,
-                      price_call, purge_expired, run_condition,
-                      synth_tokens, welch_t)
+                      UsageRecord, WorkloadSpec, access, builtin_policy,
+                      generate, load_config, oracle_access, price_call,
+                      run_condition, synth_tokens, welch_t)
 from cachesim.cli import main
 from cachesim.config import config_from_dict, config_to_dict
 from cachesim.runner import run_ablation as _run_ablation
@@ -49,9 +48,14 @@ def _random_policy(rng: random.Random) -> ProviderPolicy:
         mode=CacheMode.AUTOMATIC, prices=_PRICES)
 
 
+def _state(entries) -> list[tuple[int, float, float]]:
+    return [(e.length, e.created_at, e.last_used_at) for e in entries]
+
+
 def test_acceptance_1_oracle_equivalence():
-    """>= 100,000 randomized commit/lookup/purge steps, engine == oracle on
-    each, across the full policy grid, in under 60 s."""
+    """>= 100,000 randomized accesses (reads and writes), engine == oracle on
+    the read, the write and the resulting store of each, across the full
+    policy grid, in under 60 s."""
     rng = random.Random(0xCAC8E)
     comparisons = 0
     scenarios = 0
@@ -67,6 +71,7 @@ def test_acceptance_1_oracle_equivalence():
             pool_len, n_bases, steps = 64, 4, 60
         bases = [synth_tokens(pool_len, rng.getrandbits(48)) for _ in range(n_bases)]
         store = CacheStore()
+        expected_entries: list = []
         now = 0.0
         for _ in range(steps):
             now += rng.random() * policy.ttl_seconds * 0.6
@@ -75,24 +80,19 @@ def test_acceptance_1_oracle_equivalence():
                 ids = prompt.ids.copy()
                 ids[rng.randrange(len(ids))] = 70 + rng.randrange(8)
                 prompt = TokenSeq(ids)
-            action = rng.random()
-            if action < 0.45:
-                commit(store, prompt, rng.randint(0, len(prompt)), now, policy)
-            elif action < 0.52:
-                purge_expired(store, now, policy)
-            expected = oracle_lookup(store.snapshot(), prompt, now, policy)
-            got = lookup(store, prompt, now, policy)
-            assert got.cached_tokens == expected.cached_tokens, (
-                f"engine {got.cached_tokens} != oracle {expected.cached_tokens} "
+            limit = rng.randint(0, len(prompt)) if rng.random() < 0.45 else 0
+            read, write, expected_entries = oracle_access(
+                expected_entries, prompt, limit, now, policy)
+            got = access(store, prompt, limit, now, policy)
+            assert got == (read, write), (
+                f"engine {got} != oracle {(read, write)} "
                 f"(policy {policy.min_cache_tokens}/{policy.granularity_tokens}, now {now})")
-            assert (got.entry is None) == (expected.entry is None)
-            if got.entry is not None:
-                assert got.entry is expected.entry
+            assert _state(store.snapshot()) == _state(expected_entries)
             comparisons += 1
     elapsed = perf_counter() - start
     assert comparisons >= 100_000
     assert elapsed < 60.0, f"oracle equivalence took {elapsed:.1f}s"
-    _ok(1, f"{comparisons} lookup/oracle agreements over {scenarios} randomized "
+    _ok(1, f"{comparisons} access/oracle agreements over {scenarios} randomized "
            f"interleavings in {elapsed:.1f}s")
 
 

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import gc
+import math
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cachesim import (CacheMode, CacheStore, PriceSchedule, ProviderPolicy,
-                      TokenSeq, commit, dump_store, lookup, oracle_lookup,
-                      purge_expired, synth_tokens)
+                      TokenSeq, access, dump_store, oracle_access, oracle_lookup,
+                      synth_tokens)
 
 _PRICES = PriceSchedule(1.0, 2.0, 0.1)
 
@@ -22,114 +26,140 @@ def make_policy(min_tokens=1024, granularity=1, ttl=300.0, refresh=False):
 
 def test_lookup_empty_store():
     policy = make_policy()
-    assert lookup(CacheStore(), synth_tokens(100, 1), 0.0, policy).cached_tokens == 0
+    assert access(CacheStore(), synth_tokens(100, 1), 0, 0.0, policy) == (0, 0)
 
 
 def test_exact_self_match():
     policy = make_policy(min_tokens=1024, granularity=1)
     store = CacheStore()
     prompt = synth_tokens(2048, 5)
-    assert commit(store, prompt, 2048, 0.0, policy) == 2048
-    assert lookup(store, prompt, 1.0, policy).cached_tokens == 2048
+    assert access(store, prompt, 2048, 0.0, policy) == (0, 2048)
+    assert access(store, prompt, 0, 1.0, policy) == (2048, 0)
 
 
 def test_first_token_mismatch_yields_zero():
     policy = make_policy(min_tokens=1, granularity=1)
     store = CacheStore()
     stored = synth_tokens(64, 1)
-    commit(store, stored, 64, 0.0, policy)
+    access(store, stored, 64, 0.0, policy)
     ids = stored.ids.copy()
     ids[0] += 1
-    assert lookup(store, TokenSeq(ids), 0.0, policy).cached_tokens == 0
+    assert access(store, TokenSeq(ids), 0, 0.0, policy) == (0, 0)
 
 
 def test_below_minimum_never_caches():
     store = CacheStore()
     prompt = synth_tokens(500, 2)
     for policy in (make_policy(1024, 1), make_policy(1024, 128), make_policy(4096, 128)):
-        assert commit(store, prompt, 500, 0.0, policy) == 0
+        assert access(store, prompt, 500, 0.0, policy) == (0, 0)
         assert len(store) == 0
-        assert lookup(store, prompt, 0.0, policy).cached_tokens == 0
 
 
 def test_ttl_expiry_boundary():
     policy = make_policy(min_tokens=1024, granularity=1, ttl=300.0, refresh=False)
     store = CacheStore()
     prompt = synth_tokens(2000, 3)
-    commit(store, prompt, 2000, 0.0, policy)
-    assert lookup(store, prompt, 300.0, policy).cached_tokens == 2000
-    assert lookup(store, prompt, 301.0, policy).cached_tokens == 0
+    access(store, prompt, 2000, 0.0, policy)
+    assert access(store, prompt, 0, 300.0, policy) == (2000, 0)
+    assert access(store, prompt, 0, 301.0, policy) == (0, 0)
 
 
 def test_refresh_on_read_extends_life():
     policy = make_policy(min_tokens=1024, granularity=1, ttl=300.0, refresh=True)
     store = CacheStore()
     prompt = synth_tokens(1500, 4)
-    commit(store, prompt, 1500, 0.0, policy)
-    assert lookup(store, prompt, 250.0, policy).cached_tokens == 1500
+    access(store, prompt, 1500, 0.0, policy)
+    assert access(store, prompt, 0, 250.0, policy) == (1500, 0)
     # the read at t=250 pushed expiry to t=550
-    assert lookup(store, prompt, 540.0, policy).cached_tokens == 1500
-    assert lookup(store, prompt, 900.0, policy).cached_tokens == 0
+    assert access(store, prompt, 0, 540.0, policy) == (1500, 0)
+    assert access(store, prompt, 0, 900.0, policy) == (0, 0)
+
+
+def test_refresh_touches_the_earliest_of_tied_matches():
+    """Entries tied on the longest common prefix: only the first inserted is refreshed."""
+    policy = make_policy(min_tokens=1024, granularity=1, ttl=300.0, refresh=True)
+    store = CacheStore()
+    base = synth_tokens(1600, 16)
+    first, second, probe = (_with_token(base, 1500, tok) for tok in (71, 72, 73))
+    access(store, first, 1600, 0.0, policy)
+    access(store, second, 1600, 10.0, policy)
+    assert access(store, probe, 0, 20.0, policy) == (1500, 0)
+    assert [e.last_used_at for e in store.snapshot()] == [20.0, 10.0]
 
 
 def test_granularity_floors_the_match():
     policy = make_policy(min_tokens=1024, granularity=128)
     store = CacheStore()
     prompt = synth_tokens(2050, 6)
-    write = commit(store, prompt, 2050, 0.0, policy)
-    assert write == 2048  # floor(2050 / 128) * 128
-    assert lookup(store, prompt, 0.0, policy).cached_tokens == 2048
+    assert access(store, prompt, 2050, 0.0, policy) == (0, 2048)  # floor(2050 / 128) * 128
+    assert access(store, prompt, 0, 0.0, policy) == (2048, 0)
     # a probe extending past the stored prefix still matches only the stored part
-    assert lookup(store, synth_tokens(2100, 6), 0.0, policy).cached_tokens == 2048
+    assert access(store, synth_tokens(2100, 6), 0, 0.0, policy) == (2048, 0)
 
 
 def test_commit_twice_is_free():
     policy = make_policy(min_tokens=1024, granularity=1)
     store = CacheStore()
     prompt = synth_tokens(2000, 7)
-    assert commit(store, prompt, 2000, 0.0, policy) == 2000
-    assert commit(store, prompt, 2000, 1.0, policy) == 0
+    assert access(store, prompt, 2000, 0.0, policy) == (0, 2000)
+    assert access(store, prompt, 2000, 1.0, policy) == (2000, 0)
     assert len(store) == 1
 
 
 def test_commit_below_minimum_stores_nothing():
     policy = make_policy(min_tokens=1024, granularity=1)
     store = CacheStore()
-    assert commit(store, synth_tokens(900, 8), 900, 0.0, policy) == 0
+    assert access(store, synth_tokens(900, 8), 900, 0.0, policy) == (0, 0)
     assert len(store) == 0
 
 
 def test_commit_limit_out_of_range():
     policy = make_policy()
-    with pytest.raises(ValueError):
-        commit(CacheStore(), synth_tokens(10, 9), 11, 0.0, policy)
+    for limit in (-1, 11):
+        with pytest.raises(ValueError):
+            access(CacheStore(), synth_tokens(10, 9), limit, 0.0, policy)
+
+
+def test_access_rejects_time_going_back_or_not_finite():
+    policy = make_policy()
+    store = CacheStore()
+    prompt = synth_tokens(10, 9)
+    access(store, prompt, 0, 5.0, policy)
+    for now in (4.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            access(store, prompt, 0, now, policy)
+    assert access(store, prompt, 0, 5.0, policy) == (0, 0)
 
 
 def test_commit_charges_only_the_extension():
     policy = make_policy(min_tokens=1024, granularity=1)
     store = CacheStore()
     long_prompt = synth_tokens(3000, 10)
-    assert commit(store, long_prompt.prefix(2000), 2000, 0.0, policy) == 2000
-    assert commit(store, long_prompt, 3000, 1.0, policy) == 1000
-    assert lookup(store, long_prompt, 2.0, policy).cached_tokens == 3000
+    assert access(store, long_prompt.prefix(2000), 2000, 0.0, policy) == (0, 2000)
+    assert access(store, long_prompt, 3000, 1.0, policy) == (2000, 1000)
+    assert access(store, long_prompt, 0, 2.0, policy) == (3000, 0)
+    assert len(store) == 1  # the shorter entry was subsumed
 
 
 def test_cumulative_writes_never_double_count():
     policy = make_policy(min_tokens=1024, granularity=128)
     store = CacheStore()
     prompt = synth_tokens(4096, 11)
-    total = sum(commit(store, prompt, 4096, float(i), policy) for i in range(10))
+    total = sum(access(store, prompt, 4096, float(i), policy)[1] for i in range(10))
     assert total == 4096
 
 
 def test_purge_expired():
+    """Every access first drops the entries that are no longer live."""
     policy = make_policy(min_tokens=1024, granularity=1, ttl=300.0)
     store = CacheStore()
-    assert purge_expired(store, 0.0, policy) == 0
-    commit(store, synth_tokens(1500, 12), 1500, 0.0, policy)
-    assert purge_expired(store, 100.0, policy) == 0
-    assert purge_expired(store, 100.0, policy) == 0  # idempotent
-    assert purge_expired(store, 301.0, policy) == 1
+    other = synth_tokens(10, 17)
+    access(store, synth_tokens(1500, 12), 1500, 0.0, policy)
+    access(store, other, 0, 100.0, policy)
+    assert len(store) == 1
+    access(store, other, 0, 300.0, policy)
+    assert len(store) == 1  # live through t = created + ttl
+    access(store, other, 0, 301.0, policy)
     assert len(store) == 0
 
 
@@ -137,21 +167,60 @@ def test_read_your_write():
     policy = make_policy(min_tokens=1024, granularity=128)
     store = CacheStore()
     prompt = synth_tokens(2500, 13)
-    written = commit(store, prompt, 2500, 0.0, policy)
+    _, written = access(store, prompt, 2500, 0.0, policy)
     assert written >= policy.min_cache_tokens
-    assert lookup(store, prompt, 0.5, policy).cached_tokens >= written
+    assert access(store, prompt, 0, 0.5, policy)[0] >= written
 
 
 def test_dump_store_lengths_only(tmp_path):
     policy = make_policy(min_tokens=1024, granularity=1)
     store = CacheStore()
-    commit(store, synth_tokens(1100, 14), 1100, 2.0, policy)
+    access(store, synth_tokens(1100, 14), 1100, 2.0, policy)
     path = tmp_path / "store.jsonl"
     dump_store(store, path)
     lines = path.read_text().splitlines()
     assert len(lines) == 1
     assert '"length": 1100' in lines[0]
     assert "tokens" not in lines[0]
+
+
+def _with_token(seq: TokenSeq, pos: int, token: int) -> TokenSeq:
+    ids = seq.ids.copy()
+    ids[pos] = token
+    return TokenSeq(ids)
+
+
+def test_dropped_entries_are_freed_without_gc():
+    """Expired and subsumed entries die by reference counting alone, also
+    when they spelled an edge shared with entries that stay."""
+    policy = make_policy(min_tokens=1024, granularity=1, ttl=300.0)
+    base = synth_tokens(2000, 18)
+    branches = [_with_token(base, 1500, tok) for tok in (71, 72, 73)]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # expiry: the first of three branches goes, then the second
+        store = CacheStore()
+        for t, branch in enumerate(branches):
+            access(store, branch, 2000, 100.0 * t, policy)
+        first, second, third = (weakref.ref(e) for e in store.snapshot())
+        access(store, base, 0, 350.0, policy)
+        assert first() is None and second() is not None
+        access(store, base, 0, 450.0, policy)
+        assert second() is None and third() is not None
+        assert access(store, branches[2], 0, 450.0, policy) == (2000, 0)
+
+        # subsumption: the entry extended by a longer prompt goes
+        store = CacheStore()
+        access(store, branches[0].prefix(1800), 1800, 0.0, policy)
+        access(store, branches[1], 2000, 1.0, policy)
+        shorter = weakref.ref(store.snapshot()[0])
+        assert access(store, branches[0], 2000, 2.0, policy) == (1800, 200)
+        assert shorter() is None
+        assert access(store, branches[1], 0, 3.0, policy) == (2000, 0)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @given(n=st.integers(1, 80), m=st.integers(0, 80), data=st.data())
@@ -164,11 +233,10 @@ def test_prefix_monotonicity(n, m, data):
     base = synth_tokens(200, data.draw(st.integers(0, 5)))
     for _ in range(data.draw(st.integers(0, 4))):
         length = data.draw(st.integers(1, 200))
-        commit(store, base.prefix(length), length, 0.0, policy)
+        access(store, base.prefix(length), length, 0.0, policy)
     b = base.prefix(n + m)
     a = base.prefix(n)
-    assert (lookup(store, a, 1.0, policy).cached_tokens
-            <= lookup(store, b, 1.0, policy).cached_tokens)
+    assert access(store, a, 0, 1.0, policy)[0] <= access(store, b, 0, 1.0, policy)[0]
 
 
 @given(seed=st.integers(0, 100), entries=st.integers(1, 5))
@@ -177,15 +245,22 @@ def test_zero_hit_when_first_token_differs_everywhere(seed, entries):
     policy = make_policy(min_tokens=1, granularity=1)
     store = CacheStore()
     for i in range(entries):
-        commit(store, synth_tokens(30, seed + i), 30, 0.0, policy)
+        access(store, synth_tokens(30, seed + i), 30, 0.0, policy)
     probe_ids = synth_tokens(30, seed).ids.copy()
     probe_ids[0] = 70  # outside every stored first token with overwhelming odds
     first_tokens = {int(e.tokens[0]) for e in store.snapshot()}
     if 70 not in first_tokens:
-        assert lookup(store, TokenSeq(probe_ids), 0.0, policy).cached_tokens == 0
+        assert access(store, TokenSeq(probe_ids), 0, 0.0, policy) == (0, 0)
 
 
 _POLICY_GRID = [(1, 1), (1024, 1), (1024, 128), (4096, 1), (4096, 128)]
+
+
+def _state(entries):
+    return [(e.length, e.created_at, e.last_used_at) for e in entries]
+
+
+_LIMITS = {"commit": lambda n: n, "partial": lambda n: n // 2, "lookup": lambda n: 0}
 
 
 @st.composite
@@ -198,7 +273,7 @@ def _interleavings(draw):
     steps = []
     for _ in range(draw(st.integers(1, 12))):
         steps.append((
-            draw(st.sampled_from(["commit", "lookup", "purge"])),
+            draw(st.sampled_from(sorted(_LIMITS))),
             draw(st.integers(0, 3)),            # base stream
             draw(st.integers(1, scale)),        # prefix length
             draw(st.integers(0, 2)),            # mutation: 0 none, else position seed
@@ -210,8 +285,10 @@ def _interleavings(draw):
 @given(case=_interleavings())
 @settings(max_examples=80, deadline=None)
 def test_lookup_matches_oracle_on_random_interleavings(case):
+    """Read, write and the store after every step agree with the oracle."""
     policy, steps = case
     store = CacheStore()
+    expected_entries = []
     now = 0.0
     bases = {i: synth_tokens(policy.min_cache_tokens + 220, 1000 + i) for i in range(4)}
     for op, base, length, mutate, dt in steps:
@@ -222,26 +299,23 @@ def test_lookup_matches_oracle_on_random_interleavings(case):
             pos = (mutate * 7919) % len(ids)
             ids[pos] = 77
             prompt = TokenSeq(ids)
-        if op == "commit":
-            commit(store, prompt, len(prompt), now, policy)
-        elif op == "purge":
-            purge_expired(store, now, policy)
-        expected = oracle_lookup(store.snapshot(), prompt, now, policy)
-        got = lookup(store, prompt, now, policy)
-        assert got.cached_tokens == expected.cached_tokens
-        assert (got.entry is None) == (expected.entry is None)
-        if got.entry is not None:
-            assert got.entry is expected.entry
+        limit = _LIMITS[op](len(prompt))
+        read, write, expected_entries = oracle_access(expected_entries, prompt, limit,
+                                                      now, policy)
+        assert access(store, prompt, limit, now, policy) == (read, write)
+        assert _state(store.snapshot()) == _state(expected_entries)
 
 
 def test_oracle_never_mutates():
     policy = make_policy(min_tokens=1024, granularity=1, refresh=True)
     store = CacheStore()
     prompt = synth_tokens(1500, 15)
-    commit(store, prompt, 1500, 0.0, policy)
-    before = [(e.created_at, e.last_used_at) for e in store.snapshot()]
+    access(store, prompt, 1500, 0.0, policy)
+    before = _state(store.snapshot())
     oracle_lookup(store, prompt, 10.0, policy)
-    assert [(e.created_at, e.last_used_at) for e in store.snapshot()] == before
-    # the real lookup does refresh
-    lookup(store, prompt, 10.0, policy)
+    assert oracle_access(store.snapshot(), TokenSeq.concat([prompt, synth_tokens(10, 16)]), 1510,
+                         10.0, policy)[:2] == (1500, 10)
+    assert _state(store.snapshot()) == before
+    # the engine does refresh
+    access(store, prompt, 0, 10.0, policy)
     assert store.snapshot()[0].last_used_at == 10.0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -205,6 +206,14 @@ class TestLatencyModel:
         clock.advance(5.0)
         with pytest.raises(ValueError):
             clock.advance(-1.0)
+        assert clock.now_s == 5.0
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_clock_rejects_non_finite_steps(self, dt):
+        clock = VirtualClock()
+        clock.advance(5.0)
+        with pytest.raises(ValueError):
+            clock.advance(dt)
         assert clock.now_s == 5.0
 
 

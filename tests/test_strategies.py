@@ -7,9 +7,9 @@ import math
 import pytest
 
 from cachesim import (CacheMode, CacheStore, Message, Role, StrategyMode,
-                      TokenSeq, apply_strategy, breaker_token, commit,
-                      expected_cacheable_prefix, flatten, lookup,
-                      builtin_policy, synth_tokens)
+                      TokenSeq, access, apply_strategy, breaker_token,
+                      expected_cacheable_prefix, flatten, builtin_policy,
+                      synth_tokens)
 
 
 def common_prefix_len(a: TokenSeq, b: TokenSeq) -> int:
@@ -133,8 +133,7 @@ def test_expected_prefix_matches_simulated_lookups():
         prompt = apply_strategy(msgs[:upto], StrategyMode.EXCLUDE_TOOL_RESULTS,
                                 r, 17, policy.mode)
         flat = flatten(prompt)
-        reads.append(lookup(store, flat, float(r), policy).cached_tokens)
-        commit(store, flat, prompt.breakpoints[-1], float(r), policy)
+        reads.append(access(store, flat, prompt.breakpoints[-1], float(r), policy)[0])
     expected = expected_cacheable_prefix(StrategyMode.EXCLUDE_TOOL_RESULTS, system_tokens)
     assert reads[0] == 0
     assert reads[1:] == [expected] * 3
@@ -151,9 +150,8 @@ def test_exclude_tool_results_reads_match_system_prompt_mode():
             for r, upto in enumerate((2, 4, 6, 8), start=1):
                 prompt = apply_strategy(msgs[:upto], mode, r, 17, policy.mode)
                 flat = flatten(prompt)
-                per_call.append(lookup(store, flat, float(r), policy).cached_tokens)
                 limit = (prompt.breakpoints[-1] if prompt.breakpoints
                          else len(flat)) if policy.mode is CacheMode.EXPLICIT_BREAKPOINTS else len(flat)
-                commit(store, flat, limit, float(r), policy)
+                per_call.append(access(store, flat, limit, float(r), policy)[0])
             reads[mode] = per_call
         assert reads[StrategyMode.SYSTEM_PROMPT] == reads[StrategyMode.EXCLUDE_TOOL_RESULTS]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -173,6 +174,18 @@ def test_ingest_rejects_non_monotonic_timestamps(tmp_path):
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     with pytest.raises(TranscriptValidationError):
         ingest(path)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ingest_rejects_non_finite_timestamps(tmp_path, bad):
+    roles = ("system", "human", "tool-call", "tool-result", "ai")
+    rows = [{"session_id": "a", "role": role, "token_count": 4, "timestamp_s": stamp}
+            for role, stamp in zip(roles, (0.0, 1.0, bad, 3.0, 4.0))]
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    with pytest.raises(TranscriptParseError) as err:
+        ingest(path)
+    assert err.value.line_number == 3
 
 
 def test_ingest_rejects_duplicate_questions(tmp_path):
