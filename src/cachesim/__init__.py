@@ -7,15 +7,14 @@ against a no-cache baseline with token-accounting ground truth plus a
 parameterized latency model.
 """
 
-from .config import AblationGrid, ExperimentConfig, load_config, save_config
-from .engine import (CacheEntry, CacheMatch, CacheStore, access, dump_store,
-                     oracle_access, oracle_lookup)
+from .config import AblationGrid, ExperimentConfig, load_config
+from .engine import (CacheEntry, CacheMatch, CacheStore, access, oracle_access,
+                     oracle_lookup)
 from .errors import (ConfigError, DegenerateFitError, TranscriptParseError,
                      TranscriptValidationError, UndefinedBaselineError)
 from .policies import (CacheMode, PriceSchedule, ProviderPolicy, UsageRecord,
-                       builtin_policies, builtin_policy, load_policies,
-                       policy_from_dict, policy_to_dict, price_call,
-                       price_storage, save_policies)
+                       builtin_policies, builtin_policy, policy_from_dict,
+                       policy_to_dict, price_call, price_storage)
 from .replay import (CalibrationResult, CallResult, ConditionRun, LatencyModel,
                      SessionResult, VirtualClock, calibrate_latency,
                      replay_call, run_condition)
@@ -24,8 +23,7 @@ from .seeding import derive_seed
 from .stats import (Comparison, ConditionSamples, ExperimentReport, TTestResult,
                     compare, regularized_incomplete_beta, student_t_two_sided_p,
                     summarize_experiment, welch_t)
-from .strategies import (StrategyMode, apply_strategy, breaker_token,
-                         expected_cacheable_prefix)
+from .strategies import StrategyMode, apply_strategy, breaker_token
 from .tokens import (Message, Prompt, Role, TokenSeq, flat_length, flatten,
                      synth_tokens)
 from .workload import (SessionTranscript, WorkloadSpec, export_transcripts,
@@ -43,12 +41,10 @@ __all__ = [
     "TranscriptValidationError", "UndefinedBaselineError", "UsageRecord",
     "VirtualClock", "WorkloadSpec", "access", "apply_strategy", "breaker_token",
     "builtin_policies", "builtin_policy", "calibrate_latency",
-    "compare", "derive_seed", "dump_store", "expected_cacheable_prefix",
-    "export_transcripts", "flat_length", "flatten", "generate", "ingest",
-    "load_config", "load_policies", "oracle_access", "oracle_lookup",
+    "compare", "derive_seed", "export_transcripts", "flat_length", "flatten",
+    "generate", "ingest", "load_config", "oracle_access", "oracle_lookup",
     "policy_from_dict", "policy_to_dict", "price_call", "price_storage",
-    "regularized_incomplete_beta", "replay_call",
-    "run_ablation", "run_condition", "run_experiment", "save_config",
-    "save_policies", "student_t_two_sided_p", "summarize_experiment",
-    "synth_tokens", "verify_run", "welch_t",
+    "regularized_incomplete_beta", "replay_call", "run_ablation",
+    "run_condition", "run_experiment", "student_t_two_sided_p",
+    "summarize_experiment", "synth_tokens", "verify_run", "welch_t",
 ]

@@ -53,26 +53,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _common_flags(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument("--jobs", type=int, default=None,
-                     help="worker threads for independent conditions")
     cmd.add_argument("--seed", type=int, default=None,
                      help="override the config's master seed")
     cmd.add_argument("--out", default=None, help="override the output directory")
-
-
-def _load(args) -> "ExperimentConfig":
-    config = load_config(args.config)
-    if args.seed is not None:
-        # Reapply seed derivation so workload and latency streams follow.
-        with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        raw["master_seed"] = args.seed
-        raw.get("workload", {}).pop("seed", None)
-        from .config import config_from_dict
-        config = config_from_dict(raw)
-    if args.jobs is not None and args.jobs < 1:
-        raise ConfigError("--jobs must be >= 1")
-    return config
 
 
 def _policy_table() -> str:
@@ -120,9 +103,9 @@ def main(argv: list[str] | None = None) -> int:
             print("verify: ok")
             return EXIT_OK
 
-        config = _load(args)
+        config = load_config(args.config, master_seed=args.seed)
         if args.command == "simulate":
-            run_experiment(config, out_dir=args.out, jobs=args.jobs)
+            run_experiment(config, out_dir=args.out)
             return EXIT_OK
 
         if args.command == "ablate":
@@ -130,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
                 grid = AblationGrid(args.dimension, tuple(args.values))
             else:
                 grid = AblationGrid.default(args.dimension)
-            run_ablation(config, grid, out_dir=args.out, jobs=args.jobs)
+            run_ablation(config, grid, out_dir=args.out)
             return EXIT_OK
 
         raise AssertionError(f"unhandled command {args.command}")

@@ -12,20 +12,20 @@ A config file is one JSON object:
                   "gpt-4o": { ... }},
       "warmup_sessions": 1,
       "alpha": 0.05,
-      "output_dir": "out/main",
-      "jobs": 1
+      "output_dir": "out/main"
     }
 
 Policies may be built-in names or inline policy objects (see the policy
 JSON schema in :mod:`cachesim.policies`). Unset workload and latency
 seeds are derived from the master seed, one label per purpose, so runs
-are reproducible from the single master value.
+are reproducible from the single master value. Unknown top-level keys
+are ignored.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
@@ -79,7 +79,6 @@ class ExperimentConfig:
     warmup_sessions: int = 1
     alpha: float = 0.05
     output_dir: str = "out"
-    jobs: int = 1
     # TTFT samples per condition: one mean per session, or every call pooled.
     ttft_aggregation: str = "session-mean"
 
@@ -100,8 +99,6 @@ class ExperimentConfig:
             raise ConfigError("alpha must be in (0, 1)")
         if self.warmup_sessions < 0:
             raise ConfigError("warmup_sessions must be >= 0")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
         if self.ttft_aggregation not in ("session-mean", "per-call"):
             raise ConfigError("ttft_aggregation must be 'session-mean' or 'per-call'")
         if "default" not in self.latency:
@@ -116,11 +113,27 @@ class ExperimentConfig:
         return self.latency["default"]
 
 
-def config_from_dict(data: dict) -> ExperimentConfig:
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+    return dict(value)
+
+
+def config_from_dict(data: dict, master_seed: int | None = None) -> ExperimentConfig:
+    """Build a config from its JSON object.
+
+    A ``master_seed`` given here overrides the document's and also
+    replaces its workload seed, so the workload follows the new master
+    seed; explicit latency seeds are kept.
+    """
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     try:
-        master_seed = int(data.get("master_seed", 0))
+        workload_raw = _object(data.get("workload", {}), "workload")
+        if master_seed is None:
+            master_seed = int(data.get("master_seed", 0))
+        else:
+            workload_raw.pop("seed", None)
 
         policies = []
         for entry in data.get("policies", []):
@@ -142,13 +155,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                 known = ", ".join(m.value for m in StrategyMode)
                 raise ConfigError(f"unknown mode {name!r}; expected one of: {known}") from exc
 
-        workload_raw = dict(data.get("workload", {}))
         workload_raw.setdefault("seed", derive_seed(master_seed, "workload"))
         workload = WorkloadSpec.from_dict(workload_raw)
 
         latency = {}
-        for key, params in dict(data.get("latency", {})).items():
-            params = dict(params)
+        for key, params in _object(data.get("latency", {}), "latency").items():
+            params = _object(params, f"latency[{key!r}]")
             params.setdefault("seed", derive_seed(master_seed, "latency"))
             latency[key] = LatencyModel.from_dict(params)
         if not latency:
@@ -163,7 +175,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             warmup_sessions=int(data.get("warmup_sessions", 1)),
             alpha=float(data.get("alpha", 0.05)),
             output_dir=str(data.get("output_dir", "out")),
-            jobs=int(data.get("jobs", 1)),
             ttft_aggregation=str(data.get("ttft_aggregation", "session-mean")),
         )
     except ConfigError:
@@ -182,26 +193,16 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "warmup_sessions": config.warmup_sessions,
         "alpha": config.alpha,
         "output_dir": config.output_dir,
-        "jobs": config.jobs,
         "ttft_aggregation": config.ttft_aggregation,
     }
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def load_config(path: str | Path, master_seed: int | None = None) -> ExperimentConfig:
+    """Read and validate a config file; ``master_seed`` is as in
+    :func:`config_from_dict`."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return config_from_dict(data)
-
-
-def save_config(config: ExperimentConfig, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def override_workload(config: ExperimentConfig, **changes) -> ExperimentConfig:
-    """Copy of the config with workload fields replaced (used by ablations)."""
-    return replace(config, workload=replace(config.workload, **changes))
+    return config_from_dict(data, master_seed)

@@ -42,10 +42,8 @@ the resulting store, which randomized interleaving tests enforce.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -282,15 +280,3 @@ def oracle_access(entries: Iterable[CacheEntry], prompt: TokenSeq,
             if not (entry.length <= w and entry.tokens.tolist() == head[:entry.length])]
     kept.append(CacheEntry(tokens=prompt.ids[:w], created_at=now, last_used_at=now))
     return read, w - read, kept
-
-
-def dump_store(store: CacheStore, path: str | Path) -> None:
-    """Debug dump: one JSON line per entry with length and timestamps only."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for entry in store.snapshot():
-            fh.write(json.dumps({
-                "length": entry.length,
-                "created_at": entry.created_at,
-                "last_used_at": entry.last_used_at,
-            }))
-            fh.write("\n")

@@ -25,10 +25,8 @@ granularity 128 for automatic policies, 1 for breakpoint policies; TTL
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 
 class CacheMode(Enum):
@@ -36,7 +34,6 @@ class CacheMode(Enum):
 
     AUTOMATIC = "automatic"
     EXPLICIT_BREAKPOINTS = "explicit-breakpoints"
-    EXPLICIT_CACHE_OBJECT = "explicit-cache-object"
 
 
 @dataclass(frozen=True)
@@ -206,7 +203,7 @@ def price_storage(cached_tokens: int, hours: float, policy: ProviderPolicy) -> f
 # {
 #   "name": str, "min_cache_tokens": int, "granularity_tokens": int,
 #   "ttl_seconds": float, "refresh_on_read": bool,
-#   "mode": "automatic" | "explicit-breakpoints" | "explicit-cache-object",
+#   "mode": "automatic" | "explicit-breakpoints",
 #   "opportunistic_segments": bool (optional, default false),
 #   "prices": {
 #     "input_per_mtok": float, "output_per_mtok": float,
@@ -219,7 +216,8 @@ def price_storage(cached_tokens: int, hours: float, policy: ProviderPolicy) -> f
 #     "tier2_cached_read_per_mtok": float | null
 #   }
 # }
-# A policy file holds a JSON array of such objects.
+# Config files list such objects inline among their policies. A mode
+# other than the two above is rejected.
 
 def policy_to_dict(policy: ProviderPolicy) -> dict:
     prices = policy.prices
@@ -260,20 +258,3 @@ def policy_from_dict(data: dict) -> ProviderPolicy:
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed policy document: {exc}") from exc
-
-
-def load_policies(path: str | Path) -> list[ProviderPolicy]:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return [policy_from_dict(entry) for entry in raw]
-
-
-def save_policies(policies: list[ProviderPolicy], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([policy_to_dict(p) for p in policies], fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def override_policy(policy: ProviderPolicy, **changes) -> ProviderPolicy:
-    """Convenience wrapper over :func:`dataclasses.replace`."""
-    return replace(policy, **changes)

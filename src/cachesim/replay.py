@@ -50,12 +50,13 @@ class LatencyModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.per_cached_token_ms >= self.per_uncached_token_ms:
-            raise ValueError("cached tokens must be faster than uncached tokens")
         for name in ("base_ms", "per_uncached_token_ms", "per_cached_token_ms",
                      "per_write_token_ms", "noise_sigma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        if self.per_cached_token_ms >= self.per_uncached_token_ms:
+            raise ValueError("cached tokens must be faster than uncached tokens")
 
     def mean_ttft_ms(self, usage: UsageRecord) -> float:
         """Noise-free model value for one call's usage."""

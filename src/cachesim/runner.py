@@ -1,17 +1,16 @@
 """Experiment orchestration and report files.
 
-Runs every (policy x mode) condition of a config, optionally across
-worker threads (conditions are independent: each owns its store, clock,
-and noise stream), and writes:
+Runs every (policy x mode) condition of a config in turn (each owns its
+store, clock, and noise stream, so they do not interact) and writes:
 
 * ``per_call.csv``  - one row per evaluated API call
 * ``per_session.csv`` - one row per evaluated session
 * ``summary.json``  - config echo, warmup ledger, comparison report
 
 Rows are sorted by condition key, so outputs are byte-identical across
-reruns regardless of the worker count. Every summary value can be
-recomputed from ``per_call.csv`` alone; :func:`verify_run` does exactly
-that and reports any value that fails to match.
+reruns. Every summary value can be recomputed from ``per_call.csv``
+alone; :func:`verify_run` does exactly that and reports any value that
+fails to match.
 """
 
 from __future__ import annotations
@@ -20,14 +19,14 @@ import csv
 import json
 import math
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from .config import AblationGrid, ExperimentConfig, config_to_dict, override_workload
+from .config import AblationGrid, ExperimentConfig, config_to_dict
 from .replay import ConditionRun, run_condition
-from .stats import BASELINE_MODE, ConditionSamples, ExperimentReport, summarize_experiment
+from .stats import (BASELINE_MODE, Comparison, ConditionSamples, ExperimentReport,
+                    summarize_experiment)
 from .strategies import StrategyMode
 from .workload import generate
 
@@ -46,21 +45,13 @@ class RunResult:
     out_dir: Path
 
 
-def _execute_matrix(config: ExperimentConfig, jobs: int) -> tuple[ConditionRun, ...]:
+def _execute_matrix(config: ExperimentConfig) -> tuple[ConditionRun, ...]:
     spec = replace(config.workload,
                    sessions=config.workload.sessions + config.warmup_sessions)
     transcripts = generate(spec)
-    conditions = [(policy, mode) for policy in config.policies for mode in config.modes]
-
-    def one(policy, mode):
-        return run_condition(transcripts, mode, policy, config.latency_for(policy.name),
-                             warmup_sessions=config.warmup_sessions)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            runs = list(pool.map(lambda pm: one(*pm), conditions))
-    else:
-        runs = [one(policy, mode) for policy, mode in conditions]
+    runs = [run_condition(transcripts, mode, policy, config.latency_for(policy.name),
+                          warmup_sessions=config.warmup_sessions)
+            for policy in config.policies for mode in config.modes]
     return tuple(sorted(runs, key=lambda r: (r.policy_name, r.mode.value)))
 
 
@@ -127,6 +118,11 @@ def _warmup_ledger(runs: Sequence[ConditionRun]) -> list[dict]:
     ]
 
 
+def _p_cell(comparison: Comparison) -> str:
+    # A p-value of two constant samples is a rule, not a measurement.
+    return "n/a" if comparison.zero_variance else f"{comparison.p_value:.3g}"
+
+
 def format_report_table(report: ExperimentReport) -> str:
     header = (f"{'policy':<20} {'mode':<22} {'mean_cost_usd':>14} {'mean_ttft_ms':>13} "
               f"{'cost_sav%':>10} {'ttft_imp%':>10} {'p_cost':>10} {'p_ttft':>10}")
@@ -142,7 +138,7 @@ def format_report_table(report: ExperimentReport) -> str:
                 f"{policy.policy:<20} {mode.mode:<22} "
                 f"{mode.cost.variant_mean:>14.6f} {mode.ttft.variant_mean:>13.1f} "
                 f"{mode.cost.improvement_pct:>10.2f} {mode.ttft.improvement_pct:>9.2f}{star or ' '} "
-                f"{mode.cost.p_value:>10.3g} {mode.ttft.p_value:>10.3g}")
+                f"{_p_cell(mode.cost):>10} {_p_cell(mode.ttft):>10}")
         if policy.best_cost_mode:
             lines.append(
                 f"{'':<20} best cost: {policy.best_cost_mode}; "
@@ -151,12 +147,11 @@ def format_report_table(report: ExperimentReport) -> str:
 
 
 def run_experiment(config: ExperimentConfig, *, out_dir: str | Path | None = None,
-                   jobs: int | None = None, quiet: bool = False) -> RunResult:
-    jobs = config.jobs if jobs is None else jobs
+                   quiet: bool = False) -> RunResult:
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    runs = _execute_matrix(config, jobs)
+    runs = _execute_matrix(config)
     per_call = config.ttft_aggregation == "per-call"
     report = summarize_experiment(condition_samples(runs, ttft_per_call=per_call),
                                   alpha=config.alpha)
@@ -206,22 +201,23 @@ class AblationResult:
 def _ablation_config(config: ExperimentConfig, grid: AblationGrid,
                      value: int) -> ExperimentConfig:
     if grid.dimension == "prompt-size":
-        return override_workload(config, system_prompt_tokens=value)
-    return override_workload(config, tool_calls=value)
+        workload = replace(config.workload, system_prompt_tokens=value)
+    else:
+        workload = replace(config.workload, tool_calls=value)
+    return replace(config, workload=workload)
 
 
 def run_ablation(config: ExperimentConfig, grid: AblationGrid, *,
-                 out_dir: str | Path | None = None, jobs: int | None = None,
+                 out_dir: str | Path | None = None,
                  quiet: bool = False) -> AblationResult:
     """Sweep one workload dimension; one summary per grid value plus a long CSV."""
-    jobs = config.jobs if jobs is None else jobs
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     rows: list[AblationRow] = []
     for value in grid.values:
         cfg = _ablation_config(config, grid, value)
-        runs = _execute_matrix(cfg, jobs)
+        runs = _execute_matrix(cfg)
         report = summarize_experiment(condition_samples(runs), alpha=cfg.alpha)
 
         value_dir = out / f"{grid.dimension}-{value}"

@@ -116,8 +116,14 @@ def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
-def _sample_variance(values: Sequence[float], mean: float) -> float:
-    return sum((v - mean) ** 2 for v in values) / (len(values) - 1)
+def _sample_variance(values: Sequence[float]) -> float:
+    # Two passes over the data shifted by its first value, summed with
+    # fsum (Chan, Golub & LeVeque 1983): a constant sample gives exactly 0,
+    # where deviations from a rounded mean would leave round-off.
+    shift = values[0]
+    deltas = [v - shift for v in values]
+    mean = math.fsum(deltas) / len(deltas)
+    return math.fsum((d - mean) ** 2 for d in deltas) / (len(deltas) - 1)
 
 
 def _validate_sample(values: Sequence[float], label: str) -> None:
@@ -133,7 +139,7 @@ def welch_t(a: Sequence[float], b: Sequence[float], *, pooled: bool = False) -> 
     _validate_sample(b, "sample b")
     na, nb = len(a), len(b)
     ma, mb = _mean(a), _mean(b)
-    va, vb = _sample_variance(a, ma), _sample_variance(b, mb)
+    va, vb = _sample_variance(a), _sample_variance(b)
 
     if va == 0.0 and vb == 0.0:
         if ma == mb:
@@ -186,13 +192,13 @@ class Comparison:
 
 
 def compare(baseline: Sequence[float], variant: Sequence[float],
-            alpha: float = 0.05, *, pooled: bool = False) -> Comparison:
+            alpha: float = 0.05) -> Comparison:
     """Improvement of ``variant`` over ``baseline`` with significance at ``alpha``.
 
     Improvement is 100 * (baseline - variant) / baseline, so negative
     values mean the variant regressed.
     """
-    result = welch_t(baseline, variant, pooled=pooled)
+    result = welch_t(baseline, variant)
     baseline_mean = _mean(baseline)
     variant_mean = _mean(variant)
     if baseline_mean == 0.0:
@@ -271,34 +277,12 @@ class ExperimentReport:
             "policies": [p.to_dict() for p in self.policies],
         }
 
-    def rows(self) -> list[dict]:
-        """Long-format rows: one per policy, mode, and metric."""
-        out = []
-        for policy in self.policies:
-            for mode in policy.modes:
-                for metric, comp, normalized in (
-                        ("cost", mode.cost, mode.cost_normalized_pct),
-                        ("ttft", mode.ttft, mode.ttft_normalized_pct)):
-                    out.append({
-                        "policy": policy.policy,
-                        "mode": mode.mode,
-                        "metric": metric,
-                        "baseline_mean": comp.baseline_mean,
-                        "variant_mean": comp.variant_mean,
-                        "improvement_pct": comp.improvement_pct,
-                        "normalized_pct": normalized,
-                        "p_value": comp.p_value,
-                        "significant": comp.significant,
-                    })
-        return out
-
 
 BASELINE_MODE = "no-cache"
 
 
 def summarize_experiment(samples: Sequence[ConditionSamples],
-                         alpha: float = 0.05, *,
-                         pooled: bool = False) -> ExperimentReport:
+                         alpha: float = 0.05) -> ExperimentReport:
     """Build the per-policy comparison report against the no-cache baseline.
 
     Every policy present must include a no-cache condition; policies
@@ -321,8 +305,8 @@ def summarize_experiment(samples: Sequence[ConditionSamples],
         for cond in conditions:
             if cond.mode == BASELINE_MODE:
                 continue
-            cost_cmp = compare(baseline.costs, cond.costs, alpha, pooled=pooled)
-            ttft_cmp = compare(baseline.ttfts, cond.ttfts, alpha, pooled=pooled)
+            cost_cmp = compare(baseline.costs, cond.costs, alpha)
+            ttft_cmp = compare(baseline.ttfts, cond.ttfts, alpha)
             modes.append(ModeSummary(
                 mode=cond.mode,
                 cost=cost_cmp,

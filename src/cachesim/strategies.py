@@ -24,7 +24,6 @@ Four strategies are provided:
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from typing import Sequence
 
@@ -101,19 +100,3 @@ def apply_strategy(messages: Sequence[Message], mode: StrategyMode,
         raise ValueError(f"unknown strategy mode: {mode!r}")
 
     return Prompt(out, breakpoints)
-
-
-def expected_cacheable_prefix(mode: StrategyMode, system_tokens: int) -> float:
-    """Steady-state cacheable boundary across requests, in flattened tokens.
-
-    For the system-prompt strategies this is the system message plus its
-    framing token; consecutive requests additionally share the framing
-    token of the breaker that follows, but that token sits outside the
-    cacheable boundary. Full-context grows without bound as the
-    conversation grows, and no-cache never matches anything.
-    """
-    if mode is StrategyMode.NO_CACHE:
-        return 0
-    if mode is StrategyMode.FULL_CONTEXT:
-        return math.inf
-    return system_tokens + 1

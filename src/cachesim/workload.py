@@ -14,9 +14,10 @@ so recorded agent logs can be replayed instead of synthetic ones:
     {"session_id": "s000", "role": "system", "tokens": [...],
      "timestamp_s": 0.0}
 
-``tokens`` carries explicit token ids; a ``token_count`` integer is
-accepted instead, in which case ids are synthesized deterministically
-from (session_id, line_number).
+``tokens`` carries explicit token ids, integers from
+``RESERVED_TOKEN_FLOOR`` up to 2**64 - 1 (lower ids are reserved for
+framing); a ``token_count`` integer is accepted instead, in which case
+ids are synthesized deterministically from (session_id, line_number).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Sequence
 
 from .errors import TranscriptParseError, TranscriptValidationError
 from .seeding import derive_seed
-from .tokens import Message, Role, TokenSeq, synth_tokens
+from .tokens import RESERVED_TOKEN_FLOOR, Message, Role, TokenSeq, synth_tokens
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,9 @@ class WorkloadSpec:
             raise ValueError("tool_calls must be >= 0")
         if self.sessions < 1:
             raise ValueError("sessions must be >= 1")
-        if self.inter_call_gap_seconds < 0:
-            raise ValueError("inter_call_gap_seconds must be >= 0")
+        gap = self.inter_call_gap_seconds
+        if not math.isfinite(gap) or gap < 0:
+            raise ValueError(f"inter_call_gap_seconds must be finite and >= 0, got {gap}")
 
     def to_dict(self) -> dict:
         return {
@@ -261,6 +263,12 @@ def ingest(path: str | Path) -> list[SessionTranscript]:
                 ids = record["tokens"]
                 if not isinstance(ids, list) or not ids:
                     raise TranscriptParseError(line_number, "tokens must be a non-empty list")
+                for token in ids:
+                    # bool is an int subclass; ids below the floor are framing tags.
+                    if type(token) is not int or not RESERVED_TOKEN_FLOOR <= token < 2**64:
+                        raise TranscriptParseError(
+                            line_number, f"token ids must be integers in "
+                            f"[{RESERVED_TOKEN_FLOOR}, 2**64), got {token!r}")
                 tokens = TokenSeq(ids)
             elif "token_count" in record:
                 count = record["token_count"]

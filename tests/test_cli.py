@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from cachesim import load_config, verify_run
 from cachesim.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from cachesim.config import AblationGrid, config_from_dict, config_to_dict
 from cachesim.errors import ConfigError
+from cachesim.policies import builtin_policy, policy_to_dict
 
 
 def tiny_config(tmp_path, **overrides) -> str:
@@ -33,7 +36,6 @@ def tiny_config(tmp_path, **overrides) -> str:
         "warmup_sessions": 1,
         "alpha": 0.05,
         "output_dir": str(tmp_path / "out"),
-        "jobs": 1,
     }
     data.update(overrides)
     path = tmp_path / "config.json"
@@ -90,10 +92,10 @@ def test_simulate_baseline_only_has_no_comparisons(tmp_path):
         assert policy["baseline_cost_mean"] > 0
 
 
-def test_simulate_outputs_are_deterministic_and_jobs_independent(tmp_path):
+def test_simulate_outputs_are_deterministic(tmp_path):
     cfg = tiny_config(tmp_path)
-    assert main(["simulate", cfg, "--out", str(tmp_path / "a"), "--jobs", "1"]) == EXIT_OK
-    assert main(["simulate", cfg, "--out", str(tmp_path / "b"), "--jobs", "3"]) == EXIT_OK
+    assert main(["simulate", cfg, "--out", str(tmp_path / "a")]) == EXIT_OK
+    assert main(["simulate", cfg, "--out", str(tmp_path / "b")]) == EXIT_OK
     assert sha256(tmp_path / "a" / "per_call.csv") == sha256(tmp_path / "b" / "per_call.csv")
     assert sha256(tmp_path / "a" / "per_session.csv") == sha256(tmp_path / "b" / "per_session.csv")
 
@@ -103,6 +105,28 @@ def test_seed_override_changes_results(tmp_path):
     assert main(["simulate", cfg, "--out", str(tmp_path / "a")]) == EXIT_OK
     assert main(["simulate", cfg, "--out", str(tmp_path / "c"), "--seed", "8"]) == EXIT_OK
     assert sha256(tmp_path / "a" / "per_call.csv") != sha256(tmp_path / "c" / "per_call.csv")
+
+
+@pytest.mark.parametrize("overrides", [
+    {"workload": []},
+    {"latency": []},
+    {"latency": {"default": []}},
+])
+def test_seed_override_rejects_non_object_sections(tmp_path, capsys, overrides):
+    cfg = tiny_config(tmp_path, **overrides)
+    assert main(["simulate", cfg, "--seed", "3"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be a JSON object" in err
+    assert "Traceback" not in err
+
+
+def test_unknown_cache_mode_exits_one(tmp_path, capsys):
+    policy = policy_to_dict(builtin_policy("gpt-4o"))
+    policy["mode"] = "explicit-cache-object"
+    cfg = tiny_config(tmp_path, policies=[policy])
+    assert main(["simulate", cfg]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "explicit-cache-object" in err
 
 
 def test_verify_passes_then_catches_tampering(tmp_path, capsys):
@@ -129,7 +153,7 @@ def test_ablate_writes_grid_outputs(tmp_path):
     cfg = tiny_config(tmp_path, modes=["no-cache", "system-prompt", "full-context"])
     out = tmp_path / "abl"
     assert main(["ablate", cfg, "--dimension", "prompt-size",
-                 "--values", "1500", "3000", "--out", str(out), "--jobs", "2"]) == EXIT_OK
+                 "--values", "1500", "3000", "--out", str(out)]) == EXIT_OK
     with open(out / "ablation.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     # 2 values x 2 policies x 3 modes
@@ -205,6 +229,30 @@ def test_config_round_trip(tmp_path):
     again = config_from_dict(config_to_dict(cfg))
     assert again == cfg
     assert config_from_dict(config_to_dict(again)) == again
+
+
+@pytest.mark.parametrize("section, key, field", [
+    ("workload", None, "inter_call_gap_seconds"),
+    ("latency", "default", "noise_sigma"),
+    ("latency", "default", "base_ms"),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_config_values_rejected(tmp_path, section, key, field, bad):
+    data = json.loads(Path(tiny_config(tmp_path)).read_text())
+    target = data[section] if key is None else data[section][key]
+    target[field] = bad
+    with pytest.raises(ConfigError, match=field):
+        config_from_dict(data)
+
+
+def test_bench_shaped_config_loads(tmp_path):
+    """The benchmark's generated config: every policy and mode, plus the
+    ``jobs`` key it still writes, which the loader ignores."""
+    policies = ["gpt-4o", "gpt-5.2", "claude-sonnet-4.5", "gemini-2.5-pro"]
+    modes = ["no-cache", "full-context", "system-prompt", "exclude-tool-results"]
+    cfg = load_config(tiny_config(tmp_path, policies=policies, modes=modes, jobs=1))
+    assert [p.name for p in cfg.policies] == policies
+    assert [m.value for m in cfg.modes] == modes
 
 
 def test_shipped_configs_parse():

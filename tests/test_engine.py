@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cachesim import (CacheMode, CacheStore, PriceSchedule, ProviderPolicy,
-                      TokenSeq, access, dump_store, oracle_access, oracle_lookup,
-                      synth_tokens)
+                      TokenSeq, access, oracle_access, oracle_lookup, synth_tokens)
 
 _PRICES = PriceSchedule(1.0, 2.0, 0.1)
 
@@ -170,18 +169,6 @@ def test_read_your_write():
     _, written = access(store, prompt, 2500, 0.0, policy)
     assert written >= policy.min_cache_tokens
     assert access(store, prompt, 0, 0.5, policy)[0] >= written
-
-
-def test_dump_store_lengths_only(tmp_path):
-    policy = make_policy(min_tokens=1024, granularity=1)
-    store = CacheStore()
-    access(store, synth_tokens(1100, 14), 1100, 2.0, policy)
-    path = tmp_path / "store.jsonl"
-    dump_store(store, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 1
-    assert '"length": 1100' in lines[0]
-    assert "tokens" not in lines[0]
 
 
 def _with_token(seq: TokenSeq, pos: int, token: int) -> TokenSeq:

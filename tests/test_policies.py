@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cachesim import (CacheMode, PriceSchedule, ProviderPolicy, UsageRecord,
-                      builtin_policies, builtin_policy, load_policies,
-                      policy_from_dict, policy_to_dict, price_call,
-                      price_storage, save_policies)
+                      builtin_policies, builtin_policy, policy_from_dict,
+                      policy_to_dict, price_call, price_storage)
 
 
 def exact_price(usage: UsageRecord, policy: ProviderPolicy, prompt_total: int) -> Fraction:
@@ -182,13 +181,9 @@ def test_policy_validation():
                        mode=CacheMode.AUTOMATIC, prices=prices)
 
 
-def test_policy_json_round_trip(tmp_path):
-    policies = builtin_policies()
-    for policy in policies:
+def test_policy_json_round_trip():
+    for policy in builtin_policies():
         assert policy_from_dict(policy_to_dict(policy)) == policy
-    path = tmp_path / "policies.json"
-    save_policies(policies, path)
-    assert load_policies(path) == policies
 
 
 def test_policy_from_dict_rejects_garbage():

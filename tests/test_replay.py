@@ -12,7 +12,6 @@ from cachesim import (DegenerateFitError, LatencyModel, Role,
                       StrategyMode, UsageRecord, VirtualClock, WorkloadSpec,
                       builtin_policy, calibrate_latency, flat_length, generate,
                       run_condition)
-from cachesim.policies import override_policy
 
 QUIET = LatencyModel(base_ms=40.0, per_uncached_token_ms=0.05,
                      per_cached_token_ms=0.005, per_write_token_ms=0.01,
@@ -182,7 +181,7 @@ class TestWarmup:
 def test_opportunistic_segments_let_exclude_mode_diverge():
     spec = small_spec(system_prompt_tokens=2000, tool_calls=4, sessions=1)
     transcripts = generate(spec)
-    policy = override_policy(builtin_policy("gpt-4o"), opportunistic_segments=True)
+    policy = replace(builtin_policy("gpt-4o"), opportunistic_segments=True)
     plain = builtin_policy("gpt-4o")
 
     def total_reads(p, mode):

@@ -14,6 +14,7 @@ from cachesim import (Comparison, ConditionSamples, ConfigError,
                       UndefinedBaselineError, compare,
                       regularized_incomplete_beta, student_t_two_sided_p,
                       summarize_experiment, welch_t)
+from cachesim.runner import format_report_table
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 samples = st.lists(finite_floats, min_size=2, max_size=30)
@@ -95,6 +96,13 @@ class TestWelch:
         assert result.p_value == 0.0
         assert result.zero_variance
         assert math.isinf(result.t)
+
+    def test_constant_samples_are_zero_variance_despite_round_off(self):
+        # The plain mean of 40 copies of 0.1 + 0.2 is not that value, so
+        # deviations from it used to leave a variance of about 1e-31.
+        result = welch_t([0.1 + 0.2] * 40, [0.7] * 40)
+        assert result.zero_variance
+        assert (result.t, result.p_value) == (-math.inf, 0.0)
 
     def test_short_samples_rejected(self):
         with pytest.raises(ValueError):
@@ -236,10 +244,25 @@ class TestSummarize:
                 ConditionSamples("p", "full-context", (1.0,), (1.0,)),
             ])
 
-    def test_rows_are_long_format(self):
-        rows = summarize_experiment(self.conditions()).rows()
-        assert len(rows) == 4  # 2 modes x 2 metrics
-        assert {r["metric"] for r in rows} == {"cost", "ttft"}
+    def test_report_to_dict_has_both_metrics_per_mode(self):
+        data = summarize_experiment(self.conditions()).to_dict()
+        modes = data["policies"][0]["modes"]
+        assert [m["mode"] for m in modes] == ["system-prompt", "full-context"]
+        for mode in modes:
+            assert set(mode) >= {"cost", "ttft", "cost_normalized_pct",
+                                 "ttft_normalized_pct"}
+            assert "p_value" in mode["cost"] and "p_value" in mode["ttft"]
+
+    def test_table_prints_na_for_zero_variance_p_values(self):
+        report = summarize_experiment([
+            ConditionSamples("p", "no-cache", (2.0, 2.0), (800.0, 810.0)),
+            ConditionSamples("p", "full-context", (1.0, 1.0), (600.0, 605.0)),
+        ])
+        mode = report.policies[0].modes[0]
+        assert mode.cost.zero_variance and not mode.ttft.zero_variance
+        row = format_report_table(report).splitlines()[3].split()
+        assert row[-2] == "n/a"
+        assert float(row[-1]) == pytest.approx(mode.ttft.p_value, rel=1e-2)
 
 
 def test_comparison_round_trips_to_dict():

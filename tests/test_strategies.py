@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from cachesim import (CacheMode, CacheStore, Message, Role, StrategyMode,
                       TokenSeq, access, apply_strategy, breaker_token,
-                      expected_cacheable_prefix, flatten, builtin_policy,
-                      synth_tokens)
+                      flatten, builtin_policy, synth_tokens)
 
 
 def common_prefix_len(a: TokenSeq, b: TokenSeq) -> int:
@@ -114,16 +111,9 @@ def test_breakpoints_for_breakpoint_mode_policies():
     assert auto.breakpoints == ()
 
 
-def test_expected_cacheable_prefix_values():
-    assert expected_cacheable_prefix(StrategyMode.NO_CACHE, 10_000) == 0
-    assert expected_cacheable_prefix(StrategyMode.SYSTEM_PROMPT, 10_000) == 10_001
-    assert expected_cacheable_prefix(StrategyMode.EXCLUDE_TOOL_RESULTS, 10_000) == 10_001
-    assert expected_cacheable_prefix(StrategyMode.FULL_CONTEXT, 10_000) == math.inf
-
-
 def test_expected_prefix_matches_simulated_lookups():
     """Three-turn session on the breakpoint policy: steady-state reads equal
-    the helper's boundary exactly (granularity 1)."""
+    the system message plus its framing token exactly (granularity 1)."""
     policy = builtin_policy("claude-sonnet-4.5")
     system_tokens = 2000
     msgs = make_conversation(3, system_tokens=system_tokens, seed=21)
@@ -134,9 +124,8 @@ def test_expected_prefix_matches_simulated_lookups():
                                 r, 17, policy.mode)
         flat = flatten(prompt)
         reads.append(access(store, flat, prompt.breakpoints[-1], float(r), policy)[0])
-    expected = expected_cacheable_prefix(StrategyMode.EXCLUDE_TOOL_RESULTS, system_tokens)
     assert reads[0] == 0
-    assert reads[1:] == [expected] * 3
+    assert reads[1:] == [system_tokens + 1] * 3
 
 
 def test_exclude_tool_results_reads_match_system_prompt_mode():

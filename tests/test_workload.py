@@ -188,6 +188,20 @@ def test_ingest_rejects_non_finite_timestamps(tmp_path, bad):
     assert err.value.line_number == 3
 
 
+@pytest.mark.parametrize("bad", [1.5, 100.0, True, 6, 63, -1, 2**64])
+def test_ingest_rejects_bad_token_ids(tmp_path, bad):
+    rows = [
+        {"session_id": "a", "role": "system", "tokens": [100, 101], "timestamp_s": 0.0},
+        {"session_id": "a", "role": "human", "tokens": [200, bad], "timestamp_s": 0.0},
+        {"session_id": "a", "role": "ai", "tokens": [300], "timestamp_s": 1.0},
+    ]
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    with pytest.raises(TranscriptParseError) as err:
+        ingest(path)
+    assert err.value.line_number == 2
+
+
 def test_ingest_rejects_duplicate_questions(tmp_path):
     rows = []
     for sid in ("a", "b"):
