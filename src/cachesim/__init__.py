@@ -23,7 +23,8 @@ from .seeding import derive_seed
 from .stats import (Comparison, ConditionSamples, ExperimentReport, TTestResult,
                     compare, regularized_incomplete_beta, student_t_two_sided_p,
                     summarize_experiment, welch_t)
-from .strategies import StrategyMode, apply_strategy, breaker_token
+from .strategies import (StrategyMode, apply_strategy, breaker_token, request_prompt,
+                         session_layout)
 from .tokens import (Message, Prompt, Role, TokenSeq, flat_length, flatten,
                      synth_tokens)
 from .workload import (SessionTranscript, WorkloadSpec, export_transcripts,
@@ -44,7 +45,7 @@ __all__ = [
     "compare", "derive_seed", "export_transcripts", "flat_length", "flatten",
     "generate", "ingest", "load_config", "oracle_access", "oracle_lookup",
     "policy_from_dict", "policy_to_dict", "price_call", "price_storage",
-    "regularized_incomplete_beta", "replay_call", "run_ablation",
-    "run_condition", "run_experiment", "student_t_two_sided_p",
+    "regularized_incomplete_beta", "replay_call", "request_prompt", "run_ablation",
+    "run_condition", "run_experiment", "session_layout", "student_t_two_sided_p",
     "summarize_experiment", "synth_tokens", "verify_run", "welch_t",
 ]

@@ -28,6 +28,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .checks import is_finite_number, is_int
 from .errors import ConfigError
 from .policies import ProviderPolicy, builtin_policy, policy_from_dict, policy_to_dict
 from .replay import LatencyModel
@@ -95,10 +96,11 @@ class ExperimentConfig:
         if len(self.modes) > 1 and StrategyMode.NO_CACHE not in self.modes:
             raise ConfigError(
                 "baseline-relative reports need the no-cache mode in the mode list")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError("alpha must be in (0, 1)")
-        if self.warmup_sessions < 0:
-            raise ConfigError("warmup_sessions must be >= 0")
+        if not is_finite_number(self.alpha) or not 0.0 < self.alpha < 1.0:
+            raise ConfigError(f"alpha must be a number in (0, 1), got {self.alpha!r}")
+        if not is_int(self.warmup_sessions) or self.warmup_sessions < 0:
+            raise ConfigError(
+                f"warmup_sessions must be an integer >= 0, got {self.warmup_sessions!r}")
         if self.ttft_aggregation not in ("session-mean", "per-call"):
             raise ConfigError("ttft_aggregation must be 'session-mean' or 'per-call'")
         if "default" not in self.latency:
@@ -131,7 +133,9 @@ def config_from_dict(data: dict, master_seed: int | None = None) -> ExperimentCo
     try:
         workload_raw = _object(data.get("workload", {}), "workload")
         if master_seed is None:
-            master_seed = int(data.get("master_seed", 0))
+            master_seed = data.get("master_seed", 0)
+            if not is_int(master_seed):
+                raise ConfigError(f"master_seed must be an integer, got {master_seed!r}")
         else:
             workload_raw.pop("seed", None)
 
@@ -172,14 +176,14 @@ def config_from_dict(data: dict, master_seed: int | None = None) -> ExperimentCo
             modes=tuple(modes),
             workload=workload,
             latency=latency,
-            warmup_sessions=int(data.get("warmup_sessions", 1)),
-            alpha=float(data.get("alpha", 0.05)),
+            warmup_sessions=data.get("warmup_sessions", 1),
+            alpha=data.get("alpha", 0.05),
             output_dir=str(data.get("output_dir", "out")),
             ttft_aggregation=str(data.get("ttft_aggregation", "session-mean")),
         )
     except ConfigError:
         raise
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 

@@ -21,7 +21,12 @@ Each API call is one :func:`access`, which works in three steps:
    than the read. Only the tokens beyond the read are charged, so
    re-caching an unchanged prompt is free. Entries that are prefixes of
    the new one are dropped (subsumed): the new entry matches at least as
-   much and expires no sooner.
+   much and expires no sooner. When the limit is the whole prompt, the
+   entry is a read-only view of the prompt's ids, which pins at most
+   ``granularity - 1`` tokens beyond it (and, for a prompt that is
+   itself a view, the array it views); a write up to an earlier
+   breakpoint stores a copy, so the entry does not keep the rest of the
+   prompt alive.
 
 The entries are indexed by a token-level radix tree. A node's children
 are keyed by the first token of their edge, and each edge is a range
@@ -198,7 +203,8 @@ def access(store: CacheStore, prompt: TokenSeq, cacheable_limit: int,
     if w < policy.min_cache_tokens or w <= read:
         return read, 0
     # Here w > depth: the new entry extends past where the prompt left the tree.
-    stored = ids[:w] if w == n else ids[:w].copy()
+    # View or copy: see the write step in the module docstring.
+    stored = ids[:w] if cacheable_limit == n else ids[:w].copy()
     stored.setflags(write=False)
     entry = CacheEntry(tokens=stored, created_at=now, last_used_at=now)
     store._entries[entry] = store._inserted

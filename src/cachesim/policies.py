@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .checks import is_finite_number, is_int
+
 
 class CacheMode(Enum):
     """How a provider decides what becomes cacheable."""
@@ -36,13 +38,17 @@ class CacheMode(Enum):
     EXPLICIT_BREAKPOINTS = "explicit-breakpoints"
 
 
+_REQUIRED_RATES = ("input_per_mtok", "output_per_mtok", "cached_read_per_mtok")
+
+
 @dataclass(frozen=True)
 class PriceSchedule:
     """USD-per-million-token rates for one model.
 
     Tier-2 rates, when present, apply to calls whose total prompt size
     exceeds ``tier_boundary_tokens``. Absent write/storage rates mean
-    the provider does not bill that component.
+    the provider does not bill that component. Every rate given must be
+    a finite number >= 0 and the boundary an integer.
     """
 
     input_per_mtok: float
@@ -56,6 +62,18 @@ class PriceSchedule:
     tier2_cached_read_per_mtok: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("input_per_mtok", "output_per_mtok", "cached_read_per_mtok",
+                     "cache_write_per_mtok", "storage_per_mtok_hour",
+                     "tier2_input_per_mtok", "tier2_output_per_mtok",
+                     "tier2_cached_read_per_mtok"):
+            value = getattr(self, name)
+            if value is None and name not in _REQUIRED_RATES:
+                continue
+            if not is_finite_number(value) or value < 0:
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+        if self.tier_boundary_tokens is not None and not is_int(self.tier_boundary_tokens):
+            raise ValueError(
+                f"tier_boundary_tokens must be an integer, got {self.tier_boundary_tokens!r}")
         if self.cached_read_per_mtok >= self.input_per_mtok:
             raise ValueError("cached reads must be cheaper than uncached input")
         tier2 = (self.tier2_input_per_mtok, self.tier2_output_per_mtok,
@@ -85,7 +103,11 @@ class UsageRecord:
 
 @dataclass(frozen=True)
 class ProviderPolicy:
-    """One provider/model's caching rules plus its price schedule."""
+    """One provider/model's caching rules plus its price schedule.
+
+    Token counts are integers, the TTL is finite and positive, and the
+    two flags are booleans.
+    """
 
     name: str
     min_cache_tokens: int
@@ -99,12 +121,19 @@ class ProviderPolicy:
     opportunistic_segments: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("granularity_tokens", "min_cache_tokens"):
+            if not is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.granularity_tokens < 1:
             raise ValueError("granularity_tokens must be >= 1")
         if self.min_cache_tokens < self.granularity_tokens:
             raise ValueError("min_cache_tokens must be >= granularity_tokens")
-        if self.ttl_seconds <= 0:
-            raise ValueError("ttl_seconds must be positive")
+        ttl = self.ttl_seconds
+        if not is_finite_number(ttl) or ttl <= 0:
+            raise ValueError(f"ttl_seconds must be finite and positive, got {ttl!r}")
+        for name in ("refresh_on_read", "opportunistic_segments"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
 
 
 def builtin_policies(*, granularity: int | None = None,
@@ -217,7 +246,9 @@ def price_storage(cached_tokens: int, hours: float, policy: ProviderPolicy) -> f
 #   }
 # }
 # Config files list such objects inline among their policies. A mode
-# other than the two above is rejected.
+# other than the two above is rejected, and so are a TTL or rate that is
+# not a finite number (or is a bool), a negative rate, a token count
+# that is not an integer, and a non-boolean flag.
 
 def policy_to_dict(policy: ProviderPolicy) -> dict:
     prices = policy.prices

@@ -1,8 +1,11 @@
 """Session replay: strategy + cache + pricing under a virtual clock.
 
-Each simulated API call applies the strategy to the session's message
-prefix, flattens it, reads from and writes to the cache store in one
-access, prices the resulting usage, and models time-to-first-token as
+Each session is flattened once per condition into a
+:class:`~cachesim.strategies.SessionLayout`. Each simulated API call
+takes its request's prompt from that layout (a prefix of the session's
+template with the request's breaker ids written in), reads from and
+writes to the cache store in one access, prices the resulting usage,
+and models time-to-first-token as
 
     ttft = (base + per_uncached * uncached + per_cached * cached
             + per_write * write) * exp(N(0, sigma))
@@ -25,12 +28,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .checks import is_finite_number, is_int
 from .engine import CacheStore, access
 from .errors import DegenerateFitError
 from .policies import CacheMode, ProviderPolicy, UsageRecord, price_call
 from .seeding import derive_seed
-from .strategies import StrategyMode, apply_strategy
-from .tokens import ROLE_TAG_IDS, Message, Role, flatten
+from .strategies import SessionLayout, StrategyMode, request_prompt, session_layout
+from .tokens import ROLE_TAG_IDS, Role
 from .workload import SessionTranscript
 
 
@@ -53,8 +57,10 @@ class LatencyModel:
         for name in ("base_ms", "per_uncached_token_ms", "per_cached_token_ms",
                      "per_write_token_ms", "noise_sigma"):
             value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+            if not is_finite_number(value) or value < 0:
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+        if not is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.per_cached_token_ms >= self.per_uncached_token_ms:
             raise ValueError("cached tokens must be faster than uncached tokens")
 
@@ -184,21 +190,18 @@ class _SegmentMemo:
         return extra
 
 
-def replay_call(messages: Sequence[Message], mode: StrategyMode, request_index: int,
+def replay_call(layout: SessionLayout, request_index: int,
                 policy: ProviderPolicy, store: CacheStore, clock: VirtualClock,
                 latency_model: LatencyModel, output_tokens: int, *,
                 session_seed: int, noise: np.random.Generator,
                 advance_s: float = 0.0,
                 segment_memo: _SegmentMemo | None = None) -> CallResult:
-    """Simulate one API call and advance the clock by ``advance_s`` after it."""
-    prompt = apply_strategy(messages, mode, request_index, session_seed, policy.mode)
-    flat = flatten(prompt)
+    """Simulate one API call of a session laid out by
+    :func:`~cachesim.strategies.session_layout` and advance the clock by
+    ``advance_s`` after it."""
+    flat, limit = request_prompt(layout, request_index, session_seed, policy.mode)
     now = clock.now_s
 
-    if policy.mode is CacheMode.EXPLICIT_BREAKPOINTS:
-        limit = prompt.breakpoints[-1] if prompt.breakpoints else 0
-    else:
-        limit = len(flat)
     cached, write = access(store, flat, limit, now, policy)
     if (segment_memo is not None and policy.opportunistic_segments
             and policy.mode is not CacheMode.EXPLICIT_BREAKPOINTS):
@@ -225,13 +228,14 @@ def _replay_session(transcript: SessionTranscript, mode: StrategyMode,
                     memo: _SegmentMemo | None) -> SessionResult:
     calls = []
     n = transcript.num_requests
+    layout = session_layout(transcript.messages, n, mode)
     for r in range(1, n + 1):
         if r < n:
             gap = transcript.request_time(r + 1) - transcript.request_time(r)
         else:
             gap = transcript.duration_s - transcript.request_time(n)
         calls.append(replay_call(
-            transcript.request_messages(r), mode, r, policy, store, clock,
+            layout, r, policy, store, clock,
             latency_model, transcript.output_tokens(r),
             session_seed=transcript.session_seed, noise=noise,
             advance_s=gap, segment_memo=memo,

@@ -18,16 +18,19 @@ so recorded agent logs can be replayed instead of synthetic ones:
 ``RESERVED_TOKEN_FLOOR`` up to 2**64 - 1 (lower ids are reserved for
 framing); a ``token_count`` integer is accepted instead, in which case
 ids are synthesized deterministically from (session_id, line_number).
+A ``token_count`` is at most ``MAX_TOKEN_COUNT`` (2**20, a whole
+million-token context), so a stray number in a log cannot make ingest
+allocate without bound. ``timestamp_s`` must be a finite JSON number.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+from .checks import is_finite_number, is_int
 from .errors import TranscriptParseError, TranscriptValidationError
 from .seeding import derive_seed
 from .tokens import RESERVED_TOKEN_FLOOR, Message, Role, TokenSeq, synth_tokens
@@ -49,24 +52,25 @@ class WorkloadSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        counts = {
-            "system_prompt_tokens": self.system_prompt_tokens,
-            "question_tokens": self.question_tokens,
-            "tool_call_tokens": self.tool_call_tokens,
-            "tool_result_tokens": self.tool_result_tokens,
-            "reasoning_tokens_per_turn": self.reasoning_tokens_per_turn,
-            "final_answer_tokens": self.final_answer_tokens,
+        minimums = {
+            "system_prompt_tokens": 1,
+            "question_tokens": 1,
+            "tool_calls": 0,
+            "tool_call_tokens": 1,
+            "tool_result_tokens": 1,
+            "reasoning_tokens_per_turn": 1,
+            "final_answer_tokens": 1,
+            "sessions": 1,
         }
-        for name, value in counts.items():
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-        if self.tool_calls < 0:
-            raise ValueError("tool_calls must be >= 0")
-        if self.sessions < 1:
-            raise ValueError("sessions must be >= 1")
+        for name, floor in minimums.items():
+            value = getattr(self, name)
+            if not is_int(value) or value < floor:
+                raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
+        if not is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         gap = self.inter_call_gap_seconds
-        if not math.isfinite(gap) or gap < 0:
-            raise ValueError(f"inter_call_gap_seconds must be finite and >= 0, got {gap}")
+        if not is_finite_number(gap) or gap < 0:
+            raise ValueError(f"inter_call_gap_seconds must be finite and >= 0, got {gap!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -211,6 +215,8 @@ def generate(spec: WorkloadSpec) -> list[SessionTranscript]:
 
 _ROLE_BY_NAME = {role.value: role for role in Role}
 
+MAX_TOKEN_COUNT = 2**20
+
 
 def export_transcripts(transcripts: Sequence[SessionTranscript], path: str | Path) -> None:
     """Write transcripts as JSONL, one message per line, with explicit token ids."""
@@ -251,12 +257,13 @@ def ingest(path: str | Path) -> list[SessionTranscript]:
             try:
                 session_id = str(record["session_id"])
                 role_name = record["role"]
-                stamp = float(record["timestamp_s"])
+                stamp = record["timestamp_s"]
             except KeyError as exc:
                 raise TranscriptParseError(line_number, f"missing field {exc.args[0]!r}") from exc
-            if not math.isfinite(stamp):
-                raise TranscriptParseError(line_number, f"timestamp_s must be finite, got {stamp}")
-            role = _ROLE_BY_NAME.get(role_name)
+            if not is_finite_number(stamp):
+                raise TranscriptParseError(
+                    line_number, f"timestamp_s must be a finite number, got {stamp!r}")
+            role = _ROLE_BY_NAME.get(role_name) if isinstance(role_name, str) else None
             if role is None:
                 raise TranscriptParseError(line_number, f"unknown role {role_name!r}")
             if "tokens" in record:
@@ -272,13 +279,15 @@ def ingest(path: str | Path) -> list[SessionTranscript]:
                 tokens = TokenSeq(ids)
             elif "token_count" in record:
                 count = record["token_count"]
-                if not isinstance(count, int) or count < 1:
-                    raise TranscriptParseError(line_number, "token_count must be a positive integer")
+                if not is_int(count) or not 1 <= count <= MAX_TOKEN_COUNT:
+                    raise TranscriptParseError(
+                        line_number, f"token_count must be an integer in [1, {MAX_TOKEN_COUNT}], "
+                        f"got {count!r}")
                 tokens = synth_tokens(count, derive_seed(0, "ingest", session_id, line_number))
             else:
                 raise TranscriptParseError(line_number, "need either tokens or token_count")
             per_session.setdefault(session_id, []).append(
-                (Message(role, tokens, origin_turn=0), stamp))
+                (Message(role, tokens, origin_turn=0), float(stamp)))
 
     transcripts = []
     for session_id, rows in per_session.items():

@@ -245,6 +245,30 @@ def test_non_finite_config_values_rejected(tmp_path, section, key, field, bad):
         config_from_dict(data)
 
 
+@pytest.mark.parametrize("section, field, bad", [
+    ("workload", "sessions", 2.5),
+    ("workload", "tool_calls", True),
+    ("workload", "system_prompt_tokens", math.inf),
+    ("workload", "question_tokens", 30.0),
+    ("workload", "final_answer_tokens", False),
+    (None, "warmup_sessions", math.inf),
+    (None, "warmup_sessions", 1.5),
+    (None, "master_seed", math.inf),
+    (None, "alpha", 10**400),
+])
+def test_non_integer_counts_exit_one(tmp_path, capsys, section, field, bad):
+    """Counts must be JSON integers; a float, a bool or a number too large
+    for a float is an ``error:`` line and exit 1, not a traceback."""
+    data = json.loads(Path(tiny_config(tmp_path)).read_text())
+    (data if section is None else data[section])[field] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["simulate", str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert "Traceback" not in err
+
+
 def test_bench_shaped_config_loads(tmp_path):
     """The benchmark's generated config: every policy and mode, plus the
     ``jobs`` key it still writes, which the loader ignores."""

@@ -6,6 +6,7 @@ import gc
 import math
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -208,6 +209,26 @@ def test_dropped_entries_are_freed_without_gc():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_whole_prompt_writes_are_views_and_breakpoint_writes_copies():
+    """A write up to the end of the prompt keeps a view of its ids (pinning
+    fewer than ``granularity`` extra tokens); one up to a breakpoint copies."""
+    policy = make_policy(min_tokens=1024, granularity=128)
+    store = CacheStore()
+    whole = synth_tokens(2100, 19)
+    assert access(store, whole, 2100, 0.0, policy) == (0, 2048)
+    (entry,) = store.snapshot()
+    assert np.shares_memory(entry.tokens, whole.ids)
+    assert entry.tokens.base is not None and entry.tokens.base.size - entry.length < 128
+    assert not entry.tokens.flags.writeable
+
+    partial = synth_tokens(2100, 20)
+    assert access(store, partial, 1500, 1.0, policy) == (0, 1408)
+    entry = store.snapshot()[-1]
+    assert entry.length == 1408
+    assert not np.shares_memory(entry.tokens, partial.ids)
+    assert not entry.tokens.flags.writeable
 
 
 @given(n=st.integers(1, 80), m=st.integers(0, 80), data=st.data())

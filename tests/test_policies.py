@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -179,6 +180,35 @@ def test_policy_validation():
         ProviderPolicy("x", min_cache_tokens=64, granularity_tokens=128,
                        ttl_seconds=60, refresh_on_read=False,
                        mode=CacheMode.AUTOMATIC, prices=prices)
+
+
+@pytest.mark.parametrize("path, bad", [
+    (("ttl_seconds",), math.nan),
+    (("ttl_seconds",), math.inf),
+    (("ttl_seconds",), True),
+    (("min_cache_tokens",), 4096.5),
+    (("min_cache_tokens",), 4096.0),
+    (("granularity_tokens",), True),
+    (("refresh_on_read",), "yes"),
+    (("prices", "input_per_mtok"), math.nan),
+    (("prices", "output_per_mtok"), math.inf),
+    (("prices", "cached_read_per_mtok"), -0.125),
+    (("prices", "cache_write_per_mtok"), -1.0),
+    (("prices", "storage_per_mtok_hour"), math.nan),
+    (("prices", "tier_boundary_tokens"), 200_000.5),
+    (("prices", "tier_boundary_tokens"), True),
+    (("prices", "tier2_output_per_mtok"), math.inf),
+])
+def test_policy_rejects_bad_numbers(path, bad):
+    """Non-finite TTLs and rates, negative rates and non-integer token
+    counts are rejected, naming the field."""
+    data = policy_to_dict(builtin_policy("gemini-2.5-pro"))
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = bad
+    with pytest.raises(ValueError, match=path[-1]):
+        policy_from_dict(data)
 
 
 def test_policy_json_round_trip():

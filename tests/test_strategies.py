@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import json
+
+import numpy as np
 import pytest
 
 from cachesim import (CacheMode, CacheStore, Message, Role, StrategyMode,
-                      TokenSeq, access, apply_strategy, breaker_token,
-                      flatten, builtin_policy, synth_tokens)
+                      TokenSeq, WorkloadSpec, access, apply_strategy, breaker_token,
+                      flatten, builtin_policy, generate, ingest, request_prompt,
+                      session_layout, synth_tokens)
 
 
 def common_prefix_len(a: TokenSeq, b: TokenSeq) -> int:
@@ -144,3 +148,75 @@ def test_exclude_tool_results_reads_match_system_prompt_mode():
                 per_call.append(access(store, flat, limit, float(r), policy)[0])
             reads[mode] = per_call
         assert reads[StrategyMode.SYSTEM_PROMPT] == reads[StrategyMode.EXCLUDE_TOOL_RESULTS]
+
+
+def referee_transcripts(tmp_path):
+    """Generated sessions with 0, 1 and 4 tool calls, plus one ingested
+    session that mixes tool-call and assistant turns."""
+    transcripts = []
+    for tool_calls in (0, 1, 4):
+        transcripts += generate(WorkloadSpec(
+            system_prompt_tokens=50, question_tokens=8, tool_calls=tool_calls,
+            tool_call_tokens=5, tool_result_tokens=12, reasoning_tokens_per_turn=4,
+            final_answer_tokens=6, sessions=2, seed=tool_calls))
+    rows = [("system", 30), ("human", 6), ("tool-call", 4), ("tool-result", 9),
+            ("ai", 5), ("tool-result", 7), ("ai", 3)]
+    path = tmp_path / "session.jsonl"
+    path.write_text("".join(
+        json.dumps({"session_id": "x", "role": role, "token_count": count,
+                    "timestamp_s": float(i)}) + "\n"
+        for i, (role, count) in enumerate(rows)))
+    transcripts += ingest(path)
+    return transcripts
+
+
+@pytest.mark.parametrize("policy_mode", list(CacheMode))
+@pytest.mark.parametrize("mode", list(StrategyMode))
+def test_layout_matches_the_per_request_reference(tmp_path, mode, policy_mode):
+    """Every request served from the session layout equals the prompt that
+    apply_strategy + flatten build from scratch, and its limit is the last
+    breakpoint (0 without one) or, for automatic policies, the whole prompt."""
+    for tr in referee_transcripts(tmp_path):
+        layout = session_layout(tr.messages, tr.num_requests, mode)
+        template = layout.template.copy()
+        assert not layout.template.flags.writeable
+        for r in range(1, tr.num_requests + 1):
+            prompt = apply_strategy(tr.request_messages(r), mode, r, tr.session_seed,
+                                    policy_mode)
+            expected = flatten(prompt)
+            got, limit = request_prompt(layout, r, tr.session_seed, policy_mode)
+            assert np.array_equal(got.ids, expected.ids)
+            if policy_mode is CacheMode.EXPLICIT_BREAKPOINTS:
+                assert limit == (prompt.breakpoints[-1] if prompt.breakpoints else 0)
+            else:
+                assert limit == len(expected)
+            assert not got.ids.flags.writeable
+            # Only a prompt without breakers is served as a view of the template.
+            assert np.shares_memory(got.ids, layout.template) == (mode is StrategyMode.FULL_CONTEXT)
+        assert np.array_equal(layout.template, template)
+
+
+@pytest.mark.parametrize("msgs", [
+    [Message(Role.HUMAN, synth_tokens(5, 1)), Message(Role.AI, synth_tokens(5, 2))],
+    make_conversation(0) + [Message(Role.SYSTEM, synth_tokens(3, 9)),
+                            Message(Role.AI, synth_tokens(3, 8))],
+    make_conversation(0) + [Message(Role.BREAKER, synth_tokens(1, 3)),
+                            Message(Role.AI, synth_tokens(3, 8))],
+])
+def test_layout_rejects_what_the_reference_rejects(msgs):
+    with pytest.raises(ValueError):
+        apply_strategy(msgs, StrategyMode.FULL_CONTEXT, 1, 0, CacheMode.AUTOMATIC)
+    with pytest.raises(ValueError):
+        session_layout(msgs, len(msgs) // 2, StrategyMode.FULL_CONTEXT)
+
+
+def test_layout_request_bounds():
+    msgs = make_conversation(2)
+    with pytest.raises(ValueError):
+        session_layout(msgs, 4, StrategyMode.NO_CACHE)  # 6 messages hold 3 requests
+    with pytest.raises(ValueError):
+        session_layout(msgs, 0, StrategyMode.NO_CACHE)
+    layout = session_layout(msgs, 3, StrategyMode.NO_CACHE)
+    for r in (0, 4):
+        with pytest.raises(IndexError):
+            request_prompt(layout, r, 7, CacheMode.AUTOMATIC)

@@ -156,11 +156,20 @@ def test_ingest_reports_line_numbers(tmp_path):
     ({"session_id": "a", "role": "wizard", "token_count": 3, "timestamp_s": 0}, "role"),
     ({"session_id": "a", "role": "system", "timestamp_s": 0}, "tokens"),
     ({"session_id": "a", "role": "system", "token_count": 0, "timestamp_s": 0}, "token_count"),
+    ({"session_id": "a", "role": "system", "token_count": 2**20 + 1, "timestamp_s": 0},
+     "token_count"),
+    ({"session_id": "a", "role": "system", "token_count": True, "timestamp_s": 0}, "token_count"),
+    ({"session_id": "a", "role": "system", "token_count": 3.0, "timestamp_s": 0}, "token_count"),
+    ({"session_id": "a", "role": "system", "token_count": 3, "timestamp_s": "0"}, "timestamp_s"),
+    ({"session_id": "a", "role": "system", "token_count": 3, "timestamp_s": [0]}, "timestamp_s"),
+    ({"session_id": "a", "role": "system", "token_count": 3, "timestamp_s": 10**400},
+     "timestamp_s"),
+    ({"session_id": "a", "role": ["system"], "token_count": 3, "timestamp_s": 0}, "role"),
 ])
 def test_ingest_rejects_malformed_records(tmp_path, record, reason):
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps(record) + "\n")
-    with pytest.raises(TranscriptParseError):
+    with pytest.raises(TranscriptParseError, match=reason):
         ingest(path)
 
 
