@@ -8,13 +8,12 @@ parameterized latency model.
 """
 
 from .config import AblationGrid, ExperimentConfig, load_config
-from .engine import (CacheEntry, CacheMatch, CacheStore, access, oracle_access,
-                     oracle_lookup)
+from .engine import CacheEntry, CacheStore, access, oracle_access
 from .errors import (ConfigError, DegenerateFitError, TranscriptParseError,
                      TranscriptValidationError, UndefinedBaselineError)
 from .policies import (CacheMode, PriceSchedule, ProviderPolicy, UsageRecord,
                        builtin_policies, builtin_policy, policy_from_dict,
-                       policy_to_dict, price_call, price_storage)
+                       price_call, price_storage)
 from .replay import (CalibrationResult, CallResult, ConditionRun, LatencyModel,
                      SessionResult, VirtualClock, calibrate_latency,
                      replay_call, run_condition)
@@ -33,7 +32,7 @@ from .workload import (SessionTranscript, WorkloadSpec, export_transcripts,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AblationGrid", "CacheEntry", "CacheMatch", "CacheMode", "CacheStore",
+    "AblationGrid", "CacheEntry", "CacheMode", "CacheStore",
     "CalibrationResult", "CallResult", "Comparison", "ConditionRun",
     "ConditionSamples", "ConfigError", "DegenerateFitError", "ExperimentConfig",
     "ExperimentReport", "LatencyModel", "Message", "PriceSchedule", "Prompt",
@@ -43,8 +42,8 @@ __all__ = [
     "VirtualClock", "WorkloadSpec", "access", "apply_strategy", "breaker_token",
     "builtin_policies", "builtin_policy", "calibrate_latency",
     "compare", "derive_seed", "export_transcripts", "flat_length", "flatten",
-    "generate", "ingest", "load_config", "oracle_access", "oracle_lookup",
-    "policy_from_dict", "policy_to_dict", "price_call", "price_storage",
+    "generate", "ingest", "load_config", "oracle_access",
+    "policy_from_dict", "price_call", "price_storage",
     "regularized_incomplete_beta", "replay_call", "request_prompt", "run_ablation",
     "run_condition", "run_experiment", "session_layout", "student_t_two_sided_p",
     "summarize_experiment", "synth_tokens", "verify_run", "welch_t",

@@ -15,9 +15,9 @@ import argparse
 import json
 import sys
 
-from .config import AblationGrid, load_config
+from .config import AblationGrid, load_config, to_json
 from .errors import ConfigError
-from .policies import builtin_policies, policy_to_dict
+from .policies import builtin_policies
 from .runner import run_ablation, run_experiment, verify_run
 
 EXIT_OK = 0
@@ -87,8 +87,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "policies":
             if args.as_json:
-                print(json.dumps([policy_to_dict(p) for p in builtin_policies()],
-                                 indent=2, sort_keys=True))
+                print(json.dumps(to_json(builtin_policies()), indent=2, sort_keys=True))
             else:
                 print(_policy_table())
             return EXIT_OK

@@ -1,4 +1,4 @@
-"""Experiment configuration: JSON schema, validation, round-tripping.
+"""Experiment configuration: JSON schema, validation, and the JSON form.
 
 A config file is one JSON object:
 
@@ -12,25 +12,34 @@ A config file is one JSON object:
                   "gpt-4o": { ... }},
       "warmup_sessions": 1,
       "alpha": 0.05,
-      "output_dir": "out/main"
+      "output_dir": "out/main",
+      "ttft_aggregation": "session-mean"
     }
 
 Policies may be built-in names or inline policy objects (see the policy
 JSON schema in :mod:`cachesim.policies`). Unset workload and latency
 seeds are derived from the master seed, one label per purpose, so runs
 are reproducible from the single master value. Unknown top-level keys
-are ignored.
+are ignored. No value is coerced: ``policies`` and ``modes`` must be
+lists, ``output_dir`` and ``ttft_aggregation`` strings, and anything
+else is a :class:`~cachesim.errors.ConfigError` naming the field.
+
+:func:`to_json` gives the JSON form of a config, a policy or a report:
+each dataclass maps to its fields, so every echoed object lists the
+same fields as the dataclass behind it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
+from enum import Enum
 from pathlib import Path
 
 from .checks import is_finite_number, is_int
 from .errors import ConfigError
-from .policies import ProviderPolicy, builtin_policy, policy_from_dict, policy_to_dict
+from .policies import ProviderPolicy, builtin_policy, policy_from_dict
 from .replay import LatencyModel
 from .seeding import derive_seed
 from .strategies import StrategyMode
@@ -102,7 +111,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"warmup_sessions must be an integer >= 0, got {self.warmup_sessions!r}")
         if self.ttft_aggregation not in ("session-mean", "per-call"):
-            raise ConfigError("ttft_aggregation must be 'session-mean' or 'per-call'")
+            raise ConfigError("ttft_aggregation must be 'session-mean' or 'per-call', "
+                              f"got {self.ttft_aggregation!r}")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
         if "default" not in self.latency:
             missing = [n for n in names if n not in self.latency]
             if missing:
@@ -119,6 +131,12 @@ def _object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{what} must be a JSON object, got {value!r}")
     return dict(value)
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a JSON list, got {value!r}")
+    return value
 
 
 def config_from_dict(data: dict, master_seed: int | None = None) -> ExperimentConfig:
@@ -140,7 +158,7 @@ def config_from_dict(data: dict, master_seed: int | None = None) -> ExperimentCo
             workload_raw.pop("seed", None)
 
         policies = []
-        for entry in data.get("policies", []):
+        for entry in _list(data.get("policies", []), "policies"):
             if isinstance(entry, str):
                 try:
                     policies.append(builtin_policy(entry))
@@ -152,7 +170,7 @@ def config_from_dict(data: dict, master_seed: int | None = None) -> ExperimentCo
                 raise ConfigError(f"policy entries must be names or objects, got {entry!r}")
 
         modes = []
-        for name in data.get("modes", []):
+        for name in _list(data.get("modes", []), "modes"):
             try:
                 modes.append(StrategyMode(name))
             except ValueError as exc:
@@ -160,13 +178,13 @@ def config_from_dict(data: dict, master_seed: int | None = None) -> ExperimentCo
                 raise ConfigError(f"unknown mode {name!r}; expected one of: {known}") from exc
 
         workload_raw.setdefault("seed", derive_seed(master_seed, "workload"))
-        workload = WorkloadSpec.from_dict(workload_raw)
+        workload = WorkloadSpec(**workload_raw)
 
         latency = {}
         for key, params in _object(data.get("latency", {}), "latency").items():
             params = _object(params, f"latency[{key!r}]")
             params.setdefault("seed", derive_seed(master_seed, "latency"))
-            latency[key] = LatencyModel.from_dict(params)
+            latency[key] = LatencyModel(**params)
         if not latency:
             latency["default"] = LatencyModel(seed=derive_seed(master_seed, "latency"))
 
@@ -178,8 +196,8 @@ def config_from_dict(data: dict, master_seed: int | None = None) -> ExperimentCo
             latency=latency,
             warmup_sessions=data.get("warmup_sessions", 1),
             alpha=data.get("alpha", 0.05),
-            output_dir=str(data.get("output_dir", "out")),
-            ttft_aggregation=str(data.get("ttft_aggregation", "session-mean")),
+            output_dir=data.get("output_dir", "out"),
+            ttft_aggregation=data.get("ttft_aggregation", "session-mean"),
         )
     except ConfigError:
         raise
@@ -187,18 +205,22 @@ def config_from_dict(data: dict, master_seed: int | None = None) -> ExperimentCo
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
-def config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "master_seed": config.master_seed,
-        "policies": [policy_to_dict(p) for p in config.policies],
-        "modes": [m.value for m in config.modes],
-        "workload": config.workload.to_dict(),
-        "latency": {key: model.to_dict() for key, model in config.latency.items()},
-        "warmup_sessions": config.warmup_sessions,
-        "alpha": config.alpha,
-        "output_dir": config.output_dir,
-        "ttft_aggregation": config.ttft_aggregation,
-    }
+def to_json(value):
+    """JSON form of a config, policy or report value.
+
+    A dataclass maps to a dict of its fields, an Enum to its value, a
+    tuple or list to a list and a dict to a dict, recursively; anything
+    else is returned as it is.
+    """
+    if dataclasses.is_dataclass(value):
+        return {f.name: to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (tuple, list)):
+        return [to_json(item) for item in value]
+    if isinstance(value, dict):
+        return {key: to_json(item) for key, item in value.items()}
+    return value
 
 
 def load_config(path: str | Path, master_seed: int | None = None) -> ExperimentConfig:

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -71,11 +71,6 @@ class CacheEntry:
     @property
     def length(self) -> int:
         return int(self.tokens.size)
-
-
-class CacheMatch(NamedTuple):
-    cached_tokens: int
-    entry: CacheEntry | None
 
 
 class _Node:
@@ -227,36 +222,6 @@ def access(store: CacheStore, prompt: TokenSeq, cacheable_limit: int,
     return read, w - read
 
 
-def oracle_lookup(store: CacheStore | Iterable[CacheEntry], prompt: TokenSeq,
-                  now: float, policy: ProviderPolicy) -> CacheMatch:
-    """Reference read: pure-Python linear scan, token-by-token, no mutation.
-
-    Returns the usable cached length and the entry a refresh would touch:
-    the first live entry, in iteration order, with the longest common
-    prefix. Dead entries are skipped, not dropped.
-    """
-    entries = store.snapshot() if isinstance(store, CacheStore) else tuple(store)
-    prompt_list = prompt.to_list()
-    best = 0
-    best_entry: CacheEntry | None = None
-    for entry in entries:
-        reference = entry.last_used_at if policy.refresh_on_read else entry.created_at
-        if now - reference > policy.ttl_seconds:
-            continue
-        n = 0
-        for a, b in zip(prompt_list, entry.tokens.tolist()):
-            if a != b:
-                break
-            n += 1
-        if n > best:
-            best = n
-            best_entry = entry
-    usable = (best // policy.granularity_tokens) * policy.granularity_tokens
-    if usable < policy.min_cache_tokens:
-        return CacheMatch(0, None)
-    return CacheMatch(usable, best_entry)
-
-
 def oracle_access(entries: Iterable[CacheEntry], prompt: TokenSeq,
                   cacheable_limit: int, now: float,
                   policy: ProviderPolicy) -> tuple[int, int, list[CacheEntry]]:
@@ -274,14 +239,29 @@ def oracle_access(entries: Iterable[CacheEntry], prompt: TokenSeq,
         reference = entry.last_used_at if policy.refresh_on_read else entry.created_at
         if now - reference <= policy.ttl_seconds:
             live.append(replace(entry))
-    read, hit = oracle_lookup(live, prompt, now, policy)
-    if hit is not None and policy.refresh_on_read:
-        hit.last_used_at = now
+    # Read: the first live entry with the longest common prefix, compared
+    # token by token, is the one a refresh touches.
+    tokens = prompt.to_list()
+    best = 0
+    hit: CacheEntry | None = None
+    for entry in live:
+        n = 0
+        for a, b in zip(tokens, entry.tokens.tolist()):
+            if a != b:
+                break
+            n += 1
+        if n > best:
+            best, hit = n, entry
     g = policy.granularity_tokens
+    read = best // g * g
+    if read < policy.min_cache_tokens:
+        read = 0
+    elif policy.refresh_on_read:
+        hit.last_used_at = now
     w = cacheable_limit // g * g
     if w < policy.min_cache_tokens or w <= read:
         return read, 0, live
-    head = prompt.to_list()[:w]
+    head = tokens[:w]
     kept = [entry for entry in live
             if not (entry.length <= w and entry.tokens.tolist() == head[:entry.length])]
     kept.append(CacheEntry(tokens=prompt.ids[:w], created_at=now, last_used_at=now))

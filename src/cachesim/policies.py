@@ -18,9 +18,11 @@ per hour of cache storage, exposed separately via :func:`price_storage`
 and excluded from per-call totals.
 
 Defaults that providers do not publish precisely (block granularity,
-TTL, TTL refresh on read) are documented assumptions and overridable:
-granularity 128 for automatic policies, 1 for breakpoint policies; TTL
-300 s; refresh-on-read only for claude-sonnet-4.5.
+TTL, TTL refresh on read) are documented assumptions: granularity 128
+for automatic policies, 1 for breakpoint policies; TTL 300 s;
+refresh-on-read only for claude-sonnet-4.5. To change them, derive a
+policy with :func:`dataclasses.replace` or give an inline policy object
+in the config.
 """
 
 from __future__ import annotations
@@ -105,8 +107,9 @@ class UsageRecord:
 class ProviderPolicy:
     """One provider/model's caching rules plus its price schedule.
 
-    Token counts are integers, the TTL is finite and positive, and the
-    two flags are booleans.
+    The name is a string, token counts are integers, the TTL is finite
+    and positive, and the two flags are booleans. ``opportunistic_segments`` is rejected on an
+    explicit-breakpoints policy, where it would have no effect.
     """
 
     name: str
@@ -121,6 +124,8 @@ class ProviderPolicy:
     opportunistic_segments: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ValueError(f"policy name must be a string, got {self.name!r}")
         for name in ("granularity_tokens", "min_cache_tokens"):
             if not is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -134,44 +139,33 @@ class ProviderPolicy:
         for name in ("refresh_on_read", "opportunistic_segments"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        if self.opportunistic_segments and self.mode is CacheMode.EXPLICIT_BREAKPOINTS:
+            raise ValueError(
+                "opportunistic_segments applies only to automatic-mode policies, "
+                "not to explicit-breakpoints mode")
 
 
-def builtin_policies(*, granularity: int | None = None,
-                     ttl_seconds: float | None = None,
-                     refresh_on_read: bool | None = None) -> list[ProviderPolicy]:
-    """The four built-in policies.
-
-    Keyword arguments override the documented defaults (granularity,
-    TTL, refresh behavior) uniformly across all four; individual
-    policies can be further tweaked with :func:`dataclasses.replace`.
-    """
-    ttl = 300.0 if ttl_seconds is None else ttl_seconds
-
-    def g(default: int) -> int:
-        return default if granularity is None else granularity
-
-    def r(default: bool) -> bool:
-        return default if refresh_on_read is None else refresh_on_read
-
+def builtin_policies() -> list[ProviderPolicy]:
+    """The four built-in policies."""
     return [
         ProviderPolicy(
-            name="gpt-4o", min_cache_tokens=1024, granularity_tokens=g(128),
-            ttl_seconds=ttl, refresh_on_read=r(False), mode=CacheMode.AUTOMATIC,
+            name="gpt-4o", min_cache_tokens=1024, granularity_tokens=128,
+            ttl_seconds=300.0, refresh_on_read=False, mode=CacheMode.AUTOMATIC,
             prices=PriceSchedule(2.50, 10.00, 1.25),
         ),
         ProviderPolicy(
-            name="gpt-5.2", min_cache_tokens=1024, granularity_tokens=g(128),
-            ttl_seconds=ttl, refresh_on_read=r(False), mode=CacheMode.AUTOMATIC,
+            name="gpt-5.2", min_cache_tokens=1024, granularity_tokens=128,
+            ttl_seconds=300.0, refresh_on_read=False, mode=CacheMode.AUTOMATIC,
             prices=PriceSchedule(1.75, 14.00, 0.175),
         ),
         ProviderPolicy(
-            name="claude-sonnet-4.5", min_cache_tokens=1024, granularity_tokens=g(1),
-            ttl_seconds=ttl, refresh_on_read=r(True), mode=CacheMode.EXPLICIT_BREAKPOINTS,
+            name="claude-sonnet-4.5", min_cache_tokens=1024, granularity_tokens=1,
+            ttl_seconds=300.0, refresh_on_read=True, mode=CacheMode.EXPLICIT_BREAKPOINTS,
             prices=PriceSchedule(3.00, 15.00, 0.30, cache_write_per_mtok=3.75),
         ),
         ProviderPolicy(
-            name="gemini-2.5-pro", min_cache_tokens=4096, granularity_tokens=g(128),
-            ttl_seconds=ttl, refresh_on_read=r(False), mode=CacheMode.AUTOMATIC,
+            name="gemini-2.5-pro", min_cache_tokens=4096, granularity_tokens=128,
+            ttl_seconds=300.0, refresh_on_read=False, mode=CacheMode.AUTOMATIC,
             prices=PriceSchedule(
                 1.25, 10.00, 0.125,
                 storage_per_mtok_hour=4.50,
@@ -226,14 +220,16 @@ def price_storage(cached_tokens: int, hours: float, policy: ProviderPolicy) -> f
     return cached_tokens * hours * rate / 1e6
 
 
-# --- JSON serialization -----------------------------------------------------
+# --- JSON schema -------------------------------------------------------------
 #
-# Schema (one policy object):
+# One policy object (``cachesim.config.to_json`` writes it from the
+# dataclass fields; ``policy_from_dict`` reads and validates it):
 # {
 #   "name": str, "min_cache_tokens": int, "granularity_tokens": int,
 #   "ttl_seconds": float, "refresh_on_read": bool,
 #   "mode": "automatic" | "explicit-breakpoints",
-#   "opportunistic_segments": bool (optional, default false),
+#   "opportunistic_segments": bool (optional, default false; only for
+#                             "automatic" mode),
 #   "prices": {
 #     "input_per_mtok": float, "output_per_mtok": float,
 #     "cached_read_per_mtok": float,
@@ -245,34 +241,11 @@ def price_storage(cached_tokens: int, hours: float, policy: ProviderPolicy) -> f
 #     "tier2_cached_read_per_mtok": float | null
 #   }
 # }
-# Config files list such objects inline among their policies. A mode
-# other than the two above is rejected, and so are a TTL or rate that is
-# not a finite number (or is a bool), a negative rate, a token count
-# that is not an integer, and a non-boolean flag.
-
-def policy_to_dict(policy: ProviderPolicy) -> dict:
-    prices = policy.prices
-    return {
-        "name": policy.name,
-        "min_cache_tokens": policy.min_cache_tokens,
-        "granularity_tokens": policy.granularity_tokens,
-        "ttl_seconds": policy.ttl_seconds,
-        "refresh_on_read": policy.refresh_on_read,
-        "mode": policy.mode.value,
-        "opportunistic_segments": policy.opportunistic_segments,
-        "prices": {
-            "input_per_mtok": prices.input_per_mtok,
-            "output_per_mtok": prices.output_per_mtok,
-            "cached_read_per_mtok": prices.cached_read_per_mtok,
-            "cache_write_per_mtok": prices.cache_write_per_mtok,
-            "storage_per_mtok_hour": prices.storage_per_mtok_hour,
-            "tier_boundary_tokens": prices.tier_boundary_tokens,
-            "tier2_input_per_mtok": prices.tier2_input_per_mtok,
-            "tier2_output_per_mtok": prices.tier2_output_per_mtok,
-            "tier2_cached_read_per_mtok": prices.tier2_cached_read_per_mtok,
-        },
-    }
-
+# Config files list such objects inline among their policies. A name
+# that is not a string is rejected, and so are a mode other than the two
+# above, a TTL or rate that is not a finite number (or is a bool), a
+# negative rate, a token count that is not an integer, a non-boolean
+# flag, and opportunistic segments on an explicit-breakpoints policy.
 
 def policy_from_dict(data: dict) -> ProviderPolicy:
     try:

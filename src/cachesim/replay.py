@@ -31,7 +31,7 @@ import numpy as np
 from .checks import is_finite_number, is_int
 from .engine import CacheStore, access
 from .errors import DegenerateFitError
-from .policies import CacheMode, ProviderPolicy, UsageRecord, price_call
+from .policies import ProviderPolicy, UsageRecord, price_call
 from .seeding import derive_seed
 from .strategies import SessionLayout, StrategyMode, request_prompt, session_layout
 from .tokens import ROLE_TAG_IDS, Role
@@ -70,20 +70,6 @@ class LatencyModel:
                 + self.per_uncached_token_ms * usage.uncached_input
                 + self.per_cached_token_ms * usage.cached_read
                 + self.per_write_token_ms * usage.cache_write)
-
-    def to_dict(self) -> dict:
-        return {
-            "base_ms": self.base_ms,
-            "per_uncached_token_ms": self.per_uncached_token_ms,
-            "per_cached_token_ms": self.per_cached_token_ms,
-            "per_write_token_ms": self.per_write_token_ms,
-            "noise_sigma": self.noise_sigma,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LatencyModel":
-        return cls(**data)
 
 
 @dataclass
@@ -140,15 +126,24 @@ class SessionResult:
 
 
 @dataclass(frozen=True)
+class WarmupLedger:
+    """What one condition's warmup sessions wrote to the cache and cost."""
+
+    policy: str
+    mode: str
+    sessions: int
+    write_tokens: int
+    cost_usd: float
+
+
+@dataclass(frozen=True)
 class ConditionRun:
     """Evaluation results for one (policy, mode) condition plus its warmup ledger."""
 
     policy_name: str
     mode: StrategyMode
     sessions: tuple[SessionResult, ...]
-    warmup_sessions: int
-    warmup_write_tokens: int
-    warmup_cost_usd: float
+    warmup: WarmupLedger
 
 
 class _SegmentMemo:
@@ -203,8 +198,7 @@ def replay_call(layout: SessionLayout, request_index: int,
     now = clock.now_s
 
     cached, write = access(store, flat, limit, now, policy)
-    if (segment_memo is not None and policy.opportunistic_segments
-            and policy.mode is not CacheMode.EXPLICIT_BREAKPOINTS):
+    if segment_memo is not None:
         cached += segment_memo.match_and_record(flat.ids, cached, policy.granularity_tokens)
 
     usage = UsageRecord(
@@ -280,8 +274,8 @@ def run_condition(transcripts: Sequence[SessionTranscript], mode: StrategyMode,
         for transcript in transcripts[warmup_sessions:])
     return ConditionRun(
         policy_name=policy.name, mode=mode, sessions=sessions,
-        warmup_sessions=warmup_sessions, warmup_write_tokens=warmup_writes,
-        warmup_cost_usd=warmup_cost,
+        warmup=WarmupLedger(policy.name, mode.value, warmup_sessions,
+                            warmup_writes, warmup_cost),
     )
 
 

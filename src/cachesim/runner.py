@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from .config import AblationGrid, ExperimentConfig, config_to_dict
+from .config import AblationGrid, ExperimentConfig, to_json
 from .replay import ConditionRun, run_condition
 from .stats import (BASELINE_MODE, Comparison, ConditionSamples, ExperimentReport,
                     summarize_experiment)
@@ -55,23 +55,22 @@ def _execute_matrix(config: ExperimentConfig) -> tuple[ConditionRun, ...]:
     return tuple(sorted(runs, key=lambda r: (r.policy_name, r.mode.value)))
 
 
-def condition_samples(runs: Sequence[ConditionRun],
-                      ttft_per_call: bool = False) -> list[ConditionSamples]:
-    """Per-condition samples: session cost totals plus TTFT, either one
-    session-mean per session (default) or every call pooled."""
-    out = []
-    for run in runs:
-        if ttft_per_call:
-            ttfts = tuple(c.ttft_ms for s in run.sessions for c in s.calls)
-        else:
-            ttfts = tuple(s.mean_ttft_ms for s in run.sessions)
-        out.append(ConditionSamples(
+def _report(config: ExperimentConfig, runs: Sequence[ConditionRun]) -> ExperimentReport:
+    """Compare each condition with its policy's no-cache baseline: session
+    cost totals, and TTFT as one mean per session or, with
+    ``ttft_aggregation`` set to ``per-call``, every call pooled."""
+    per_call = config.ttft_aggregation == "per-call"
+    samples = [
+        ConditionSamples(
             policy=run.policy_name,
             mode=run.mode.value,
             costs=tuple(s.total_cost_usd for s in run.sessions),
-            ttfts=ttfts,
-        ))
-    return out
+            ttfts=(tuple(c.ttft_ms for s in run.sessions for c in s.calls) if per_call
+                   else tuple(s.mean_ttft_ms for s in run.sessions)),
+        )
+        for run in runs
+    ]
+    return summarize_experiment(samples, alpha=config.alpha)
 
 
 def _write_per_call(runs: Sequence[ConditionRun], path: Path) -> None:
@@ -103,19 +102,6 @@ def _write_per_session(runs: Sequence[ConditionRun], path: Path) -> None:
                     session.total_cached_read, session.total_cache_write,
                     session.total_output,
                 ])
-
-
-def _warmup_ledger(runs: Sequence[ConditionRun]) -> list[dict]:
-    return [
-        {
-            "policy": run.policy_name,
-            "mode": run.mode.value,
-            "sessions": run.warmup_sessions,
-            "write_tokens": run.warmup_write_tokens,
-            "cost_usd": run.warmup_cost_usd,
-        }
-        for run in runs
-    ]
 
 
 def _p_cell(comparison: Comparison) -> str:
@@ -152,16 +138,14 @@ def run_experiment(config: ExperimentConfig, *, out_dir: str | Path | None = Non
     out.mkdir(parents=True, exist_ok=True)
 
     runs = _execute_matrix(config)
-    per_call = config.ttft_aggregation == "per-call"
-    report = summarize_experiment(condition_samples(runs, ttft_per_call=per_call),
-                                  alpha=config.alpha)
+    report = _report(config, runs)
 
     _write_per_call(runs, out / "per_call.csv")
     _write_per_session(runs, out / "per_session.csv")
     summary = {
-        "config": config_to_dict(config),
-        "warmup": _warmup_ledger(runs),
-        "report": report.to_dict(),
+        "config": to_json(config),
+        "warmup": to_json([run.warmup for run in runs]),
+        "report": to_json(report),
     }
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -218,7 +202,7 @@ def run_ablation(config: ExperimentConfig, grid: AblationGrid, *,
     for value in grid.values:
         cfg = _ablation_config(config, grid, value)
         runs = _execute_matrix(cfg)
-        report = summarize_experiment(condition_samples(runs), alpha=cfg.alpha)
+        report = _report(cfg, runs)
 
         value_dir = out / f"{grid.dimension}-{value}"
         value_dir.mkdir(parents=True, exist_ok=True)
@@ -226,9 +210,9 @@ def run_ablation(config: ExperimentConfig, grid: AblationGrid, *,
             json.dump({
                 "dimension": grid.dimension,
                 "value": value,
-                "config": config_to_dict(cfg),
-                "warmup": _warmup_ledger(runs),
-                "report": report.to_dict(),
+                "config": to_json(cfg),
+                "warmup": to_json([run.warmup for run in runs]),
+                "report": to_json(report),
             }, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -386,6 +370,6 @@ def verify_run(run_dir: str | Path) -> list[str]:
         for (policy, mode), rows in grouped.items()
     ]
     alpha = summary.get("config", {}).get("alpha", 0.05)
-    recomputed_report = summarize_experiment(samples, alpha=alpha).to_dict()
+    recomputed_report = to_json(summarize_experiment(samples, alpha=alpha))
     _diff_values("report", summary.get("report"), recomputed_report, problems)
     return problems

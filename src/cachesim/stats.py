@@ -14,6 +14,10 @@ well under 1e-10 absolute.
 Degenerate inputs follow fixed rules: two zero-variance samples with
 equal means give t = 0, p = 1; with unequal means the difference is
 certain, reported as p = 0 with the ``zero_variance`` flag set.
+
+The report dataclasses, :class:`ExperimentReport` down to
+:class:`Comparison`, reach ``summary.json`` through
+:func:`cachesim.config.to_json`, one JSON key per field.
 """
 
 from __future__ import annotations
@@ -178,18 +182,6 @@ class Comparison:
     significant: bool
     zero_variance: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "baseline_mean": self.baseline_mean,
-            "variant_mean": self.variant_mean,
-            "improvement_pct": self.improvement_pct,
-            "t_stat": self.t_stat,
-            "dof": self.dof,
-            "p_value": self.p_value,
-            "significant": self.significant,
-            "zero_variance": self.zero_variance,
-        }
-
 
 def compare(baseline: Sequence[float], variant: Sequence[float],
             alpha: float = 0.05) -> Comparison:
@@ -234,15 +226,6 @@ class ModeSummary:
     cost_normalized_pct: float
     ttft_normalized_pct: float
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "cost": self.cost.to_dict(),
-            "ttft": self.ttft.to_dict(),
-            "cost_normalized_pct": self.cost_normalized_pct,
-            "ttft_normalized_pct": self.ttft_normalized_pct,
-        }
-
 
 @dataclass(frozen=True)
 class PolicySummary:
@@ -254,28 +237,11 @@ class PolicySummary:
     best_cost_mode: str | None
     best_ttft_mode: str | None
 
-    def to_dict(self) -> dict:
-        return {
-            "policy": self.policy,
-            "baseline_mode": self.baseline_mode,
-            "baseline_cost_mean": self.baseline_cost_mean,
-            "baseline_ttft_mean": self.baseline_ttft_mean,
-            "modes": [m.to_dict() for m in self.modes],
-            "best_cost_mode": self.best_cost_mode,
-            "best_ttft_mode": self.best_ttft_mode,
-        }
-
 
 @dataclass(frozen=True)
 class ExperimentReport:
     alpha: float
     policies: tuple[PolicySummary, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "policies": [p.to_dict() for p in self.policies],
-        }
 
 
 BASELINE_MODE = "no-cache"

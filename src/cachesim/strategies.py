@@ -70,7 +70,7 @@ def breaker_token(session_seed: int, request_index: int, position_index: int) ->
 
 def _breaker(session_seed: int, request_index: int, position_index: int) -> Message:
     token = breaker_token(session_seed, request_index, position_index)
-    return Message(Role.BREAKER, TokenSeq([token]), origin_turn=request_index)
+    return Message(Role.BREAKER, TokenSeq([token]))
 
 
 def _check_messages(msgs: tuple[Message, ...]) -> None:

@@ -149,23 +149,16 @@ def synth_tokens(count: int, stream_seed: int) -> TokenSeq:
 
 @dataclass(frozen=True)
 class Message:
-    """One chat message: a role plus its token payload.
-
-    ``origin_turn`` records which agent turn produced the message
-    (0 for the initial system prompt and user question).
-    """
+    """One chat message: a role plus its token payload."""
 
     role: Role
     tokens: TokenSeq
-    origin_turn: int = 0
 
     def __post_init__(self) -> None:
         if not isinstance(self.role, Role):
             raise ValueError(f"role must be a Role, got {self.role!r}")
         if len(self.tokens) == 0:
             raise ValueError("message tokens must be non-empty")
-        if self.origin_turn < 0:
-            raise ValueError("origin_turn must be non-negative")
 
 
 def flat_length(messages: Sequence[Message]) -> int:

@@ -20,7 +20,8 @@ framing); a ``token_count`` integer is accepted instead, in which case
 ids are synthesized deterministically from (session_id, line_number).
 A ``token_count`` is at most ``MAX_TOKEN_COUNT`` (2**20, a whole
 million-token context), so a stray number in a log cannot make ingest
-allocate without bound. ``timestamp_s`` must be a finite JSON number.
+allocate without bound. ``session_id`` must be a JSON string and
+``timestamp_s`` a finite JSON number.
 """
 
 from __future__ import annotations
@@ -71,24 +72,6 @@ class WorkloadSpec:
         gap = self.inter_call_gap_seconds
         if not is_finite_number(gap) or gap < 0:
             raise ValueError(f"inter_call_gap_seconds must be finite and >= 0, got {gap!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "system_prompt_tokens": self.system_prompt_tokens,
-            "question_tokens": self.question_tokens,
-            "tool_calls": self.tool_calls,
-            "tool_call_tokens": self.tool_call_tokens,
-            "tool_result_tokens": self.tool_result_tokens,
-            "reasoning_tokens_per_turn": self.reasoning_tokens_per_turn,
-            "final_answer_tokens": self.final_answer_tokens,
-            "inter_call_gap_seconds": self.inter_call_gap_seconds,
-            "sessions": self.sessions,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WorkloadSpec":
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -183,26 +166,20 @@ def generate(spec: WorkloadSpec) -> list[SessionTranscript]:
     for s in range(spec.sessions):
         session_seed = derive_seed(spec.seed, "session", s)
         messages: list[Message] = [
-            Message(Role.SYSTEM, system, origin_turn=0),
+            Message(Role.SYSTEM, system),
             Message(Role.HUMAN,
-                    synth_tokens(spec.question_tokens, derive_seed(session_seed, "question")),
-                    origin_turn=0),
+                    synth_tokens(spec.question_tokens, derive_seed(session_seed, "question"))),
         ]
         times: list[float] = [0.0, 0.0]
         for k in range(1, spec.tool_calls + 1):
             messages.append(Message(
-                Role.AI,
-                synth_tokens(turn_tokens, derive_seed(session_seed, "assistant", k)),
-                origin_turn=k))
+                Role.AI, synth_tokens(turn_tokens, derive_seed(session_seed, "assistant", k))))
             messages.append(Message(
                 Role.TOOL_RESULT,
-                synth_tokens(spec.tool_result_tokens, derive_seed(session_seed, "tool-result", k)),
-                origin_turn=k))
+                synth_tokens(spec.tool_result_tokens, derive_seed(session_seed, "tool-result", k))))
             times.extend([k * gap, k * gap])
         messages.append(Message(
-            Role.AI,
-            synth_tokens(spec.final_answer_tokens, derive_seed(session_seed, "final")),
-            origin_turn=spec.tool_calls + 1))
+            Role.AI, synth_tokens(spec.final_answer_tokens, derive_seed(session_seed, "final"))))
         times.append((spec.tool_calls + 1) * gap)
         transcripts.append(SessionTranscript(
             session_id=f"s{s:03d}",
@@ -255,11 +232,14 @@ def ingest(path: str | Path) -> list[SessionTranscript]:
             if not isinstance(record, dict):
                 raise TranscriptParseError(line_number, "expected a JSON object")
             try:
-                session_id = str(record["session_id"])
+                session_id = record["session_id"]
                 role_name = record["role"]
                 stamp = record["timestamp_s"]
             except KeyError as exc:
                 raise TranscriptParseError(line_number, f"missing field {exc.args[0]!r}") from exc
+            if not isinstance(session_id, str):
+                raise TranscriptParseError(
+                    line_number, f"session_id must be a string, got {session_id!r}")
             if not is_finite_number(stamp):
                 raise TranscriptParseError(
                     line_number, f"timestamp_s must be a finite number, got {stamp!r}")
@@ -287,7 +267,7 @@ def ingest(path: str | Path) -> list[SessionTranscript]:
             else:
                 raise TranscriptParseError(line_number, "need either tokens or token_count")
             per_session.setdefault(session_id, []).append(
-                (Message(role, tokens, origin_turn=0), float(stamp)))
+                (Message(role, tokens), float(stamp)))
 
     transcripts = []
     for session_id, rows in per_session.items():
@@ -297,12 +277,9 @@ def ingest(path: str | Path) -> list[SessionTranscript]:
                 raise TranscriptValidationError(
                     f"session {session_id}: timestamps must be non-decreasing")
         base = stamps[0] if stamps else 0.0
-        messages = tuple(
-            Message(m.role, m.tokens, origin_turn=_origin_for(i))
-            for i, (m, _) in enumerate(rows))
         transcripts.append(SessionTranscript(
             session_id=session_id,
-            messages=messages,
+            messages=tuple(m for m, _ in rows),
             timestamps=tuple(stamp - base for stamp in stamps),
             session_seed=derive_seed(0, "transcript", session_id),
         ))
@@ -315,10 +292,3 @@ def ingest(path: str | Path) -> list[SessionTranscript]:
                 f"session {tr.session_id}: question duplicates another session's")
         questions.add(key)
     return transcripts
-
-
-def _origin_for(position: int) -> int:
-    """Turn index for a message at ``position`` in the canonical layout."""
-    if position < 2:
-        return 0
-    return position // 2

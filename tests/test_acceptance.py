@@ -23,7 +23,7 @@ from cachesim import (AblationGrid, CacheMode, CacheStore, LatencyModel,
                       generate, load_config, oracle_access, price_call,
                       run_condition, synth_tokens, welch_t)
 from cachesim.cli import main
-from cachesim.config import config_from_dict, config_to_dict
+from cachesim.config import config_from_dict, to_json
 from cachesim.runner import run_ablation as _run_ablation
 
 CACHING_MODES = (StrategyMode.FULL_CONTEXT, StrategyMode.SYSTEM_PROMPT,
@@ -340,7 +340,7 @@ def test_acceptance_8_deterministic_artifacts(tmp_path):
         "output_dir": str(tmp_path / "unused"),
     }
     # exercise the documented round-trip while we are at it
-    assert config_from_dict(config_to_dict(config_from_dict(config))) == config_from_dict(config)
+    assert config_from_dict(to_json(config_from_dict(config))) == config_from_dict(config)
 
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))

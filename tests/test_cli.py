@@ -12,9 +12,9 @@ import pytest
 
 from cachesim import load_config, verify_run
 from cachesim.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
-from cachesim.config import AblationGrid, config_from_dict, config_to_dict
+from cachesim.config import AblationGrid, config_from_dict, to_json
 from cachesim.errors import ConfigError
-from cachesim.policies import builtin_policy, policy_to_dict
+from cachesim.policies import builtin_policy
 
 
 def tiny_config(tmp_path, **overrides) -> str:
@@ -121,7 +121,7 @@ def test_seed_override_rejects_non_object_sections(tmp_path, capsys, overrides):
 
 
 def test_unknown_cache_mode_exits_one(tmp_path, capsys):
-    policy = policy_to_dict(builtin_policy("gpt-4o"))
+    policy = to_json(builtin_policy("gpt-4o"))
     policy["mode"] = "explicit-cache-object"
     cfg = tiny_config(tmp_path, policies=[policy])
     assert main(["simulate", cfg]) == EXIT_VALIDATION
@@ -219,6 +219,19 @@ def test_per_call_ttft_pooling(tmp_path):
     assert pooled_p != session_p
 
 
+def test_ablate_honours_per_call_ttft(tmp_path):
+    """An ablation summary reports what ``simulate`` reports for the same
+    config, pooled per-call TTFT samples included."""
+    cfg = tiny_config(tmp_path, ttft_aggregation="per-call")
+    assert main(["simulate", cfg, "--out", str(tmp_path / "sim")]) == EXIT_OK
+    assert main(["ablate", cfg, "--dimension", "prompt-size", "--values", "1500",
+                 "--out", str(tmp_path / "abl")]) == EXIT_OK
+    simulated = json.loads((tmp_path / "sim" / "summary.json").read_text())
+    ablated = json.loads((tmp_path / "abl" / "prompt-size-1500" / "summary.json").read_text())
+    assert ablated["config"]["ttft_aggregation"] == "per-call"
+    assert ablated["report"] == simulated["report"]
+
+
 def test_bad_ttft_aggregation_rejected(tmp_path):
     cfg = tiny_config(tmp_path, ttft_aggregation="per-token")
     assert main(["simulate", cfg]) == EXIT_VALIDATION
@@ -226,9 +239,9 @@ def test_bad_ttft_aggregation_rejected(tmp_path):
 
 def test_config_round_trip(tmp_path):
     cfg = load_config(tiny_config(tmp_path))
-    again = config_from_dict(config_to_dict(cfg))
+    again = config_from_dict(to_json(cfg))
     assert again == cfg
-    assert config_from_dict(config_to_dict(again)) == again
+    assert config_from_dict(to_json(again)) == again
 
 
 @pytest.mark.parametrize("section, key, field", [
@@ -255,10 +268,18 @@ def test_non_finite_config_values_rejected(tmp_path, section, key, field, bad):
     (None, "warmup_sessions", 1.5),
     (None, "master_seed", math.inf),
     (None, "alpha", 10**400),
+    (None, "output_dir", []),
+    (None, "output_dir", 7),
+    (None, "ttft_aggregation", ["per-call"]),
+    (None, "policies", "gpt-4o"),
+    (None, "modes", "no-cache"),
 ])
-def test_non_integer_counts_exit_one(tmp_path, capsys, section, field, bad):
-    """Counts must be JSON integers; a float, a bool or a number too large
-    for a float is an ``error:`` line and exit 1, not a traceback."""
+def test_non_integer_counts_exit_one(tmp_path, capsys, monkeypatch, section, field, bad):
+    """Counts must be JSON integers, lists lists and strings strings; a
+    float, a bool, a number too large for a float or a value of the wrong
+    shape is an ``error:`` line naming the field and exit 1, not a
+    traceback and not a coerced value."""
+    monkeypatch.chdir(tmp_path)  # a coerced ``output_dir`` would land here
     data = json.loads(Path(tiny_config(tmp_path)).read_text())
     (data if section is None else data[section])[field] = bad
     path = tmp_path / "bad.json"

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cachesim import (CacheMode, CacheStore, PriceSchedule, ProviderPolicy,
-                      TokenSeq, access, oracle_access, oracle_lookup, synth_tokens)
+                      TokenSeq, access, oracle_access, synth_tokens)
 
 _PRICES = PriceSchedule(1.0, 2.0, 0.1)
 
@@ -320,7 +320,6 @@ def test_oracle_never_mutates():
     prompt = synth_tokens(1500, 15)
     access(store, prompt, 1500, 0.0, policy)
     before = _state(store.snapshot())
-    oracle_lookup(store, prompt, 10.0, policy)
     assert oracle_access(store.snapshot(), TokenSeq.concat([prompt, synth_tokens(10, 16)]), 1510,
                          10.0, policy)[:2] == (1500, 10)
     assert _state(store.snapshot()) == before

@@ -1,8 +1,9 @@
 """Fuzzed input loaders: only the documented error types may escape.
 
 ``ingest`` reads random JSONL lines and ``config_from_dict`` reads a
-valid config with random JSON values patched in. Both only load; nothing
-is simulated.
+valid config with random JSON values patched in. A config that loads
+must echo every value its document set unchanged: the loader rejects a
+bad value, it never coerces one. Both only load; nothing is simulated.
 """
 
 from __future__ import annotations
@@ -17,14 +18,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cachesim import (ConfigError, TranscriptParseError, TranscriptValidationError,
-                      ingest, policy_to_dict)
-from cachesim.config import config_from_dict
+                      ingest)
+from cachesim.config import config_from_dict, to_json
 from cachesim.policies import builtin_policy
 
 # Values at the edges of what a field accepts: a bool, a whole float,
-# non-finite floats, an int too large for a float, and the wrong shapes.
+# non-finite floats, an int too large for a float, the wrong shapes, and
+# strings that are a valid list entry but no list.
 EDGE_VALUES = [True, False, None, 0, -1, 2.5, 1024.0, math.inf, -math.inf, math.nan,
-               10**400, "", "x", [], {}]
+               10**400, "", "x", "gpt-4o", "no-cache", [], {}]
 edge_values = st.sampled_from(EDGE_VALUES)
 
 json_values = st.recursive(
@@ -86,7 +88,7 @@ def test_ingest_edge_values_in_every_field():
 
 
 def _valid_config() -> dict:
-    inline = policy_to_dict(builtin_policy("gemini-2.5-pro"))
+    inline = to_json(builtin_policy("gemini-2.5-pro"))
     inline["name"] = "inline"
     return {
         "master_seed": 3,
@@ -135,11 +137,27 @@ def _patch(doc, path, value):
     return doc
 
 
+def _echoed(doc, echo) -> bool:
+    """Whether the echo of a loaded config holds every value of ``doc``
+    unchanged. Keys the loader ignores are not echoed, and a built-in
+    policy name reads back as that policy's object."""
+    if isinstance(doc, dict):
+        return isinstance(echo, dict) and all(
+            _echoed(value, echo[key]) for key, value in doc.items() if key in echo)
+    if isinstance(doc, list):
+        return (isinstance(echo, list) and len(doc) == len(echo)
+                and all(map(_echoed, doc, echo)))
+    if isinstance(doc, str) and isinstance(echo, dict):
+        return echo.get("name") == doc
+    return type(doc) is type(echo) and doc == echo
+
+
 def _load(doc) -> None:
     try:
-        config_from_dict(doc)
+        config = config_from_dict(doc)
     except ConfigError:
-        pass
+        return
+    assert _echoed(doc, to_json(config)), doc
 
 
 def test_valid_config_loads():

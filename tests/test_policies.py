@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from cachesim import (CacheMode, PriceSchedule, ProviderPolicy, UsageRecord,
                       builtin_policies, builtin_policy, policy_from_dict,
-                      policy_to_dict, price_call, price_storage)
+                      price_call, price_storage)
+from cachesim.config import to_json
 
 
 def exact_price(usage: UsageRecord, policy: ProviderPolicy, prompt_total: int) -> Fraction:
@@ -84,7 +86,8 @@ class TestBuiltins:
                          "claude-sonnet-4.5": True, "gemini-2.5-pro": False}
 
     def test_defaults_overridable(self):
-        for p in builtin_policies(granularity=1, ttl_seconds=60.0, refresh_on_read=True):
+        for policy in builtin_policies():
+            p = replace(policy, granularity_tokens=1, ttl_seconds=60.0, refresh_on_read=True)
             assert p.granularity_tokens == 1
             assert p.ttl_seconds == 60.0
             assert p.refresh_on_read
@@ -198,11 +201,16 @@ def test_policy_validation():
     (("prices", "tier_boundary_tokens"), 200_000.5),
     (("prices", "tier_boundary_tokens"), True),
     (("prices", "tier2_output_per_mtok"), math.inf),
+    (("mode",), "explicit-breakpoints"),
+    (("name",), 7),
 ])
 def test_policy_rejects_bad_numbers(path, bad):
-    """Non-finite TTLs and rates, negative rates and non-integer token
-    counts are rejected, naming the field."""
-    data = policy_to_dict(builtin_policy("gemini-2.5-pro"))
+    """Non-finite TTLs and rates, negative rates, non-integer token
+    counts, a non-string name and opportunistic segments on an
+    explicit-breakpoints policy are rejected, naming the field."""
+    data = to_json(builtin_policy("gemini-2.5-pro"))
+    # Valid on this automatic policy, so every case fails on its own field.
+    data["opportunistic_segments"] = True
     target = data
     for key in path[:-1]:
         target = target[key]
@@ -213,7 +221,7 @@ def test_policy_rejects_bad_numbers(path, bad):
 
 def test_policy_json_round_trip():
     for policy in builtin_policies():
-        assert policy_from_dict(policy_to_dict(policy)) == policy
+        assert policy_from_dict(to_json(policy)) == policy
 
 
 def test_policy_from_dict_rejects_garbage():

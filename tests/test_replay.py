@@ -148,9 +148,9 @@ class TestWarmup:
                              warmup_sessions=1)
         assert cold.sessions[0].calls[0].usage.cached_read == 0
         assert warm.sessions[0].calls[0].usage.cached_read > 0
-        assert warm.warmup_sessions == 1
-        assert warm.warmup_write_tokens > 0
-        assert warm.warmup_cost_usd > 0
+        assert warm.warmup.sessions == 1
+        assert warm.warmup.write_tokens > 0
+        assert warm.warmup.cost_usd > 0
 
     def test_no_cache_results_insensitive_to_warmup(self):
         transcripts = generate(small_spec())

@@ -14,6 +14,7 @@ from cachesim import (Comparison, ConditionSamples, ConfigError,
                       UndefinedBaselineError, compare,
                       regularized_incomplete_beta, student_t_two_sided_p,
                       summarize_experiment, welch_t)
+from cachesim.config import to_json
 from cachesim.runner import format_report_table
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -245,7 +246,7 @@ class TestSummarize:
             ])
 
     def test_report_to_dict_has_both_metrics_per_mode(self):
-        data = summarize_experiment(self.conditions()).to_dict()
+        data = to_json(summarize_experiment(self.conditions()))
         modes = data["policies"][0]["modes"]
         assert [m["mode"] for m in modes] == ["system-prompt", "full-context"]
         for mode in modes:
@@ -267,7 +268,7 @@ class TestSummarize:
 
 def test_comparison_round_trips_to_dict():
     result = compare([10.0, 11.0], [5.0, 6.0])
-    data = result.to_dict()
+    data = to_json(result)
     assert isinstance(result, Comparison)
     assert data["improvement_pct"] == result.improvement_pct
     assert set(data) == {"baseline_mean", "variant_mean", "improvement_pct",

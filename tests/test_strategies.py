@@ -26,8 +26,8 @@ def make_conversation(turns: int, system_tokens: int = 40, seed: int = 5):
     msgs = [Message(Role.SYSTEM, synth_tokens(system_tokens, seed)),
             Message(Role.HUMAN, synth_tokens(12, seed + 1))]
     for k in range(1, turns + 1):
-        msgs.append(Message(Role.AI, synth_tokens(8, seed + 10 * k), origin_turn=k))
-        msgs.append(Message(Role.TOOL_RESULT, synth_tokens(20, seed + 10 * k + 1), origin_turn=k))
+        msgs.append(Message(Role.AI, synth_tokens(8, seed + 10 * k)))
+        msgs.append(Message(Role.TOOL_RESULT, synth_tokens(20, seed + 10 * k + 1)))
     return msgs
 
 

@@ -165,6 +165,7 @@ def test_ingest_reports_line_numbers(tmp_path):
     ({"session_id": "a", "role": "system", "token_count": 3, "timestamp_s": 10**400},
      "timestamp_s"),
     ({"session_id": "a", "role": ["system"], "token_count": 3, "timestamp_s": 0}, "role"),
+    ({"session_id": 1, "role": "system", "token_count": 3, "timestamp_s": 0}, "session_id"),
 ])
 def test_ingest_rejects_malformed_records(tmp_path, record, reason):
     path = tmp_path / "bad.jsonl"
