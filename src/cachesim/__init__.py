@@ -22,8 +22,7 @@ from .seeding import derive_seed
 from .stats import (Comparison, ConditionSamples, ExperimentReport, TTestResult,
                     compare, regularized_incomplete_beta, student_t_two_sided_p,
                     summarize_experiment, welch_t)
-from .strategies import (StrategyMode, apply_strategy, breaker_token, request_prompt,
-                         session_layout)
+from .strategies import StrategyMode, apply_strategy, request_prompt, session_layout
 from .tokens import (Message, Prompt, Role, TokenSeq, flat_length, flatten,
                      synth_tokens)
 from .workload import (SessionTranscript, WorkloadSpec, export_transcripts,
@@ -39,7 +38,7 @@ __all__ = [
     "ProviderPolicy", "Role", "SessionResult", "SessionTranscript",
     "StrategyMode", "TTestResult", "TokenSeq", "TranscriptParseError",
     "TranscriptValidationError", "UndefinedBaselineError", "UsageRecord",
-    "VirtualClock", "WorkloadSpec", "access", "apply_strategy", "breaker_token",
+    "VirtualClock", "WorkloadSpec", "access", "apply_strategy",
     "builtin_policies", "builtin_policy", "calibrate_latency",
     "compare", "derive_seed", "export_transcripts", "flat_length", "flatten",
     "generate", "ingest", "load_config", "oracle_access",

@@ -19,7 +19,8 @@ A config file is one JSON object:
 Policies may be built-in names or inline policy objects (see the policy
 JSON schema in :mod:`cachesim.policies`). Unset workload and latency
 seeds are derived from the master seed, one label per purpose, so runs
-are reproducible from the single master value. Unknown top-level keys
+are reproducible from the single master value. A ``latency`` key is
+``"default"`` or the name of a configured policy; unknown top-level keys
 are ignored. No value is coerced: ``policies`` and ``modes`` must be
 lists, ``output_dir`` and ``ttft_aggregation`` strings, and anything
 else is a :class:`~cachesim.errors.ConfigError` naming the field.
@@ -115,6 +116,11 @@ class ExperimentConfig:
                               f"got {self.ttft_aggregation!r}")
         if not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
+        for key in self.latency:
+            if key != "default" and key not in names:
+                raise ConfigError(
+                    f"latency key {key!r} names no configured policy; expected "
+                    f"'default' or one of {names}")
         if "default" not in self.latency:
             missing = [n for n in names if n not in self.latency]
             if missing:

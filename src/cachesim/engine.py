@@ -5,49 +5,72 @@ last-use timestamps under a virtual clock. An entry is live at time
 ``t`` while ``t - reference <= ttl``, where the reference is the last
 use for refresh-on-read policies and the creation time otherwise.
 
+Dynamic content is a *breaker*: a fresh token that no earlier prompt
+holds, so no entry can match at or past it. A prompt may therefore carry
+a placeholder in its breaker slots and name its first slot ``stop``: the
+cache never reads a token from ``stop`` on, and an entry never stores
+one. An entry cut short at its first breaker is *sealed*: the breaker
+that followed its last token made it distinct from every other prompt,
+so it is never a prefix of a later entry.
+
 Each API call is one :func:`access`, which works in three steps:
 
 1. **Purge.** Entries no longer live are dropped. This changes no result:
    the clock never goes back and a refresh only touches live entries, so
    a dead entry can never serve a read again.
 2. **Read.** The cached length is the longest common prefix between the
-   prompt and any stored entry, rounded down to the policy's block
-   granularity; it counts only if it clears the policy's minimum. On a
-   hit under a refresh-on-read policy, one entry has its last use moved
-   to now: the earliest-inserted entry among those sharing the longest
-   common prefix.
+   prompt's first ``stop`` tokens and any stored entry, rounded down to
+   the policy's block granularity; it counts only if it clears the
+   policy's minimum. On a hit under a refresh-on-read policy, one entry
+   has its last use moved to now: the earliest-inserted entry among
+   those sharing the longest common prefix.
 3. **Write.** The prompt prefix up to the cacheable limit, rounded down
-   to the granularity, is stored if it reaches the minimum and is longer
-   than the read. Only the tokens beyond the read are charged, so
-   re-caching an unchanged prompt is free. Entries that are prefixes of
-   the new one are dropped (subsumed): the new entry matches at least as
-   much and expires no sooner. When the limit is the whole prompt, the
-   entry is a read-only view of the prompt's ids, which pins at most
-   ``granularity - 1`` tokens beyond it (and, for a prompt that is
-   itself a view, the array it views); a write up to an earlier
-   breakpoint stores a copy, so the entry does not keep the rest of the
-   prompt alive.
+   to the granularity (``w``), is cached if it reaches the minimum and is
+   longer than the read. Only the ``w - read`` tokens beyond the read are
+   charged, so re-caching an unchanged prompt is free. The entry stores
+   the first ``min(w, stop)`` tokens and is sealed when ``w > stop``.
+   Unsealed entries that are prefixes of the new one are dropped
+   (subsumed): the new entry matches at least as much and expires no
+   sooner. When the limit is the whole prompt, the entry is a read-only
+   view of the prompt's ids, which pins the rest of the array they view
+   (for a prompt served from a session layout, the session's template,
+   which all its entries share); a write up to an earlier breakpoint
+   stores a copy, so the entry does not keep the rest of the prompt
+   alive.
 
 The entries are indexed by a token-level radix tree. A node's children
-are keyed by the first token of their edge, and each edge is a range
-``rep.tokens[start:end]`` over the earliest-inserted entry ``rep`` in the
-node's subtree, so the tree copies no tokens and holds no back-pointers.
-A read walks the prompt's path, comparing each edge's tokens exactly, so
-membership is decided by token equality, never by a hash. The walk
-stops where the prompt leaves the tree; every entry below that point
-shares the longest common prefix and the node's ``rep`` is the one the
-tie-break refreshes. Because a new entry is never a prefix of a live one
-and the entries it extends are dropped, every entry ends at a leaf.
+are keyed by the first token of their edge; the entries that end at a
+node are ``held`` there, in insertion order. Each edge is a range
+``rep.tokens[start:end]`` over the node's ``rep``, the earliest-inserted
+entry among its first held entry and its children's reps, so the tree
+copies no tokens and holds no back-pointers. A read walks the prompt's
+path, comparing each edge's tokens exactly, so membership is decided by
+token equality, never by a hash. The walk stops where the prompt leaves
+the tree or reaches ``stop``; every entry below that point shares the
+longest common prefix and the node's ``rep`` is the one the tie-break
+refreshes. An unsealed entry ends alone at a leaf, because a new entry
+never stops at or inside a live unsealed one and the ones it extends are
+dropped. Sealed entries may end at any node, several at one node, and a
+sealed entry that ends inside an edge splits it.
+
+The store keeps its entries in order of their expiry reference: creation
+order, or for a refresh-on-read store, last use (a refresh moves the
+entry to the end, and the clock never goes back). The purge pops from the
+front until it meets a live entry, so it costs O(expired). That order
+holds only while a store keeps one expiry rule, so :func:`access` rejects
+a policy whose ``refresh_on_read`` differs from the store's first one.
 
 ``oracle_access`` restates the contract as a plain scan over a list of
-entries, with token-by-token comparison, no numpy and no index. It exists
-to referee the engine: both must agree on every read, every write and
-the resulting store, which randomized interleaving tests enforce.
+entries, with token-by-token comparison, no numpy, no index and no
+``stop``: it is given prompts with real, fresh breaker ids. It exists to
+referee the engine: both must agree on every read, every write and the
+resulting store, which randomized interleaving tests enforce.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -59,7 +82,8 @@ from .tokens import TokenSeq
 
 @dataclass(eq=False)
 class CacheEntry:
-    """One stored prefix. ``tokens`` is a read-only uint64 array.
+    """One stored prefix. ``tokens`` is a read-only uint64 array; ``sealed``
+    marks an entry cut short at its prompt's first breaker.
 
     Entries compare and hash by identity.
     """
@@ -67,6 +91,7 @@ class CacheEntry:
     tokens: np.ndarray
     created_at: float
     last_used_at: float
+    sealed: bool = False
 
     @property
     def length(self) -> int:
@@ -74,106 +99,133 @@ class CacheEntry:
 
 
 class _Node:
-    """Radix-tree node; the edge into it spells ``rep.tokens[start:end]``."""
+    """Radix-tree node; the edge into it spells ``rep.tokens[start:end]``
+    and ``held`` lists the entries that end at it."""
 
-    __slots__ = ("rep", "start", "end", "children")
+    __slots__ = ("rep", "start", "end", "children", "held")
 
     def __init__(self, rep: CacheEntry | None, start: int, end: int,
-                 children: dict[int, _Node] | None = None) -> None:
+                 children: dict[int, _Node] | None = None,
+                 held: list[CacheEntry] | None = None) -> None:
         self.rep = rep
         self.start = start
         self.end = end
         self.children = {} if children is None else children
+        self.held = [] if held is None else held
 
 
 class CacheStore:
     """Container for cached prefixes belonging to one (policy, run)."""
 
     def __init__(self) -> None:
-        # Insertion order of the entries, which the read tie-break needs.
-        self._entries: dict[CacheEntry, int] = {}
+        # Each entry's insertion rank, which the read tie-break needs, kept
+        # in order of the expiry reference, which the purge needs.
+        self._entries: OrderedDict[CacheEntry, int] = OrderedDict()
         self._inserted = 0
         self._root = _Node(None, 0, 0)
         self._now = -math.inf
+        self._refresh_on_read: bool | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def snapshot(self) -> tuple[CacheEntry, ...]:
         """Point-in-time view of the entries, in insertion order."""
-        return tuple(self._entries)
+        return tuple(sorted(self._entries, key=self._entries.__getitem__))
 
     def _repoint(self, path: list[_Node], gone: CacheEntry) -> None:
         """Give the nodes of ``path`` (root first) that pointed at ``gone``
         the earliest entry of their subtree again, deepest node first."""
-        order = self._entries.__getitem__
+        rank = self._entries.__getitem__
         for node in reversed(path):
             if node.rep is not gone:
                 break  # an ancestor's rep is never later than its child's
-            node.rep = min((child.rep for child in node.children.values()), key=order)
+            reps = [child.rep for child in node.children.values()]
+            if node.held:
+                reps.append(node.held[0])
+            node.rep = min(reps, key=rank)
 
     def _remove(self, entry: CacheEntry) -> None:
         del self._entries[entry]
         tokens = entry.tokens
         path = []
         node = self._root
-        while node.children:
+        while node.end < tokens.size:
             path.append(node)
             node = node.children[int(tokens[node.end])]
-        parent = path[-1]
-        del parent.children[int(tokens[parent.end])]
-        if parent is not self._root and len(parent.children) == 1:
-            # A one-child node is merged into its child.
-            path.pop()
-            (only,) = parent.children.values()
-            only.start = parent.start
-            path[-1].children[int(tokens[parent.start])] = only
+        node.held.remove(entry)
+        if node is not self._root and not node.held:
+            if not node.children:
+                node = path.pop()
+                del node.children[int(tokens[node.end])]
+            if node is not self._root and not node.held and len(node.children) == 1:
+                # A one-child node that holds no entry is merged into its child.
+                (only,) = node.children.values()
+                only.start = node.start
+                path[-1].children[int(tokens[node.start])] = only
+                node = path.pop()
+        path.append(node)
         self._repoint(path, entry)
 
-    def _purge(self, now: float, policy: ProviderPolicy) -> None:
-        ttl = policy.ttl_seconds
-        if policy.refresh_on_read:
-            dead = [e for e in self._entries if now - e.last_used_at > ttl]
-        else:
-            dead = [e for e in self._entries if now - e.created_at > ttl]
-        for entry in dead:
-            self._remove(entry)
+    def _purge(self, now: float, ttl: float) -> None:
+        entries = self._entries
+        refresh = self._refresh_on_read
+        while entries:
+            oldest = next(iter(entries))
+            reference = oldest.last_used_at if refresh else oldest.created_at
+            if now - reference <= ttl:
+                break
+            self._remove(oldest)
 
 
 def access(store: CacheStore, prompt: TokenSeq, cacheable_limit: int,
-           now: float, policy: ProviderPolicy) -> tuple[int, int]:
+           now: float, policy: ProviderPolicy, stop: int | None = None) -> tuple[int, int]:
     """One API call against the cache: returns ``(read, write)`` tokens.
 
     Purges expired entries, reads the longest usable cached prefix of
     ``prompt`` (refreshing the matched entry under a refresh-on-read
     policy), then caches the prefix up to ``cacheable_limit`` and charges
     only the tokens beyond the read. A limit of 0 makes it a pure read.
+    ``stop`` is the position of the prompt's first breaker (the whole
+    prompt when omitted): no token from it on is read or stored. A store
+    keeps the ``refresh_on_read`` rule of its first access.
     """
     ids = prompt.ids
     n = int(ids.size)
+    if stop is None:
+        stop = n
     if cacheable_limit < 0 or cacheable_limit > n:
         raise ValueError(
             f"cacheable_limit {cacheable_limit} outside prompt of {n} tokens")
+    if stop < 0 or stop > n:
+        raise ValueError(f"stop {stop} outside prompt of {n} tokens")
     if not store._now <= now < math.inf:
         raise ValueError(
             f"access at {now} s: the store was last accessed at {store._now} s "
             "and time must stay finite and never go back")
+    refresh = policy.refresh_on_read
+    if store._refresh_on_read is None:
+        store._refresh_on_read = refresh
+    elif store._refresh_on_read is not refresh:
+        raise ValueError(
+            f"policy {policy.name!r} has refresh_on_read={refresh}, but the store "
+            f"expires entries with refresh_on_read={store._refresh_on_read}")
     store._now = now
     if store._entries:
-        store._purge(now, policy)
+        store._purge(now, policy.ttl_seconds)
 
     # Walk the prompt's path: ``node`` is the last node fully matched and
     # ``path`` the nodes above it; ``cut`` is the child whose edge the
-    # prompt leaves (or ends in) part-way, at ``depth``.
+    # prompt leaves (or stops in) part-way, at ``depth``.
     path: list[_Node] = []
     node = store._root
     cut: _Node | None = None
     depth = 0
-    while depth < n:
+    while depth < stop:
         child = node.children.get(int(ids[depth]))
         if child is None:
             break
-        end = min(child.end, n)
+        end = min(child.end, stop)
         differs = ids[depth:end] != child.rep.tokens[depth:end]
         k = int(differs.argmax())
         if differs[k]:
@@ -191,34 +243,41 @@ def access(store: CacheStore, prompt: TokenSeq, cacheable_limit: int,
     read = depth // g * g
     if read < policy.min_cache_tokens:
         read = 0
-    elif policy.refresh_on_read:
-        (cut or node).rep.last_used_at = now
+    elif refresh:
+        hit = (cut or node).rep
+        hit.last_used_at = now
+        store._entries.move_to_end(hit)
 
     w = cacheable_limit // g * g
     if w < policy.min_cache_tokens or w <= read:
         return read, 0
-    # Here w > depth: the new entry extends past where the prompt left the tree.
-    # View or copy: see the write step in the module docstring.
-    stored = ids[:w] if cacheable_limit == n else ids[:w].copy()
+    # Here w > depth, and the stored part ends at or past where the prompt
+    # left the tree. View or copy: see the write step in the module docstring.
+    size = min(w, stop)
+    stored = ids[:size] if cacheable_limit == n else ids[:size].copy()
     stored.setflags(write=False)
-    entry = CacheEntry(tokens=stored, created_at=now, last_used_at=now)
+    entry = CacheEntry(tokens=stored, created_at=now, last_used_at=now, sealed=w > stop)
     store._entries[entry] = store._inserted
     store._inserted += 1
     if cut is not None:
         # Split the edge the prompt left: ``mid`` keeps the shared part.
-        mid = _Node(cut.rep, cut.start, depth, {int(cut.rep.tokens[depth]): cut,
-                                                int(ids[depth]): _Node(entry, depth, w)})
+        mid = _Node(cut.rep, cut.start, depth, {int(cut.rep.tokens[depth]): cut})
         node.children[int(ids[cut.start])] = mid
         cut.start = depth
-    elif node.children or node is store._root:
-        node.children[int(ids[depth])] = _Node(entry, depth, w)
-    else:
-        # ``node`` is the leaf of an entry the new one extends: subsume it.
-        gone = node.rep
+        node = mid
+    elif node.held and not node.held[0].sealed:
+        # ``node`` is the leaf of an unsealed entry the new one extends: subsume it.
+        gone = node.held[0]
         node.rep = entry
-        node.end = w
+        node.end = size
+        node.held = [entry]
         del store._entries[gone]
         store._repoint(path, gone)
+        return read, w - read
+    if size == depth:
+        node.held.append(entry)
+    else:
+        node.children[int(ids[depth])] = _Node(entry, depth, size, held=[entry])
     return read, w - read
 
 

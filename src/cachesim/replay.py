@@ -2,10 +2,11 @@
 
 Each session is flattened once per condition into a
 :class:`~cachesim.strategies.SessionLayout`. Each simulated API call
-takes its request's prompt from that layout (a prefix of the session's
-template with the request's breaker ids written in), reads from and
-writes to the cache store in one access, prices the resulting usage,
-and models time-to-first-token as
+takes its request's prompt from that layout (a zero-copy prefix of the
+session's template, with a placeholder in each breaker slot, and the
+position of its first breaker), reads from and writes to the cache store
+in one access, which ends its read and its stored entry at that first
+breaker, prices the resulting usage, and models time-to-first-token as
 
     ttft = (base + per_uncached * uncached + per_cached * cached
             + per_write * write) * exp(N(0, sigma))
@@ -194,10 +195,10 @@ def replay_call(layout: SessionLayout, request_index: int,
     """Simulate one API call of a session laid out by
     :func:`~cachesim.strategies.session_layout` and advance the clock by
     ``advance_s`` after it."""
-    flat, limit = request_prompt(layout, request_index, session_seed, policy.mode)
+    flat, limit, stop = request_prompt(layout, request_index, session_seed, policy.mode)
     now = clock.now_s
 
-    cached, write = access(store, flat, limit, now, policy)
+    cached, write = access(store, flat, limit, now, policy, stop)
     if segment_memo is not None:
         cached += segment_memo.match_and_record(flat.ids, cached, policy.granularity_tokens)
 

@@ -24,16 +24,18 @@ Four strategies are provided:
 Within a session, request ``r`` sends the first ``2r`` messages, so every
 strategy's output for request ``r`` is a token prefix of its output for
 any later request, except for the breaker ids, which are fresh per
-request. Replay therefore flattens each session once per condition:
-:func:`session_layout` builds one read-only template of the last
-request, with a placeholder in every breaker slot, and
-:func:`request_prompt` serves request ``r`` as a prefix of it. Without
-breakers the prefix is a zero-copy view; otherwise it is a copy with
-request ``r``'s breaker ids written in.
+request. A fresh breaker's only effect is that no cached prefix can reach
+past it, so the cache needs its position, never its id (see
+:mod:`cachesim.engine`). Replay therefore flattens each session once per
+condition: :func:`session_layout` builds one read-only template of the
+last request, with a placeholder in every breaker slot, and
+:func:`request_prompt` serves request ``r`` as a zero-copy view of a
+prefix of it, together with the position of its first breaker.
 
 :func:`apply_strategy` followed by :func:`~cachesim.tokens.flatten`
-builds one request's prompt from scratch, message by message. It is the
-plain reference that the tests hold the layout against, as
+builds one request's prompt on its own, message by message, with real
+breaker ids from :func:`breaker_token`. It is the plain reference that
+the tests hold the layout against, as
 :func:`~cachesim.engine.oracle_access` is for the cache engine.
 """
 
@@ -130,17 +132,17 @@ class SessionLayout(NamedTuple):
 
     ``template`` is the last request's flattened prompt with
     ``_BREAKER_PLACEHOLDER`` in every breaker slot; request ``r`` sends its
-    first ``lengths[r - 1]`` tokens, with breakers at the first
-    ``breakers[r - 1]`` positions of ``slots``. ``system_end`` is the
-    flattened length of the system message, where the selective
-    strategies put their breakpoint.
+    first ``lengths[r - 1]`` tokens. ``stop`` is the template's first
+    breaker slot, or its length when it has none, so request ``r``'s
+    first breaker is at ``min(stop, lengths[r - 1])`` if that is inside
+    its prompt. ``system_end`` is the flattened length of the system
+    message, where the selective strategies put their breakpoint.
     """
 
     mode: StrategyMode
     template: np.ndarray
     lengths: tuple[int, ...]
-    breakers: tuple[int, ...]
-    slots: tuple[int, ...]
+    stop: int
     system_end: int
 
 
@@ -167,11 +169,10 @@ def session_layout(messages: Sequence[Message], num_requests: int,
     after_system = mode is StrategyMode.SYSTEM_PROMPT or mode is StrategyMode.EXCLUDE_TOOL_RESULTS
     after_results = mode is StrategyMode.EXCLUDE_TOOL_RESULTS
     if mode is StrategyMode.NO_CACHE:
-        parts, slots, size = [_BREAKER_PART], [1], 2
+        parts, size, stop = [_BREAKER_PART], 2, 1
     else:
-        parts, slots, size = [], [], 0
+        parts, size, stop = [], 0, None
     lengths = []
-    breakers = []
     for i, m in enumerate(msgs):
         ids = m.tokens.ids
         parts.append(_TAG_ARRAYS[m.role])
@@ -179,39 +180,37 @@ def session_layout(messages: Sequence[Message], num_requests: int,
         size += 1 + ids.size
         if (after_system and i == 0) or (after_results and m.role is Role.TOOL_RESULT):
             parts.append(_BREAKER_PART)
-            slots.append(size + 1)
+            if stop is None:
+                stop = size + 1
             size += 2
         if i % 2:
             lengths.append(size)
-            breakers.append(len(slots))
 
     template = np.concatenate(parts)
     template.setflags(write=False)
-    return SessionLayout(mode, template, tuple(lengths), tuple(breakers), tuple(slots),
+    return SessionLayout(mode, template, tuple(lengths), size if stop is None else stop,
                          1 + len(msgs[0].tokens))
 
 
 def request_prompt(layout: SessionLayout, request_index: int, session_seed: int,
-                   policy_mode: CacheMode) -> tuple[TokenSeq, int]:
-    """Request ``request_index``'s flattened prompt and its cacheable limit.
+                   policy_mode: CacheMode) -> tuple[TokenSeq, int, int]:
+    """Request ``request_index``'s flattened prompt, its cacheable limit and
+    the position of its first breaker.
 
-    Equal, token for token, to ``flatten(apply_strategy(...))`` for the
-    same request. The limit is the last breakpoint of that prompt under a
-    breakpoint-style policy (0 when it has none) and the whole prompt
-    otherwise. The returned ids are read-only: a view of the template
-    when the request has no breakers, a patched copy when it has.
+    The prompt is a read-only, zero-copy view of the template, so it holds
+    ``_BREAKER_PLACEHOLDER`` where ``flatten(apply_strategy(...))`` holds a
+    fresh breaker id, and equals it everywhere else. The first breaker's
+    position is ``stop`` (the prompt's length when it has none): the cache
+    reads and stores nothing from there on, so the breaker ids, and with
+    them ``session_seed``, never reach the result. The limit is the last
+    breakpoint of the reference prompt under a breakpoint-style policy (0
+    when it has none) and the whole prompt otherwise.
     """
     if not 1 <= request_index <= len(layout.lengths):
         raise IndexError(
             f"request {request_index} out of range 1..{len(layout.lengths)}")
     n = layout.lengths[request_index - 1]
-    k = layout.breakers[request_index - 1]
-    ids = layout.template[:n]
-    if k:
-        ids = ids.copy()
-        for j, slot in enumerate(layout.slots[:k]):
-            ids[slot] = breaker_token(session_seed, request_index, j)
-        ids.setflags(write=False)
+    stop = min(layout.stop, n)
 
     mode = layout.mode
     if policy_mode is not CacheMode.EXPLICIT_BREAKPOINTS or mode is StrategyMode.FULL_CONTEXT:
@@ -220,4 +219,4 @@ def request_prompt(layout: SessionLayout, request_index: int, session_seed: int,
         limit = 0
     else:
         limit = layout.system_end
-    return TokenSeq._wrap(ids), limit
+    return TokenSeq._wrap(layout.template[:n]), limit, stop

@@ -304,3 +304,16 @@ def test_shipped_configs_parse():
     for name in ("configs/main_study.json", "configs/ablation.json"):
         cfg = load_config(name)
         assert cfg.workload.sessions >= 1
+
+
+def test_latency_key_naming_no_policy_exits_one(tmp_path, capsys):
+    """A misspelt policy name under ``latency`` is an error, not a silently
+    dropped calibration; ``default`` and configured names still load."""
+    model = {"base_ms": 50.0, "per_uncached_token_ms": 0.05, "per_cached_token_ms": 0.005}
+    ok = tiny_config(tmp_path, latency={"default": model, "claude-sonnet-4.5": model})
+    assert load_config(ok).latency_for("claude-sonnet-4.5").base_ms == 50.0
+    cfg = tiny_config(tmp_path, latency={"default": model, "gpt4o": model})
+    assert main(["simulate", cfg]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'gpt4o'" in err
+    assert "Traceback" not in err

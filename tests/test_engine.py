@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import math
+import random
 import weakref
 
 import numpy as np
@@ -326,3 +327,76 @@ def test_oracle_never_mutates():
     # the engine does refresh
     access(store, prompt, 0, 10.0, policy)
     assert store.snapshot()[0].last_used_at == 10.0
+
+
+def test_store_keeps_one_expiry_rule():
+    """The purge walks entries in expiry order, which only one rule defines:
+    a store rejects a policy that switches refresh-on-read, and any stop
+    outside the prompt."""
+    store = CacheStore()
+    prompt = synth_tokens(1500, 4)
+    access(store, prompt, 1500, 0.0, make_policy(refresh=False))
+    with pytest.raises(ValueError, match="refresh_on_read"):
+        access(store, prompt, 0, 1.0, make_policy(refresh=True))
+    for stop in (-1, 1501):
+        with pytest.raises(ValueError, match="stop"):
+            access(store, prompt, 0, 1.0, make_policy(), stop)
+    assert access(store, prompt, 0, 1.0, make_policy(ttl=10.0)) == (1500, 0)
+    assert access(store, prompt, 0, 11.0, make_policy(ttl=10.0)) == (0, 0)
+
+
+_FRESH = 10**12  # breaker ids from here up; content ids are below it
+
+
+def _sealed_interleaving(rng: random.Random):
+    """A policy and up to 40 steps of (content, breaker slots, limit, time step)
+    over a 2-5 token alphabet, so entries share long prefixes and sealed ones
+    end at interior nodes and inside edges."""
+    alphabet = range(64, 64 + rng.randint(2, 5))
+    gran = rng.choice([1, 2, 3])
+    policy = make_policy(min_tokens=gran * rng.randint(1, 3), granularity=gran,
+                         ttl=rng.choice([1.0, 4.0, 300.0]), refresh=rng.random() < 0.5)
+    bases = [[rng.choice(alphabet) for _ in range(30)] for _ in range(3)]
+    steps = []
+    for _ in range(rng.randint(1, 40)):
+        tokens = rng.choice(bases)[:rng.randint(1, 30)]
+        if rng.random() < 0.5:
+            tokens[rng.randrange(len(tokens))] = rng.choice(alphabet)
+        slots = sorted(rng.sample(range(len(tokens)), min(len(tokens), rng.randint(0, 3))))
+        limit = rng.choice([len(tokens), 0, rng.randint(0, len(tokens))])
+        steps.append((tokens, slots, limit, rng.choice([0.0, 0.5, 1.0, 3.0])))
+    return policy, steps
+
+
+@given(seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=1200, deadline=None)
+def test_sealed_entries_match_the_oracle_with_fresh_breakers(seed):
+    """The oracle sees each prompt with real, never-repeated breaker ids; the
+    engine sees a placeholder 0 in every breaker slot and stops at the first.
+    Reads, writes and the store agree after every step, and each entry holds
+    the oracle entry's tokens up to its first breaker, sealed if it had one."""
+    policy, steps = _sealed_interleaving(random.Random(seed))
+    store = CacheStore()
+    expected_entries = []
+    now = 0.0
+    fresh = _FRESH
+    for tokens, slots, limit, dt in steps:
+        now += dt
+        real, placeholder = list(tokens), list(tokens)
+        for slot in slots:
+            real[slot] = fresh
+            placeholder[slot] = 0
+            fresh += 1
+        stop = slots[0] if slots else len(tokens)
+        read, write, expected_entries = oracle_access(expected_entries, TokenSeq(real), limit,
+                                                      now, policy)
+        assert access(store, TokenSeq(placeholder), limit, now, policy, stop) == (read, write)
+        got = store.snapshot()
+        assert [(e.created_at, e.last_used_at) for e in got] == [
+            (e.created_at, e.last_used_at) for e in expected_entries]
+        for entry, expected in zip(got, expected_entries):
+            ids = expected.tokens.tolist()
+            cut = next((i for i, t in enumerate(ids) if t >= _FRESH), len(ids))
+            assert entry.length == cut
+            assert entry.sealed == (cut < len(ids))
+            assert entry.tokens.tolist() == ids[:cut]

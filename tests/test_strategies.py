@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from cachesim import (CacheMode, CacheStore, Message, Role, StrategyMode,
-                      TokenSeq, WorkloadSpec, access, apply_strategy, breaker_token,
+                      TokenSeq, WorkloadSpec, access, apply_strategy,
                       flatten, builtin_policy, generate, ingest, request_prompt,
                       session_layout, synth_tokens)
+from cachesim.strategies import breaker_token
 
 
 def common_prefix_len(a: TokenSeq, b: TokenSeq) -> int:
@@ -173,9 +174,12 @@ def referee_transcripts(tmp_path):
 @pytest.mark.parametrize("policy_mode", list(CacheMode))
 @pytest.mark.parametrize("mode", list(StrategyMode))
 def test_layout_matches_the_per_request_reference(tmp_path, mode, policy_mode):
-    """Every request served from the session layout equals the prompt that
-    apply_strategy + flatten build from scratch, and its limit is the last
-    breakpoint (0 without one) or, for automatic policies, the whole prompt."""
+    """Every request served from the session layout is a read-only view of
+    the template that equals the prompt apply_strategy + flatten build for
+    that request alone, except for a placeholder 0 in each breaker slot.
+    Its stop is the first breaker's position (the whole prompt without
+    one), and its limit is the last breakpoint (0 without one) or, for
+    automatic policies, the whole prompt."""
     for tr in referee_transcripts(tmp_path):
         layout = session_layout(tr.messages, tr.num_requests, mode)
         template = layout.template.copy()
@@ -184,15 +188,25 @@ def test_layout_matches_the_per_request_reference(tmp_path, mode, policy_mode):
             prompt = apply_strategy(tr.request_messages(r), mode, r, tr.session_seed,
                                     policy_mode)
             expected = flatten(prompt)
-            got, limit = request_prompt(layout, r, tr.session_seed, policy_mode)
-            assert np.array_equal(got.ids, expected.ids)
+            slots = []
+            position = 0
+            for m in prompt.messages:
+                if m.role is Role.BREAKER:
+                    slots.append(position + 1)
+                position += 1 + len(m.tokens)
+            got, limit, stop = request_prompt(layout, r, tr.session_seed, policy_mode)
+            assert len(got) == len(expected)
+            outside = np.ones(len(expected), dtype=bool)
+            outside[slots] = False
+            assert np.array_equal(got.ids[outside], expected.ids[outside])
+            assert not got.ids[slots].any()
+            assert stop == (slots[0] if slots else len(expected))
             if policy_mode is CacheMode.EXPLICIT_BREAKPOINTS:
                 assert limit == (prompt.breakpoints[-1] if prompt.breakpoints else 0)
             else:
                 assert limit == len(expected)
             assert not got.ids.flags.writeable
-            # Only a prompt without breakers is served as a view of the template.
-            assert np.shares_memory(got.ids, layout.template) == (mode is StrategyMode.FULL_CONTEXT)
+            assert np.shares_memory(got.ids, layout.template)
         assert np.array_equal(layout.template, template)
 
 
