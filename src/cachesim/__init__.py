@@ -8,7 +8,7 @@ parameterized latency model.
 """
 
 from .config import AblationGrid, ExperimentConfig, load_config
-from .engine import CacheEntry, CacheStore, access, oracle_access
+from .engine import CacheEntry, CacheStore, access
 from .errors import (ConfigError, DegenerateFitError, TranscriptParseError,
                      TranscriptValidationError, UndefinedBaselineError)
 from .policies import (CacheMode, PriceSchedule, ProviderPolicy, UsageRecord,
@@ -20,11 +20,9 @@ from .replay import (CalibrationResult, CallResult, ConditionRun, LatencyModel,
 from .runner import run_ablation, run_experiment, verify_run
 from .seeding import derive_seed
 from .stats import (Comparison, ConditionSamples, ExperimentReport, TTestResult,
-                    compare, regularized_incomplete_beta, student_t_two_sided_p,
-                    summarize_experiment, welch_t)
-from .strategies import StrategyMode, apply_strategy, request_prompt, session_layout
-from .tokens import (Message, Prompt, Role, TokenSeq, flat_length, flatten,
-                     synth_tokens)
+                    compare, summarize_experiment, welch_t)
+from .strategies import StrategyMode, request_prompt, session_layout
+from .tokens import Message, Role, synth_tokens
 from .workload import (SessionTranscript, WorkloadSpec, export_transcripts,
                        generate, ingest)
 
@@ -34,16 +32,15 @@ __all__ = [
     "AblationGrid", "CacheEntry", "CacheMode", "CacheStore",
     "CalibrationResult", "CallResult", "Comparison", "ConditionRun",
     "ConditionSamples", "ConfigError", "DegenerateFitError", "ExperimentConfig",
-    "ExperimentReport", "LatencyModel", "Message", "PriceSchedule", "Prompt",
+    "ExperimentReport", "LatencyModel", "Message", "PriceSchedule",
     "ProviderPolicy", "Role", "SessionResult", "SessionTranscript",
-    "StrategyMode", "TTestResult", "TokenSeq", "TranscriptParseError",
+    "StrategyMode", "TTestResult", "TranscriptParseError",
     "TranscriptValidationError", "UndefinedBaselineError", "UsageRecord",
-    "VirtualClock", "WorkloadSpec", "access", "apply_strategy",
-    "builtin_policies", "builtin_policy", "calibrate_latency",
-    "compare", "derive_seed", "export_transcripts", "flat_length", "flatten",
-    "generate", "ingest", "load_config", "oracle_access",
-    "policy_from_dict", "price_call", "price_storage",
-    "regularized_incomplete_beta", "replay_call", "request_prompt", "run_ablation",
-    "run_condition", "run_experiment", "session_layout", "student_t_two_sided_p",
-    "summarize_experiment", "synth_tokens", "verify_run", "welch_t",
+    "VirtualClock", "WorkloadSpec", "access", "builtin_policies",
+    "builtin_policy", "calibrate_latency", "compare", "derive_seed",
+    "export_transcripts", "generate", "ingest", "load_config",
+    "policy_from_dict", "price_call", "price_storage", "replay_call",
+    "request_prompt", "run_ablation", "run_condition", "run_experiment",
+    "session_layout", "summarize_experiment", "synth_tokens", "verify_run",
+    "welch_t",
 ]

@@ -54,7 +54,7 @@ DEFAULT_GRIDS: dict[str, tuple[int, ...]] = {
 
 @dataclass(frozen=True)
 class AblationGrid:
-    """One swept dimension and its values, ascending."""
+    """One swept dimension and its values, strictly ascending."""
 
     dimension: str
     values: tuple[int, ...]
@@ -67,8 +67,9 @@ class AblationGrid:
         object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
             raise ConfigError("ablation grid needs at least one value")
-        if list(self.values) != sorted(self.values):
-            raise ConfigError("ablation grid values must be sorted ascending")
+        if any(a >= b for a, b in zip(self.values, self.values[1:])):
+            raise ConfigError(
+                f"ablation grid values must be strictly ascending, got {list(self.values)}")
         floor = 1 if self.dimension == "prompt-size" else 0
         if any(v < floor for v in self.values):
             raise ConfigError(f"{self.dimension} values must be >= {floor}")

@@ -60,24 +60,23 @@ front until it meets a live entry, so it costs O(expired). That order
 holds only while a store keeps one expiry rule, so :func:`access` rejects
 a policy whose ``refresh_on_read`` differs from the store's first one.
 
-``oracle_access`` restates the contract as a plain scan over a list of
-entries, with token-by-token comparison, no numpy, no index and no
-``stop``: it is given prompts with real, fresh breaker ids. It exists to
-referee the engine: both must agree on every read, every write and the
-resulting store, which randomized interleaving tests enforce.
+The tests referee the engine with ``oracle_access`` in
+``tests/reference.py``, which restates the contract as a plain scan over
+a list of entries, with token-by-token comparison, no numpy, no index and
+no ``stop``: it is given prompts with real, fresh breaker ids. Both must
+agree on every read, every write and the resulting store, which
+randomized interleaving tests enforce.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, replace
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .policies import ProviderPolicy
-from .tokens import TokenSeq
 
 
 @dataclass(eq=False)
@@ -178,20 +177,19 @@ class CacheStore:
             self._remove(oldest)
 
 
-def access(store: CacheStore, prompt: TokenSeq, cacheable_limit: int,
+def access(store: CacheStore, prompt: np.ndarray, cacheable_limit: int,
            now: float, policy: ProviderPolicy, stop: int | None = None) -> tuple[int, int]:
     """One API call against the cache: returns ``(read, write)`` tokens.
 
     Purges expired entries, reads the longest usable cached prefix of
-    ``prompt`` (refreshing the matched entry under a refresh-on-read
-    policy), then caches the prefix up to ``cacheable_limit`` and charges
-    only the tokens beyond the read. A limit of 0 makes it a pure read.
+    ``prompt``, a read-only ``uint64`` token array (refreshing the matched
+    entry under a refresh-on-read policy), then caches the prefix up to
+    ``cacheable_limit`` and charges only the tokens beyond the read. A limit of 0 makes it a pure read.
     ``stop`` is the position of the prompt's first breaker (the whole
     prompt when omitted): no token from it on is read or stored. A store
     keeps the ``refresh_on_read`` rule of its first access.
     """
-    ids = prompt.ids
-    n = int(ids.size)
+    n = int(prompt.size)
     if stop is None:
         stop = n
     if cacheable_limit < 0 or cacheable_limit > n:
@@ -222,11 +220,11 @@ def access(store: CacheStore, prompt: TokenSeq, cacheable_limit: int,
     cut: _Node | None = None
     depth = 0
     while depth < stop:
-        child = node.children.get(int(ids[depth]))
+        child = node.children.get(int(prompt[depth]))
         if child is None:
             break
         end = min(child.end, stop)
-        differs = ids[depth:end] != child.rep.tokens[depth:end]
+        differs = prompt[depth:end] != child.rep.tokens[depth:end]
         k = int(differs.argmax())
         if differs[k]:
             depth += k
@@ -254,7 +252,7 @@ def access(store: CacheStore, prompt: TokenSeq, cacheable_limit: int,
     # Here w > depth, and the stored part ends at or past where the prompt
     # left the tree. View or copy: see the write step in the module docstring.
     size = min(w, stop)
-    stored = ids[:size] if cacheable_limit == n else ids[:size].copy()
+    stored = prompt[:size] if cacheable_limit == n else prompt[:size].copy()
     stored.setflags(write=False)
     entry = CacheEntry(tokens=stored, created_at=now, last_used_at=now, sealed=w > stop)
     store._entries[entry] = store._inserted
@@ -262,7 +260,7 @@ def access(store: CacheStore, prompt: TokenSeq, cacheable_limit: int,
     if cut is not None:
         # Split the edge the prompt left: ``mid`` keeps the shared part.
         mid = _Node(cut.rep, cut.start, depth, {int(cut.rep.tokens[depth]): cut})
-        node.children[int(ids[cut.start])] = mid
+        node.children[int(prompt[cut.start])] = mid
         cut.start = depth
         node = mid
     elif node.held and not node.held[0].sealed:
@@ -277,51 +275,5 @@ def access(store: CacheStore, prompt: TokenSeq, cacheable_limit: int,
     if size == depth:
         node.held.append(entry)
     else:
-        node.children[int(ids[depth])] = _Node(entry, depth, size, held=[entry])
+        node.children[int(prompt[depth])] = _Node(entry, depth, size, held=[entry])
     return read, w - read
-
-
-def oracle_access(entries: Iterable[CacheEntry], prompt: TokenSeq,
-                  cacheable_limit: int, now: float,
-                  policy: ProviderPolicy) -> tuple[int, int, list[CacheEntry]]:
-    """Reference for :func:`access` over a plain list of entries.
-
-    Returns ``(read, write, entries_after)``. The given entries are left
-    untouched: ``entries_after`` holds copies, in insertion order, with
-    the refresh applied and the new entry, if any, appended.
-    """
-    if cacheable_limit < 0 or cacheable_limit > len(prompt):
-        raise ValueError(
-            f"cacheable_limit {cacheable_limit} outside prompt of {len(prompt)} tokens")
-    live = []
-    for entry in entries:
-        reference = entry.last_used_at if policy.refresh_on_read else entry.created_at
-        if now - reference <= policy.ttl_seconds:
-            live.append(replace(entry))
-    # Read: the first live entry with the longest common prefix, compared
-    # token by token, is the one a refresh touches.
-    tokens = prompt.to_list()
-    best = 0
-    hit: CacheEntry | None = None
-    for entry in live:
-        n = 0
-        for a, b in zip(tokens, entry.tokens.tolist()):
-            if a != b:
-                break
-            n += 1
-        if n > best:
-            best, hit = n, entry
-    g = policy.granularity_tokens
-    read = best // g * g
-    if read < policy.min_cache_tokens:
-        read = 0
-    elif policy.refresh_on_read:
-        hit.last_used_at = now
-    w = cacheable_limit // g * g
-    if w < policy.min_cache_tokens or w <= read:
-        return read, 0, live
-    head = tokens[:w]
-    kept = [entry for entry in live
-            if not (entry.length <= w and entry.tokens.tolist() == head[:entry.length])]
-    kept.append(CacheEntry(tokens=prompt.ids[:w], created_at=now, last_used_at=now))
-    return read, w - read, kept

@@ -13,12 +13,17 @@ breaker, prices the resulting usage, and models time-to-first-token as
 
 with the lognormal factor drawn from a seeded per-condition stream.
 Token conservation holds on every call: uncached + cached reads equals
-the flattened prompt length.
+the flattened prompt length. Under opportunistic segments, the segments
+between a prompt's breakers are cut at the layout's breaker slots.
 
 A condition run owns one fresh store and one clock. Warmup sessions are
 replayed first against the same store to prime it; their results are
 excluded from evaluation and their cache writes are reported in a
 separate ledger.
+
+``tests/reference.py`` restates a whole condition one request at a time,
+with real breaker ids and a plain-list cache, and the tests compare the
+two call for call.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from .errors import DegenerateFitError
 from .policies import ProviderPolicy, UsageRecord, price_call
 from .seeding import derive_seed
 from .strategies import SessionLayout, StrategyMode, request_prompt, session_layout
-from .tokens import ROLE_TAG_IDS, Role
 from .workload import SessionTranscript
 
 
@@ -156,32 +160,27 @@ class _SegmentMemo:
     Membership is by full content, so collisions are impossible.
     """
 
-    _BREAKER_TAG = np.uint64(ROLE_TAG_IDS[Role.BREAKER])
-
     def __init__(self) -> None:
         self._seen: set[bytes] = set()
 
-    def match_and_record(self, flat_ids: np.ndarray, prefix_end: int,
-                         granularity: int) -> int:
-        marks = np.flatnonzero(flat_ids == self._BREAKER_TAG)
-        if marks.size == 0:
+    def match_and_record(self, prompt: np.ndarray, slots: Sequence[int],
+                         prefix_end: int, granularity: int) -> int:
+        """Extra cached tokens for ``prompt``, whose breaker slots are the
+        ``slots`` below its length; records its segments."""
+        n = int(prompt.size)
+        if not slots or slots[0] >= n:
             return 0
-        bounds: list[tuple[int, int]] = []
-        start = 0
-        for pos in marks.tolist():
-            bounds.append((start, pos))
-            start = pos + 2
-        bounds.append((start, int(flat_ids.size)))
         extra = 0
         new_segments = []
-        for seg_start, seg_end in bounds:
-            if seg_end <= seg_start:
-                continue
-            data = flat_ids[seg_start:seg_end].tobytes()
-            if seg_start >= prefix_end and data in self._seen:
-                length = seg_end - seg_start
-                extra += (length // granularity) * granularity
-            new_segments.append(data)
+        start = 0
+        for end in [slot - 1 for slot in slots if slot < n] + [n]:
+            # A breaker is its framing token at ``slot - 1`` plus its id.
+            if end > start:
+                data = prompt[start:end].tobytes()
+                if start >= prefix_end and data in self._seen:
+                    extra += (end - start) // granularity * granularity
+                new_segments.append(data)
+            start = end + 2
         self._seen.update(new_segments)
         return extra
 
@@ -194,13 +193,17 @@ def replay_call(layout: SessionLayout, request_index: int,
                 segment_memo: _SegmentMemo | None = None) -> CallResult:
     """Simulate one API call of a session laid out by
     :func:`~cachesim.strategies.session_layout` and advance the clock by
-    ``advance_s`` after it."""
-    flat, limit, stop = request_prompt(layout, request_index, session_seed, policy.mode)
+    ``advance_s`` after it.
+
+    ``session_seed`` does not change the result (breaker ids never reach
+    the cache); it identifies the call's session to per-call tracing."""
+    flat, limit, stop = request_prompt(layout, request_index, policy.mode)
     now = clock.now_s
 
     cached, write = access(store, flat, limit, now, policy, stop)
     if segment_memo is not None:
-        cached += segment_memo.match_and_record(flat.ids, cached, policy.granularity_tokens)
+        cached += segment_memo.match_and_record(flat, layout.slots, cached,
+                                                policy.granularity_tokens)
 
     usage = UsageRecord(
         uncached_input=len(flat) - cached,

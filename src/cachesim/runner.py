@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
+from .checks import is_finite_number
 from .config import AblationGrid, ExperimentConfig, to_json
 from .replay import ConditionRun, run_condition
 from .stats import (BASELINE_MODE, Comparison, ConditionSamples, ExperimentReport,
@@ -281,23 +282,45 @@ def _diff_values(path: str, expected, actual, problems: list[str]) -> None:
         problems.append(f"{path}: {expected!r} != {actual!r}")
 
 
+def _read_rows(path: Path, columns: Sequence[str], problems: list[str]) -> list[dict]:
+    """The rows of a CSV artifact; a missing column or a short row is
+    added to ``problems`` instead."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+        header = reader.fieldnames or ()
+    missing = [c for c in columns if c not in header]
+    if missing:
+        problems.append(f"{path.name}: missing column(s) {', '.join(missing)}")
+    elif any(None in row.values() for row in rows):
+        problems.append(f"{path.name}: a row has fewer fields than the header")
+    return rows
+
+
 def verify_run(run_dir: str | Path) -> list[str]:
     """Recompute a run's summary from its per-call CSV and diff the two.
 
     Returns a list of mismatch descriptions; empty means the artifacts
-    are internally consistent.
+    are internally consistent. Artifacts of the wrong shape (a summary
+    that is not an object, a CSV without the columns the run writes) are
+    reported as such, and nothing is recomputed from them.
     """
     run_dir = Path(run_dir)
     problems: list[str] = []
     try:
         with open(run_dir / "summary.json", encoding="utf-8") as fh:
             summary = json.load(fh)
-        with open(run_dir / "per_call.csv", newline="", encoding="utf-8") as fh:
-            call_rows = list(csv.DictReader(fh))
-        with open(run_dir / "per_session.csv", newline="", encoding="utf-8") as fh:
-            session_rows = list(csv.DictReader(fh))
+        call_rows = _read_rows(run_dir / "per_call.csv", PER_CALL_COLUMNS, problems)
+        session_rows = _read_rows(run_dir / "per_session.csv", PER_SESSION_COLUMNS, problems)
     except FileNotFoundError as exc:
         return [f"missing artifact: {exc.filename}"]
+    config = summary.get("config", {}) if isinstance(summary, dict) else None
+    if not isinstance(config, dict):
+        problems.append("summary.json: expected an object whose config is an object")
+    elif not is_finite_number(config.get("alpha", 0.05)):
+        problems.append("summary.json: config.alpha must be a finite number")
+    if problems:
+        return problems
 
     # Rebuild per-session aggregates from raw calls.
     sessions: dict[tuple[str, str, str], dict] = {}
@@ -350,7 +373,7 @@ def verify_run(run_dir: str | Path) -> list[str]:
                                 f"{recorded!r} != recomputed {recomputed!r}")
 
     # Rebuild the comparison report from scratch.
-    per_call_ttft = summary.get("config", {}).get("ttft_aggregation") == "per-call"
+    per_call_ttft = config.get("ttft_aggregation") == "per-call"
     grouped: dict[tuple[str, str], list[tuple[str, float, float]]] = {}
     for key in order:
         policy, mode, session_id = key
@@ -369,7 +392,7 @@ def verify_run(run_dir: str | Path) -> list[str]:
                          else tuple(t for _, _, t in rows))
         for (policy, mode), rows in grouped.items()
     ]
-    alpha = summary.get("config", {}).get("alpha", 0.05)
+    alpha = config.get("alpha", 0.05)
     recomputed_report = to_json(summarize_experiment(samples, alpha=alpha))
     _diff_values("report", summary.get("report"), recomputed_report, problems)
     return problems

@@ -32,11 +32,11 @@ last request, with a placeholder in every breaker slot, and
 :func:`request_prompt` serves request ``r`` as a zero-copy view of a
 prefix of it, together with the position of its first breaker.
 
-:func:`apply_strategy` followed by :func:`~cachesim.tokens.flatten`
-builds one request's prompt on its own, message by message, with real
-breaker ids from :func:`breaker_token`. It is the plain reference that
-the tests hold the layout against, as
-:func:`~cachesim.engine.oracle_access` is for the cache engine.
+The tests hold the layout against a plain per-request reference in
+``tests/reference.py``: ``apply_strategy`` followed by ``flatten`` builds
+one request's prompt on its own, message by message, with real breaker
+ids from ``breaker_token``, as ``oracle_access`` there does for the cache
+engine.
 """
 
 from __future__ import annotations
@@ -47,9 +47,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .policies import CacheMode
-from .seeding import derive_seed
-from .tokens import (_TAG_ARRAYS, ROLE_TAG_IDS, Message, Prompt, Role, TokenSeq,
-                     RESERVED_TOKEN_FLOOR, flat_length)
+from .tokens import ROLE_TAG_IDS, Message, Role
 
 
 class StrategyMode(Enum):
@@ -57,22 +55,6 @@ class StrategyMode(Enum):
     FULL_CONTEXT = "full-context"
     SYSTEM_PROMPT = "system-prompt"
     EXCLUDE_TOOL_RESULTS = "exclude-tool-results"
-
-
-def breaker_token(session_seed: int, request_index: int, position_index: int) -> int:
-    """Token id for one breaker instance.
-
-    Fully determined by its coordinates; changing the request index
-    changes every breaker in the prompt. Never collides with the
-    reserved framing-token band.
-    """
-    raw = derive_seed(session_seed, "breaker", request_index, position_index)
-    return raw if raw >= RESERVED_TOKEN_FLOOR else raw + RESERVED_TOKEN_FLOOR
-
-
-def _breaker(session_seed: int, request_index: int, position_index: int) -> Message:
-    token = breaker_token(session_seed, request_index, position_index)
-    return Message(Role.BREAKER, TokenSeq([token]))
 
 
 def _check_messages(msgs: tuple[Message, ...]) -> None:
@@ -85,79 +67,38 @@ def _check_messages(msgs: tuple[Message, ...]) -> None:
             raise ValueError("breakers are injected by the strategy, not by workloads")
 
 
-def apply_strategy(messages: Sequence[Message], mode: StrategyMode,
-                   request_index: int, session_seed: int,
-                   policy_mode: CacheMode) -> Prompt:
-    """Insert breakers and set cache boundaries for one request.
-
-    ``messages`` must start with exactly one system message and contain
-    no breakers of their own. Breakpoint positions are only attached for
-    ``CacheMode.EXPLICIT_BREAKPOINTS`` policies; automatic providers
-    ignore them.
-    """
-    msgs = tuple(messages)
-    _check_messages(msgs)
-
-    explicit = policy_mode is CacheMode.EXPLICIT_BREAKPOINTS
-    system = msgs[0]
-    after_system = 1 + len(system.tokens)
-
-    if mode is StrategyMode.NO_CACHE:
-        out = (_breaker(session_seed, request_index, 0),) + msgs
-        breakpoints: tuple[int, ...] = ()
-    elif mode is StrategyMode.FULL_CONTEXT:
-        out = msgs
-        breakpoints = (flat_length(msgs),) if explicit else ()
-    elif mode is StrategyMode.SYSTEM_PROMPT:
-        out = (system, _breaker(session_seed, request_index, 0)) + msgs[1:]
-        breakpoints = (after_system,) if explicit else ()
-    elif mode is StrategyMode.EXCLUDE_TOOL_RESULTS:
-        parts: list[Message] = [system, _breaker(session_seed, request_index, 0)]
-        position = 1
-        for m in msgs[1:]:
-            parts.append(m)
-            if m.role is Role.TOOL_RESULT:
-                parts.append(_breaker(session_seed, request_index, position))
-                position += 1
-        out = tuple(parts)
-        breakpoints = (after_system,) if explicit else ()
-    else:
-        raise ValueError(f"unknown strategy mode: {mode!r}")
-
-    return Prompt(out, breakpoints)
-
-
 class SessionLayout(NamedTuple):
     """One session's flattened prompts under one strategy.
 
     ``template`` is the last request's flattened prompt with
     ``_BREAKER_PLACEHOLDER`` in every breaker slot; request ``r`` sends its
-    first ``lengths[r - 1]`` tokens. ``stop`` is the template's first
-    breaker slot, or its length when it has none, so request ``r``'s
-    first breaker is at ``min(stop, lengths[r - 1])`` if that is inside
-    its prompt. ``system_end`` is the flattened length of the system
-    message, where the selective strategies put their breakpoint.
+    first ``lengths[r - 1]`` tokens. ``slots`` are the template's breaker
+    slot positions in ascending order; request ``r`` holds those below
+    ``lengths[r - 1]``, since a breaker and its framing token always fall
+    in the same request. ``system_end`` is the flattened length of the
+    system message, where the selective strategies put their breakpoint.
     """
 
     mode: StrategyMode
     template: np.ndarray
     lengths: tuple[int, ...]
-    stop: int
+    slots: tuple[int, ...]
     system_end: int
 
 
 # Tag ids start at 1, so no flattened prompt ever carries this id.
 _BREAKER_PLACEHOLDER = 0
 _BREAKER_PART = np.array([ROLE_TAG_IDS[Role.BREAKER], _BREAKER_PLACEHOLDER], dtype=np.uint64)
+_TAG_ARRAYS = {role: np.array([tag], dtype=np.uint64) for role, tag in ROLE_TAG_IDS.items()}
 
 
 def session_layout(messages: Sequence[Message], num_requests: int,
                    mode: StrategyMode) -> SessionLayout:
     """Flatten a session's ``num_requests`` requests under ``mode`` at once.
 
-    Request ``r`` (1-based) sends ``messages[:2 * r]``; the messages must
-    satisfy :func:`apply_strategy`'s rules. The template is built with a
-    single concatenation and is read-only.
+    Request ``r`` (1-based) sends ``messages[:2 * r]``, which must start
+    with the one system message of the session and hold no breakers. The
+    template is built with a single concatenation and is read-only.
     """
     msgs = tuple(messages[:2 * num_requests])
     if num_requests < 1 or len(msgs) < 2 * num_requests:
@@ -169,48 +110,46 @@ def session_layout(messages: Sequence[Message], num_requests: int,
     after_system = mode is StrategyMode.SYSTEM_PROMPT or mode is StrategyMode.EXCLUDE_TOOL_RESULTS
     after_results = mode is StrategyMode.EXCLUDE_TOOL_RESULTS
     if mode is StrategyMode.NO_CACHE:
-        parts, size, stop = [_BREAKER_PART], 2, 1
+        parts, size, slots = [_BREAKER_PART], 2, [1]
     else:
-        parts, size, stop = [], 0, None
+        parts, size, slots = [], 0, []
     lengths = []
     for i, m in enumerate(msgs):
-        ids = m.tokens.ids
         parts.append(_TAG_ARRAYS[m.role])
-        parts.append(ids)
-        size += 1 + ids.size
+        parts.append(m.tokens)
+        size += 1 + m.tokens.size
         if (after_system and i == 0) or (after_results and m.role is Role.TOOL_RESULT):
             parts.append(_BREAKER_PART)
-            if stop is None:
-                stop = size + 1
+            slots.append(size + 1)
             size += 2
         if i % 2:
             lengths.append(size)
 
     template = np.concatenate(parts)
     template.setflags(write=False)
-    return SessionLayout(mode, template, tuple(lengths), size if stop is None else stop,
+    return SessionLayout(mode, template, tuple(lengths), tuple(slots),
                          1 + len(msgs[0].tokens))
 
 
-def request_prompt(layout: SessionLayout, request_index: int, session_seed: int,
-                   policy_mode: CacheMode) -> tuple[TokenSeq, int, int]:
+def request_prompt(layout: SessionLayout, request_index: int,
+                   policy_mode: CacheMode) -> tuple[np.ndarray, int, int]:
     """Request ``request_index``'s flattened prompt, its cacheable limit and
     the position of its first breaker.
 
     The prompt is a read-only, zero-copy view of the template, so it holds
-    ``_BREAKER_PLACEHOLDER`` where ``flatten(apply_strategy(...))`` holds a
-    fresh breaker id, and equals it everywhere else. The first breaker's
-    position is ``stop`` (the prompt's length when it has none): the cache
-    reads and stores nothing from there on, so the breaker ids, and with
-    them ``session_seed``, never reach the result. The limit is the last
-    breakpoint of the reference prompt under a breakpoint-style policy (0
-    when it has none) and the whole prompt otherwise.
+    ``_BREAKER_PLACEHOLDER`` where a prompt built for this request alone
+    holds a fresh breaker id, and equals it everywhere else. The first
+    breaker's position is ``stop`` (the prompt's length when it has none):
+    the cache reads and stores nothing from there on, so the breaker ids
+    never reach the result. The limit is the last breakpoint under a
+    breakpoint-style policy (0 when there is none) and the whole prompt
+    otherwise.
     """
     if not 1 <= request_index <= len(layout.lengths):
         raise IndexError(
             f"request {request_index} out of range 1..{len(layout.lengths)}")
     n = layout.lengths[request_index - 1]
-    stop = min(layout.stop, n)
+    stop = min(layout.slots[0], n) if layout.slots else n
 
     mode = layout.mode
     if policy_mode is not CacheMode.EXPLICIT_BREAKPOINTS or mode is StrategyMode.FULL_CONTEXT:
@@ -219,4 +158,4 @@ def request_prompt(layout: SessionLayout, request_index: int, session_seed: int,
         limit = 0
     else:
         limit = layout.system_end
-    return TokenSeq._wrap(layout.template[:n]), limit, stop
+    return layout.template[:n], limit, stop

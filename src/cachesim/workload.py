@@ -31,10 +31,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .checks import is_finite_number, is_int
 from .errors import TranscriptParseError, TranscriptValidationError
 from .seeding import derive_seed
-from .tokens import RESERVED_TOKEN_FLOOR, Message, Role, TokenSeq, synth_tokens
+from .tokens import RESERVED_TOKEN_FLOOR, Message, Role, synth_tokens
 
 
 @dataclass(frozen=True)
@@ -79,8 +81,9 @@ class SessionTranscript:
     """One session's ordered messages with per-message virtual timestamps.
 
     Message layout: system, question, then (assistant turn, tool result)
-    pairs, then the final answer. ``session_seed`` feeds breaker
-    derivation during replay and is excluded from equality so that
+    pairs, then the final answer. ``session_seed`` would derive the
+    session's breaker ids, which replay never needs (it leaves breaker
+    slots as placeholders); it is excluded from equality so that
     transcripts survive a file round-trip unchanged.
     """
 
@@ -122,18 +125,11 @@ class SessionTranscript:
     def num_requests(self) -> int:
         return (len(self.messages) - 1) // 2
 
-    def request_messages(self, request_index: int) -> tuple[Message, ...]:
-        """Input messages of the 1-based ``request_index``-th API call."""
-        self._check_request(request_index)
-        return self.messages[: 2 * request_index]
-
-    def response_message(self, request_index: int) -> Message:
-        """The assistant message produced by that call."""
-        self._check_request(request_index)
-        return self.messages[2 * request_index]
-
     def output_tokens(self, request_index: int) -> int:
-        return len(self.response_message(request_index).tokens)
+        """Length of the assistant message the 1-based ``request_index``-th
+        API call produced; that call's input is ``messages[:2 * request_index]``."""
+        self._check_request(request_index)
+        return len(self.messages[2 * request_index].tokens)
 
     def request_time(self, request_index: int) -> float:
         """Session-relative issue time: timestamp of the newest input message."""
@@ -203,7 +199,7 @@ def export_transcripts(transcripts: Sequence[SessionTranscript], path: str | Pat
                 fh.write(json.dumps({
                     "session_id": tr.session_id,
                     "role": message.role.value,
-                    "tokens": message.tokens.to_list(),
+                    "tokens": message.tokens.tolist(),
                     "timestamp_s": stamp,
                 }))
                 fh.write("\n")
@@ -256,7 +252,8 @@ def ingest(path: str | Path) -> list[SessionTranscript]:
                         raise TranscriptParseError(
                             line_number, f"token ids must be integers in "
                             f"[{RESERVED_TOKEN_FLOOR}, 2**64), got {token!r}")
-                tokens = TokenSeq(ids)
+                tokens = np.array(ids, dtype=np.uint64)
+                tokens.setflags(write=False)
             elif "token_count" in record:
                 count = record["token_count"]
                 if not is_int(count) or not 1 <= count <= MAX_TOKEN_COUNT:
@@ -286,7 +283,7 @@ def ingest(path: str | Path) -> list[SessionTranscript]:
 
     questions = set()
     for tr in transcripts:
-        key = tr.messages[1].tokens
+        key = tr.messages[1].tokens.tobytes()
         if key in questions:
             raise TranscriptValidationError(
                 f"session {tr.session_id}: question duplicates another session's")

@@ -1,32 +1,194 @@
-"""End-to-end reference replay, built only from the plain references.
+"""Plain references the tests hold the replay path against.
 
-:func:`reference_condition` replays one (policy, mode) condition the way
-:func:`cachesim.run_condition` is specified to, one API call at a time:
+Each restates one piece of :func:`cachesim.run_condition` on its own,
+sharing no code with the session layouts, the radix-tree engine or the
+segment memo of the replay path:
 
-1. :func:`~cachesim.apply_strategy` inserts the request's breakers, each a
-   real, fresh id derived from (session seed, request, position);
-2. :func:`~cachesim.flatten` builds the prompt's token ids anew;
-3. :func:`~cachesim.oracle_access` serves it from a plain list of entries;
-4. :func:`~cachesim.price_call` and the latency model turn the usage into
-   cost and TTFT, with the same per-condition noise stream.
-
-It shares no code with the session layouts, the radix-tree engine or the
-segment memo of the replay path, so comparing the two, call for call,
-catches an error in how those pieces compose.
+* :class:`Prompt`, :func:`apply_strategy`, :func:`breaker_token` and
+  :func:`flatten` build one request's prompt message by message, with a
+  real, fresh breaker id derived from (session seed, request, position)
+  in every breaker slot; :func:`flat_length` is its length. They
+  referee :func:`cachesim.session_layout` and
+  :func:`cachesim.request_prompt`.
+* :func:`oracle_access` serves a prompt from a plain list of entries,
+  comparing token by token; it referees :func:`cachesim.access`.
+* :func:`reference_condition` replays a whole (policy, mode) condition
+  one API call at a time through the two above, then
+  :func:`cachesim.price_call` and the latency model with the same
+  per-condition noise stream, so comparing it with ``run_condition``,
+  call for call, catches an error in how the replay's pieces compose.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from cachesim import (CacheMode, CallResult, ConditionRun, LatencyModel, Prompt,
-                      ProviderPolicy, Role, SessionResult, SessionTranscript,
-                      StrategyMode, UsageRecord, apply_strategy, derive_seed, flatten,
-                      oracle_access, price_call)
+from cachesim import (CacheEntry, CacheMode, CallResult, ConditionRun, LatencyModel,
+                      Message, ProviderPolicy, Role, SessionResult, SessionTranscript,
+                      StrategyMode, UsageRecord, derive_seed, price_call)
 from cachesim.replay import WarmupLedger
+from cachesim.strategies import _check_messages
+from cachesim.tokens import RESERVED_TOKEN_FLOOR, ROLE_TAG_IDS
+
+
+def flat_length(messages: Sequence[Message]) -> int:
+    """Length of the flattened token sequence: payloads plus one framing token each."""
+    return sum(len(m.tokens) for m in messages) + len(messages)
+
+
+@dataclass(frozen=True)
+class Prompt:
+    """An ordered message list plus optional explicit cache boundaries.
+
+    ``breakpoints`` are flattened token positions marking where a
+    breakpoint-style provider may end its cached prefix. They must be
+    strictly increasing and no larger than the flattened length.
+    """
+
+    messages: tuple[Message, ...]
+    breakpoints: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "messages", tuple(self.messages))
+        object.__setattr__(self, "breakpoints", tuple(self.breakpoints))
+        total = flat_length(self.messages)
+        prev = -1
+        for bp in self.breakpoints:
+            if bp <= prev:
+                raise ValueError("breakpoints must be strictly increasing")
+            if bp < 0 or bp > total:
+                raise ValueError(f"breakpoint {bp} outside prompt of {total} tokens")
+            prev = bp
+
+    def flat_length(self) -> int:
+        return flat_length(self.messages)
+
+
+def flatten(prompt: Prompt | Sequence[Message]) -> np.ndarray:
+    """Flatten messages into one read-only token array.
+
+    Each message contributes its role framing token followed by its
+    payload. Deterministic: equal message lists flatten identically, and
+    any difference in roles or tokens shows up at the first point of
+    divergence.
+    """
+    messages = prompt.messages if isinstance(prompt, Prompt) else prompt
+    parts = [np.empty(0, dtype=np.uint64)]
+    for m in messages:
+        parts += [np.array([ROLE_TAG_IDS[m.role]], dtype=np.uint64), m.tokens]
+    flat = np.concatenate(parts)
+    flat.setflags(write=False)
+    return flat
+
+
+def breaker_token(session_seed: int, request_index: int, position_index: int) -> int:
+    """Token id for one breaker instance.
+
+    Fully determined by its coordinates; changing the request index
+    changes every breaker in the prompt. Never collides with the
+    reserved framing-token band.
+    """
+    raw = derive_seed(session_seed, "breaker", request_index, position_index)
+    return raw if raw >= RESERVED_TOKEN_FLOOR else raw + RESERVED_TOKEN_FLOOR
+
+
+def _breaker(session_seed: int, request_index: int, position_index: int) -> Message:
+    token = np.array([breaker_token(session_seed, request_index, position_index)],
+                     dtype=np.uint64)
+    token.setflags(write=False)
+    return Message(Role.BREAKER, token)
+
+
+def apply_strategy(messages: Sequence[Message], mode: StrategyMode,
+                   request_index: int, session_seed: int,
+                   policy_mode: CacheMode) -> Prompt:
+    """Insert breakers and set cache boundaries for one request.
+
+    ``messages`` must start with exactly one system message and contain
+    no breakers of their own. Breakpoint positions are only attached for
+    ``CacheMode.EXPLICIT_BREAKPOINTS`` policies; automatic providers
+    ignore them.
+    """
+    msgs = tuple(messages)
+    _check_messages(msgs)
+
+    explicit = policy_mode is CacheMode.EXPLICIT_BREAKPOINTS
+    system = msgs[0]
+    after_system = 1 + len(system.tokens)
+
+    if mode is StrategyMode.NO_CACHE:
+        out = (_breaker(session_seed, request_index, 0),) + msgs
+        breakpoints: tuple[int, ...] = ()
+    elif mode is StrategyMode.FULL_CONTEXT:
+        out = msgs
+        breakpoints = (flat_length(msgs),) if explicit else ()
+    elif mode is StrategyMode.SYSTEM_PROMPT:
+        out = (system, _breaker(session_seed, request_index, 0)) + msgs[1:]
+        breakpoints = (after_system,) if explicit else ()
+    elif mode is StrategyMode.EXCLUDE_TOOL_RESULTS:
+        parts: list[Message] = [system, _breaker(session_seed, request_index, 0)]
+        position = 1
+        for m in msgs[1:]:
+            parts.append(m)
+            if m.role is Role.TOOL_RESULT:
+                parts.append(_breaker(session_seed, request_index, position))
+                position += 1
+        out = tuple(parts)
+        breakpoints = (after_system,) if explicit else ()
+    else:
+        raise ValueError(f"unknown strategy mode: {mode!r}")
+
+    return Prompt(out, breakpoints)
+
+
+def oracle_access(entries: Iterable[CacheEntry], prompt: np.ndarray,
+                  cacheable_limit: int, now: float,
+                  policy: ProviderPolicy) -> tuple[int, int, list[CacheEntry]]:
+    """Reference for :func:`cachesim.access` over a plain list of entries.
+
+    Returns ``(read, write, entries_after)``. The given entries are left
+    untouched: ``entries_after`` holds copies, in insertion order, with
+    the refresh applied and the new entry, if any, appended.
+    """
+    if cacheable_limit < 0 or cacheable_limit > len(prompt):
+        raise ValueError(
+            f"cacheable_limit {cacheable_limit} outside prompt of {len(prompt)} tokens")
+    live = []
+    for entry in entries:
+        reference = entry.last_used_at if policy.refresh_on_read else entry.created_at
+        if now - reference <= policy.ttl_seconds:
+            live.append(replace(entry))
+    # Read: the first live entry with the longest common prefix, compared
+    # token by token, is the one a refresh touches.
+    tokens = prompt.tolist()
+    best = 0
+    hit: CacheEntry | None = None
+    for entry in live:
+        n = 0
+        for a, b in zip(tokens, entry.tokens.tolist()):
+            if a != b:
+                break
+            n += 1
+        if n > best:
+            best, hit = n, entry
+    g = policy.granularity_tokens
+    read = best // g * g
+    if read < policy.min_cache_tokens:
+        read = 0
+    elif policy.refresh_on_read:
+        hit.last_used_at = now
+    w = cacheable_limit // g * g
+    if w < policy.min_cache_tokens or w <= read:
+        return read, 0, live
+    head = tokens[:w]
+    kept = [entry for entry in live
+            if not (entry.length <= w and entry.tokens.tolist() == head[:entry.length])]
+    kept.append(CacheEntry(tokens=prompt[:w], created_at=now, last_used_at=now))
+    return read, w - read, kept
 
 
 def _segment_reads(prompt: Prompt, prefix_end: int, granularity: int,
@@ -47,14 +209,14 @@ def _segment_reads(prompt: Prompt, prefix_end: int, granularity: int,
     for m in prompt.messages:
         if m.role is Role.BREAKER:
             if run:
-                segments.append((start, tuple(flatten(run).to_list())))
+                segments.append((start, tuple(flatten(run).tolist())))
             run = []
             start = position + 1 + len(m.tokens)
         else:
             run.append(m)
         position += 1 + len(m.tokens)
     if run:
-        segments.append((start, tuple(flatten(run).to_list())))
+        segments.append((start, tuple(flatten(run).tolist())))
     extra = sum(len(tokens) // granularity * granularity
                 for start, tokens in segments if start >= prefix_end and tokens in seen)
     seen.update(tokens for _, tokens in segments)
@@ -75,7 +237,7 @@ def reference_condition(transcripts: Sequence[SessionTranscript], mode: Strategy
         calls = []
         n = tr.num_requests
         for r in range(1, n + 1):
-            prompt = apply_strategy(tr.request_messages(r), mode, r, tr.session_seed,
+            prompt = apply_strategy(tr.messages[:2 * r], mode, r, tr.session_seed,
                                     policy.mode)
             flat = flatten(prompt)
             if policy.mode is CacheMode.EXPLICIT_BREAKPOINTS:

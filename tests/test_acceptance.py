@@ -18,13 +18,13 @@ import pytest
 import scipy.stats
 
 from cachesim import (AblationGrid, CacheMode, CacheStore, LatencyModel,
-                      PriceSchedule, ProviderPolicy, StrategyMode, TokenSeq,
-                      UsageRecord, WorkloadSpec, access, builtin_policy,
-                      generate, load_config, oracle_access, price_call,
-                      run_condition, synth_tokens, welch_t)
+                      PriceSchedule, ProviderPolicy, StrategyMode, UsageRecord,
+                      WorkloadSpec, access, builtin_policy, generate, load_config,
+                      price_call, run_condition, synth_tokens, welch_t)
 from cachesim.cli import main
 from cachesim.config import config_from_dict, to_json
 from cachesim.runner import run_ablation as _run_ablation
+from reference import oracle_access
 
 CACHING_MODES = (StrategyMode.FULL_CONTEXT, StrategyMode.SYSTEM_PROMPT,
                  StrategyMode.EXCLUDE_TOOL_RESULTS)
@@ -75,11 +75,10 @@ def test_acceptance_1_oracle_equivalence():
         now = 0.0
         for _ in range(steps):
             now += rng.random() * policy.ttl_seconds * 0.6
-            prompt = bases[rng.randrange(n_bases)].prefix(rng.randint(1, pool_len))
+            prompt = bases[rng.randrange(n_bases)][:rng.randint(1, pool_len)]
             if rng.random() < 0.25:
-                ids = prompt.ids.copy()
-                ids[rng.randrange(len(ids))] = 70 + rng.randrange(8)
-                prompt = TokenSeq(ids)
+                prompt = prompt.copy()
+                prompt[rng.randrange(len(prompt))] = 70 + rng.randrange(8)
             limit = rng.randint(0, len(prompt)) if rng.random() < 0.45 else 0
             read, write, expected_entries = oracle_access(
                 expected_entries, prompt, limit, now, policy)

@@ -145,6 +145,34 @@ def test_verify_passes_then_catches_tampering(tmp_path, capsys):
     assert "mismatch" in capsys.readouterr().err
 
 
+def _short_row(text: str) -> str:
+    header, row, rest = text.split("\n", 2)
+    return "\n".join([header, row.rsplit(",", 1)[0], rest])
+
+
+@pytest.mark.parametrize("name, tamper, message", [
+    ("summary.json", lambda text: "[]", "summary.json: expected an object"),
+    ("summary.json", lambda text: '{"config": 3}', "summary.json: expected an object"),
+    ("summary.json", lambda text: text.replace('"alpha": 0.05', '"alpha": "0.05"'),
+     "config.alpha"),
+    ("per_call.csv", lambda text: text.replace("cost_usd", "cost", 1),
+     "per_call.csv: missing column(s) cost_usd"),
+    ("per_call.csv", lambda text: "", "per_call.csv: missing column(s) session_id"),
+    ("per_call.csv", _short_row, "per_call.csv: a row has fewer fields"),
+    ("per_session.csv", _short_row, "per_session.csv: a row has fewer fields"),
+], ids=["summary-list", "config-not-object", "alpha-string", "no-cost-column",
+        "empty-per-call", "short-call-row", "short-session-row"])
+def test_verify_reports_malformed_artifacts(tmp_path, capsys, name, tamper, message):
+    """Artifacts of the wrong shape are verify problems (exit 1), not crashes."""
+    assert main(["simulate", tiny_config(tmp_path)]) == EXIT_OK
+    path = tmp_path / "out" / name
+    path.write_text(tamper(path.read_text()))
+    capsys.readouterr()
+    assert main(["verify", str(tmp_path / "out")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert message in err and "mismatch" in err
+
+
 def test_verify_missing_dir(tmp_path):
     assert main(["verify", str(tmp_path / "nope")]) == EXIT_VALIDATION
 
@@ -165,10 +193,13 @@ def test_ablate_writes_grid_outputs(tmp_path):
     assert savings == sorted(savings)
 
 
-def test_ablate_rejects_unsorted_values(tmp_path):
+def test_ablate_rejects_unsorted_values(tmp_path, capsys):
     cfg = tiny_config(tmp_path)
-    assert main(["ablate", cfg, "--dimension", "tool-count",
-                 "--values", "5", "3"]) == EXIT_VALIDATION
+    for values in (["5", "3"], ["5", "5"]):
+        assert main(["ablate", cfg, "--dimension", "tool-count",
+                     "--values", *values]) == EXIT_VALIDATION
+        assert "strictly ascending" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_empty_grid_is_config_error():

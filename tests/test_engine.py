@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cachesim import (CacheMode, CacheStore, PriceSchedule, ProviderPolicy,
-                      TokenSeq, access, oracle_access, synth_tokens)
+from cachesim import (CacheMode, CacheStore, PriceSchedule, ProviderPolicy, access,
+                      synth_tokens)
+from reference import oracle_access
 
 _PRICES = PriceSchedule(1.0, 2.0, 0.1)
 
@@ -43,9 +44,9 @@ def test_first_token_mismatch_yields_zero():
     store = CacheStore()
     stored = synth_tokens(64, 1)
     access(store, stored, 64, 0.0, policy)
-    ids = stored.ids.copy()
+    ids = stored.copy()
     ids[0] += 1
-    assert access(store, TokenSeq(ids), 0, 0.0, policy) == (0, 0)
+    assert access(store, ids, 0, 0.0, policy) == (0, 0)
 
 
 def test_below_minimum_never_caches():
@@ -136,7 +137,7 @@ def test_commit_charges_only_the_extension():
     policy = make_policy(min_tokens=1024, granularity=1)
     store = CacheStore()
     long_prompt = synth_tokens(3000, 10)
-    assert access(store, long_prompt.prefix(2000), 2000, 0.0, policy) == (0, 2000)
+    assert access(store, long_prompt[:2000], 2000, 0.0, policy) == (0, 2000)
     assert access(store, long_prompt, 3000, 1.0, policy) == (2000, 1000)
     assert access(store, long_prompt, 0, 2.0, policy) == (3000, 0)
     assert len(store) == 1  # the shorter entry was subsumed
@@ -173,10 +174,11 @@ def test_read_your_write():
     assert access(store, prompt, 0, 0.5, policy)[0] >= written
 
 
-def _with_token(seq: TokenSeq, pos: int, token: int) -> TokenSeq:
-    ids = seq.ids.copy()
+def _with_token(seq: np.ndarray, pos: int, token: int) -> np.ndarray:
+    ids = seq.copy()
     ids[pos] = token
-    return TokenSeq(ids)
+    ids.setflags(write=False)
+    return ids
 
 
 def test_dropped_entries_are_freed_without_gc():
@@ -201,7 +203,7 @@ def test_dropped_entries_are_freed_without_gc():
 
         # subsumption: the entry extended by a longer prompt goes
         store = CacheStore()
-        access(store, branches[0].prefix(1800), 1800, 0.0, policy)
+        access(store, branches[0][:1800], 1800, 0.0, policy)
         access(store, branches[1], 2000, 1.0, policy)
         shorter = weakref.ref(store.snapshot()[0])
         assert access(store, branches[0], 2000, 2.0, policy) == (1800, 200)
@@ -220,7 +222,7 @@ def test_whole_prompt_writes_are_views_and_breakpoint_writes_copies():
     whole = synth_tokens(2100, 19)
     assert access(store, whole, 2100, 0.0, policy) == (0, 2048)
     (entry,) = store.snapshot()
-    assert np.shares_memory(entry.tokens, whole.ids)
+    assert np.shares_memory(entry.tokens, whole)
     assert entry.tokens.base is not None and entry.tokens.base.size - entry.length < 128
     assert not entry.tokens.flags.writeable
 
@@ -228,7 +230,7 @@ def test_whole_prompt_writes_are_views_and_breakpoint_writes_copies():
     assert access(store, partial, 1500, 1.0, policy) == (0, 1408)
     entry = store.snapshot()[-1]
     assert entry.length == 1408
-    assert not np.shares_memory(entry.tokens, partial.ids)
+    assert not np.shares_memory(entry.tokens, partial)
     assert not entry.tokens.flags.writeable
 
 
@@ -242,9 +244,9 @@ def test_prefix_monotonicity(n, m, data):
     base = synth_tokens(200, data.draw(st.integers(0, 5)))
     for _ in range(data.draw(st.integers(0, 4))):
         length = data.draw(st.integers(1, 200))
-        access(store, base.prefix(length), length, 0.0, policy)
-    b = base.prefix(n + m)
-    a = base.prefix(n)
+        access(store, base[:length], length, 0.0, policy)
+    b = base[:n + m]
+    a = base[:n]
     assert access(store, a, 0, 1.0, policy)[0] <= access(store, b, 0, 1.0, policy)[0]
 
 
@@ -255,11 +257,11 @@ def test_zero_hit_when_first_token_differs_everywhere(seed, entries):
     store = CacheStore()
     for i in range(entries):
         access(store, synth_tokens(30, seed + i), 30, 0.0, policy)
-    probe_ids = synth_tokens(30, seed).ids.copy()
+    probe_ids = synth_tokens(30, seed).copy()
     probe_ids[0] = 70  # outside every stored first token with overwhelming odds
     first_tokens = {int(e.tokens[0]) for e in store.snapshot()}
     if 70 not in first_tokens:
-        assert access(store, TokenSeq(probe_ids), 0, 0.0, policy) == (0, 0)
+        assert access(store, probe_ids, 0, 0.0, policy) == (0, 0)
 
 
 _POLICY_GRID = [(1, 1), (1024, 1), (1024, 128), (4096, 1), (4096, 128)]
@@ -302,12 +304,9 @@ def test_lookup_matches_oracle_on_random_interleavings(case):
     bases = {i: synth_tokens(policy.min_cache_tokens + 220, 1000 + i) for i in range(4)}
     for op, base, length, mutate, dt in steps:
         now += dt
-        prompt = bases[base].prefix(length)
+        prompt = bases[base][:length]
         if mutate:
-            ids = prompt.ids.copy()
-            pos = (mutate * 7919) % len(ids)
-            ids[pos] = 77
-            prompt = TokenSeq(ids)
+            prompt = _with_token(prompt, (mutate * 7919) % len(prompt), 77)
         limit = _LIMITS[op](len(prompt))
         read, write, expected_entries = oracle_access(expected_entries, prompt, limit,
                                                       now, policy)
@@ -321,8 +320,8 @@ def test_oracle_never_mutates():
     prompt = synth_tokens(1500, 15)
     access(store, prompt, 1500, 0.0, policy)
     before = _state(store.snapshot())
-    assert oracle_access(store.snapshot(), TokenSeq.concat([prompt, synth_tokens(10, 16)]), 1510,
-                         10.0, policy)[:2] == (1500, 10)
+    assert oracle_access(store.snapshot(), np.concatenate([prompt, synth_tokens(10, 16)]),
+                         1510, 10.0, policy)[:2] == (1500, 10)
     assert _state(store.snapshot()) == before
     # the engine does refresh
     access(store, prompt, 0, 10.0, policy)
@@ -388,9 +387,10 @@ def test_sealed_entries_match_the_oracle_with_fresh_breakers(seed):
             placeholder[slot] = 0
             fresh += 1
         stop = slots[0] if slots else len(tokens)
-        read, write, expected_entries = oracle_access(expected_entries, TokenSeq(real), limit,
-                                                      now, policy)
-        assert access(store, TokenSeq(placeholder), limit, now, policy, stop) == (read, write)
+        read, write, expected_entries = oracle_access(
+            expected_entries, np.array(real, dtype=np.uint64), limit, now, policy)
+        assert access(store, np.array(placeholder, dtype=np.uint64), limit, now, policy,
+                      stop) == (read, write)
         got = store.snapshot()
         assert [(e.created_at, e.last_used_at) for e in got] == [
             (e.created_at, e.last_used_at) for e in expected_entries]

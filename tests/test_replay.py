@@ -10,8 +10,8 @@ import pytest
 
 from cachesim import (DegenerateFitError, LatencyModel, Role,
                       StrategyMode, UsageRecord, VirtualClock, WorkloadSpec,
-                      builtin_policy, calibrate_latency, flat_length, generate,
-                      run_condition)
+                      builtin_policy, calibrate_latency, generate, run_condition)
+from reference import flat_length
 
 QUIET = LatencyModel(base_ms=40.0, per_uncached_token_ms=0.05,
                      per_cached_token_ms=0.005, per_write_token_ms=0.01,
@@ -43,7 +43,7 @@ def test_token_conservation_every_call():
             run = run_condition(transcripts, mode, policy, QUIET)
             for session, transcript in zip(run.sessions, transcripts):
                 for call in session.calls:
-                    msgs = transcript.request_messages(call.request_index)
+                    msgs = transcript.messages[:2 * call.request_index]
                     results = sum(1 for m in msgs if m.role is Role.TOOL_RESULT)
                     expected = flat_length(msgs) + BREAKER_OVERHEAD[mode](results)
                     assert call.usage.prompt_tokens == expected

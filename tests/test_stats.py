@@ -11,10 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cachesim import (Comparison, ConditionSamples, ConfigError,
-                      UndefinedBaselineError, compare,
-                      regularized_incomplete_beta, student_t_two_sided_p,
-                      summarize_experiment, welch_t)
+                      UndefinedBaselineError, compare, summarize_experiment, welch_t)
 from cachesim.config import to_json
+from cachesim.stats import regularized_incomplete_beta, student_t_two_sided_p
 from cachesim.runner import format_report_table
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)

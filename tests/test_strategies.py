@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from cachesim import (CacheMode, CacheStore, Message, Role, StrategyMode,
-                      TokenSeq, WorkloadSpec, access, apply_strategy,
-                      flatten, builtin_policy, generate, ingest, request_prompt,
-                      session_layout, synth_tokens)
-from cachesim.strategies import breaker_token
+                      WorkloadSpec, access, builtin_policy, generate, ingest,
+                      request_prompt, session_layout, synth_tokens)
+from reference import apply_strategy, breaker_token, flatten
 
 
-def common_prefix_len(a: TokenSeq, b: TokenSeq) -> int:
+def common_prefix_len(a: np.ndarray, b: np.ndarray) -> int:
     n = 0
     for x, y in zip(a, b):
         if x != y:
@@ -177,15 +176,16 @@ def test_layout_matches_the_per_request_reference(tmp_path, mode, policy_mode):
     """Every request served from the session layout is a read-only view of
     the template that equals the prompt apply_strategy + flatten build for
     that request alone, except for a placeholder 0 in each breaker slot.
-    Its stop is the first breaker's position (the whole prompt without
-    one), and its limit is the last breakpoint (0 without one) or, for
-    automatic policies, the whole prompt."""
+    Its breaker slots are the layout's slots below its length, its stop is
+    the first of them (the whole prompt without one), and its limit is the
+    last breakpoint (0 without one) or, for automatic policies, the whole
+    prompt."""
     for tr in referee_transcripts(tmp_path):
         layout = session_layout(tr.messages, tr.num_requests, mode)
         template = layout.template.copy()
         assert not layout.template.flags.writeable
         for r in range(1, tr.num_requests + 1):
-            prompt = apply_strategy(tr.request_messages(r), mode, r, tr.session_seed,
+            prompt = apply_strategy(tr.messages[:2 * r], mode, r, tr.session_seed,
                                     policy_mode)
             expected = flatten(prompt)
             slots = []
@@ -194,19 +194,20 @@ def test_layout_matches_the_per_request_reference(tmp_path, mode, policy_mode):
                 if m.role is Role.BREAKER:
                     slots.append(position + 1)
                 position += 1 + len(m.tokens)
-            got, limit, stop = request_prompt(layout, r, tr.session_seed, policy_mode)
+            got, limit, stop = request_prompt(layout, r, policy_mode)
             assert len(got) == len(expected)
             outside = np.ones(len(expected), dtype=bool)
             outside[slots] = False
-            assert np.array_equal(got.ids[outside], expected.ids[outside])
-            assert not got.ids[slots].any()
+            assert np.array_equal(got[outside], expected[outside])
+            assert not got[slots].any()
+            assert [slot for slot in layout.slots if slot < len(got)] == slots
             assert stop == (slots[0] if slots else len(expected))
             if policy_mode is CacheMode.EXPLICIT_BREAKPOINTS:
                 assert limit == (prompt.breakpoints[-1] if prompt.breakpoints else 0)
             else:
                 assert limit == len(expected)
-            assert not got.ids.flags.writeable
-            assert np.shares_memory(got.ids, layout.template)
+            assert not got.flags.writeable
+            assert np.shares_memory(got, layout.template)
         assert np.array_equal(layout.template, template)
 
 
@@ -233,4 +234,4 @@ def test_layout_request_bounds():
     layout = session_layout(msgs, 3, StrategyMode.NO_CACHE)
     for r in (0, 4):
         with pytest.raises(IndexError):
-            request_prompt(layout, r, 7, CacheMode.AUTOMATIC)
+            request_prompt(layout, r, CacheMode.AUTOMATIC)

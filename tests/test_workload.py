@@ -7,9 +7,11 @@ import math
 
 import pytest
 
+import numpy as np
+
 from cachesim import (Role, TranscriptParseError, TranscriptValidationError,
-                      WorkloadSpec, export_transcripts, flat_length, flatten,
-                      generate, ingest)
+                      WorkloadSpec, export_transcripts, generate, ingest)
+from reference import flat_length, flatten
 
 
 def small_spec(**overrides) -> WorkloadSpec:
@@ -39,7 +41,7 @@ def test_zero_tool_calls_is_one_request():
 def test_three_tool_calls_make_four_requests():
     transcript = generate(small_spec(tool_calls=3))[0]
     assert transcript.num_requests == 4
-    last_input = transcript.request_messages(4)
+    last_input = transcript.messages[:8]
     assert sum(1 for m in last_input if m.role is Role.TOOL_RESULT) == 3
 
 
@@ -53,13 +55,13 @@ def test_main_study_shape():
 def test_request_prefix_growth():
     transcript = generate(small_spec())[0]
     for r in range(1, transcript.num_requests):
-        shorter = transcript.request_messages(r)
-        longer = transcript.request_messages(r + 1)
+        shorter = transcript.messages[:2 * r]
+        longer = transcript.messages[:2 * (r + 1)]
         assert longer[:len(shorter)] == shorter
         assert len(longer) > len(shorter)
         flat_short = flatten(list(shorter))
         flat_long = flatten(list(longer))
-        assert flat_long[:len(flat_short)] == flat_short
+        assert np.array_equal(flat_long[:len(flat_short)], flat_short)
 
 
 def test_closed_form_token_count():
@@ -67,7 +69,7 @@ def test_closed_form_token_count():
     transcript = generate(spec)[0]
     turn = spec.reasoning_tokens_per_turn + spec.tool_call_tokens + spec.tool_result_tokens
     for r in range(1, transcript.num_requests + 1):
-        msgs = transcript.request_messages(r)
+        msgs = transcript.messages[:2 * r]
         expected = (spec.system_prompt_tokens + spec.question_tokens
                     + (r - 1) * turn + len(msgs))
         assert flat_length(msgs) == expected
@@ -82,8 +84,8 @@ def test_output_tokens_come_from_spec():
 
 def test_shared_system_unique_questions():
     transcripts = generate(small_spec(sessions=6))
-    systems = {t.messages[0].tokens for t in transcripts}
-    questions = {t.messages[1].tokens for t in transcripts}
+    systems = {t.messages[0].tokens.tobytes() for t in transcripts}
+    questions = {t.messages[1].tokens.tobytes() for t in transcripts}
     assert len(systems) == 1
     assert len(questions) == 6
 
@@ -99,7 +101,7 @@ def test_generate_is_deterministic():
     assert generate(small_spec()) == generate(small_spec())
     a = generate(small_spec(seed=1))[0]
     b = generate(small_spec(seed=2))[0]
-    assert a.messages[0].tokens != b.messages[0].tokens
+    assert a.messages[0] != b.messages[0]
 
 
 def test_round_trip_through_jsonl(tmp_path):
