@@ -8,14 +8,13 @@ parameterized latency model.
 """
 
 from .config import AblationGrid, ExperimentConfig, load_config
-from .engine import CacheEntry, CacheStore, access
-from .errors import (ConfigError, DegenerateFitError, TranscriptParseError,
-                     TranscriptValidationError, UndefinedBaselineError)
+from .engine import CacheStore, access
+from .errors import (ConfigError, TranscriptParseError, TranscriptValidationError,
+                     UndefinedBaselineError)
 from .policies import (CacheMode, PriceSchedule, ProviderPolicy, UsageRecord,
                        builtin_policies, builtin_policy, policy_from_dict,
-                       price_call, price_storage)
-from .replay import (CalibrationResult, CallResult, ConditionRun, LatencyModel,
-                     SessionResult, VirtualClock, calibrate_latency,
+                       price_call)
+from .replay import (CallResult, ConditionRun, LatencyModel, SessionResult,
                      replay_call, run_condition)
 from .runner import run_ablation, run_experiment, verify_run
 from .seeding import derive_seed
@@ -29,18 +28,15 @@ from .workload import (SessionTranscript, WorkloadSpec, export_transcripts,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AblationGrid", "CacheEntry", "CacheMode", "CacheStore",
-    "CalibrationResult", "CallResult", "Comparison", "ConditionRun",
-    "ConditionSamples", "ConfigError", "DegenerateFitError", "ExperimentConfig",
+    "AblationGrid", "CacheMode", "CacheStore", "CallResult", "Comparison",
+    "ConditionRun", "ConditionSamples", "ConfigError", "ExperimentConfig",
     "ExperimentReport", "LatencyModel", "Message", "PriceSchedule",
     "ProviderPolicy", "Role", "SessionResult", "SessionTranscript",
     "StrategyMode", "TTestResult", "TranscriptParseError",
     "TranscriptValidationError", "UndefinedBaselineError", "UsageRecord",
-    "VirtualClock", "WorkloadSpec", "access", "builtin_policies",
-    "builtin_policy", "calibrate_latency", "compare", "derive_seed",
-    "export_transcripts", "generate", "ingest", "load_config",
-    "policy_from_dict", "price_call", "price_storage", "replay_call",
-    "request_prompt", "run_ablation", "run_condition", "run_experiment",
-    "session_layout", "summarize_experiment", "synth_tokens", "verify_run",
-    "welch_t",
+    "WorkloadSpec", "access", "builtin_policies", "builtin_policy", "compare",
+    "derive_seed", "export_transcripts", "generate", "ingest", "load_config",
+    "policy_from_dict", "price_call", "replay_call", "request_prompt",
+    "run_ablation", "run_condition", "run_experiment", "session_layout",
+    "summarize_experiment", "synth_tokens", "verify_run", "welch_t",
 ]

@@ -24,6 +24,8 @@ are reproducible from the single master value. A ``latency`` key is
 are ignored. No value is coerced: ``policies`` and ``modes`` must be
 lists, ``output_dir`` and ``ttft_aggregation`` strings, and anything
 else is a :class:`~cachesim.errors.ConfigError` naming the field.
+``modes`` must include ``no-cache``, the baseline every report compares
+against, so a config without it fails to load, before anything runs.
 
 :func:`to_json` gives the JSON form of a config, a policy or a report:
 each dataclass maps to its fields, so every echoed object lists the
@@ -97,14 +99,12 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.policies:
             raise ConfigError("config needs at least one policy")
-        if not self.modes:
-            raise ConfigError("config needs at least one mode")
         names = [p.name for p in self.policies]
         if len(set(names)) != len(names):
             raise ConfigError("policy names must be unique")
         if len(self.modes) != len(set(self.modes)):
             raise ConfigError("modes must be unique")
-        if len(self.modes) > 1 and StrategyMode.NO_CACHE not in self.modes:
+        if StrategyMode.NO_CACHE not in self.modes:
             raise ConfigError(
                 "baseline-relative reports need the no-cache mode in the mode list")
         if not is_finite_number(self.alpha) or not 0.0 < self.alpha < 1.0:

@@ -22,9 +22,5 @@ class TranscriptValidationError(ValueError):
     """Raised when a parsed transcript violates session invariants."""
 
 
-class DegenerateFitError(ValueError):
-    """Raised when a latency calibration has too few or degenerate observations."""
-
-
 class UndefinedBaselineError(ValueError):
     """Raised when an improvement is requested against a zero-mean baseline."""

@@ -13,9 +13,10 @@ simulator, priced in USD per million tokens:
 | gemini-2.5-pro    | 1.25  | 10.00  | 0.125       | ---         | 4096       |
 
 gemini-2.5-pro switches to 2.50 / 15.00 / 0.250 for calls whose prompt
-exceeds 200K tokens, and additionally charges $4.50 per million tokens
-per hour of cache storage, exposed separately via :func:`price_storage`
-and excluded from per-call totals.
+exceeds 200K tokens. It also lists $4.50 per million tokens per hour of
+cache storage (``storage_per_mtok_hour``); the policy table shows that
+rate, but no simulated cost includes it, since storage is billed per
+hour held, not per call.
 
 Defaults that providers do not publish precisely (block granularity,
 TTL, TTL refresh on read) are documented assumptions: granularity 128
@@ -97,10 +98,6 @@ class UsageRecord:
         for name in ("uncached_input", "cached_read", "cache_write", "output"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-
-    @property
-    def prompt_tokens(self) -> int:
-        return self.uncached_input + self.cached_read
 
 
 @dataclass(frozen=True)
@@ -208,16 +205,6 @@ def price_call(usage: UsageRecord, policy: ProviderPolicy,
              + usage.cache_write * write_rate
              + usage.output * out_rate)
     return total / 1e6
-
-
-def price_storage(cached_tokens: int, hours: float, policy: ProviderPolicy) -> float:
-    """Cache storage cost in USD; zero for policies without a storage rate."""
-    if cached_tokens < 0 or hours < 0:
-        raise ValueError("cached_tokens and hours must be non-negative")
-    rate = policy.prices.storage_per_mtok_hour
-    if rate is None:
-        return 0.0
-    return cached_tokens * hours * rate / 1e6
 
 
 # --- JSON schema -------------------------------------------------------------

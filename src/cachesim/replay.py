@@ -1,4 +1,4 @@
-"""Session replay: strategy + cache + pricing under a virtual clock.
+"""Session replay: strategy + cache + pricing in simulated time.
 
 Each session is flattened once per condition into a
 :class:`~cachesim.strategies.SessionLayout`. Each simulated API call
@@ -16,10 +16,14 @@ Token conservation holds on every call: uncached + cached reads equals
 the flattened prompt length. Under opportunistic segments, the segments
 between a prompt's breakers are cut at the layout's breaker slots.
 
-A condition run owns one fresh store and one clock. Warmup sessions are
-replayed first against the same store to prime it; their results are
-excluded from evaluation and their cache writes are reported in a
-separate ledger.
+A condition run owns one fresh store and its own simulated time in
+seconds. It starts at 0, and each call advances it by the gap between
+its transcript's timestamps to the next request (to the final message
+after the last call), so each session starts where the one before it
+ended; the store rejects a time that is not finite or goes back. Warmup
+sessions are replayed first against the same store to prime it; their
+results are excluded from evaluation and their cache writes are
+reported in a separate ledger.
 
 ``tests/reference.py`` restates a whole condition one request at a time,
 with real breaker ids and a plain-list cache, and the tests compare the
@@ -36,7 +40,6 @@ import numpy as np
 
 from .checks import is_finite_number, is_int
 from .engine import CacheStore, access
-from .errors import DegenerateFitError
 from .policies import ProviderPolicy, UsageRecord, price_call
 from .seeding import derive_seed
 from .strategies import SessionLayout, StrategyMode, request_prompt, session_layout
@@ -75,20 +78,6 @@ class LatencyModel:
                 + self.per_uncached_token_ms * usage.uncached_input
                 + self.per_cached_token_ms * usage.cached_read
                 + self.per_write_token_ms * usage.cache_write)
-
-
-@dataclass
-class VirtualClock:
-    """Monotonically non-decreasing simulated time in seconds."""
-
-    now_s: float = 0.0
-
-    def advance(self, dt: float) -> None:
-        if not math.isfinite(dt):
-            raise ValueError(f"clock step must be finite, got {dt}")
-        if dt < 0:
-            raise ValueError("clock cannot move backwards")
-        self.now_s += dt
 
 
 @dataclass(frozen=True)
@@ -186,21 +175,18 @@ class _SegmentMemo:
 
 
 def replay_call(layout: SessionLayout, request_index: int,
-                policy: ProviderPolicy, store: CacheStore, clock: VirtualClock,
+                policy: ProviderPolicy, store: CacheStore, now_s: float,
                 latency_model: LatencyModel, output_tokens: int, *,
                 session_seed: int, noise: np.random.Generator,
-                advance_s: float = 0.0,
                 segment_memo: _SegmentMemo | None = None) -> CallResult:
-    """Simulate one API call of a session laid out by
-    :func:`~cachesim.strategies.session_layout` and advance the clock by
-    ``advance_s`` after it.
+    """Simulate one API call, issued at condition time ``now_s``, of a
+    session laid out by :func:`~cachesim.strategies.session_layout`.
 
     ``session_seed`` does not change the result (breaker ids never reach
     the cache); it identifies the call's session to per-call tracing."""
     flat, limit, stop = request_prompt(layout, request_index, policy.mode)
-    now = clock.now_s
 
-    cached, write = access(store, flat, limit, now, policy, stop)
+    cached, write = access(store, flat, limit, now_s, policy, stop)
     if segment_memo is not None:
         cached += segment_memo.match_and_record(flat, layout.slots, cached,
                                                 policy.granularity_tokens)
@@ -214,31 +200,29 @@ def replay_call(layout: SessionLayout, request_index: int,
     cost = price_call(usage, policy, prompt_total_tokens=len(flat))
     factor = math.exp(latency_model.noise_sigma * noise.standard_normal())
     ttft = latency_model.mean_ttft_ms(usage) * factor
-    result = CallResult(request_index=request_index, usage=usage,
-                        cost_usd=cost, ttft_ms=ttft, time_s=now)
-    clock.advance(advance_s)
-    return result
+    return CallResult(request_index=request_index, usage=usage,
+                      cost_usd=cost, ttft_ms=ttft, time_s=now_s)
 
 
 def _replay_session(transcript: SessionTranscript, mode: StrategyMode,
-                    policy: ProviderPolicy, store: CacheStore, clock: VirtualClock,
+                    policy: ProviderPolicy, store: CacheStore, now_s: float,
                     latency_model: LatencyModel, noise: np.random.Generator,
-                    memo: _SegmentMemo | None) -> SessionResult:
+                    memo: _SegmentMemo | None) -> tuple[SessionResult, float]:
+    """Replay one session from condition time ``now_s``; returns its result
+    and the condition time of its last message, where the next session
+    starts."""
     calls = []
     n = transcript.num_requests
     layout = session_layout(transcript.messages, n, mode)
     for r in range(1, n + 1):
-        if r < n:
-            gap = transcript.request_time(r + 1) - transcript.request_time(r)
-        else:
-            gap = transcript.duration_s - transcript.request_time(n)
         calls.append(replay_call(
-            layout, r, policy, store, clock,
+            layout, r, policy, store, now_s,
             latency_model, transcript.output_tokens(r),
-            session_seed=transcript.session_seed, noise=noise,
-            advance_s=gap, segment_memo=memo,
+            session_seed=transcript.session_seed, noise=noise, segment_memo=memo,
         ))
-    return SessionResult(session_id=transcript.session_id, calls=tuple(calls))
+        end = transcript.request_time(r + 1) if r < n else transcript.timestamps[-1]
+        now_s += end - transcript.request_time(r)
+    return SessionResult(session_id=transcript.session_id, calls=tuple(calls)), now_s
 
 
 def run_condition(transcripts: Sequence[SessionTranscript], mode: StrategyMode,
@@ -246,11 +230,12 @@ def run_condition(transcripts: Sequence[SessionTranscript], mode: StrategyMode,
                   warmup_sessions: int = 0) -> ConditionRun:
     """Replay all transcripts under one (policy, mode) condition.
 
-    A fresh store and clock are used, so conditions never contaminate
-    each other. The first ``warmup_sessions`` transcripts prime the
-    cache; the rest are the evaluation set. The condition's noise
-    stream is derived from (latency seed, policy, mode), so conditions
-    stay independent no matter how many run or in what order.
+    A fresh store is used and condition time starts at 0 s, so conditions
+    never contaminate each other. The first ``warmup_sessions``
+    transcripts prime the cache; the rest are the evaluation set. The
+    condition's noise stream is derived from (latency seed, policy,
+    mode), so conditions stay independent no matter how many run or in
+    what order.
     """
     if warmup_sessions < 0:
         raise ValueError("warmup_sessions must be >= 0")
@@ -259,67 +244,26 @@ def run_condition(transcripts: Sequence[SessionTranscript], mode: StrategyMode,
             f"warmup_sessions={warmup_sessions} leaves no evaluation sessions "
             f"out of {len(transcripts)} transcripts")
     store = CacheStore()
-    clock = VirtualClock()
     memo = _SegmentMemo() if policy.opportunistic_segments else None
     noise = np.random.Generator(np.random.PCG64(
         derive_seed(latency_model.seed, "noise", policy.name, mode.value)))
 
+    now_s = 0.0
     warmup_writes = 0
     warmup_cost = 0.0
     for transcript in transcripts[:warmup_sessions]:
-        result = _replay_session(transcript, mode, policy, store, clock,
-                                 latency_model, noise, memo)
+        result, now_s = _replay_session(transcript, mode, policy, store, now_s,
+                                        latency_model, noise, memo)
         warmup_writes += result.total_cache_write
         warmup_cost += result.total_cost_usd
 
-    sessions = tuple(
-        _replay_session(transcript, mode, policy, store, clock,
-                        latency_model, noise, memo)
-        for transcript in transcripts[warmup_sessions:])
+    sessions = []
+    for transcript in transcripts[warmup_sessions:]:
+        result, now_s = _replay_session(transcript, mode, policy, store, now_s,
+                                        latency_model, noise, memo)
+        sessions.append(result)
     return ConditionRun(
-        policy_name=policy.name, mode=mode, sessions=sessions,
+        policy_name=policy.name, mode=mode, sessions=tuple(sessions),
         warmup=WarmupLedger(policy.name, mode.value, warmup_sessions,
                             warmup_writes, warmup_cost),
     )
-
-
-@dataclass(frozen=True)
-class CalibrationResult:
-    model: LatencyModel
-    rmse_ms: float
-
-
-def calibrate_latency(observed: Sequence[tuple[UsageRecord, float]],
-                      seed: int = 0) -> CalibrationResult:
-    """Least-squares fit of the latency model to observed (usage, ttft) pairs.
-
-    Needs at least four observations whose usage shapes span the model's
-    four coefficients; otherwise raises :class:`DegenerateFitError`. The
-    noise sigma is estimated from log-space residuals.
-    """
-    if len(observed) < 4:
-        raise DegenerateFitError(
-            f"need at least 4 observations, got {len(observed)}")
-    design = np.array([
-        [1.0, u.uncached_input, u.cached_read, u.cache_write]
-        for u, _ in observed])
-    target = np.array([t for _, t in observed], dtype=float)
-    coeffs, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    if rank < 4:
-        raise DegenerateFitError(
-            "observations do not span distinct usage shapes (rank-deficient fit)")
-    predicted = design @ coeffs
-    rmse = float(np.sqrt(np.mean((predicted - target) ** 2)))
-    if np.any(predicted <= 0) or np.any(target <= 0):
-        sigma = 0.0
-    else:
-        sigma = float(np.std(np.log(target) - np.log(predicted)))
-    model = LatencyModel(
-        base_ms=float(coeffs[0]),
-        per_uncached_token_ms=float(coeffs[1]),
-        per_cached_token_ms=float(coeffs[2]),
-        per_write_token_ms=float(coeffs[3]),
-        noise_sigma=sigma,
-        seed=seed,
-    )
-    return CalibrationResult(model=model, rmse_ms=rmse)

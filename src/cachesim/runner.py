@@ -1,11 +1,16 @@
 """Experiment orchestration and report files.
 
 Runs every (policy x mode) condition of a config in turn (each owns its
-store, clock, and noise stream, so they do not interact) and writes:
+store, simulated time and noise stream, so they do not interact) and
+writes:
 
 * ``per_call.csv``  - one row per evaluated API call
 * ``per_session.csv`` - one row per evaluated session
 * ``summary.json``  - config echo, warmup ledger, comparison report
+
+An ablation writes these three files for each grid value, into
+``<dimension>-<value>/``, through the same :func:`run_experiment`, plus
+one ``ablation.csv`` of session medians across the grid.
 
 Rows are sorted by condition key, so outputs are byte-identical across
 reruns. Every summary value can be recomputed from ``per_call.csv``
@@ -195,28 +200,16 @@ def _ablation_config(config: ExperimentConfig, grid: AblationGrid,
 def run_ablation(config: ExperimentConfig, grid: AblationGrid, *,
                  out_dir: str | Path | None = None,
                  quiet: bool = False) -> AblationResult:
-    """Sweep one workload dimension; one summary per grid value plus a long CSV."""
+    """Sweep one workload dimension: a full :func:`run_experiment` run in
+    ``<dimension>-<value>/`` per grid value, plus a long ``ablation.csv``
+    of per-condition session medians."""
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     rows: list[AblationRow] = []
     for value in grid.values:
-        cfg = _ablation_config(config, grid, value)
-        runs = _execute_matrix(cfg)
-        report = _report(cfg, runs)
-
-        value_dir = out / f"{grid.dimension}-{value}"
-        value_dir.mkdir(parents=True, exist_ok=True)
-        with open(value_dir / "summary.json", "w", encoding="utf-8") as fh:
-            json.dump({
-                "dimension": grid.dimension,
-                "value": value,
-                "config": to_json(cfg),
-                "warmup": to_json([run.warmup for run in runs]),
-                "report": to_json(report),
-            }, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
+        runs = run_experiment(_ablation_config(config, grid, value),
+                              out_dir=out / f"{grid.dimension}-{value}", quiet=True).runs
         medians = {
             (run.policy_name, run.mode.value): (
                 statistics.median(s.total_cost_usd for s in run.sessions),
@@ -226,10 +219,10 @@ def run_ablation(config: ExperimentConfig, grid: AblationGrid, *,
         }
         for run in runs:
             med_cost, med_ttft = medians[(run.policy_name, run.mode.value)]
-            baseline = medians.get((run.policy_name, BASELINE_MODE))
-            if baseline is None or run.mode is StrategyMode.NO_CACHE:
+            if run.mode is StrategyMode.NO_CACHE:
                 savings = improvement = None
             else:
+                baseline = medians[(run.policy_name, BASELINE_MODE)]
                 savings = 100.0 * (1.0 - med_cost / baseline[0])
                 improvement = 100.0 * (1.0 - med_ttft / baseline[1])
             rows.append(AblationRow(

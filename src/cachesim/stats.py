@@ -1,15 +1,15 @@
 """Comparison statistics: t-tests, improvements, experiment summaries.
 
-Two-sample comparisons default to Welch's unequal-variance t-test,
+Two-sample comparisons use Welch's unequal-variance t-test,
 
     t = (mean_a - mean_b) / sqrt(s2_a/n_a + s2_b/n_b)
 
-with Welch-Satterthwaite degrees of freedom; a pooled-variance variant
-is available for exact replication against tools that assume equal
-variances. Two-sided p-values come from the Student-t CDF evaluated
-through the regularized incomplete beta function, computed here with
-the standard continued-fraction expansion (modified Lentz), accurate to
-well under 1e-10 absolute.
+with Welch-Satterthwaite degrees of freedom, since nothing makes a
+cached condition and its no-cache baseline share a variance. Two-sided
+p-values come from the Student-t CDF evaluated through the regularized
+incomplete beta function, computed here with the standard
+continued-fraction expansion (modified Lentz), accurate to well under
+1e-10 absolute.
 
 Degenerate inputs follow fixed rules: two zero-variance samples with
 equal means give t = 0, p = 1; with unequal means the difference is
@@ -137,8 +137,8 @@ def _validate_sample(values: Sequence[float], label: str) -> None:
         raise ValueError(f"{label} contains non-finite values")
 
 
-def welch_t(a: Sequence[float], b: Sequence[float], *, pooled: bool = False) -> TTestResult:
-    """Independent two-sample t-test; Welch by default, pooled on request."""
+def welch_t(a: Sequence[float], b: Sequence[float]) -> TTestResult:
+    """Welch's independent two-sample t-test."""
     _validate_sample(a, "sample a")
     _validate_sample(b, "sample b")
     na, nb = len(a), len(b)
@@ -153,18 +153,13 @@ def welch_t(a: Sequence[float], b: Sequence[float], *, pooled: bool = False) -> 
         return TTestResult(t=t, dof=float(na + nb - 2), p_value=0.0,
                            zero_variance=True)
 
-    if pooled:
-        pooled_var = ((na - 1) * va + (nb - 1) * vb) / (na + nb - 2)
-        se = math.sqrt(pooled_var * (1.0 / na + 1.0 / nb))
-        dof = float(na + nb - 2)
-    else:
-        qa, qb = va / na, vb / nb
-        se = math.sqrt(qa + qb)
-        # Welch-Satterthwaite, normalized by the larger term so the ratio
-        # arithmetic cannot underflow for denormal-scale variances.
-        qmax = max(qa, qb)
-        ra, rb = qa / qmax, qb / qmax
-        dof = (ra + rb) ** 2 / (ra ** 2 / (na - 1) + rb ** 2 / (nb - 1))
+    qa, qb = va / na, vb / nb
+    se = math.sqrt(qa + qb)
+    # Welch-Satterthwaite, normalized by the larger term so the ratio
+    # arithmetic cannot underflow for denormal-scale variances.
+    qmax = max(qa, qb)
+    ra, rb = qa / qmax, qb / qmax
+    dof = (ra + rb) ** 2 / (ra ** 2 / (na - 1) + rb ** 2 / (nb - 1))
     t = (ma - mb) / se
     return TTestResult(t=t, dof=dof, p_value=student_t_two_sided_p(t, dof))
 

@@ -78,7 +78,10 @@ class WorkloadSpec:
 
 @dataclass(frozen=True)
 class SessionTranscript:
-    """One session's ordered messages with per-message virtual timestamps.
+    """One session's ordered messages with per-message timestamps in seconds.
+
+    Replay reads only the differences between timestamps, so a session's
+    first timestamp may be any finite time (ingest rebases it to 0).
 
     Message layout: system, question, then (assistant turn, tool result)
     pairs, then the final answer. ``session_seed`` would derive the
@@ -132,13 +135,9 @@ class SessionTranscript:
         return len(self.messages[2 * request_index].tokens)
 
     def request_time(self, request_index: int) -> float:
-        """Session-relative issue time: timestamp of the newest input message."""
+        """Issue time: the timestamp of the newest input message."""
         self._check_request(request_index)
         return self.timestamps[2 * request_index - 1]
-
-    @property
-    def duration_s(self) -> float:
-        return self.timestamps[-1] - self.timestamps[0]
 
     def _check_request(self, request_index: int) -> None:
         if not 1 <= request_index <= self.num_requests:

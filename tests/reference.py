@@ -27,9 +27,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from cachesim import (CacheEntry, CacheMode, CallResult, ConditionRun, LatencyModel,
+from cachesim import (CacheMode, CallResult, ConditionRun, LatencyModel,
                       Message, ProviderPolicy, Role, SessionResult, SessionTranscript,
                       StrategyMode, UsageRecord, derive_seed, price_call)
+from cachesim.engine import CacheEntry
 from cachesim.replay import WarmupLedger
 from cachesim.strategies import _check_messages
 from cachesim.tokens import RESERVED_TOKEN_FLOOR, ROLE_TAG_IDS
@@ -254,7 +255,7 @@ def reference_condition(transcripts: Sequence[SessionTranscript], mode: Strategy
                 latency.noise_sigma * noise.standard_normal())
             calls.append(CallResult(request_index=r, usage=usage, cost_usd=cost,
                                     ttft_ms=ttft, time_s=now))
-            end = tr.request_time(r + 1) if r < n else tr.duration_s
+            end = tr.request_time(r + 1) if r < n else tr.timestamps[-1]
             now += end - tr.request_time(r)
         sessions.append(SessionResult(session_id=tr.session_id, calls=tuple(calls)))
 

@@ -206,7 +206,7 @@ def test_acceptance_4_asymptotic_savings():
     rate = g52.prices
     with_cache = (last.uncached_input * rate.input_per_mtok
                   + last.cached_read * rate.cached_read_per_mtok)
-    without = last.prompt_tokens * rate.input_per_mtok
+    without = (last.uncached_input + last.cached_read) * rate.input_per_mtok
     steady_pct = 100.0 * (1.0 - with_cache / without)
     assert 85.0 <= steady_pct <= 95.0, f"steady-state saving {steady_pct:.2f}%"
 

@@ -6,10 +6,14 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cachesim
 from cachesim import load_config, verify_run
 from cachesim.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from cachesim.config import AblationGrid, config_from_dict, to_json
@@ -186,8 +190,11 @@ def test_ablate_writes_grid_outputs(tmp_path):
         rows = list(csv.DictReader(fh))
     # 2 values x 2 policies x 3 modes
     assert len(rows) == 12
-    assert (out / "prompt-size-1500" / "summary.json").exists()
-    assert (out / "prompt-size-3000" / "summary.json").exists()
+    for value in ("1500", "3000"):
+        value_dir = out / f"prompt-size-{value}"
+        assert main(["verify", str(value_dir)]) == EXIT_OK
+        summary = json.loads((value_dir / "summary.json").read_text())
+        assert summary["config"]["workload"]["system_prompt_tokens"] == int(value)
     savings = [float(r["cost_savings_pct"]) for r in rows
                if r["policy"] == "gpt-4o" and r["mode"] == "system-prompt"]
     assert savings == sorted(savings)
@@ -222,8 +229,10 @@ def test_invalid_config_exits_one(tmp_path, capsys):
 
 
 def test_missing_baseline_mode_exits_one(tmp_path):
-    cfg = tiny_config(tmp_path, modes=["system-prompt", "full-context"])
-    assert main(["simulate", cfg]) == EXIT_VALIDATION
+    for modes in (["system-prompt", "full-context"], ["full-context"]):
+        cfg = tiny_config(tmp_path, modes=modes)
+        assert main(["simulate", cfg]) == EXIT_VALIDATION
+        assert not (tmp_path / "out").exists()
 
 
 def test_output_path_collision_exits_two(tmp_path):
@@ -348,3 +357,17 @@ def test_latency_key_naming_no_policy_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'gpt4o'" in err
     assert "Traceback" not in err
+
+
+def test_import_needs_only_numpy():
+    """numpy is the one runtime dependency: importing cachesim in a fresh
+    interpreter loads no other top-level module outside the standard library."""
+    src = str(Path(cachesim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import sys; before = set(sys.modules); import cachesim; "
+            "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.split() == ["cachesim", "numpy"]

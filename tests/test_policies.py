@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cachesim import (CacheMode, PriceSchedule, ProviderPolicy, UsageRecord,
                       builtin_policies, builtin_policy, policy_from_dict,
-                      price_call, price_storage)
+                      price_call)
 from cachesim.config import to_json
 
 
@@ -153,21 +153,6 @@ class TestPriceCall:
     def test_matches_exact_arithmetic(self, u, r, w, o, total):
         for policy in builtin_policies():
             assert_exact(UsageRecord(u, r, w, o), policy, total)
-
-
-class TestPriceStorage:
-    def test_one_mtok_hour(self):
-        assert price_storage(1_000_000, 1.0, builtin_policy("gemini-2.5-pro")) == pytest.approx(4.50, rel=1e-12)
-
-    def test_zero_tokens(self):
-        assert price_storage(0, 5.0, builtin_policy("gemini-2.5-pro")) == 0.0
-
-    def test_policy_without_storage_rate(self):
-        assert price_storage(1_000_000, 1.0, builtin_policy("gpt-4o")) == 0.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            price_storage(-1, 1.0, builtin_policy("gemini-2.5-pro"))
 
 
 def test_schedule_validation():

@@ -113,5 +113,6 @@ def test_reference_replay_in_the_gemini_long_context_tier():
         got = run_condition(transcripts, mode, policy, latency, 1)
         _assert_same_run(got, reference_condition(transcripts, mode, policy, latency, 1))
         calls = got.sessions[0].calls
-        assert calls[-1].usage.prompt_tokens > policy.prices.tier_boundary_tokens
+        last = calls[-1].usage
+        assert last.uncached_input + last.cached_read > policy.prices.tier_boundary_tokens
         assert sum(c.usage.cached_read for c in calls) > 0

@@ -8,10 +8,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cachesim import (DegenerateFitError, LatencyModel, Role,
-                      StrategyMode, UsageRecord, VirtualClock, WorkloadSpec,
-                      builtin_policy, calibrate_latency, generate, run_condition)
-from reference import flat_length
+from cachesim import (CacheStore, LatencyModel, Role, StrategyMode, WorkloadSpec,
+                      builtin_policy, generate, replay_call, run_condition,
+                      session_layout)
+from reference import flat_length, reference_condition
 
 QUIET = LatencyModel(base_ms=40.0, per_uncached_token_ms=0.05,
                      per_cached_token_ms=0.005, per_write_token_ms=0.01,
@@ -46,7 +46,7 @@ def test_token_conservation_every_call():
                     msgs = transcript.messages[:2 * call.request_index]
                     results = sum(1 for m in msgs if m.role is Role.TOOL_RESULT)
                     expected = flat_length(msgs) + BREAKER_OVERHEAD[mode](results)
-                    assert call.usage.prompt_tokens == expected
+                    assert call.usage.uncached_input + call.usage.cached_read == expected
                     assert call.usage.cache_write <= expected
 
 
@@ -94,6 +94,19 @@ def test_virtual_times_follow_the_gap():
     assert [c.time_s for c in first.calls] == [0.0, 5.0, 10.0, 15.0]
     # next session starts after the final answer's slot
     assert run.sessions[1].calls[0].time_s == 20.0
+
+
+def test_shifted_timestamps_replay_the_same():
+    """Replay reads only differences between a session's timestamps, so a
+    transcript whose timestamps start at 100 s replays like one from 0 s."""
+    transcripts = generate(small_spec(sessions=3))
+    shifted = [replace(t, timestamps=tuple(x + 100.0 for x in t.timestamps))
+               for t in transcripts]
+    policy = builtin_policy("claude-sonnet-4.5")
+    for mode in (StrategyMode.FULL_CONTEXT, StrategyMode.SYSTEM_PROMPT):
+        run = run_condition(transcripts, mode, policy, QUIET, warmup_sessions=1)
+        assert run_condition(shifted, mode, policy, QUIET, warmup_sessions=1) == run
+        assert reference_condition(shifted, mode, policy, QUIET, 1) == run
 
 
 def test_cost_ordering_cached_mode_never_beats_baseline():
@@ -201,47 +214,29 @@ class TestLatencyModel:
             LatencyModel(per_uncached_token_ms=0.01, per_cached_token_ms=0.01)
 
     def test_clock_rejects_backwards_motion(self):
-        clock = VirtualClock()
-        clock.advance(5.0)
-        with pytest.raises(ValueError):
-            clock.advance(-1.0)
-        assert clock.now_s == 5.0
+        """The store keeps replay time: a call issued before the store's
+        last access is rejected, and the store's time stays put."""
+        transcript = generate(small_spec(sessions=1))[0]
+        layout = session_layout(transcript.messages, transcript.num_requests,
+                                StrategyMode.FULL_CONTEXT)
+        store = CacheStore()
 
-    @pytest.mark.parametrize("dt", [math.nan, math.inf])
-    def test_clock_rejects_non_finite_steps(self, dt):
-        clock = VirtualClock()
-        clock.advance(5.0)
-        with pytest.raises(ValueError):
-            clock.advance(dt)
-        assert clock.now_s == 5.0
+        def call(request_index, now_s):
+            return replay_call(layout, request_index, builtin_policy("gpt-4o"), store,
+                               now_s, QUIET, 1, session_seed=0,
+                               noise=np.random.default_rng(0))
 
+        call(1, 5.0)
+        with pytest.raises(ValueError, match="never go back"):
+            call(2, 4.0)
+        assert call(2, 5.0).time_s == 5.0
 
-class TestCalibration:
-    def test_recovers_known_coefficients(self):
-        true = LatencyModel(base_ms=120.0, per_uncached_token_ms=0.04,
-                            per_cached_token_ms=0.003, per_write_token_ms=0.02,
-                            noise_sigma=0.0, seed=0)
-        rng = np.random.default_rng(5)
-        observed = []
-        for _ in range(12):
-            u = UsageRecord(int(rng.integers(100, 40_000)),
-                            int(rng.integers(0, 30_000)),
-                            int(rng.integers(0, 10_000)), 0)
-            observed.append((u, true.mean_ttft_ms(u)))
-        fit = calibrate_latency(observed)
-        assert fit.rmse_ms < 1e-6
-        assert fit.model.base_ms == pytest.approx(true.base_ms, rel=1e-9)
-        assert fit.model.per_uncached_token_ms == pytest.approx(0.04, rel=1e-9)
-        assert fit.model.per_cached_token_ms == pytest.approx(0.003, rel=1e-9)
-        assert fit.model.per_write_token_ms == pytest.approx(0.02, rel=1e-9)
-        assert fit.model.noise_sigma == pytest.approx(0.0, abs=1e-9)
-
-    def test_three_observations_is_degenerate(self):
-        u = UsageRecord(10, 0, 0, 0)
-        with pytest.raises(DegenerateFitError):
-            calibrate_latency([(u, 1.0)] * 3)
-
-    def test_identical_rows_are_degenerate(self):
-        u = UsageRecord(10, 5, 2, 0)
-        with pytest.raises(DegenerateFitError):
-            calibrate_latency([(u, 3.0)] * 8)
+    @pytest.mark.parametrize("stamp", [math.nan, math.inf])
+    def test_clock_rejects_non_finite_steps(self, stamp):
+        """A non-finite final timestamp makes the next session's start time
+        non-finite, and the store rejects it."""
+        first, second = generate(small_spec(sessions=2))
+        broken = replace(first, timestamps=first.timestamps[:-1] + (stamp,))
+        with pytest.raises(ValueError, match="finite"):
+            run_condition([broken, second], StrategyMode.FULL_CONTEXT,
+                          builtin_policy("gpt-4o"), QUIET)

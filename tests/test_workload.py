@@ -94,7 +94,7 @@ def test_request_timing():
     spec = small_spec(inter_call_gap_seconds=2.5)
     transcript = generate(spec)[0]
     assert [transcript.request_time(r) for r in range(1, 5)] == [0.0, 2.5, 5.0, 7.5]
-    assert transcript.duration_s == 10.0
+    assert transcript.timestamps[-1] == 10.0
 
 
 def test_generate_is_deterministic():
