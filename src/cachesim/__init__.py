@@ -20,7 +20,7 @@ from .runner import run_ablation, run_experiment, verify_run
 from .seeding import derive_seed
 from .stats import (Comparison, ConditionSamples, ExperimentReport, TTestResult,
                     compare, summarize_experiment, welch_t)
-from .strategies import StrategyMode, request_prompt, session_layout
+from .strategies import StrategyMode, session_layout
 from .tokens import Message, Role, synth_tokens
 from .workload import (SessionTranscript, WorkloadSpec, export_transcripts,
                        generate, ingest)
@@ -36,7 +36,7 @@ __all__ = [
     "TranscriptValidationError", "UndefinedBaselineError", "UsageRecord",
     "WorkloadSpec", "access", "builtin_policies", "builtin_policy", "compare",
     "derive_seed", "export_transcripts", "generate", "ingest", "load_config",
-    "policy_from_dict", "price_call", "replay_call", "request_prompt",
-    "run_ablation", "run_condition", "run_experiment", "session_layout",
-    "summarize_experiment", "synth_tokens", "verify_run", "welch_t",
+    "policy_from_dict", "price_call", "replay_call", "run_ablation",
+    "run_condition", "run_experiment", "session_layout", "summarize_experiment",
+    "synth_tokens", "verify_run", "welch_t",
 ]

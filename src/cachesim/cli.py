@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .config import AblationGrid, load_config, to_json
+from .config import DEFAULT_GRIDS, AblationGrid, load_config, to_json
 from .errors import ConfigError
 from .policies import builtin_policies
 from .runner import run_ablation, run_experiment, verify_run
@@ -38,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
     abl = sub.add_parser("ablate", help="sweep prompt size or tool count")
     abl.add_argument("config", help="path to the experiment config JSON")
     abl.add_argument("--dimension", required=True,
-                     choices=["prompt-size", "tool-count"])
+                     choices=list(DEFAULT_GRIDS))
     abl.add_argument("--values", nargs="+", type=int, default=None,
                      help="grid values (ascending); defaults to the standard grid")
     _common_flags(abl)

@@ -1,9 +1,11 @@
 """Simulated provider-side prefix cache.
 
-The store holds previously cached token prefixes with creation and
-last-use timestamps under a virtual clock. An entry is live at time
-``t`` while ``t - reference <= ttl``, where the reference is the last
-use for refresh-on-read policies and the creation time otherwise.
+A store is built for one provider policy, whose cache rules (minimum,
+granularity, TTL and refresh-on-read) it applies to every access. It
+holds previously cached token prefixes with creation and last-use
+timestamps in simulated seconds. An entry is live at time ``t`` while
+``t - reference <= ttl``, where the reference is the last use for
+refresh-on-read policies and the creation time otherwise.
 
 Dynamic content is a *breaker*: a fresh token that no earlier prompt
 holds, so no entry can match at or past it. A prompt may therefore carry
@@ -57,8 +59,8 @@ The store keeps its entries in order of their expiry reference: creation
 order, or for a refresh-on-read store, last use (a refresh moves the
 entry to the end, and the clock never goes back). The purge pops from the
 front until it meets a live entry, so it costs O(expired). That order
-holds only while a store keeps one expiry rule, so :func:`access` rejects
-a policy whose ``refresh_on_read`` differs from the store's first one.
+needs one expiry rule per store, which building the store for one policy
+guarantees.
 
 The tests referee the engine with ``oracle_access`` in
 ``tests/reference.py``, which restates the contract as a plain scan over
@@ -114,16 +116,16 @@ class _Node:
 
 
 class CacheStore:
-    """Container for cached prefixes belonging to one (policy, run)."""
+    """Cached prefixes of one run under ``policy``'s cache rules."""
 
-    def __init__(self) -> None:
+    def __init__(self, policy: ProviderPolicy) -> None:
+        self.policy = policy
         # Each entry's insertion rank, which the read tie-break needs, kept
         # in order of the expiry reference, which the purge needs.
         self._entries: OrderedDict[CacheEntry, int] = OrderedDict()
         self._inserted = 0
         self._root = _Node(None, 0, 0)
         self._now = -math.inf
-        self._refresh_on_read: bool | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -166,9 +168,10 @@ class CacheStore:
         path.append(node)
         self._repoint(path, entry)
 
-    def _purge(self, now: float, ttl: float) -> None:
+    def _purge(self, now: float) -> None:
         entries = self._entries
-        refresh = self._refresh_on_read
+        refresh = self.policy.refresh_on_read
+        ttl = self.policy.ttl_seconds
         while entries:
             oldest = next(iter(entries))
             reference = oldest.last_used_at if refresh else oldest.created_at
@@ -178,16 +181,17 @@ class CacheStore:
 
 
 def access(store: CacheStore, prompt: np.ndarray, cacheable_limit: int,
-           now: float, policy: ProviderPolicy, stop: int | None = None) -> tuple[int, int]:
+           now: float, stop: int | None = None) -> tuple[int, int]:
     """One API call against the cache: returns ``(read, write)`` tokens.
 
     Purges expired entries, reads the longest usable cached prefix of
     ``prompt``, a read-only ``uint64`` token array (refreshing the matched
     entry under a refresh-on-read policy), then caches the prefix up to
-    ``cacheable_limit`` and charges only the tokens beyond the read. A limit of 0 makes it a pure read.
-    ``stop`` is the position of the prompt's first breaker (the whole
-    prompt when omitted): no token from it on is read or stored. A store
-    keeps the ``refresh_on_read`` rule of its first access.
+    ``cacheable_limit`` and charges only the tokens beyond the read. A
+    limit of 0 makes it a pure read. ``stop`` is the position of the
+    prompt's first breaker (the whole prompt when omitted): no token from
+    it on is read or stored. ``now`` must be finite and no earlier than
+    the store's last access.
     """
     n = int(prompt.size)
     if stop is None:
@@ -197,20 +201,13 @@ def access(store: CacheStore, prompt: np.ndarray, cacheable_limit: int,
             f"cacheable_limit {cacheable_limit} outside prompt of {n} tokens")
     if stop < 0 or stop > n:
         raise ValueError(f"stop {stop} outside prompt of {n} tokens")
-    if not store._now <= now < math.inf:
+    if not (math.isfinite(now) and store._now <= now):
         raise ValueError(
             f"access at {now} s: the store was last accessed at {store._now} s "
             "and time must stay finite and never go back")
-    refresh = policy.refresh_on_read
-    if store._refresh_on_read is None:
-        store._refresh_on_read = refresh
-    elif store._refresh_on_read is not refresh:
-        raise ValueError(
-            f"policy {policy.name!r} has refresh_on_read={refresh}, but the store "
-            f"expires entries with refresh_on_read={store._refresh_on_read}")
     store._now = now
     if store._entries:
-        store._purge(now, policy.ttl_seconds)
+        store._purge(now)
 
     # Walk the prompt's path: ``node`` is the last node fully matched and
     # ``path`` the nodes above it; ``cut`` is the child whose edge the
@@ -237,11 +234,12 @@ def access(store: CacheStore, prompt: np.ndarray, cacheable_limit: int,
         path.append(node)
         node = child
 
+    policy = store.policy
     g = policy.granularity_tokens
     read = depth // g * g
     if read < policy.min_cache_tokens:
         read = 0
-    elif refresh:
+    elif policy.refresh_on_read:
         hit = (cut or node).rep
         hit.last_used_at = now
         store._entries.move_to_end(hit)

@@ -1,29 +1,34 @@
 """Session replay: strategy + cache + pricing in simulated time.
 
 Each session is flattened once per condition into a
-:class:`~cachesim.strategies.SessionLayout`. Each simulated API call
-takes its request's prompt from that layout (a zero-copy prefix of the
-session's template, with a placeholder in each breaker slot, and the
-position of its first breaker), reads from and writes to the cache store
-in one access, which ends its read and its stored entry at that first
-breaker, prices the resulting usage, and models time-to-first-token as
+:class:`~cachesim.strategies.SessionLayout`, which holds every fact about
+its requests that the strategy decides. Each simulated API call slices
+its request's prompt from that layout (a zero-copy prefix of the
+session's template, with a placeholder in each breaker slot), cuts the
+layout's first breaker slot to the prompt's length and takes the
+layout's explicit breakpoint as its cacheable limit under a
+breakpoint-style policy (the whole prompt otherwise). It then reads from
+and writes to the condition's store in one access, which ends its read
+and its stored entry at that first breaker, prices the resulting usage,
+and models time-to-first-token as
 
     ttft = (base + per_uncached * uncached + per_cached * cached
             + per_write * write) * exp(N(0, sigma))
 
 with the lognormal factor drawn from a seeded per-condition stream.
 Token conservation holds on every call: uncached + cached reads equals
-the flattened prompt length. Under opportunistic segments, the segments
-between a prompt's breakers are cut at the layout's breaker slots.
+the flattened prompt length. Under opportunistic segments, a prompt's
+segments are the layout's breaker-free segments cut at its length.
 
-A condition run owns one fresh store and its own simulated time in
-seconds. It starts at 0, and each call advances it by the gap between
-its transcript's timestamps to the next request (to the final message
-after the last call), so each session starts where the one before it
-ended; the store rejects a time that is not finite or goes back. Warmup
+A condition run owns one fresh store, built for its policy, and its own
+simulated time in seconds. It starts at 0, and each call advances it by
+the gap between its transcript's timestamps to the next request (to the
+final message after the last call), so each session starts where the one
+before it ended; transcripts hold only finite, non-decreasing timestamps,
+and the store rejects a time that is not finite or goes back. Warmup
 sessions are replayed first against the same store to prime it; their
-results are excluded from evaluation and their cache writes are
-reported in a separate ledger.
+results are excluded from evaluation and their cache writes are reported
+in a separate ledger.
 
 ``tests/reference.py`` restates a whole condition one request at a time,
 with real breaker ids and a plain-list cache, and the tests compare the
@@ -40,9 +45,9 @@ import numpy as np
 
 from .checks import is_finite_number, is_int
 from .engine import CacheStore, access
-from .policies import ProviderPolicy, UsageRecord, price_call
+from .policies import CacheMode, ProviderPolicy, UsageRecord, price_call
 from .seeding import derive_seed
-from .strategies import SessionLayout, StrategyMode, request_prompt, session_layout
+from .strategies import SessionLayout, StrategyMode, session_layout
 from .workload import SessionTranscript
 
 
@@ -152,24 +157,24 @@ class _SegmentMemo:
     def __init__(self) -> None:
         self._seen: set[bytes] = set()
 
-    def match_and_record(self, prompt: np.ndarray, slots: Sequence[int],
-                         prefix_end: int, granularity: int) -> int:
-        """Extra cached tokens for ``prompt``, whose breaker slots are the
-        ``slots`` below its length; records its segments."""
+    def match_and_record(self, prompt: np.ndarray, segments: Sequence[tuple[int, int]],
+                         stop: int, prefix_end: int, granularity: int) -> int:
+        """Extra cached tokens for ``prompt``, whose first breaker is at
+        ``stop`` and whose segments are those of ``segments`` that start
+        below its length; records its segments."""
         n = int(prompt.size)
-        if not slots or slots[0] >= n:
+        if stop >= n:
             return 0
         extra = 0
         new_segments = []
-        start = 0
-        for end in [slot - 1 for slot in slots if slot < n] + [n]:
-            # A breaker is its framing token at ``slot - 1`` plus its id.
-            if end > start:
-                data = prompt[start:end].tobytes()
-                if start >= prefix_end and data in self._seen:
-                    extra += (end - start) // granularity * granularity
-                new_segments.append(data)
-            start = end + 2
+        for start, end in segments:
+            if start >= n:
+                break
+            end = min(end, n)
+            data = prompt[start:end].tobytes()
+            if start >= prefix_end and data in self._seen:
+                extra += (end - start) // granularity * granularity
+            new_segments.append(data)
         self._seen.update(new_segments)
         return extra
 
@@ -180,24 +185,32 @@ def replay_call(layout: SessionLayout, request_index: int,
                 session_seed: int, noise: np.random.Generator,
                 segment_memo: _SegmentMemo | None = None) -> CallResult:
     """Simulate one API call, issued at condition time ``now_s``, of a
-    session laid out by :func:`~cachesim.strategies.session_layout`.
+    session laid out by :func:`~cachesim.strategies.session_layout`, against
+    a store built for ``policy``.
 
     ``session_seed`` does not change the result (breaker ids never reach
     the cache); it identifies the call's session to per-call tracing."""
-    flat, limit, stop = request_prompt(layout, request_index, policy.mode)
+    if not 1 <= request_index <= len(layout.lengths):
+        raise IndexError(f"request {request_index} out of range 1..{len(layout.lengths)}")
+    n = layout.lengths[request_index - 1]
+    flat = layout.template[:n]
+    stop = min(layout.stop, n)
+    limit = layout.explicit_limit
+    if limit is None or policy.mode is not CacheMode.EXPLICIT_BREAKPOINTS:
+        limit = n
 
-    cached, write = access(store, flat, limit, now_s, policy, stop)
+    cached, write = access(store, flat, limit, now_s, stop)
     if segment_memo is not None:
-        cached += segment_memo.match_and_record(flat, layout.slots, cached,
+        cached += segment_memo.match_and_record(flat, layout.segments, stop, cached,
                                                 policy.granularity_tokens)
 
     usage = UsageRecord(
-        uncached_input=len(flat) - cached,
+        uncached_input=n - cached,
         cached_read=cached,
         cache_write=write,
         output=output_tokens,
     )
-    cost = price_call(usage, policy, prompt_total_tokens=len(flat))
+    cost = price_call(usage, policy, prompt_total_tokens=n)
     factor = math.exp(latency_model.noise_sigma * noise.standard_normal())
     ttft = latency_model.mean_ttft_ms(usage) * factor
     return CallResult(request_index=request_index, usage=usage,
@@ -212,16 +225,13 @@ def _replay_session(transcript: SessionTranscript, mode: StrategyMode,
     and the condition time of its last message, where the next session
     starts."""
     calls = []
-    n = transcript.num_requests
-    layout = session_layout(transcript.messages, n, mode)
-    for r in range(1, n + 1):
+    layout = session_layout(transcript, mode)
+    for r, (output_tokens, gap_s) in enumerate(transcript.requests(), start=1):
         calls.append(replay_call(
-            layout, r, policy, store, now_s,
-            latency_model, transcript.output_tokens(r),
+            layout, r, policy, store, now_s, latency_model, output_tokens,
             session_seed=transcript.session_seed, noise=noise, segment_memo=memo,
         ))
-        end = transcript.request_time(r + 1) if r < n else transcript.timestamps[-1]
-        now_s += end - transcript.request_time(r)
+        now_s += gap_s
     return SessionResult(session_id=transcript.session_id, calls=tuple(calls)), now_s
 
 
@@ -243,7 +253,7 @@ def run_condition(transcripts: Sequence[SessionTranscript], mode: StrategyMode,
         raise ValueError(
             f"warmup_sessions={warmup_sessions} leaves no evaluation sessions "
             f"out of {len(transcripts)} transcripts")
-    store = CacheStore()
+    store = CacheStore(policy)
     memo = _SegmentMemo() if policy.opportunistic_segments else None
     noise = np.random.Generator(np.random.PCG64(
         derive_seed(latency_model.seed, "noise", policy.name, mode.value)))

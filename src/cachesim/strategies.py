@@ -27,10 +27,13 @@ any later request, except for the breaker ids, which are fresh per
 request. A fresh breaker's only effect is that no cached prefix can reach
 past it, so the cache needs its position, never its id (see
 :mod:`cachesim.engine`). Replay therefore flattens each session once per
-condition: :func:`session_layout` builds one read-only template of the
-last request, with a placeholder in every breaker slot, and
-:func:`request_prompt` serves request ``r`` as a zero-copy view of a
-prefix of it, together with the position of its first breaker.
+strategy: :func:`session_layout` builds one read-only template of the
+last request, with a placeholder in every breaker slot, and records
+everything a request needs that the strategy decides: each request's
+length, the first breaker slot, the explicit breakpoint and the
+breaker-free segments. Request ``r`` is then the template's first
+``lengths[r - 1]`` tokens, and no other module knows where or how wide a
+breaker is.
 
 The tests hold the layout against a plain per-request reference in
 ``tests/reference.py``: ``apply_strategy`` followed by ``flatten`` builds
@@ -42,12 +45,12 @@ engine.
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .policies import CacheMode
-from .tokens import ROLE_TAG_IDS, Message, Role
+from .tokens import ROLE_TAG_IDS, Role
+from .workload import SessionTranscript
 
 
 class StrategyMode(Enum):
@@ -57,33 +60,27 @@ class StrategyMode(Enum):
     EXCLUDE_TOOL_RESULTS = "exclude-tool-results"
 
 
-def _check_messages(msgs: tuple[Message, ...]) -> None:
-    if not msgs or msgs[0].role is not Role.SYSTEM:
-        raise ValueError("prompt must start with a system message")
-    for m in msgs[1:]:
-        if m.role is Role.SYSTEM:
-            raise ValueError("prompt must contain exactly one system message")
-        if m.role is Role.BREAKER:
-            raise ValueError("breakers are injected by the strategy, not by workloads")
-
-
 class SessionLayout(NamedTuple):
     """One session's flattened prompts under one strategy.
 
     ``template`` is the last request's flattened prompt with
     ``_BREAKER_PLACEHOLDER`` in every breaker slot; request ``r`` sends its
-    first ``lengths[r - 1]`` tokens. ``slots`` are the template's breaker
-    slot positions in ascending order; request ``r`` holds those below
-    ``lengths[r - 1]``, since a breaker and its framing token always fall
-    in the same request. ``system_end`` is the flattened length of the
-    system message, where the selective strategies put their breakpoint.
+    first ``lengths[r - 1]`` tokens. ``stop`` is the template's first
+    breaker slot (its length when it has none): a request reads and stores
+    nothing from ``min(stop, length)`` on. ``explicit_limit`` is where a
+    breakpoint-style provider ends its cacheable prefix: ``None`` for the
+    whole prompt, 0 for nothing, and the end of the system message for
+    the selective strategies. ``segments`` are the template's non-empty
+    breaker-free runs as ``(start, end)`` ranges in ascending order; a
+    request's runs are those starting below its length, cut at it, since
+    a breaker always falls whole inside one request.
     """
 
-    mode: StrategyMode
     template: np.ndarray
     lengths: tuple[int, ...]
-    slots: tuple[int, ...]
-    system_end: int
+    stop: int
+    explicit_limit: int | None
+    segments: tuple[tuple[int, int], ...]
 
 
 # Tag ids start at 1, so no flattened prompt ever carries this id.
@@ -92,70 +89,46 @@ _BREAKER_PART = np.array([ROLE_TAG_IDS[Role.BREAKER], _BREAKER_PLACEHOLDER], dty
 _TAG_ARRAYS = {role: np.array([tag], dtype=np.uint64) for role, tag in ROLE_TAG_IDS.items()}
 
 
-def session_layout(messages: Sequence[Message], num_requests: int,
-                   mode: StrategyMode) -> SessionLayout:
-    """Flatten a session's ``num_requests`` requests under ``mode`` at once.
+def session_layout(transcript: SessionTranscript, mode: StrategyMode) -> SessionLayout:
+    """Flatten all of ``transcript``'s requests under ``mode`` at once.
 
-    Request ``r`` (1-based) sends ``messages[:2 * r]``, which must start
-    with the one system message of the session and hold no breakers. The
-    template is built with a single concatenation and is read-only.
+    The template is built with a single concatenation and is read-only.
     """
-    msgs = tuple(messages[:2 * num_requests])
-    if num_requests < 1 or len(msgs) < 2 * num_requests:
-        raise ValueError(f"{len(messages)} messages cannot hold {num_requests} requests")
     if not isinstance(mode, StrategyMode):
         raise ValueError(f"unknown strategy mode: {mode!r}")
-    _check_messages(msgs)
+    msgs = transcript.messages[:-1]  # the last request sends all but the final answer
 
     after_system = mode is StrategyMode.SYSTEM_PROMPT or mode is StrategyMode.EXCLUDE_TOOL_RESULTS
     after_results = mode is StrategyMode.EXCLUDE_TOOL_RESULTS
+    # A breaker is its framing token, which ends a segment, then its id.
     if mode is StrategyMode.NO_CACHE:
-        parts, size, slots = [_BREAKER_PART], 2, [1]
+        parts, size, stop = [_BREAKER_PART], 2, 1
     else:
-        parts, size, slots = [], 0, []
-    lengths = []
+        parts, size, stop = [], 0, None
+    starts, ends, lengths = [size], [], []
     for i, m in enumerate(msgs):
         parts.append(_TAG_ARRAYS[m.role])
         parts.append(m.tokens)
         size += 1 + m.tokens.size
         if (after_system and i == 0) or (after_results and m.role is Role.TOOL_RESULT):
             parts.append(_BREAKER_PART)
-            slots.append(size + 1)
+            ends.append(size)
+            if stop is None:
+                stop = size + 1
             size += 2
+            starts.append(size)
         if i % 2:
             lengths.append(size)
+    ends.append(size)
 
     template = np.concatenate(parts)
     template.setflags(write=False)
-    return SessionLayout(mode, template, tuple(lengths), tuple(slots),
-                         1 + len(msgs[0].tokens))
-
-
-def request_prompt(layout: SessionLayout, request_index: int,
-                   policy_mode: CacheMode) -> tuple[np.ndarray, int, int]:
-    """Request ``request_index``'s flattened prompt, its cacheable limit and
-    the position of its first breaker.
-
-    The prompt is a read-only, zero-copy view of the template, so it holds
-    ``_BREAKER_PLACEHOLDER`` where a prompt built for this request alone
-    holds a fresh breaker id, and equals it everywhere else. The first
-    breaker's position is ``stop`` (the prompt's length when it has none):
-    the cache reads and stores nothing from there on, so the breaker ids
-    never reach the result. The limit is the last breakpoint under a
-    breakpoint-style policy (0 when there is none) and the whole prompt
-    otherwise.
-    """
-    if not 1 <= request_index <= len(layout.lengths):
-        raise IndexError(
-            f"request {request_index} out of range 1..{len(layout.lengths)}")
-    n = layout.lengths[request_index - 1]
-    stop = min(layout.slots[0], n) if layout.slots else n
-
-    mode = layout.mode
-    if policy_mode is not CacheMode.EXPLICIT_BREAKPOINTS or mode is StrategyMode.FULL_CONTEXT:
-        limit = n
+    if mode is StrategyMode.FULL_CONTEXT:
+        explicit_limit = None
     elif mode is StrategyMode.NO_CACHE:
-        limit = 0
+        explicit_limit = 0
     else:
-        limit = layout.system_end
-    return layout.template[:n], limit, stop
+        explicit_limit = 1 + msgs[0].tokens.size
+    segments = tuple((a, b) for a, b in zip(starts, ends) if b > a)
+    return SessionLayout(template, tuple(lengths), size if stop is None else stop,
+                         explicit_limit, segments)

@@ -6,7 +6,11 @@ rounds of (assistant tool invocation, tool result), and a final answer.
 Request ``r`` of a session sends every message up to and including the
 previous turn's tool result, so consecutive requests grow append-only:
 each request's flattened prompt is a strict token prefix of the next
-one before any strategy is applied.
+one before any strategy is applied. A :class:`SessionTranscript` checks
+this message layout and finite, non-decreasing timestamps when it is
+built, so the strategies and replay rely on both without checking again;
+:meth:`SessionTranscript.requests` gives replay each call's output length
+and its gap to the next call in one pass.
 
 Transcripts can round-trip through a JSONL file (one message per line)
 so recorded agent logs can be replayed instead of synthetic ones:
@@ -27,9 +31,10 @@ allocate without bound. ``session_id`` must be a JSON string and
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -117,32 +122,30 @@ class SessionTranscript:
         if msgs[-1].role is not Role.AI:
             raise TranscriptValidationError(
                 f"session {self.session_id}: final message must be the assistant answer")
-        previous = None
-        for t in self.timestamps:
-            if previous is not None and t < previous:
-                raise TranscriptValidationError(
-                    f"session {self.session_id}: timestamps must be non-decreasing")
-            previous = t
+        stamps = self.timestamps
+        if not all(map(math.isfinite, stamps)):
+            raise TranscriptValidationError(
+                f"session {self.session_id}: timestamps must be finite")
+        if any(later < earlier for earlier, later in zip(stamps, stamps[1:])):
+            raise TranscriptValidationError(
+                f"session {self.session_id}: timestamps must be non-decreasing")
 
     @property
     def num_requests(self) -> int:
         return (len(self.messages) - 1) // 2
 
-    def output_tokens(self, request_index: int) -> int:
-        """Length of the assistant message the 1-based ``request_index``-th
-        API call produced; that call's input is ``messages[:2 * request_index]``."""
-        self._check_request(request_index)
-        return len(self.messages[2 * request_index].tokens)
+    def requests(self) -> Iterator[tuple[int, float]]:
+        """Each API call's output length and the time from when it is sent
+        to when the next call is (to the final message after the last
+        call), in order.
 
-    def request_time(self, request_index: int) -> float:
-        """Issue time: the timestamp of the newest input message."""
-        self._check_request(request_index)
-        return self.timestamps[2 * request_index - 1]
-
-    def _check_request(self, request_index: int) -> None:
-        if not 1 <= request_index <= self.num_requests:
-            raise IndexError(
-                f"request {request_index} out of range 1..{self.num_requests}")
+        Call ``r`` (1-based) sends ``messages[:2 * r]`` at the timestamp of
+        the newest of them and produces ``messages[2 * r]``.
+        """
+        msgs, stamps = self.messages, self.timestamps
+        last = len(msgs) - 1
+        for i in range(1, last, 2):
+            yield len(msgs[i + 1].tokens), stamps[min(i + 2, last)] - stamps[i]
 
 
 def generate(spec: WorkloadSpec) -> list[SessionTranscript]:
@@ -268,11 +271,7 @@ def ingest(path: str | Path) -> list[SessionTranscript]:
     transcripts = []
     for session_id, rows in per_session.items():
         stamps = [stamp for _, stamp in rows]
-        for earlier, later in zip(stamps, stamps[1:]):
-            if later < earlier:
-                raise TranscriptValidationError(
-                    f"session {session_id}: timestamps must be non-decreasing")
-        base = stamps[0] if stamps else 0.0
+        base = stamps[0]
         transcripts.append(SessionTranscript(
             session_id=session_id,
             messages=tuple(m for m, _ in rows),

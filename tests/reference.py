@@ -8,8 +8,7 @@ segment memo of the replay path:
   :func:`flatten` build one request's prompt message by message, with a
   real, fresh breaker id derived from (session seed, request, position)
   in every breaker slot; :func:`flat_length` is its length. They
-  referee :func:`cachesim.session_layout` and
-  :func:`cachesim.request_prompt`.
+  referee :func:`cachesim.session_layout`.
 * :func:`oracle_access` serves a prompt from a plain list of entries,
   comparing token by token; it referees :func:`cachesim.access`.
 * :func:`reference_condition` replays a whole (policy, mode) condition
@@ -32,7 +31,6 @@ from cachesim import (CacheMode, CallResult, ConditionRun, LatencyModel,
                       StrategyMode, UsageRecord, derive_seed, price_call)
 from cachesim.engine import CacheEntry
 from cachesim.replay import WarmupLedger
-from cachesim.strategies import _check_messages
 from cachesim.tokens import RESERVED_TOKEN_FLOOR, ROLE_TAG_IDS
 
 
@@ -102,6 +100,16 @@ def _breaker(session_seed: int, request_index: int, position_index: int) -> Mess
                      dtype=np.uint64)
     token.setflags(write=False)
     return Message(Role.BREAKER, token)
+
+
+def _check_messages(msgs: tuple[Message, ...]) -> None:
+    if not msgs or msgs[0].role is not Role.SYSTEM:
+        raise ValueError("prompt must start with a system message")
+    for m in msgs[1:]:
+        if m.role is Role.SYSTEM:
+            raise ValueError("prompt must contain exactly one system message")
+        if m.role is Role.BREAKER:
+            raise ValueError("breakers are injected by the strategy, not by workloads")
 
 
 def apply_strategy(messages: Sequence[Message], mode: StrategyMode,
@@ -249,14 +257,16 @@ def reference_condition(transcripts: Sequence[SessionTranscript], mode: Strategy
             if seen is not None:
                 read += _segment_reads(prompt, read, policy.granularity_tokens, seen)
             usage = UsageRecord(uncached_input=len(flat) - read, cached_read=read,
-                                cache_write=write, output=tr.output_tokens(r))
+                                cache_write=write, output=len(tr.messages[2 * r].tokens))
             cost = price_call(usage, policy, prompt_total_tokens=len(flat))
             ttft = latency.mean_ttft_ms(usage) * math.exp(
                 latency.noise_sigma * noise.standard_normal())
             calls.append(CallResult(request_index=r, usage=usage, cost_usd=cost,
                                     ttft_ms=ttft, time_s=now))
-            end = tr.request_time(r + 1) if r < n else tr.timestamps[-1]
-            now += end - tr.request_time(r)
+            # Call r is sent at its newest input message; the last call's
+            # gap runs to the final message.
+            end = tr.timestamps[2 * r + 1] if r < n else tr.timestamps[-1]
+            now += end - tr.timestamps[2 * r - 1]
         sessions.append(SessionResult(session_id=tr.session_id, calls=tuple(calls)))
 
     warm = sessions[:warmup]

@@ -70,7 +70,7 @@ def test_acceptance_1_oracle_equivalence():
         else:
             pool_len, n_bases, steps = 64, 4, 60
         bases = [synth_tokens(pool_len, rng.getrandbits(48)) for _ in range(n_bases)]
-        store = CacheStore()
+        store = CacheStore(policy)
         expected_entries: list = []
         now = 0.0
         for _ in range(steps):
@@ -82,7 +82,7 @@ def test_acceptance_1_oracle_equivalence():
             limit = rng.randint(0, len(prompt)) if rng.random() < 0.45 else 0
             read, write, expected_entries = oracle_access(
                 expected_entries, prompt, limit, now, policy)
-            got = access(store, prompt, limit, now, policy)
+            got = access(store, prompt, limit, now)
             assert got == (read, write), (
                 f"engine {got} != oracle {(read, write)} "
                 f"(policy {policy.min_cache_tokens}/{policy.granularity_tokens}, now {now})")

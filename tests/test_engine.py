@@ -28,90 +28,90 @@ def make_policy(min_tokens=1024, granularity=1, ttl=300.0, refresh=False):
 
 def test_lookup_empty_store():
     policy = make_policy()
-    assert access(CacheStore(), synth_tokens(100, 1), 0, 0.0, policy) == (0, 0)
+    assert access(CacheStore(policy), synth_tokens(100, 1), 0, 0.0) == (0, 0)
 
 
 def test_exact_self_match():
     policy = make_policy(min_tokens=1024, granularity=1)
-    store = CacheStore()
+    store = CacheStore(policy)
     prompt = synth_tokens(2048, 5)
-    assert access(store, prompt, 2048, 0.0, policy) == (0, 2048)
-    assert access(store, prompt, 0, 1.0, policy) == (2048, 0)
+    assert access(store, prompt, 2048, 0.0) == (0, 2048)
+    assert access(store, prompt, 0, 1.0) == (2048, 0)
 
 
 def test_first_token_mismatch_yields_zero():
     policy = make_policy(min_tokens=1, granularity=1)
-    store = CacheStore()
+    store = CacheStore(policy)
     stored = synth_tokens(64, 1)
-    access(store, stored, 64, 0.0, policy)
+    access(store, stored, 64, 0.0)
     ids = stored.copy()
     ids[0] += 1
-    assert access(store, ids, 0, 0.0, policy) == (0, 0)
+    assert access(store, ids, 0, 0.0) == (0, 0)
 
 
 def test_below_minimum_never_caches():
-    store = CacheStore()
     prompt = synth_tokens(500, 2)
     for policy in (make_policy(1024, 1), make_policy(1024, 128), make_policy(4096, 128)):
-        assert access(store, prompt, 500, 0.0, policy) == (0, 0)
+        store = CacheStore(policy)
+        assert access(store, prompt, 500, 0.0) == (0, 0)
         assert len(store) == 0
 
 
 def test_ttl_expiry_boundary():
     policy = make_policy(min_tokens=1024, granularity=1, ttl=300.0, refresh=False)
-    store = CacheStore()
+    store = CacheStore(policy)
     prompt = synth_tokens(2000, 3)
-    access(store, prompt, 2000, 0.0, policy)
-    assert access(store, prompt, 0, 300.0, policy) == (2000, 0)
-    assert access(store, prompt, 0, 301.0, policy) == (0, 0)
+    access(store, prompt, 2000, 0.0)
+    assert access(store, prompt, 0, 300.0) == (2000, 0)
+    assert access(store, prompt, 0, 301.0) == (0, 0)
 
 
 def test_refresh_on_read_extends_life():
     policy = make_policy(min_tokens=1024, granularity=1, ttl=300.0, refresh=True)
-    store = CacheStore()
+    store = CacheStore(policy)
     prompt = synth_tokens(1500, 4)
-    access(store, prompt, 1500, 0.0, policy)
-    assert access(store, prompt, 0, 250.0, policy) == (1500, 0)
+    access(store, prompt, 1500, 0.0)
+    assert access(store, prompt, 0, 250.0) == (1500, 0)
     # the read at t=250 pushed expiry to t=550
-    assert access(store, prompt, 0, 540.0, policy) == (1500, 0)
-    assert access(store, prompt, 0, 900.0, policy) == (0, 0)
+    assert access(store, prompt, 0, 540.0) == (1500, 0)
+    assert access(store, prompt, 0, 900.0) == (0, 0)
 
 
 def test_refresh_touches_the_earliest_of_tied_matches():
     """Entries tied on the longest common prefix: only the first inserted is refreshed."""
     policy = make_policy(min_tokens=1024, granularity=1, ttl=300.0, refresh=True)
-    store = CacheStore()
+    store = CacheStore(policy)
     base = synth_tokens(1600, 16)
     first, second, probe = (_with_token(base, 1500, tok) for tok in (71, 72, 73))
-    access(store, first, 1600, 0.0, policy)
-    access(store, second, 1600, 10.0, policy)
-    assert access(store, probe, 0, 20.0, policy) == (1500, 0)
+    access(store, first, 1600, 0.0)
+    access(store, second, 1600, 10.0)
+    assert access(store, probe, 0, 20.0) == (1500, 0)
     assert [e.last_used_at for e in store.snapshot()] == [20.0, 10.0]
 
 
 def test_granularity_floors_the_match():
     policy = make_policy(min_tokens=1024, granularity=128)
-    store = CacheStore()
+    store = CacheStore(policy)
     prompt = synth_tokens(2050, 6)
-    assert access(store, prompt, 2050, 0.0, policy) == (0, 2048)  # floor(2050 / 128) * 128
-    assert access(store, prompt, 0, 0.0, policy) == (2048, 0)
+    assert access(store, prompt, 2050, 0.0) == (0, 2048)  # floor(2050 / 128) * 128
+    assert access(store, prompt, 0, 0.0) == (2048, 0)
     # a probe extending past the stored prefix still matches only the stored part
-    assert access(store, synth_tokens(2100, 6), 0, 0.0, policy) == (2048, 0)
+    assert access(store, synth_tokens(2100, 6), 0, 0.0) == (2048, 0)
 
 
 def test_commit_twice_is_free():
     policy = make_policy(min_tokens=1024, granularity=1)
-    store = CacheStore()
+    store = CacheStore(policy)
     prompt = synth_tokens(2000, 7)
-    assert access(store, prompt, 2000, 0.0, policy) == (0, 2000)
-    assert access(store, prompt, 2000, 1.0, policy) == (2000, 0)
+    assert access(store, prompt, 2000, 0.0) == (0, 2000)
+    assert access(store, prompt, 2000, 1.0) == (2000, 0)
     assert len(store) == 1
 
 
 def test_commit_below_minimum_stores_nothing():
     policy = make_policy(min_tokens=1024, granularity=1)
-    store = CacheStore()
-    assert access(store, synth_tokens(900, 8), 900, 0.0, policy) == (0, 0)
+    store = CacheStore(policy)
+    assert access(store, synth_tokens(900, 8), 900, 0.0) == (0, 0)
     assert len(store) == 0
 
 
@@ -119,59 +119,61 @@ def test_commit_limit_out_of_range():
     policy = make_policy()
     for limit in (-1, 11):
         with pytest.raises(ValueError):
-            access(CacheStore(), synth_tokens(10, 9), limit, 0.0, policy)
+            access(CacheStore(policy), synth_tokens(10, 9), limit, 0.0)
 
 
 def test_access_rejects_time_going_back_or_not_finite():
     policy = make_policy()
-    store = CacheStore()
+    store = CacheStore(policy)
     prompt = synth_tokens(10, 9)
-    access(store, prompt, 0, 5.0, policy)
-    for now in (4.0, math.nan, math.inf):
+    with pytest.raises(ValueError, match="finite"):
+        access(store, prompt, 0, -math.inf)  # a fresh store has no last access
+    access(store, prompt, 0, 5.0)
+    for now in (4.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
-            access(store, prompt, 0, now, policy)
-    assert access(store, prompt, 0, 5.0, policy) == (0, 0)
+            access(store, prompt, 0, now)
+    assert access(store, prompt, 0, 5.0) == (0, 0)
 
 
 def test_commit_charges_only_the_extension():
     policy = make_policy(min_tokens=1024, granularity=1)
-    store = CacheStore()
+    store = CacheStore(policy)
     long_prompt = synth_tokens(3000, 10)
-    assert access(store, long_prompt[:2000], 2000, 0.0, policy) == (0, 2000)
-    assert access(store, long_prompt, 3000, 1.0, policy) == (2000, 1000)
-    assert access(store, long_prompt, 0, 2.0, policy) == (3000, 0)
+    assert access(store, long_prompt[:2000], 2000, 0.0) == (0, 2000)
+    assert access(store, long_prompt, 3000, 1.0) == (2000, 1000)
+    assert access(store, long_prompt, 0, 2.0) == (3000, 0)
     assert len(store) == 1  # the shorter entry was subsumed
 
 
 def test_cumulative_writes_never_double_count():
     policy = make_policy(min_tokens=1024, granularity=128)
-    store = CacheStore()
+    store = CacheStore(policy)
     prompt = synth_tokens(4096, 11)
-    total = sum(access(store, prompt, 4096, float(i), policy)[1] for i in range(10))
+    total = sum(access(store, prompt, 4096, float(i))[1] for i in range(10))
     assert total == 4096
 
 
 def test_purge_expired():
     """Every access first drops the entries that are no longer live."""
     policy = make_policy(min_tokens=1024, granularity=1, ttl=300.0)
-    store = CacheStore()
+    store = CacheStore(policy)
     other = synth_tokens(10, 17)
-    access(store, synth_tokens(1500, 12), 1500, 0.0, policy)
-    access(store, other, 0, 100.0, policy)
+    access(store, synth_tokens(1500, 12), 1500, 0.0)
+    access(store, other, 0, 100.0)
     assert len(store) == 1
-    access(store, other, 0, 300.0, policy)
+    access(store, other, 0, 300.0)
     assert len(store) == 1  # live through t = created + ttl
-    access(store, other, 0, 301.0, policy)
+    access(store, other, 0, 301.0)
     assert len(store) == 0
 
 
 def test_read_your_write():
     policy = make_policy(min_tokens=1024, granularity=128)
-    store = CacheStore()
+    store = CacheStore(policy)
     prompt = synth_tokens(2500, 13)
-    _, written = access(store, prompt, 2500, 0.0, policy)
+    _, written = access(store, prompt, 2500, 0.0)
     assert written >= policy.min_cache_tokens
-    assert access(store, prompt, 0, 0.5, policy)[0] >= written
+    assert access(store, prompt, 0, 0.5)[0] >= written
 
 
 def _with_token(seq: np.ndarray, pos: int, token: int) -> np.ndarray:
@@ -191,24 +193,24 @@ def test_dropped_entries_are_freed_without_gc():
     gc.disable()
     try:
         # expiry: the first of three branches goes, then the second
-        store = CacheStore()
+        store = CacheStore(policy)
         for t, branch in enumerate(branches):
-            access(store, branch, 2000, 100.0 * t, policy)
+            access(store, branch, 2000, 100.0 * t)
         first, second, third = (weakref.ref(e) for e in store.snapshot())
-        access(store, base, 0, 350.0, policy)
+        access(store, base, 0, 350.0)
         assert first() is None and second() is not None
-        access(store, base, 0, 450.0, policy)
+        access(store, base, 0, 450.0)
         assert second() is None and third() is not None
-        assert access(store, branches[2], 0, 450.0, policy) == (2000, 0)
+        assert access(store, branches[2], 0, 450.0) == (2000, 0)
 
         # subsumption: the entry extended by a longer prompt goes
-        store = CacheStore()
-        access(store, branches[0][:1800], 1800, 0.0, policy)
-        access(store, branches[1], 2000, 1.0, policy)
+        store = CacheStore(policy)
+        access(store, branches[0][:1800], 1800, 0.0)
+        access(store, branches[1], 2000, 1.0)
         shorter = weakref.ref(store.snapshot()[0])
-        assert access(store, branches[0], 2000, 2.0, policy) == (1800, 200)
+        assert access(store, branches[0], 2000, 2.0) == (1800, 200)
         assert shorter() is None
-        assert access(store, branches[1], 0, 3.0, policy) == (2000, 0)
+        assert access(store, branches[1], 0, 3.0) == (2000, 0)
     finally:
         if was_enabled:
             gc.enable()
@@ -218,16 +220,16 @@ def test_whole_prompt_writes_are_views_and_breakpoint_writes_copies():
     """A write up to the end of the prompt keeps a view of its ids (pinning
     fewer than ``granularity`` extra tokens); one up to a breakpoint copies."""
     policy = make_policy(min_tokens=1024, granularity=128)
-    store = CacheStore()
+    store = CacheStore(policy)
     whole = synth_tokens(2100, 19)
-    assert access(store, whole, 2100, 0.0, policy) == (0, 2048)
+    assert access(store, whole, 2100, 0.0) == (0, 2048)
     (entry,) = store.snapshot()
     assert np.shares_memory(entry.tokens, whole)
     assert entry.tokens.base is not None and entry.tokens.base.size - entry.length < 128
     assert not entry.tokens.flags.writeable
 
     partial = synth_tokens(2100, 20)
-    assert access(store, partial, 1500, 1.0, policy) == (0, 1408)
+    assert access(store, partial, 1500, 1.0) == (0, 1408)
     entry = store.snapshot()[-1]
     assert entry.length == 1408
     assert not np.shares_memory(entry.tokens, partial)
@@ -240,28 +242,28 @@ def test_prefix_monotonicity(n, m, data):
     """If A is a prefix of B, B's lookup can only match more."""
     gran = data.draw(st.sampled_from([1, 4]))
     policy = make_policy(min_tokens=gran, granularity=gran)
-    store = CacheStore()
+    store = CacheStore(policy)
     base = synth_tokens(200, data.draw(st.integers(0, 5)))
     for _ in range(data.draw(st.integers(0, 4))):
         length = data.draw(st.integers(1, 200))
-        access(store, base[:length], length, 0.0, policy)
+        access(store, base[:length], length, 0.0)
     b = base[:n + m]
     a = base[:n]
-    assert access(store, a, 0, 1.0, policy)[0] <= access(store, b, 0, 1.0, policy)[0]
+    assert access(store, a, 0, 1.0)[0] <= access(store, b, 0, 1.0)[0]
 
 
 @given(seed=st.integers(0, 100), entries=st.integers(1, 5))
 @settings(max_examples=60)
 def test_zero_hit_when_first_token_differs_everywhere(seed, entries):
     policy = make_policy(min_tokens=1, granularity=1)
-    store = CacheStore()
+    store = CacheStore(policy)
     for i in range(entries):
-        access(store, synth_tokens(30, seed + i), 30, 0.0, policy)
+        access(store, synth_tokens(30, seed + i), 30, 0.0)
     probe_ids = synth_tokens(30, seed).copy()
     probe_ids[0] = 70  # outside every stored first token with overwhelming odds
     first_tokens = {int(e.tokens[0]) for e in store.snapshot()}
     if 70 not in first_tokens:
-        assert access(store, probe_ids, 0, 0.0, policy) == (0, 0)
+        assert access(store, probe_ids, 0, 0.0) == (0, 0)
 
 
 _POLICY_GRID = [(1, 1), (1024, 1), (1024, 128), (4096, 1), (4096, 128)]
@@ -298,7 +300,7 @@ def _interleavings(draw):
 def test_lookup_matches_oracle_on_random_interleavings(case):
     """Read, write and the store after every step agree with the oracle."""
     policy, steps = case
-    store = CacheStore()
+    store = CacheStore(policy)
     expected_entries = []
     now = 0.0
     bases = {i: synth_tokens(policy.min_cache_tokens + 220, 1000 + i) for i in range(4)}
@@ -310,38 +312,35 @@ def test_lookup_matches_oracle_on_random_interleavings(case):
         limit = _LIMITS[op](len(prompt))
         read, write, expected_entries = oracle_access(expected_entries, prompt, limit,
                                                       now, policy)
-        assert access(store, prompt, limit, now, policy) == (read, write)
+        assert access(store, prompt, limit, now) == (read, write)
         assert _state(store.snapshot()) == _state(expected_entries)
 
 
 def test_oracle_never_mutates():
     policy = make_policy(min_tokens=1024, granularity=1, refresh=True)
-    store = CacheStore()
+    store = CacheStore(policy)
     prompt = synth_tokens(1500, 15)
-    access(store, prompt, 1500, 0.0, policy)
+    access(store, prompt, 1500, 0.0)
     before = _state(store.snapshot())
     assert oracle_access(store.snapshot(), np.concatenate([prompt, synth_tokens(10, 16)]),
                          1510, 10.0, policy)[:2] == (1500, 10)
     assert _state(store.snapshot()) == before
     # the engine does refresh
-    access(store, prompt, 0, 10.0, policy)
+    access(store, prompt, 0, 10.0)
     assert store.snapshot()[0].last_used_at == 10.0
 
 
 def test_store_keeps_one_expiry_rule():
-    """The purge walks entries in expiry order, which only one rule defines:
-    a store rejects a policy that switches refresh-on-read, and any stop
-    outside the prompt."""
-    store = CacheStore()
+    """A store expires entries by the policy it was built for, and rejects
+    any stop outside the prompt."""
+    store = CacheStore(make_policy(ttl=10.0))
     prompt = synth_tokens(1500, 4)
-    access(store, prompt, 1500, 0.0, make_policy(refresh=False))
-    with pytest.raises(ValueError, match="refresh_on_read"):
-        access(store, prompt, 0, 1.0, make_policy(refresh=True))
+    access(store, prompt, 1500, 0.0)
     for stop in (-1, 1501):
         with pytest.raises(ValueError, match="stop"):
-            access(store, prompt, 0, 1.0, make_policy(), stop)
-    assert access(store, prompt, 0, 1.0, make_policy(ttl=10.0)) == (1500, 0)
-    assert access(store, prompt, 0, 11.0, make_policy(ttl=10.0)) == (0, 0)
+            access(store, prompt, 0, 1.0, stop)
+    assert access(store, prompt, 0, 1.0) == (1500, 0)
+    assert access(store, prompt, 0, 11.0) == (0, 0)
 
 
 _FRESH = 10**12  # breaker ids from here up; content ids are below it
@@ -375,7 +374,7 @@ def test_sealed_entries_match_the_oracle_with_fresh_breakers(seed):
     Reads, writes and the store agree after every step, and each entry holds
     the oracle entry's tokens up to its first breaker, sealed if it had one."""
     policy, steps = _sealed_interleaving(random.Random(seed))
-    store = CacheStore()
+    store = CacheStore(policy)
     expected_entries = []
     now = 0.0
     fresh = _FRESH
@@ -389,7 +388,7 @@ def test_sealed_entries_match_the_oracle_with_fresh_breakers(seed):
         stop = slots[0] if slots else len(tokens)
         read, write, expected_entries = oracle_access(
             expected_entries, np.array(real, dtype=np.uint64), limit, now, policy)
-        assert access(store, np.array(placeholder, dtype=np.uint64), limit, now, policy,
+        assert access(store, np.array(placeholder, dtype=np.uint64), limit, now,
                       stop) == (read, write)
         got = store.snapshot()
         assert [(e.created_at, e.last_used_at) for e in got] == [

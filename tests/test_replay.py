@@ -8,9 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cachesim import (CacheStore, LatencyModel, Role, StrategyMode, WorkloadSpec,
-                      builtin_policy, generate, replay_call, run_condition,
-                      session_layout)
+from cachesim import (CacheStore, LatencyModel, Role, StrategyMode,
+                      TranscriptValidationError, WorkloadSpec, builtin_policy, generate,
+                      replay_call, run_condition, session_layout)
 from reference import flat_length, reference_condition
 
 QUIET = LatencyModel(base_ms=40.0, per_uncached_token_ms=0.05,
@@ -217,12 +217,12 @@ class TestLatencyModel:
         """The store keeps replay time: a call issued before the store's
         last access is rejected, and the store's time stays put."""
         transcript = generate(small_spec(sessions=1))[0]
-        layout = session_layout(transcript.messages, transcript.num_requests,
-                                StrategyMode.FULL_CONTEXT)
-        store = CacheStore()
+        layout = session_layout(transcript, StrategyMode.FULL_CONTEXT)
+        policy = builtin_policy("gpt-4o")
+        store = CacheStore(policy)
 
         def call(request_index, now_s):
-            return replay_call(layout, request_index, builtin_policy("gpt-4o"), store,
+            return replay_call(layout, request_index, policy, store,
                                now_s, QUIET, 1, session_seed=0,
                                noise=np.random.default_rng(0))
 
@@ -233,10 +233,8 @@ class TestLatencyModel:
 
     @pytest.mark.parametrize("stamp", [math.nan, math.inf])
     def test_clock_rejects_non_finite_steps(self, stamp):
-        """A non-finite final timestamp makes the next session's start time
-        non-finite, and the store rejects it."""
-        first, second = generate(small_spec(sessions=2))
-        broken = replace(first, timestamps=first.timestamps[:-1] + (stamp,))
-        with pytest.raises(ValueError, match="finite"):
-            run_condition([broken, second], StrategyMode.FULL_CONTEXT,
-                          builtin_policy("gpt-4o"), QUIET)
+        """A non-finite final timestamp would make the next session's start
+        time non-finite; the transcript rejects it when it is built."""
+        first = generate(small_spec(sessions=1))[0]
+        with pytest.raises(TranscriptValidationError, match="finite"):
+            replace(first, timestamps=first.timestamps[:-1] + (stamp,))

@@ -7,9 +7,10 @@ import json
 import numpy as np
 import pytest
 
-from cachesim import (CacheMode, CacheStore, Message, Role, StrategyMode,
-                      WorkloadSpec, access, builtin_policy, generate, ingest,
-                      request_prompt, session_layout, synth_tokens)
+from cachesim import (CacheMode, CacheStore, LatencyModel, Message, Role,
+                      SessionTranscript, StrategyMode, TranscriptValidationError,
+                      WorkloadSpec, access, builtin_policy, generate, ingest, replay_call,
+                      session_layout, synth_tokens)
 from reference import apply_strategy, breaker_token, flatten
 
 
@@ -121,13 +122,13 @@ def test_expected_prefix_matches_simulated_lookups():
     policy = builtin_policy("claude-sonnet-4.5")
     system_tokens = 2000
     msgs = make_conversation(3, system_tokens=system_tokens, seed=21)
-    store = CacheStore()
+    store = CacheStore(policy)
     reads = []
     for r, upto in enumerate((2, 4, 6, 8), start=1):
         prompt = apply_strategy(msgs[:upto], StrategyMode.EXCLUDE_TOOL_RESULTS,
                                 r, 17, policy.mode)
         flat = flatten(prompt)
-        reads.append(access(store, flat, prompt.breakpoints[-1], float(r), policy)[0])
+        reads.append(access(store, flat, prompt.breakpoints[-1], float(r))[0])
     assert reads[0] == 0
     assert reads[1:] == [system_tokens + 1] * 3
 
@@ -138,14 +139,14 @@ def test_exclude_tool_results_reads_match_system_prompt_mode():
         msgs = make_conversation(3, system_tokens=1500, seed=31)
         reads = {}
         for mode in (StrategyMode.SYSTEM_PROMPT, StrategyMode.EXCLUDE_TOOL_RESULTS):
-            store = CacheStore()
+            store = CacheStore(policy)
             per_call = []
             for r, upto in enumerate((2, 4, 6, 8), start=1):
                 prompt = apply_strategy(msgs[:upto], mode, r, 17, policy.mode)
                 flat = flatten(prompt)
                 limit = (prompt.breakpoints[-1] if prompt.breakpoints
                          else len(flat)) if policy.mode is CacheMode.EXPLICIT_BREAKPOINTS else len(flat)
-                per_call.append(access(store, flat, limit, float(r), policy)[0])
+                per_call.append(access(store, flat, limit, float(r))[0])
             reads[mode] = per_call
         assert reads[StrategyMode.SYSTEM_PROMPT] == reads[StrategyMode.EXCLUDE_TOOL_RESULTS]
 
@@ -173,65 +174,86 @@ def referee_transcripts(tmp_path):
 @pytest.mark.parametrize("policy_mode", list(CacheMode))
 @pytest.mark.parametrize("mode", list(StrategyMode))
 def test_layout_matches_the_per_request_reference(tmp_path, mode, policy_mode):
-    """Every request served from the session layout is a read-only view of
-    the template that equals the prompt apply_strategy + flatten build for
-    that request alone, except for a placeholder 0 in each breaker slot.
-    Its breaker slots are the layout's slots below its length, its stop is
-    the first of them (the whole prompt without one), and its limit is the
-    last breakpoint (0 without one) or, for automatic policies, the whole
-    prompt."""
+    """Every layout fact for every request agrees with the prompt that
+    apply_strategy + flatten build for that request alone. Its first
+    ``lengths[r - 1]`` template tokens, a read-only view, equal that prompt
+    except for a placeholder 0 in each breaker slot; ``stop`` cut at the
+    length is the first slot (the whole prompt without one); the explicit
+    limit is the last breakpoint (0 without one, ``None`` for the whole
+    prompt), and automatic policies get no breakpoint; the segments that
+    start below the length, cut at it, are the prompt's breaker-free runs."""
     for tr in referee_transcripts(tmp_path):
-        layout = session_layout(tr.messages, tr.num_requests, mode)
+        layout = session_layout(tr, mode)
         template = layout.template.copy()
         assert not layout.template.flags.writeable
+        assert len(layout.lengths) == tr.num_requests
         for r in range(1, tr.num_requests + 1):
             prompt = apply_strategy(tr.messages[:2 * r], mode, r, tr.session_seed,
                                     policy_mode)
             expected = flatten(prompt)
-            slots = []
-            position = 0
+            slots, runs = [], []
+            position = start = 0
             for m in prompt.messages:
                 if m.role is Role.BREAKER:
                     slots.append(position + 1)
+                    if position > start:
+                        runs.append((start, position))
+                    start = position + 1 + len(m.tokens)
                 position += 1 + len(m.tokens)
-            got, limit, stop = request_prompt(layout, r, policy_mode)
-            assert len(got) == len(expected)
-            outside = np.ones(len(expected), dtype=bool)
+            if position > start:
+                runs.append((start, position))
+
+            n = layout.lengths[r - 1]
+            assert n == len(expected)
+            got = layout.template[:n]
+            outside = np.ones(n, dtype=bool)
             outside[slots] = False
             assert np.array_equal(got[outside], expected[outside])
             assert not got[slots].any()
-            assert [slot for slot in layout.slots if slot < len(got)] == slots
-            assert stop == (slots[0] if slots else len(expected))
+            assert min(layout.stop, n) == (slots[0] if slots else n)
             if policy_mode is CacheMode.EXPLICIT_BREAKPOINTS:
+                limit = n if layout.explicit_limit is None else layout.explicit_limit
                 assert limit == (prompt.breakpoints[-1] if prompt.breakpoints else 0)
             else:
-                assert limit == len(expected)
-            assert not got.flags.writeable
-            assert np.shares_memory(got, layout.template)
+                assert prompt.breakpoints == ()
+            assert [(a, min(b, n)) for a, b in layout.segments if a < n] == runs
+        assert layout.lengths[-1] == len(layout.template)
         assert np.array_equal(layout.template, template)
 
 
+def make_transcript(msgs):
+    return SessionTranscript("s", tuple(msgs), (0.0,) * len(msgs))
+
+
 @pytest.mark.parametrize("msgs", [
-    [Message(Role.HUMAN, synth_tokens(5, 1)), Message(Role.AI, synth_tokens(5, 2))],
+    [Message(Role.HUMAN, synth_tokens(5, 1)), Message(Role.HUMAN, synth_tokens(5, 2)),
+     Message(Role.AI, synth_tokens(5, 3))],
     make_conversation(0) + [Message(Role.SYSTEM, synth_tokens(3, 9)),
+                            Message(Role.TOOL_RESULT, synth_tokens(3, 7)),
                             Message(Role.AI, synth_tokens(3, 8))],
-    make_conversation(0) + [Message(Role.BREAKER, synth_tokens(1, 3)),
+    make_conversation(0) + [Message(Role.AI, synth_tokens(3, 6)),
+                            Message(Role.BREAKER, synth_tokens(1, 3)),
                             Message(Role.AI, synth_tokens(3, 8))],
 ])
 def test_layout_rejects_what_the_reference_rejects(msgs):
+    """A transcript cannot hold the message lists the reference rejects, so
+    session_layout never sees one; it rejects a mode that is no strategy."""
     with pytest.raises(ValueError):
-        apply_strategy(msgs, StrategyMode.FULL_CONTEXT, 1, 0, CacheMode.AUTOMATIC)
-    with pytest.raises(ValueError):
-        session_layout(msgs, len(msgs) // 2, StrategyMode.FULL_CONTEXT)
+        apply_strategy(msgs[:-1], StrategyMode.FULL_CONTEXT, 1, 0, CacheMode.AUTOMATIC)
+    with pytest.raises(TranscriptValidationError):
+        make_transcript(msgs)
+    valid = make_transcript(make_conversation(1) + [Message(Role.AI, synth_tokens(3, 8))])
+    with pytest.raises(ValueError, match="unknown strategy mode"):
+        session_layout(valid, "full-context")
 
 
 def test_layout_request_bounds():
-    msgs = make_conversation(2)
-    with pytest.raises(ValueError):
-        session_layout(msgs, 4, StrategyMode.NO_CACHE)  # 6 messages hold 3 requests
-    with pytest.raises(ValueError):
-        session_layout(msgs, 0, StrategyMode.NO_CACHE)
-    layout = session_layout(msgs, 3, StrategyMode.NO_CACHE)
-    for r in (0, 4):
+    """replay_call serves requests 1..n of a layout and rejects the rest:
+    index 0 would otherwise wrap to the last request."""
+    transcript = make_transcript(make_conversation(2) + [Message(Role.AI, synth_tokens(3, 8))])
+    layout = session_layout(transcript, StrategyMode.NO_CACHE)
+    policy = builtin_policy("gpt-4o")
+    for r in (0, transcript.num_requests + 1):
         with pytest.raises(IndexError):
-            request_prompt(layout, r, CacheMode.AUTOMATIC)
+            replay_call(layout, r, policy, CacheStore(policy), 0.0, LatencyModel(), 1,
+                        session_seed=0, noise=np.random.default_rng(0))

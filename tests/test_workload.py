@@ -79,7 +79,8 @@ def test_output_tokens_come_from_spec():
     spec = small_spec()
     transcript = generate(spec)[0]
     per_turn = spec.reasoning_tokens_per_turn + spec.tool_call_tokens
-    assert [transcript.output_tokens(r) for r in range(1, 5)] == [per_turn] * 3 + [spec.final_answer_tokens]
+    outputs = [output for output, _ in transcript.requests()]
+    assert outputs == [per_turn] * 3 + [spec.final_answer_tokens]
 
 
 def test_shared_system_unique_questions():
@@ -93,7 +94,8 @@ def test_shared_system_unique_questions():
 def test_request_timing():
     spec = small_spec(inter_call_gap_seconds=2.5)
     transcript = generate(spec)[0]
-    assert [transcript.request_time(r) for r in range(1, 5)] == [0.0, 2.5, 5.0, 7.5]
+    assert transcript.timestamps[1::2] == (0.0, 2.5, 5.0, 7.5)  # each call's newest input
+    assert [gap for _, gap in transcript.requests()] == [2.5] * 4
     assert transcript.timestamps[-1] == 10.0
 
 
@@ -184,7 +186,18 @@ def test_ingest_rejects_non_monotonic_timestamps(tmp_path):
     ]
     path = tmp_path / "bad.jsonl"
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    with pytest.raises(TranscriptValidationError):
+    with pytest.raises(TranscriptValidationError, match="session a: .*non-decreasing"):
+        ingest(path)
+
+
+def test_ingest_rejects_timestamps_that_overflow_when_rebased(tmp_path):
+    """Each stamp is finite, but rebasing to the first one makes the last
+    infinite, which would make every later session's time infinite."""
+    rows = [{"session_id": "a", "role": role, "token_count": 4, "timestamp_s": stamp}
+            for role, stamp in zip(("system", "human", "ai"), (-1e308, 0.0, 1e308))]
+    path = tmp_path / "far.jsonl"
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    with pytest.raises(TranscriptValidationError, match="session a: .*finite"):
         ingest(path)
 
 
