@@ -1,11 +1,12 @@
 """Simulated provider-side prefix cache.
 
-A store is built for one provider policy, whose cache rules (minimum,
-granularity, TTL and refresh-on-read) it applies to every access. It
-holds previously cached token prefixes with creation and last-use
-timestamps in simulated seconds. An entry is live at time ``t`` while
-``t - reference <= ttl``, where the reference is the last use for
-refresh-on-read policies and the creation time otherwise.
+A store is built for one provider policy and is the only place that
+applies its cache rules: the minimum, the block granularity, the TTL,
+refresh-on-read and, for an opportunistic-segments policy, segment reuse.
+It holds previously cached token prefixes, each with one expiry
+reference in simulated seconds, its last use: its creation, moved to each
+read that hits it under a refresh-on-read policy. An entry is live at
+time ``t`` while ``t - last_used_at <= ttl``.
 
 Dynamic content is a *breaker*: a fresh token that no earlier prompt
 holds, so no entry can match at or past it. A prompt may therefore carry
@@ -15,7 +16,7 @@ one. An entry cut short at its first breaker is *sealed*: the breaker
 that followed its last token made it distinct from every other prompt,
 so it is never a prefix of a later entry.
 
-Each API call is one :func:`access`, which works in three steps:
+Each API call is one :func:`access`, which works in four steps:
 
 1. **Purge.** Entries no longer live are dropped. This changes no result:
    the clock never goes back and a refresh only touches live entries, so
@@ -39,6 +40,14 @@ Each API call is one :func:`access`, which works in three steps:
    which all its entries share); a write up to an earlier breakpoint
    stores a copy, so the entry does not keep the rest of the prompt
    alive.
+4. **Segments.** Under an opportunistic-segments policy, a provider that
+   reuses repeated interior content is modeled as matching any segment
+   (a breaker-free run of a prompt that has a breaker) it has seen
+   verbatim before, in any earlier call to the store. Each seen segment
+   that starts at or past the prefix read adds its length, rounded down
+   to the granularity, to the read; the write charge of step 3 stays as
+   it was. Segments are remembered by their full content, never expire
+   and are compared exactly, so two segments never collide.
 
 The entries are indexed by a token-level radix tree. A node's children
 are keyed by the first token of their edge; the entries that end at a
@@ -55,12 +64,10 @@ never stops at or inside a live unsealed one and the ones it extends are
 dropped. Sealed entries may end at any node, several at one node, and a
 sealed entry that ends inside an edge splits it.
 
-The store keeps its entries in order of their expiry reference: creation
-order, or for a refresh-on-read store, last use (a refresh moves the
-entry to the end, and the clock never goes back). The purge pops from the
-front until it meets a live entry, so it costs O(expired). That order
-needs one expiry rule per store, which building the store for one policy
-guarantees.
+The store keeps its entries in order of their last use: a write appends
+its entry and a refresh moves the hit to the end, and the clock never
+goes back. The purge pops from the front until it meets a live entry, so
+it costs O(expired).
 
 The tests referee the engine with ``oracle_access`` in
 ``tests/reference.py``, which restates the contract as a plain scan over
@@ -75,6 +82,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -83,14 +91,14 @@ from .policies import ProviderPolicy
 
 @dataclass(eq=False)
 class CacheEntry:
-    """One stored prefix. ``tokens`` is a read-only uint64 array; ``sealed``
-    marks an entry cut short at its prompt's first breaker.
+    """One stored prefix. ``tokens`` is a read-only uint64 array;
+    ``last_used_at`` is its expiry reference; ``sealed`` marks an entry
+    cut short at its prompt's first breaker.
 
     Entries compare and hash by identity.
     """
 
     tokens: np.ndarray
-    created_at: float
     last_used_at: float
     sealed: bool = False
 
@@ -126,6 +134,8 @@ class CacheStore:
         self._inserted = 0
         self._root = _Node(None, 0, 0)
         self._now = -math.inf
+        # The content of every segment seen, under opportunistic segments.
+        self._seen: set[bytes] | None = set() if policy.opportunistic_segments else None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -170,18 +180,17 @@ class CacheStore:
 
     def _purge(self, now: float) -> None:
         entries = self._entries
-        refresh = self.policy.refresh_on_read
         ttl = self.policy.ttl_seconds
         while entries:
             oldest = next(iter(entries))
-            reference = oldest.last_used_at if refresh else oldest.created_at
-            if now - reference <= ttl:
+            if now - oldest.last_used_at <= ttl:
                 break
             self._remove(oldest)
 
 
 def access(store: CacheStore, prompt: np.ndarray, cacheable_limit: int,
-           now: float, stop: int | None = None) -> tuple[int, int]:
+           now: float, stop: int | None = None,
+           segments: Sequence[tuple[int, int]] = ()) -> tuple[int, int]:
     """One API call against the cache: returns ``(read, write)`` tokens.
 
     Purges expired entries, reads the longest usable cached prefix of
@@ -190,7 +199,12 @@ def access(store: CacheStore, prompt: np.ndarray, cacheable_limit: int,
     ``cacheable_limit`` and charges only the tokens beyond the read. A
     limit of 0 makes it a pure read. ``stop`` is the position of the
     prompt's first breaker (the whole prompt when omitted): no token from
-    it on is read or stored. ``now`` must be finite and no earlier than
+    it on is read or stored. ``segments`` are the prompt's breaker-free
+    runs as ascending ``(start, end)`` ranges; ranges from the prompt's
+    end on are ignored and one that runs past it is cut there, so a
+    session layout's ranges can be passed for any of its requests. Only
+    an opportunistic-segments store reads them, and only when ``stop``
+    falls inside the prompt. ``now`` must be finite and no earlier than
     the store's last access.
     """
     n = int(prompt.size)
@@ -245,33 +259,49 @@ def access(store: CacheStore, prompt: np.ndarray, cacheable_limit: int,
         store._entries.move_to_end(hit)
 
     w = cacheable_limit // g * g
-    if w < policy.min_cache_tokens or w <= read:
-        return read, 0
-    # Here w > depth, and the stored part ends at or past where the prompt
-    # left the tree. View or copy: see the write step in the module docstring.
-    size = min(w, stop)
-    stored = prompt[:size] if cacheable_limit == n else prompt[:size].copy()
-    stored.setflags(write=False)
-    entry = CacheEntry(tokens=stored, created_at=now, last_used_at=now, sealed=w > stop)
-    store._entries[entry] = store._inserted
-    store._inserted += 1
-    if cut is not None:
-        # Split the edge the prompt left: ``mid`` keeps the shared part.
-        mid = _Node(cut.rep, cut.start, depth, {int(cut.rep.tokens[depth]): cut})
-        node.children[int(prompt[cut.start])] = mid
-        cut.start = depth
-        node = mid
-    elif node.held and not node.held[0].sealed:
-        # ``node`` is the leaf of an unsealed entry the new one extends: subsume it.
-        gone = node.held[0]
-        node.rep = entry
-        node.end = size
-        node.held = [entry]
-        del store._entries[gone]
-        store._repoint(path, gone)
-        return read, w - read
-    if size == depth:
-        node.held.append(entry)
-    else:
-        node.children[int(prompt[depth])] = _Node(entry, depth, size, held=[entry])
-    return read, w - read
+    write = 0
+    if w >= policy.min_cache_tokens and w > read:
+        write = w - read
+        # Here w > depth, and the stored part ends at or past where the prompt
+        # left the tree. View or copy: see the write step in the module docstring.
+        size = min(w, stop)
+        stored = prompt[:size] if cacheable_limit == n else prompt[:size].copy()
+        stored.setflags(write=False)
+        entry = CacheEntry(tokens=stored, last_used_at=now, sealed=w > stop)
+        store._entries[entry] = store._inserted
+        store._inserted += 1
+        if cut is None and node.held and not node.held[0].sealed:
+            # ``node`` is the leaf of an unsealed entry the new one extends: subsume it.
+            gone = node.held[0]
+            node.rep = entry
+            node.end = size
+            node.held = [entry]
+            del store._entries[gone]
+            store._repoint(path, gone)
+        else:
+            if cut is not None:
+                # Split the edge the prompt left: ``mid`` keeps the shared part.
+                mid = _Node(cut.rep, cut.start, depth, {int(cut.rep.tokens[depth]): cut})
+                node.children[int(prompt[cut.start])] = mid
+                cut.start = depth
+                node = mid
+            if size == depth:
+                node.held.append(entry)
+            else:
+                node.children[int(prompt[depth])] = _Node(entry, depth, size, held=[entry])
+
+    seen = store._seen
+    if seen is not None and stop < n:
+        extra = 0
+        contents = []
+        for start, end in segments:
+            if start >= n:
+                break
+            end = min(end, n)
+            data = prompt[start:end].tobytes()
+            if start >= read and data in seen:
+                extra += (end - start) // g * g
+            contents.append(data)
+        seen.update(contents)
+        read += extra
+    return read, write

@@ -1,4 +1,4 @@
-"""Session replay: strategy + cache + pricing in simulated time.
+"""Session replay: simulated time and pricing around the cache.
 
 Each session is flattened once per condition into a
 :class:`~cachesim.strategies.SessionLayout`, which holds every fact about
@@ -8,17 +8,17 @@ session's template, with a placeholder in each breaker slot), cuts the
 layout's first breaker slot to the prompt's length and takes the
 layout's explicit breakpoint as its cacheable limit under a
 breakpoint-style policy (the whole prompt otherwise). It then reads from
-and writes to the condition's store in one access, which ends its read
-and its stored entry at that first breaker, prices the resulting usage,
-and models time-to-first-token as
+and writes to the condition's store in one access, passing the layout's
+breaker-free segments along; the store applies every cache rule of its
+policy (see :mod:`cachesim.engine`). Replay prices the resulting usage by
+the store's policy and models time-to-first-token as
 
     ttft = (base + per_uncached * uncached + per_cached * cached
             + per_write * write) * exp(N(0, sigma))
 
 with the lognormal factor drawn from a seeded per-condition stream.
 Token conservation holds on every call: uncached + cached reads equals
-the flattened prompt length. Under opportunistic segments, a prompt's
-segments are the layout's breaker-free segments cut at its length.
+the flattened prompt length.
 
 A condition run owns one fresh store, built for its policy, and its own
 simulated time in seconds. It starts at 0, and each call advances it by
@@ -26,9 +26,9 @@ the gap between its transcript's timestamps to the next request (to the
 final message after the last call), so each session starts where the one
 before it ended; transcripts hold only finite, non-decreasing timestamps,
 and the store rejects a time that is not finite or goes back. Warmup
-sessions are replayed first against the same store to prime it; their
-results are excluded from evaluation and their cache writes are reported
-in a separate ledger.
+sessions are the first ones replayed against the store, to prime it;
+their results are excluded from evaluation and their cache writes are
+reported in a separate ledger.
 
 ``tests/reference.py`` restates a whole condition one request at a time,
 with real breaker ids and a plain-list cache, and the tests compare the
@@ -145,65 +145,25 @@ class ConditionRun:
     warmup: WarmupLedger
 
 
-class _SegmentMemo:
-    """Previously seen breaker-delimited segments for one condition.
-
-    Backs the opportunistic-segments toggle: an automatic provider that
-    reuses repeated interior content is modeled as matching any segment
-    (content between breaker boundaries) it has seen verbatim before.
-    Membership is by full content, so collisions are impossible.
-    """
-
-    def __init__(self) -> None:
-        self._seen: set[bytes] = set()
-
-    def match_and_record(self, prompt: np.ndarray, segments: Sequence[tuple[int, int]],
-                         stop: int, prefix_end: int, granularity: int) -> int:
-        """Extra cached tokens for ``prompt``, whose first breaker is at
-        ``stop`` and whose segments are those of ``segments`` that start
-        below its length; records its segments."""
-        n = int(prompt.size)
-        if stop >= n:
-            return 0
-        extra = 0
-        new_segments = []
-        for start, end in segments:
-            if start >= n:
-                break
-            end = min(end, n)
-            data = prompt[start:end].tobytes()
-            if start >= prefix_end and data in self._seen:
-                extra += (end - start) // granularity * granularity
-            new_segments.append(data)
-        self._seen.update(new_segments)
-        return extra
-
-
-def replay_call(layout: SessionLayout, request_index: int,
-                policy: ProviderPolicy, store: CacheStore, now_s: float,
-                latency_model: LatencyModel, output_tokens: int, *,
-                session_seed: int, noise: np.random.Generator,
-                segment_memo: _SegmentMemo | None = None) -> CallResult:
+def replay_call(layout: SessionLayout, request_index: int, store: CacheStore,
+                now_s: float, latency_model: LatencyModel, output_tokens: int, *,
+                session_seed: int, noise: np.random.Generator) -> CallResult:
     """Simulate one API call, issued at condition time ``now_s``, of a
-    session laid out by :func:`~cachesim.strategies.session_layout`, against
-    a store built for ``policy``.
+    session laid out by :func:`~cachesim.strategies.session_layout`,
+    against ``store`` and priced by the store's policy.
 
     ``session_seed`` does not change the result (breaker ids never reach
     the cache); it identifies the call's session to per-call tracing."""
     if not 1 <= request_index <= len(layout.lengths):
         raise IndexError(f"request {request_index} out of range 1..{len(layout.lengths)}")
+    policy = store.policy
     n = layout.lengths[request_index - 1]
     flat = layout.template[:n]
-    stop = min(layout.stop, n)
     limit = layout.explicit_limit
     if limit is None or policy.mode is not CacheMode.EXPLICIT_BREAKPOINTS:
         limit = n
 
-    cached, write = access(store, flat, limit, now_s, stop)
-    if segment_memo is not None:
-        cached += segment_memo.match_and_record(flat, layout.segments, stop, cached,
-                                                policy.granularity_tokens)
-
+    cached, write = access(store, flat, limit, now_s, min(layout.stop, n), layout.segments)
     usage = UsageRecord(
         uncached_input=n - cached,
         cached_read=cached,
@@ -215,24 +175,6 @@ def replay_call(layout: SessionLayout, request_index: int,
     ttft = latency_model.mean_ttft_ms(usage) * factor
     return CallResult(request_index=request_index, usage=usage,
                       cost_usd=cost, ttft_ms=ttft, time_s=now_s)
-
-
-def _replay_session(transcript: SessionTranscript, mode: StrategyMode,
-                    policy: ProviderPolicy, store: CacheStore, now_s: float,
-                    latency_model: LatencyModel, noise: np.random.Generator,
-                    memo: _SegmentMemo | None) -> tuple[SessionResult, float]:
-    """Replay one session from condition time ``now_s``; returns its result
-    and the condition time of its last message, where the next session
-    starts."""
-    calls = []
-    layout = session_layout(transcript, mode)
-    for r, (output_tokens, gap_s) in enumerate(transcript.requests(), start=1):
-        calls.append(replay_call(
-            layout, r, policy, store, now_s, latency_model, output_tokens,
-            session_seed=transcript.session_seed, noise=noise, segment_memo=memo,
-        ))
-        now_s += gap_s
-    return SessionResult(session_id=transcript.session_id, calls=tuple(calls)), now_s
 
 
 def run_condition(transcripts: Sequence[SessionTranscript], mode: StrategyMode,
@@ -254,26 +196,23 @@ def run_condition(transcripts: Sequence[SessionTranscript], mode: StrategyMode,
             f"warmup_sessions={warmup_sessions} leaves no evaluation sessions "
             f"out of {len(transcripts)} transcripts")
     store = CacheStore(policy)
-    memo = _SegmentMemo() if policy.opportunistic_segments else None
     noise = np.random.Generator(np.random.PCG64(
         derive_seed(latency_model.seed, "noise", policy.name, mode.value)))
 
     now_s = 0.0
-    warmup_writes = 0
-    warmup_cost = 0.0
-    for transcript in transcripts[:warmup_sessions]:
-        result, now_s = _replay_session(transcript, mode, policy, store, now_s,
-                                        latency_model, noise, memo)
-        warmup_writes += result.total_cache_write
-        warmup_cost += result.total_cost_usd
-
     sessions = []
-    for transcript in transcripts[warmup_sessions:]:
-        result, now_s = _replay_session(transcript, mode, policy, store, now_s,
-                                        latency_model, noise, memo)
-        sessions.append(result)
+    for transcript in transcripts:
+        layout = session_layout(transcript, mode)
+        calls = []
+        for r, (output_tokens, gap_s) in enumerate(transcript.requests(), start=1):
+            calls.append(replay_call(layout, r, store, now_s, latency_model, output_tokens,
+                                     session_seed=transcript.session_seed, noise=noise))
+            now_s += gap_s
+        sessions.append(SessionResult(session_id=transcript.session_id, calls=tuple(calls)))
+    warm = sessions[:warmup_sessions]
     return ConditionRun(
-        policy_name=policy.name, mode=mode, sessions=tuple(sessions),
+        policy_name=policy.name, mode=mode, sessions=tuple(sessions[warmup_sessions:]),
         warmup=WarmupLedger(policy.name, mode.value, warmup_sessions,
-                            warmup_writes, warmup_cost),
+                            sum(s.total_cache_write for s in warm),
+                            sum((s.total_cost_usd for s in warm), 0.0)),
     )

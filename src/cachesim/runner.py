@@ -202,14 +202,16 @@ def run_ablation(config: ExperimentConfig, grid: AblationGrid, *,
                  quiet: bool = False) -> AblationResult:
     """Sweep one workload dimension: a full :func:`run_experiment` run in
     ``<dimension>-<value>/`` per grid value, plus a long ``ablation.csv``
-    of per-condition session medians."""
+    of per-condition session medians. Every value's config is built before
+    any runs, so a value the workload rejects writes nothing."""
+    configs = {value: _ablation_config(config, grid, value) for value in grid.values}
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     rows: list[AblationRow] = []
-    for value in grid.values:
-        runs = run_experiment(_ablation_config(config, grid, value),
-                              out_dir=out / f"{grid.dimension}-{value}", quiet=True).runs
+    for value, value_config in configs.items():
+        runs = run_experiment(value_config, out_dir=out / f"{grid.dimension}-{value}",
+                              quiet=True).runs
         medians = {
             (run.policy_name, run.mode.value): (
                 statistics.median(s.total_cost_usd for s in run.sessions),

@@ -18,8 +18,9 @@ Four strategies are provided:
 * ``exclude-tool-results`` - fresh breakers after the system message
   and after every tool result. Under strict prefix matching this reads
   identically to ``system-prompt``; the extra boundaries only matter to
-  providers that reuse repeated interior segments (see the per-policy
-  ``opportunistic_segments`` toggle).
+  providers that reuse repeated interior segments (the per-policy
+  ``opportunistic_segments`` toggle, which the policy's cache store
+  applies to the layout's segments).
 
 Within a session, request ``r`` sends the first ``2r`` messages, so every
 strategy's output for request ``r`` is a token prefix of its output for
@@ -33,7 +34,9 @@ everything a request needs that the strategy decides: each request's
 length, the first breaker slot, the explicit breakpoint and the
 breaker-free segments. Request ``r`` is then the template's first
 ``lengths[r - 1]`` tokens, and no other module knows where or how wide a
-breaker is.
+breaker is: replay hands the first breaker slot and the segments to the
+cache store as they are, and the store applies its policy's rules to
+them.
 
 The tests hold the layout against a plain per-request reference in
 ``tests/reference.py``: ``apply_strategy`` followed by ``flatten`` builds

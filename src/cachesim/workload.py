@@ -24,7 +24,8 @@ framing); a ``token_count`` integer is accepted instead, in which case
 ids are synthesized deterministically from (session_id, line_number).
 A ``token_count`` is at most ``MAX_TOKEN_COUNT`` (2**20, a whole
 million-token context), so a stray number in a log cannot make ingest
-allocate without bound. ``session_id`` must be a JSON string and
+allocate without bound; a :class:`WorkloadSpec` caps its per-message
+token counts the same way. ``session_id`` must be a JSON string and
 ``timestamp_s`` a finite JSON number.
 """
 
@@ -43,10 +44,14 @@ from .errors import TranscriptParseError, TranscriptValidationError
 from .seeding import derive_seed
 from .tokens import RESERVED_TOKEN_FLOOR, Message, Role, synth_tokens
 
+MAX_TOKEN_COUNT = 2**20
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """Shape of the synthetic sessions; token counts are calibration knobs."""
+    """Shape of the synthetic sessions; token counts are calibration knobs.
+
+    Each per-message token count is an integer in [1, ``MAX_TOKEN_COUNT``].
+    """
 
     system_prompt_tokens: int = 10_000
     question_tokens: int = 150
@@ -60,20 +65,22 @@ class WorkloadSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        minimums = {
-            "system_prompt_tokens": 1,
-            "question_tokens": 1,
-            "tool_calls": 0,
-            "tool_call_tokens": 1,
-            "tool_result_tokens": 1,
-            "reasoning_tokens_per_turn": 1,
-            "final_answer_tokens": 1,
-            "sessions": 1,
+        ranges = {
+            "system_prompt_tokens": (1, MAX_TOKEN_COUNT),
+            "question_tokens": (1, MAX_TOKEN_COUNT),
+            "tool_calls": (0, None),
+            "tool_call_tokens": (1, MAX_TOKEN_COUNT),
+            "tool_result_tokens": (1, MAX_TOKEN_COUNT),
+            "reasoning_tokens_per_turn": (1, MAX_TOKEN_COUNT),
+            "final_answer_tokens": (1, MAX_TOKEN_COUNT),
+            "sessions": (1, None),
         }
-        for name, floor in minimums.items():
+        for name, (floor, ceiling) in ranges.items():
             value = getattr(self, name)
             if not is_int(value) or value < floor:
                 raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
+            if ceiling is not None and value > ceiling:
+                raise ValueError(f"{name} must be at most {ceiling}, got {value!r}")
         if not is_int(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         gap = self.inter_call_gap_seconds
@@ -130,10 +137,6 @@ class SessionTranscript:
             raise TranscriptValidationError(
                 f"session {self.session_id}: timestamps must be non-decreasing")
 
-    @property
-    def num_requests(self) -> int:
-        return (len(self.messages) - 1) // 2
-
     def requests(self) -> Iterator[tuple[int, float]]:
         """Each API call's output length and the time from when it is sent
         to when the next call is (to the final message after the last
@@ -189,8 +192,6 @@ def generate(spec: WorkloadSpec) -> list[SessionTranscript]:
 
 
 _ROLE_BY_NAME = {role.value: role for role in Role}
-
-MAX_TOKEN_COUNT = 2**20
 
 
 def export_transcripts(transcripts: Sequence[SessionTranscript], path: str | Path) -> None:

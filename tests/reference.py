@@ -9,10 +9,14 @@ segment memo of the replay path:
   real, fresh breaker id derived from (session seed, request, position)
   in every breaker slot; :func:`flat_length` is its length. They
   referee :func:`cachesim.session_layout`.
-* :func:`oracle_access` serves a prompt from a plain list of entries,
-  comparing token by token; it referees :func:`cachesim.access`.
+* :func:`oracle_access` serves a prompt from a plain list of
+  :class:`OracleEntry` values, comparing token by token; it referees
+  :func:`cachesim.access`. Its entries keep both their creation and
+  last-use times and pick the one a policy's expiry rule runs from, so
+  the oracle does not lean on the engine's single expiry reference.
 * :func:`reference_condition` replays a whole (policy, mode) condition
-  one API call at a time through the two above, then
+  one API call at a time through the two above and its own segment
+  memo, then
   :func:`cachesim.price_call` and the latency model with the same
   per-condition noise stream, so comparing it with ``run_condition``,
   call for call, catches an error in how the replay's pieces compose.
@@ -29,7 +33,6 @@ import numpy as np
 from cachesim import (CacheMode, CallResult, ConditionRun, LatencyModel,
                       Message, ProviderPolicy, Role, SessionResult, SessionTranscript,
                       StrategyMode, UsageRecord, derive_seed, price_call)
-from cachesim.engine import CacheEntry
 from cachesim.replay import WarmupLedger
 from cachesim.tokens import RESERVED_TOKEN_FLOOR, ROLE_TAG_IDS
 
@@ -154,9 +157,27 @@ def apply_strategy(messages: Sequence[Message], mode: StrategyMode,
     return Prompt(out, breakpoints)
 
 
-def oracle_access(entries: Iterable[CacheEntry], prompt: np.ndarray,
+@dataclass
+class OracleEntry:
+    """One entry of the oracle's cache, with both of its timestamps."""
+
+    tokens: np.ndarray
+    created_at: float
+    last_used_at: float
+
+    @property
+    def length(self) -> int:
+        return len(self.tokens)
+
+    def expires_from(self, policy: ProviderPolicy) -> float:
+        """The time the entry's TTL runs from: its last use under a
+        refresh-on-read policy, its creation otherwise."""
+        return self.last_used_at if policy.refresh_on_read else self.created_at
+
+
+def oracle_access(entries: Iterable[OracleEntry], prompt: np.ndarray,
                   cacheable_limit: int, now: float,
-                  policy: ProviderPolicy) -> tuple[int, int, list[CacheEntry]]:
+                  policy: ProviderPolicy) -> tuple[int, int, list[OracleEntry]]:
     """Reference for :func:`cachesim.access` over a plain list of entries.
 
     Returns ``(read, write, entries_after)``. The given entries are left
@@ -166,16 +187,13 @@ def oracle_access(entries: Iterable[CacheEntry], prompt: np.ndarray,
     if cacheable_limit < 0 or cacheable_limit > len(prompt):
         raise ValueError(
             f"cacheable_limit {cacheable_limit} outside prompt of {len(prompt)} tokens")
-    live = []
-    for entry in entries:
-        reference = entry.last_used_at if policy.refresh_on_read else entry.created_at
-        if now - reference <= policy.ttl_seconds:
-            live.append(replace(entry))
+    live = [replace(entry) for entry in entries
+            if now - entry.expires_from(policy) <= policy.ttl_seconds]
     # Read: the first live entry with the longest common prefix, compared
     # token by token, is the one a refresh touches.
     tokens = prompt.tolist()
     best = 0
-    hit: CacheEntry | None = None
+    hit: OracleEntry | None = None
     for entry in live:
         n = 0
         for a, b in zip(tokens, entry.tokens.tolist()):
@@ -196,7 +214,7 @@ def oracle_access(entries: Iterable[CacheEntry], prompt: np.ndarray,
     head = tokens[:w]
     kept = [entry for entry in live
             if not (entry.length <= w and entry.tokens.tolist() == head[:entry.length])]
-    kept.append(CacheEntry(tokens=prompt[:w], created_at=now, last_used_at=now))
+    kept.append(OracleEntry(tokens=prompt[:w], created_at=now, last_used_at=now))
     return read, w - read, kept
 
 
@@ -244,7 +262,7 @@ def reference_condition(transcripts: Sequence[SessionTranscript], mode: Strategy
     sessions = []
     for tr in transcripts:
         calls = []
-        n = tr.num_requests
+        n = (len(tr.messages) - 1) // 2
         for r in range(1, n + 1):
             prompt = apply_strategy(tr.messages[:2 * r], mode, r, tr.session_seed,
                                     policy.mode)

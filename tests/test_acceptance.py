@@ -48,8 +48,9 @@ def _random_policy(rng: random.Random) -> ProviderPolicy:
         mode=CacheMode.AUTOMATIC, prices=_PRICES)
 
 
-def _state(entries) -> list[tuple[int, float, float]]:
-    return [(e.length, e.created_at, e.last_used_at) for e in entries]
+def _state(store: CacheStore) -> list[tuple[int, float]]:
+    """Each engine entry's length and the expiry reference its purge uses."""
+    return [(e.length, e.last_used_at) for e in store.snapshot()]
 
 
 def test_acceptance_1_oracle_equivalence():
@@ -86,7 +87,8 @@ def test_acceptance_1_oracle_equivalence():
             assert got == (read, write), (
                 f"engine {got} != oracle {(read, write)} "
                 f"(policy {policy.min_cache_tokens}/{policy.granularity_tokens}, now {now})")
-            assert _state(store.snapshot()) == _state(expected_entries)
+            assert _state(store) == [(e.length, e.expires_from(policy))
+                                     for e in expected_entries]
             comparisons += 1
     elapsed = perf_counter() - start
     assert comparisons >= 100_000

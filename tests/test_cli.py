@@ -209,6 +209,30 @@ def test_ablate_rejects_unsorted_values(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_oversized_token_count_exits_one(tmp_path, capsys):
+    """A token count too large to allocate is an ``error:`` line and exit 1
+    from the config loader, not a numpy traceback."""
+    data = json.loads(Path(tiny_config(tmp_path)).read_text())
+    data["workload"]["system_prompt_tokens"] = 10**15
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    assert main(["simulate", str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "system_prompt_tokens" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_ablate_checks_every_value_before_running_any(tmp_path, capsys):
+    """A grid value the workload rejects stops the ablation before its first
+    value runs, so nothing is written."""
+    cfg = tiny_config(tmp_path)
+    assert main(["ablate", cfg, "--dimension", "prompt-size",
+                 "--values", "500", str(10**15)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "system_prompt_tokens" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_empty_grid_is_config_error():
     with pytest.raises(ConfigError):
         AblationGrid("prompt-size", ())

@@ -6,6 +6,7 @@ import gc
 import math
 import random
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cachesim import (CacheMode, CacheStore, PriceSchedule, ProviderPolicy, access,
-                      synth_tokens)
+                      builtin_policy, synth_tokens)
 from reference import oracle_access
 
 _PRICES = PriceSchedule(1.0, 2.0, 0.1)
@@ -269,8 +270,9 @@ def test_zero_hit_when_first_token_differs_everywhere(seed, entries):
 _POLICY_GRID = [(1, 1), (1024, 1), (1024, 128), (4096, 1), (4096, 128)]
 
 
-def _state(entries):
-    return [(e.length, e.created_at, e.last_used_at) for e in entries]
+def _state(store: CacheStore) -> list[tuple[int, float]]:
+    """Each engine entry's length and the expiry reference its purge uses."""
+    return [(e.length, e.last_used_at) for e in store.snapshot()]
 
 
 _LIMITS = {"commit": lambda n: n, "partial": lambda n: n // 2, "lookup": lambda n: 0}
@@ -313,7 +315,8 @@ def test_lookup_matches_oracle_on_random_interleavings(case):
         read, write, expected_entries = oracle_access(expected_entries, prompt, limit,
                                                       now, policy)
         assert access(store, prompt, limit, now) == (read, write)
-        assert _state(store.snapshot()) == _state(expected_entries)
+        assert _state(store) == [(e.length, e.expires_from(policy))
+                                 for e in expected_entries]
 
 
 def test_oracle_never_mutates():
@@ -321,10 +324,11 @@ def test_oracle_never_mutates():
     store = CacheStore(policy)
     prompt = synth_tokens(1500, 15)
     access(store, prompt, 1500, 0.0)
-    before = _state(store.snapshot())
-    assert oracle_access(store.snapshot(), np.concatenate([prompt, synth_tokens(10, 16)]),
+    entries = oracle_access([], prompt, 1500, 0.0, policy)[2]
+    before = [(e.created_at, e.last_used_at) for e in entries]
+    assert oracle_access(entries, np.concatenate([prompt, synth_tokens(10, 16)]),
                          1510, 10.0, policy)[:2] == (1500, 10)
-    assert _state(store.snapshot()) == before
+    assert [(e.created_at, e.last_used_at) for e in entries] == before
     # the engine does refresh
     access(store, prompt, 0, 10.0)
     assert store.snapshot()[0].last_used_at == 10.0
@@ -341,6 +345,27 @@ def test_store_keeps_one_expiry_rule():
             access(store, prompt, 0, 1.0, stop)
     assert access(store, prompt, 0, 1.0) == (1500, 0)
     assert access(store, prompt, 0, 11.0) == (0, 0)
+
+
+def test_opportunistic_store_reads_repeated_segments():
+    """An opportunistic-segments store adds each segment it has seen before
+    and that starts past the prefix read to the read, rounded down to the
+    granularity; the write is charged beyond the prefix read alone. A plain
+    store ignores segments, and a prompt without a breaker has none."""
+    system, chunk = synth_tokens(1200, 1), synth_tokens(300, 2)
+    breaker = np.zeros(2, dtype=np.uint64)
+    prompt = np.concatenate([system, breaker, chunk, breaker, chunk])
+    prompt.setflags(write=False)
+    segments = ((0, 1200), (1202, 1502), (1504, 1804))
+    plain = builtin_policy("gpt-4o")
+    stores = {False: CacheStore(plain),
+              True: CacheStore(replace(plain, opportunistic_segments=True))}
+    for store in stores.values():
+        # Nothing seen yet: the repeated chunk does not match itself.
+        assert access(store, prompt, 1804, 0.0, 1200, segments) == (0, 1792)
+    assert access(stores[False], prompt, 1804, 1.0, 1200, segments) == (1152, 640)
+    assert access(stores[True], prompt, 1804, 1.0, 1200, segments) == (1152 + 2 * 256, 640)
+    assert access(stores[True], chunk, 0, 2.0, None, ((0, 300),)) == (0, 0)
 
 
 _FRESH = 10**12  # breaker ids from here up; content ids are below it
@@ -391,8 +416,8 @@ def test_sealed_entries_match_the_oracle_with_fresh_breakers(seed):
         assert access(store, np.array(placeholder, dtype=np.uint64), limit, now,
                       stop) == (read, write)
         got = store.snapshot()
-        assert [(e.created_at, e.last_used_at) for e in got] == [
-            (e.created_at, e.last_used_at) for e in expected_entries]
+        assert [e.last_used_at for e in got] == [
+            e.expires_from(policy) for e in expected_entries]
         for entry, expected in zip(got, expected_entries):
             ids = expected.tokens.tolist()
             cut = next((i for i, t in enumerate(ids) if t >= _FRESH), len(ids))

@@ -218,11 +218,10 @@ class TestLatencyModel:
         last access is rejected, and the store's time stays put."""
         transcript = generate(small_spec(sessions=1))[0]
         layout = session_layout(transcript, StrategyMode.FULL_CONTEXT)
-        policy = builtin_policy("gpt-4o")
-        store = CacheStore(policy)
+        store = CacheStore(builtin_policy("gpt-4o"))
 
         def call(request_index, now_s):
-            return replay_call(layout, request_index, policy, store,
+            return replay_call(layout, request_index, store,
                                now_s, QUIET, 1, session_seed=0,
                                noise=np.random.default_rng(0))
 

@@ -186,8 +186,8 @@ def test_layout_matches_the_per_request_reference(tmp_path, mode, policy_mode):
         layout = session_layout(tr, mode)
         template = layout.template.copy()
         assert not layout.template.flags.writeable
-        assert len(layout.lengths) == tr.num_requests
-        for r in range(1, tr.num_requests + 1):
+        assert len(layout.lengths) == len(list(tr.requests()))
+        for r in range(1, len(layout.lengths) + 1):
             prompt = apply_strategy(tr.messages[:2 * r], mode, r, tr.session_seed,
                                     policy_mode)
             expected = flatten(prompt)
@@ -252,8 +252,8 @@ def test_layout_request_bounds():
     index 0 would otherwise wrap to the last request."""
     transcript = make_transcript(make_conversation(2) + [Message(Role.AI, synth_tokens(3, 8))])
     layout = session_layout(transcript, StrategyMode.NO_CACHE)
-    policy = builtin_policy("gpt-4o")
-    for r in (0, transcript.num_requests + 1):
+    store = CacheStore(builtin_policy("gpt-4o"))
+    for r in (0, len(layout.lengths) + 1):
         with pytest.raises(IndexError):
-            replay_call(layout, r, policy, CacheStore(policy), 0.0, LatencyModel(), 1,
+            replay_call(layout, r, store, 0.0, LatencyModel(), 1,
                         session_seed=0, noise=np.random.default_rng(0))

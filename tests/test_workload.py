@@ -11,6 +11,7 @@ import numpy as np
 
 from cachesim import (Role, TranscriptParseError, TranscriptValidationError,
                       WorkloadSpec, export_transcripts, generate, ingest)
+from cachesim.workload import MAX_TOKEN_COUNT
 from reference import flat_length, flatten
 
 
@@ -32,15 +33,27 @@ def test_spec_validation():
         small_spec(sessions=0)
 
 
+@pytest.mark.parametrize("field", [
+    "system_prompt_tokens", "question_tokens", "tool_call_tokens", "tool_result_tokens",
+    "reasoning_tokens_per_turn", "final_answer_tokens"])
+def test_spec_caps_per_message_token_counts(field):
+    """Each per-message token count is capped at ``MAX_TOKEN_COUNT``, as
+    ``ingest`` caps a ``token_count``, so no spec asks ``generate`` for an
+    allocation without bound."""
+    assert getattr(small_spec(**{field: MAX_TOKEN_COUNT}), field) == MAX_TOKEN_COUNT
+    with pytest.raises(ValueError, match=f"{field} must be at most {MAX_TOKEN_COUNT}"):
+        small_spec(**{field: MAX_TOKEN_COUNT + 1})
+
+
 def test_zero_tool_calls_is_one_request():
     transcripts = generate(small_spec(tool_calls=0))
-    assert all(t.num_requests == 1 for t in transcripts)
+    assert all(len(list(t.requests())) == 1 for t in transcripts)
     assert all(len(t.messages) == 3 for t in transcripts)
 
 
 def test_three_tool_calls_make_four_requests():
     transcript = generate(small_spec(tool_calls=3))[0]
-    assert transcript.num_requests == 4
+    assert len(list(transcript.requests())) == 4
     last_input = transcript.messages[:8]
     assert sum(1 for m in last_input if m.role is Role.TOOL_RESULT) == 3
 
@@ -49,12 +62,12 @@ def test_main_study_shape():
     spec = WorkloadSpec(system_prompt_tokens=10_000, tool_calls=10, sessions=40, seed=1)
     transcripts = generate(spec)
     assert len(transcripts) == 40
-    assert sum(t.num_requests for t in transcripts) == 440
+    assert sum(len(list(t.requests())) for t in transcripts) == 440
 
 
 def test_request_prefix_growth():
     transcript = generate(small_spec())[0]
-    for r in range(1, transcript.num_requests):
+    for r in range(1, len(list(transcript.requests()))):
         shorter = transcript.messages[:2 * r]
         longer = transcript.messages[:2 * (r + 1)]
         assert longer[:len(shorter)] == shorter
@@ -68,7 +81,7 @@ def test_closed_form_token_count():
     spec = small_spec()
     transcript = generate(spec)[0]
     turn = spec.reasoning_tokens_per_turn + spec.tool_call_tokens + spec.tool_result_tokens
-    for r in range(1, transcript.num_requests + 1):
+    for r in range(1, len(list(transcript.requests())) + 1):
         msgs = transcript.messages[:2 * r]
         expected = (spec.system_prompt_tokens + spec.question_tokens
                     + (r - 1) * turn + len(msgs))
@@ -129,7 +142,7 @@ def test_ingest_minimal_session(tmp_path):
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     transcripts = ingest(path)
     assert len(transcripts) == 1
-    assert transcripts[0].num_requests == 1
+    assert len(list(transcripts[0].requests())) == 1
     assert [len(m.tokens) for m in transcripts[0].messages] == [10, 5, 7]
 
 
