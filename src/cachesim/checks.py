@@ -16,6 +16,11 @@ def is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def is_seed(value: object) -> bool:
+    """True for an int, not a bool, in [0, 2**64): a 64-bit seed."""
+    return is_int(value) and 0 <= value < 1 << 64
+
+
 def is_finite_number(value: object) -> bool:
     """True for an int or float, not a bool, that is finite as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 
+from .checks import is_seed
 from .config import DEFAULT_GRIDS, AblationGrid, load_config, to_json
 from .errors import ConfigError
 from .policies import builtin_policies
@@ -102,6 +103,8 @@ def main(argv: list[str] | None = None) -> int:
             print("verify: ok")
             return EXIT_OK
 
+        if args.seed is not None and not is_seed(args.seed):
+            raise ConfigError(f"--seed must be an integer in [0, 2**64), got {args.seed}")
         config = load_config(args.config, master_seed=args.seed)
         if args.command == "simulate":
             run_experiment(config, out_dir=args.out)

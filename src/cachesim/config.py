@@ -19,7 +19,8 @@ A config file is one JSON object:
 Policies may be built-in names or inline policy objects (see the policy
 JSON schema in :mod:`cachesim.policies`). Unset workload and latency
 seeds are derived from the master seed, one label per purpose, so runs
-are reproducible from the single master value. A ``latency`` key is
+are reproducible from the single master value; every seed is an
+integer in [0, 2**64). A ``latency`` key is
 ``"default"`` or the name of a configured policy; unknown top-level keys
 are ignored. No value is coerced: ``policies`` and ``modes`` must be
 lists, ``output_dir`` and ``ttft_aggregation`` strings, and anything
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .checks import is_finite_number, is_int
+from .checks import is_finite_number, is_int, is_seed
 from .errors import ConfigError
 from .policies import ProviderPolicy, builtin_policy, policy_from_dict
 from .replay import LatencyModel
@@ -159,10 +160,11 @@ def config_from_dict(data: dict, master_seed: int | None = None) -> ExperimentCo
         workload_raw = _object(data.get("workload", {}), "workload")
         if master_seed is None:
             master_seed = data.get("master_seed", 0)
-            if not is_int(master_seed):
-                raise ConfigError(f"master_seed must be an integer, got {master_seed!r}")
         else:
             workload_raw.pop("seed", None)
+        if not is_seed(master_seed):
+            raise ConfigError(
+                f"master_seed must be an integer in [0, 2**64), got {master_seed!r}")
 
         policies = []
         for entry in _list(data.get("policies", []), "policies"):

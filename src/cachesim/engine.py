@@ -47,7 +47,11 @@ Each API call is one :func:`access`, which works in four steps:
    that starts at or past the prefix read adds its length, rounded down
    to the granularity, to the read; the write charge of step 3 stays as
    it was. Segments are remembered by their full content, never expire
-   and are compared exactly, so two segments never collide.
+   and are compared exactly, so two segments never collide. The caller
+   passes each segment's content already serialized, and a session
+   layout serializes each of its segments once for all its requests, so
+   a segment that a prompt holds whole costs one set lookup, not a copy
+   and a hash; only a segment cut at the prompt's end is copied.
 
 The entries are indexed by a token-level radix tree. A node's children
 are keyed by the first token of their edge; the entries that end at a
@@ -190,7 +194,7 @@ class CacheStore:
 
 def access(store: CacheStore, prompt: np.ndarray, cacheable_limit: int,
            now: float, stop: int | None = None,
-           segments: Sequence[tuple[int, int]] = ()) -> tuple[int, int]:
+           segments: Sequence[tuple[int, bytes]] = ()) -> tuple[int, int]:
     """One API call against the cache: returns ``(read, write)`` tokens.
 
     Purges expired entries, reads the longest usable cached prefix of
@@ -200,12 +204,13 @@ def access(store: CacheStore, prompt: np.ndarray, cacheable_limit: int,
     limit of 0 makes it a pure read. ``stop`` is the position of the
     prompt's first breaker (the whole prompt when omitted): no token from
     it on is read or stored. ``segments`` are the prompt's breaker-free
-    runs as ascending ``(start, end)`` ranges; ranges from the prompt's
-    end on are ignored and one that runs past it is cut there, so a
-    session layout's ranges can be passed for any of its requests. Only
-    an opportunistic-segments store reads them, and only when ``stop``
-    falls inside the prompt. ``now`` must be finite and no earlier than
-    the store's last access.
+    runs in ascending order, each as ``(start, content)`` with ``content``
+    the run's tokens as bytes (``prompt[start:end].tobytes()``); runs from
+    the prompt's end on are ignored and one that runs past it is cut
+    there, so a session layout's ``segment_contents`` can be passed for
+    any of its requests. Only an opportunistic-segments store reads them,
+    and only when ``stop`` falls inside the prompt. ``now`` must be
+    finite and no earlier than the store's last access.
     """
     n = int(prompt.size)
     if stop is None:
@@ -294,13 +299,14 @@ def access(store: CacheStore, prompt: np.ndarray, cacheable_limit: int,
     if seen is not None and stop < n:
         extra = 0
         contents = []
-        for start, end in segments:
+        itemsize = prompt.itemsize
+        for start, data in segments:
             if start >= n:
                 break
-            end = min(end, n)
-            data = prompt[start:end].tobytes()
+            if start + len(data) // itemsize > n:
+                data = data[:(n - start) * itemsize]
             if start >= read and data in seen:
-                extra += (end - start) // g * g
+                extra += len(data) // itemsize // g * g
             contents.append(data)
         seen.update(contents)
         read += extra

@@ -1,15 +1,16 @@
 """Session replay: simulated time and pricing around the cache.
 
-Each session is flattened once per condition into a
+Each session is flattened once per mode into a
 :class:`~cachesim.strategies.SessionLayout`, which holds every fact about
-its requests that the strategy decides. Each simulated API call slices
-its request's prompt from that layout (a zero-copy prefix of the
-session's template, with a placeholder in each breaker slot), cuts the
-layout's first breaker slot to the prompt's length and takes the
-layout's explicit breakpoint as its cacheable limit under a
-breakpoint-style policy (the whole prompt otherwise). It then reads from
-and writes to the condition's store in one access, passing the layout's
-breaker-free segments along; the store applies every cache rule of its
+its requests that the strategy decides and depends on no policy. Each
+simulated API call slices its request's prompt from that layout (a
+zero-copy prefix of the session's template, with a placeholder in each
+breaker slot), cuts the layout's first breaker slot to the prompt's
+length and takes the layout's explicit breakpoint as its cacheable limit
+under a breakpoint-style policy (the whole prompt otherwise). It then
+reads from and writes to the condition's store in one access, passing
+the layout's serialized breaker-free segments along to an
+opportunistic-segments store; the store applies every cache rule of its
 policy (see :mod:`cachesim.engine`). Replay prices the resulting usage by
 the store's policy and models time-to-first-token as
 
@@ -20,15 +21,22 @@ with the lognormal factor drawn from a seeded per-condition stream.
 Token conservation holds on every call: uncached + cached reads equals
 the flattened prompt length.
 
-A condition run owns one fresh store, built for its policy, and its own
-simulated time in seconds. It starts at 0, and each call advances it by
-the gap between its transcript's timestamps to the next request (to the
-final message after the last call), so each session starts where the one
-before it ended; transcripts hold only finite, non-decreasing timestamps,
-and the store rejects a time that is not finite or goes back. Warmup
-sessions are the first ones replayed against the store, to prime it;
-their results are excluded from evaluation and their cache writes are
-reported in a separate ledger.
+A :class:`Condition` owns one fresh store, built for its policy, its
+noise draws and its own simulated time in seconds. The time starts at 0,
+and each call advances it by the gap between its transcript's timestamps
+to the next request (to the final message after the last call), so each
+session starts where the one before it ended; transcripts hold only
+finite, non-decreasing timestamps, and the store rejects a time that is
+not finite or goes back. Warmup sessions are the first ones replayed
+against the store, to prime it; their results are excluded from
+evaluation and their cache writes are reported in a separate ledger.
+
+:func:`replay_session` replays one session of one condition from a
+layout it is given, so a caller can replay several conditions of a mode
+in lockstep, building each session's layout once for all of them (the
+experiment runner does); :func:`run_condition` replays one condition
+alone through the same step. A :class:`SessionResult` sums its calls
+once, when it is built.
 
 ``tests/reference.py`` restates a whole condition one request at a time,
 with real breaker ids and a plain-list cache, and the tests compare the
@@ -38,12 +46,12 @@ two call for call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .checks import is_finite_number, is_int
+from .checks import is_finite_number, is_seed
 from .engine import CacheStore, access
 from .policies import CacheMode, ProviderPolicy, UsageRecord, price_call
 from .seeding import derive_seed
@@ -72,8 +80,9 @@ class LatencyModel:
             value = getattr(self, name)
             if not is_finite_number(value) or value < 0:
                 raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
-        if not is_int(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not is_seed(self.seed):
+            raise ValueError(
+                f"latency seed must be an integer in [0, 2**64), got {self.seed!r}")
         if self.per_cached_token_ms >= self.per_uncached_token_ms:
             raise ValueError("cached tokens must be faster than uncached tokens")
 
@@ -85,8 +94,7 @@ class LatencyModel:
                 + self.per_write_token_ms * usage.cache_write)
 
 
-@dataclass(frozen=True)
-class CallResult:
+class CallResult(NamedTuple):
     request_index: int
     usage: UsageRecord
     cost_usd: float
@@ -96,32 +104,35 @@ class CallResult:
 
 @dataclass(frozen=True)
 class SessionResult:
+    """One session's calls and their totals, summed once, in call order,
+    when the result is built."""
+
     session_id: str
     calls: tuple[CallResult, ...]
+    total_cost_usd: float = field(init=False)
+    mean_ttft_ms: float = field(init=False)
+    total_uncached: int = field(init=False)
+    total_cached_read: int = field(init=False)
+    total_cache_write: int = field(init=False)
+    total_output: int = field(init=False)
 
-    @property
-    def total_cost_usd(self) -> float:
-        return sum(c.cost_usd for c in self.calls)
-
-    @property
-    def mean_ttft_ms(self) -> float:
-        return sum(c.ttft_ms for c in self.calls) / len(self.calls)
-
-    @property
-    def total_uncached(self) -> int:
-        return sum(c.usage.uncached_input for c in self.calls)
-
-    @property
-    def total_cached_read(self) -> int:
-        return sum(c.usage.cached_read for c in self.calls)
-
-    @property
-    def total_cache_write(self) -> int:
-        return sum(c.usage.cache_write for c in self.calls)
-
-    @property
-    def total_output(self) -> int:
-        return sum(c.usage.output for c in self.calls)
+    def __post_init__(self) -> None:
+        cost = ttft = uncached = cached_read = cache_write = output = 0
+        for call in self.calls:
+            usage = call.usage
+            cost += call.cost_usd
+            ttft += call.ttft_ms
+            uncached += usage.uncached_input
+            cached_read += usage.cached_read
+            cache_write += usage.cache_write
+            output += usage.output
+        for name, value in (("total_cost_usd", cost),
+                            ("mean_ttft_ms", ttft / len(self.calls)),
+                            ("total_uncached", uncached),
+                            ("total_cached_read", cached_read),
+                            ("total_cache_write", cache_write),
+                            ("total_output", output)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -147,10 +158,12 @@ class ConditionRun:
 
 def replay_call(layout: SessionLayout, request_index: int, store: CacheStore,
                 now_s: float, latency_model: LatencyModel, output_tokens: int, *,
-                session_seed: int, noise: np.random.Generator) -> CallResult:
+                session_seed: int, noise: float) -> CallResult:
     """Simulate one API call, issued at condition time ``now_s``, of a
     session laid out by :func:`~cachesim.strategies.session_layout`,
-    against ``store`` and priced by the store's policy.
+    against ``store`` and priced by the store's policy. ``noise`` is the
+    call's standard normal draw, which scales its TTFT by
+    ``exp(noise_sigma * noise)``.
 
     ``session_seed`` does not change the result (breaker ids never reach
     the cache); it identifies the call's session to per-call tracing."""
@@ -162,8 +175,9 @@ def replay_call(layout: SessionLayout, request_index: int, store: CacheStore,
     limit = layout.explicit_limit
     if limit is None or policy.mode is not CacheMode.EXPLICIT_BREAKPOINTS:
         limit = n
+    segments = layout.segment_contents if policy.opportunistic_segments else ()
 
-    cached, write = access(store, flat, limit, now_s, min(layout.stop, n), layout.segments)
+    cached, write = access(store, flat, limit, now_s, min(layout.stop, n), segments)
     usage = UsageRecord(
         uncached_input=n - cached,
         cached_read=cached,
@@ -171,48 +185,85 @@ def replay_call(layout: SessionLayout, request_index: int, store: CacheStore,
         output=output_tokens,
     )
     cost = price_call(usage, policy, prompt_total_tokens=n)
-    factor = math.exp(latency_model.noise_sigma * noise.standard_normal())
-    ttft = latency_model.mean_ttft_ms(usage) * factor
-    return CallResult(request_index=request_index, usage=usage,
-                      cost_usd=cost, ttft_ms=ttft, time_s=now_s)
+    ttft = latency_model.mean_ttft_ms(usage) * math.exp(latency_model.noise_sigma * noise)
+    return CallResult(request_index, usage, cost, ttft, now_s)
+
+
+class Condition:
+    """One (policy, mode) condition's replay state over ``transcripts``: a
+    fresh store built for the policy, simulated time from 0 s, one noise
+    draw per API call and the sessions replayed so far.
+
+    The noise stream is derived from (latency seed, policy, mode), so
+    conditions stay independent no matter how many run or in what order.
+    """
+
+    def __init__(self, transcripts: Sequence[SessionTranscript], mode: StrategyMode,
+                 policy: ProviderPolicy, latency_model: LatencyModel,
+                 warmup_sessions: int) -> None:
+        if warmup_sessions < 0:
+            raise ValueError("warmup_sessions must be >= 0")
+        if warmup_sessions >= len(transcripts):
+            raise ValueError(
+                f"warmup_sessions={warmup_sessions} leaves no evaluation sessions "
+                f"out of {len(transcripts)} transcripts")
+        self.mode = mode
+        self.policy = policy
+        self.latency_model = latency_model
+        self.warmup_sessions = warmup_sessions
+        self.store = CacheStore(policy)
+        noise = np.random.Generator(np.random.PCG64(
+            derive_seed(latency_model.seed, "noise", policy.name, mode.value)))
+        # A transcript of 2k + 1 messages makes k calls.
+        calls = sum(len(t.messages) // 2 for t in transcripts)
+        self.noise = iter(noise.standard_normal(calls).tolist())
+        self.now_s = 0.0
+        self.sessions: list[SessionResult] = []
+
+    def result(self) -> ConditionRun:
+        """The evaluation sessions and the warmup ledger, once every
+        transcript has been replayed."""
+        policy, mode, w = self.policy, self.mode, self.warmup_sessions
+        warm = self.sessions[:w]
+        return ConditionRun(
+            policy_name=policy.name, mode=mode, sessions=tuple(self.sessions[w:]),
+            warmup=WarmupLedger(policy.name, mode.value, w,
+                                sum(s.total_cache_write for s in warm),
+                                sum((s.total_cost_usd for s in warm), 0.0)),
+        )
+
+
+def replay_session(condition: Condition, transcript: SessionTranscript,
+                   layout: SessionLayout, requests: Sequence[tuple[int, float]]) -> None:
+    """Replay the condition's next session: ``transcript``, laid out under
+    the condition's mode, whose ``requests()`` are ``requests``. Each call
+    is sent at the condition's time, which then advances by the call's
+    gap, so the next session starts where this one ended."""
+    store = condition.store
+    latency_model = condition.latency_model
+    noise = condition.noise
+    session_seed = transcript.session_seed
+    now_s = condition.now_s
+    calls = []
+    for r, (output_tokens, gap_s) in enumerate(requests, start=1):
+        calls.append(replay_call(layout, r, store, now_s, latency_model, output_tokens,
+                                 session_seed=session_seed, noise=next(noise)))
+        now_s += gap_s
+    condition.now_s = now_s
+    condition.sessions.append(SessionResult(transcript.session_id, tuple(calls)))
 
 
 def run_condition(transcripts: Sequence[SessionTranscript], mode: StrategyMode,
                   policy: ProviderPolicy, latency_model: LatencyModel,
                   warmup_sessions: int = 0) -> ConditionRun:
-    """Replay all transcripts under one (policy, mode) condition.
+    """Replay all transcripts under one (policy, mode) condition alone.
 
     A fresh store is used and condition time starts at 0 s, so conditions
     never contaminate each other. The first ``warmup_sessions``
-    transcripts prime the cache; the rest are the evaluation set. The
-    condition's noise stream is derived from (latency seed, policy,
-    mode), so conditions stay independent no matter how many run or in
-    what order.
+    transcripts prime the cache; the rest are the evaluation set.
     """
-    if warmup_sessions < 0:
-        raise ValueError("warmup_sessions must be >= 0")
-    if warmup_sessions >= len(transcripts):
-        raise ValueError(
-            f"warmup_sessions={warmup_sessions} leaves no evaluation sessions "
-            f"out of {len(transcripts)} transcripts")
-    store = CacheStore(policy)
-    noise = np.random.Generator(np.random.PCG64(
-        derive_seed(latency_model.seed, "noise", policy.name, mode.value)))
-
-    now_s = 0.0
-    sessions = []
+    condition = Condition(transcripts, mode, policy, latency_model, warmup_sessions)
     for transcript in transcripts:
-        layout = session_layout(transcript, mode)
-        calls = []
-        for r, (output_tokens, gap_s) in enumerate(transcript.requests(), start=1):
-            calls.append(replay_call(layout, r, store, now_s, latency_model, output_tokens,
-                                     session_seed=transcript.session_seed, noise=noise))
-            now_s += gap_s
-        sessions.append(SessionResult(session_id=transcript.session_id, calls=tuple(calls)))
-    warm = sessions[:warmup_sessions]
-    return ConditionRun(
-        policy_name=policy.name, mode=mode, sessions=tuple(sessions[warmup_sessions:]),
-        warmup=WarmupLedger(policy.name, mode.value, warmup_sessions,
-                            sum(s.total_cache_write for s in warm),
-                            sum((s.total_cost_usd for s in warm), 0.0)),
-    )
+        replay_session(condition, transcript, session_layout(transcript, mode),
+                       tuple(transcript.requests()))
+    return condition.result()

@@ -1,8 +1,11 @@
 """Experiment orchestration and report files.
 
-Runs every (policy x mode) condition of a config in turn (each owns its
-store, simulated time and noise stream, so they do not interact) and
-writes:
+Runs every (policy x mode) condition of a config and writes the results.
+Each mode's conditions replay in lockstep: each session's layout is built
+once and replayed against every policy's condition, then dropped before
+the next session. A condition owns its store, simulated time and noise
+stream, so conditions do not interact, and only the read-only layout is
+shared. The run writes:
 
 * ``per_call.csv``  - one row per evaluated API call
 * ``per_session.csv`` - one row per evaluated session
@@ -30,10 +33,10 @@ from typing import Sequence
 
 from .checks import is_finite_number
 from .config import AblationGrid, ExperimentConfig, to_json
-from .replay import ConditionRun, run_condition
+from .replay import Condition, ConditionRun, replay_session
 from .stats import (BASELINE_MODE, Comparison, ConditionSamples, ExperimentReport,
                     summarize_experiment)
-from .strategies import StrategyMode
+from .strategies import StrategyMode, session_layout
 from .workload import generate
 
 PER_CALL_COLUMNS = ["session_id", "call_index", "mode", "policy", "uncached",
@@ -55,9 +58,17 @@ def _execute_matrix(config: ExperimentConfig) -> tuple[ConditionRun, ...]:
     spec = replace(config.workload,
                    sessions=config.workload.sessions + config.warmup_sessions)
     transcripts = generate(spec)
-    runs = [run_condition(transcripts, mode, policy, config.latency_for(policy.name),
-                          warmup_sessions=config.warmup_sessions)
-            for policy in config.policies for mode in config.modes]
+    runs = []
+    for mode in config.modes:
+        conditions = [Condition(transcripts, mode, policy, config.latency_for(policy.name),
+                                config.warmup_sessions)
+                      for policy in config.policies]
+        for transcript in transcripts:
+            layout = session_layout(transcript, mode)
+            requests = tuple(transcript.requests())
+            for condition in conditions:
+                replay_session(condition, transcript, layout, requests)
+        runs.extend(condition.result() for condition in conditions)
     return tuple(sorted(runs, key=lambda r: (r.policy_name, r.mode.value)))
 
 
@@ -84,11 +95,12 @@ def _write_per_call(runs: Sequence[ConditionRun], path: Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(PER_CALL_COLUMNS)
         for run in runs:
+            mode, policy = run.mode.value, run.policy_name
             for session in run.sessions:
                 for call in session.calls:
                     writer.writerow([
-                        session.session_id, call.request_index, run.mode.value,
-                        run.policy_name, call.usage.uncached_input,
+                        session.session_id, call.request_index, mode,
+                        policy, call.usage.uncached_input,
                         call.usage.cached_read, call.usage.cache_write,
                         call.usage.output, repr(call.cost_usd),
                         repr(call.ttft_ms), repr(call.time_s),
@@ -100,9 +112,10 @@ def _write_per_session(runs: Sequence[ConditionRun], path: Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(PER_SESSION_COLUMNS)
         for run in runs:
+            mode, policy = run.mode.value, run.policy_name
             for session in run.sessions:
                 writer.writerow([
-                    run.policy_name, run.mode.value, session.session_id,
+                    policy, mode, session.session_id,
                     len(session.calls), repr(session.total_cost_usd),
                     repr(session.mean_ttft_ms), session.total_uncached,
                     session.total_cached_read, session.total_cache_write,

@@ -36,7 +36,10 @@ breaker-free segments. Request ``r`` is then the template's first
 ``lengths[r - 1]`` tokens, and no other module knows where or how wide a
 breaker is: replay hands the first breaker slot and the segments to the
 cache store as they are, and the store applies its policy's rules to
-them.
+them. A layout depends on no policy, so a run builds one per (session,
+mode) and shares it across the mode's policies; it serializes its
+segments' contents on first use, for an opportunistic-segments store,
+and keeps them for every later request and store.
 
 The tests hold the layout against a plain per-request reference in
 ``tests/reference.py``: ``apply_strategy`` followed by ``flatten`` builds
@@ -47,8 +50,9 @@ engine.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -63,7 +67,8 @@ class StrategyMode(Enum):
     EXCLUDE_TOOL_RESULTS = "exclude-tool-results"
 
 
-class SessionLayout(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class SessionLayout:
     """One session's flattened prompts under one strategy.
 
     ``template`` is the last request's flattened prompt with
@@ -84,6 +89,12 @@ class SessionLayout(NamedTuple):
     stop: int
     explicit_limit: int | None
     segments: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def segment_contents(self) -> tuple[tuple[int, bytes], ...]:
+        """Each segment's start and its tokens' bytes, serialized on first
+        use and then shared by every request and store that reads them."""
+        return tuple((a, self.template[a:b].tobytes()) for a, b in self.segments)
 
 
 # Tag ids start at 1, so no flattened prompt ever carries this id.

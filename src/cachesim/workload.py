@@ -39,7 +39,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .checks import is_finite_number, is_int
+from .checks import is_finite_number, is_int, is_seed
 from .errors import TranscriptParseError, TranscriptValidationError
 from .seeding import derive_seed
 from .tokens import RESERVED_TOKEN_FLOOR, Message, Role, synth_tokens
@@ -81,8 +81,9 @@ class WorkloadSpec:
                 raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
             if ceiling is not None and value > ceiling:
                 raise ValueError(f"{name} must be at most {ceiling}, got {value!r}")
-        if not is_int(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not is_seed(self.seed):
+            raise ValueError(
+                f"workload seed must be an integer in [0, 2**64), got {self.seed!r}")
         gap = self.inter_call_gap_seconds
         if not is_finite_number(gap) or gap < 0:
             raise ValueError(f"inter_call_gap_seconds must be finite and >= 0, got {gap!r}")

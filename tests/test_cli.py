@@ -233,6 +233,42 @@ def test_ablate_checks_every_value_before_running_any(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("bad", [-1, 2**64, 2**64 + 42])
+@pytest.mark.parametrize("where, field", [
+    ("master_seed", "master_seed"),
+    ("workload", "workload seed"),
+    ("latency", "latency seed"),
+    ("--seed", "--seed"),
+])
+def test_out_of_range_seeds_exit_one(tmp_path, capsys, where, field, bad):
+    """A seed outside [0, 2**64) is an ``error:`` line naming its field and
+    exit 1; it is never reduced modulo 2**64 to a seed it is not."""
+    data = json.loads(Path(tiny_config(tmp_path)).read_text())
+    argv = []
+    if where == "master_seed":
+        data["master_seed"] = bad
+    elif where == "workload":
+        data["workload"]["seed"] = bad
+    elif where == "latency":
+        data["latency"]["default"]["seed"] = bad
+    else:
+        argv = ["--seed", str(bad)]
+    path = tmp_path / "seeded.json"
+    path.write_text(json.dumps(data))
+    assert main(["simulate", str(path), *argv]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_range_edges_are_accepted(tmp_path):
+    for seed in (0, 2**64 - 1):
+        assert main(["simulate", tiny_config(tmp_path), "--seed", str(seed),
+                     "--out", str(tmp_path / str(seed))]) == EXIT_OK
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        cachesim.derive_seed(2**64, "label")
+
+
 def test_empty_grid_is_config_error():
     with pytest.raises(ConfigError):
         AblationGrid("prompt-size", ())

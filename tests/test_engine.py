@@ -356,7 +356,8 @@ def test_opportunistic_store_reads_repeated_segments():
     breaker = np.zeros(2, dtype=np.uint64)
     prompt = np.concatenate([system, breaker, chunk, breaker, chunk])
     prompt.setflags(write=False)
-    segments = ((0, 1200), (1202, 1502), (1504, 1804))
+    segments = tuple((a, prompt[a:b].tobytes())
+                     for a, b in ((0, 1200), (1202, 1502), (1504, 1804)))
     plain = builtin_policy("gpt-4o")
     stores = {False: CacheStore(plain),
               True: CacheStore(replace(plain, opportunistic_segments=True))}
@@ -365,7 +366,7 @@ def test_opportunistic_store_reads_repeated_segments():
         assert access(store, prompt, 1804, 0.0, 1200, segments) == (0, 1792)
     assert access(stores[False], prompt, 1804, 1.0, 1200, segments) == (1152, 640)
     assert access(stores[True], prompt, 1804, 1.0, 1200, segments) == (1152 + 2 * 256, 640)
-    assert access(stores[True], chunk, 0, 2.0, None, ((0, 300),)) == (0, 0)
+    assert access(stores[True], chunk, 0, 2.0, None, ((0, chunk.tobytes()),)) == (0, 0)
 
 
 _FRESH = 10**12  # breaker ids from here up; content ids are below it

@@ -5,13 +5,15 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from cachesim import (CacheStore, LatencyModel, Role, StrategyMode,
                       TranscriptValidationError, WorkloadSpec, builtin_policy, generate,
-                      replay_call, run_condition, session_layout)
+                      replay_call, run_condition, run_experiment, session_layout)
+from cachesim import replay, runner
+from cachesim.config import config_from_dict
 from reference import flat_length, reference_condition
+from test_golden import GOLDEN_CONFIG
 
 QUIET = LatencyModel(base_ms=40.0, per_uncached_token_ms=0.05,
                      per_cached_token_ms=0.005, per_write_token_ms=0.01,
@@ -152,6 +154,34 @@ def test_condition_noise_streams_differ():
     assert ratio_spo != ratio_fc
 
 
+def test_lockstep_replay_equals_each_condition_alone(tmp_path, monkeypatch):
+    """A run replays each mode's sessions in lockstep across its policies,
+    from one layout per (session, mode): every condition it returns equals
+    ``run_condition`` on that condition alone. The golden config has
+    refresh-on-read, entries that expire, opportunistic segments, all four
+    modes and a warmup session."""
+    config = config_from_dict(GOLDEN_CONFIG)
+    layouts = []
+
+    def counted(transcript, mode):
+        layouts.append((transcript.session_id, mode))
+        return session_layout(transcript, mode)
+
+    for module in (runner, replay):
+        monkeypatch.setattr(module, "session_layout", counted)
+    runs = run_experiment(config, out_dir=tmp_path, quiet=True).runs
+    monkeypatch.undo()
+
+    sessions = config.workload.sessions + config.warmup_sessions
+    assert len(layouts) == len(set(layouts)) == sessions * len(config.modes)
+    assert len(runs) == len(config.policies) * len(config.modes)
+    transcripts = generate(replace(config.workload, sessions=sessions))
+    for run in runs:
+        policy = next(p for p in config.policies if p.name == run.policy_name)
+        assert run == run_condition(transcripts, run.mode, policy,
+                                    config.latency_for(policy.name), config.warmup_sessions)
+
+
 class TestWarmup:
     def test_warmup_primes_the_first_evaluation_call(self):
         transcripts = generate(small_spec())
@@ -223,7 +253,7 @@ class TestLatencyModel:
         def call(request_index, now_s):
             return replay_call(layout, request_index, store,
                                now_s, QUIET, 1, session_seed=0,
-                               noise=np.random.default_rng(0))
+                               noise=0.0)
 
         call(1, 5.0)
         with pytest.raises(ValueError, match="never go back"):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -256,4 +257,24 @@ def test_layout_request_bounds():
     for r in (0, len(layout.lengths) + 1):
         with pytest.raises(IndexError):
             replay_call(layout, r, store, 0.0, LatencyModel(), 1,
-                        session_seed=0, noise=np.random.default_rng(0))
+                        session_seed=0, noise=0.0)
+
+
+def test_segment_contents_are_serialized_once_and_only_when_read():
+    """A layout serializes its segments on first use by an
+    opportunistic-segments store and then serves the same bytes to every
+    later request and store; a plain store never asks for them."""
+    transcript = make_transcript(make_conversation(3) + [Message(Role.AI, synth_tokens(3, 8))])
+    layout = session_layout(transcript, StrategyMode.EXCLUDE_TOOL_RESULTS)
+    plain = builtin_policy("gpt-4o")
+    replay_call(layout, 2, CacheStore(plain), 0.0, LatencyModel(), 1, session_seed=0, noise=0.0)
+    assert "segment_contents" not in vars(layout)
+
+    opportunistic = replace(plain, opportunistic_segments=True)
+    replay_call(layout, 2, CacheStore(opportunistic), 0.0, LatencyModel(), 1,
+                session_seed=0, noise=0.0)
+    contents = vars(layout)["segment_contents"]
+    assert contents == tuple((a, layout.template[a:b].tobytes()) for a, b in layout.segments)
+    replay_call(layout, 3, CacheStore(opportunistic), 0.0, LatencyModel(), 1,
+                session_seed=0, noise=0.0)
+    assert layout.segment_contents is contents
