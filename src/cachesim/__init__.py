@@ -14,8 +14,7 @@ from .errors import (ConfigError, TranscriptParseError, TranscriptValidationErro
 from .policies import (CacheMode, PriceSchedule, ProviderPolicy, UsageRecord,
                        builtin_policies, builtin_policy, policy_from_dict,
                        price_call)
-from .replay import (CallResult, ConditionRun, LatencyModel, SessionResult,
-                     replay_call, run_condition)
+from .replay import CallResult, ConditionRun, LatencyModel, replay_call, run_condition
 from .runner import run_ablation, run_experiment, verify_run
 from .seeding import derive_seed
 from .stats import (Comparison, ConditionSamples, ExperimentReport, TTestResult,
@@ -31,7 +30,7 @@ __all__ = [
     "AblationGrid", "CacheMode", "CacheStore", "CallResult", "Comparison",
     "ConditionRun", "ConditionSamples", "ConfigError", "ExperimentConfig",
     "ExperimentReport", "LatencyModel", "Message", "PriceSchedule",
-    "ProviderPolicy", "Role", "SessionResult", "SessionTranscript",
+    "ProviderPolicy", "Role", "SessionTranscript",
     "StrategyMode", "TTestResult", "TranscriptParseError",
     "TranscriptValidationError", "UndefinedBaselineError", "UsageRecord",
     "WorkloadSpec", "access", "builtin_policies", "builtin_policy", "compare",

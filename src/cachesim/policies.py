@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .checks import is_finite_number, is_int
 
@@ -85,19 +86,13 @@ class PriceSchedule:
             raise ValueError("tiered schedules need all tier-2 rates")
 
 
-@dataclass(frozen=True)
-class UsageRecord:
+class UsageRecord(NamedTuple):
     """Per-call token accounting, mirroring provider usage blocks."""
 
     uncached_input: int
     cached_read: int
     cache_write: int
     output: int
-
-    def __post_init__(self) -> None:
-        for name in ("uncached_input", "cached_read", "cache_write", "output"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass(frozen=True)

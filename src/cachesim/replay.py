@@ -35,8 +35,9 @@ evaluation and their cache writes are reported in a separate ledger.
 layout it is given, so a caller can replay several conditions of a mode
 in lockstep, building each session's layout once for all of them (the
 experiment runner does); :func:`run_condition` replays one condition
-alone through the same step. A :class:`SessionResult` sums its calls
-once, when it is built.
+alone through the same step. Each call's usage, cost and times go into
+the condition's columns (see :class:`ConditionRun`); no call keeps an
+object of its own.
 
 ``tests/reference.py`` restates a whole condition one request at a time,
 with real breaker ids and a plain-list cache, and the tests compare the
@@ -46,7 +47,7 @@ two call for call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -103,39 +104,6 @@ class CallResult(NamedTuple):
 
 
 @dataclass(frozen=True)
-class SessionResult:
-    """One session's calls and their totals, summed once, in call order,
-    when the result is built."""
-
-    session_id: str
-    calls: tuple[CallResult, ...]
-    total_cost_usd: float = field(init=False)
-    mean_ttft_ms: float = field(init=False)
-    total_uncached: int = field(init=False)
-    total_cached_read: int = field(init=False)
-    total_cache_write: int = field(init=False)
-    total_output: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        cost = ttft = uncached = cached_read = cache_write = output = 0
-        for call in self.calls:
-            usage = call.usage
-            cost += call.cost_usd
-            ttft += call.ttft_ms
-            uncached += usage.uncached_input
-            cached_read += usage.cached_read
-            cache_write += usage.cache_write
-            output += usage.output
-        for name, value in (("total_cost_usd", cost),
-                            ("mean_ttft_ms", ttft / len(self.calls)),
-                            ("total_uncached", uncached),
-                            ("total_cached_read", cached_read),
-                            ("total_cache_write", cache_write),
-                            ("total_output", output)):
-            object.__setattr__(self, name, value)
-
-
-@dataclass(frozen=True)
 class WarmupLedger:
     """What one condition's warmup sessions wrote to the cache and cost."""
 
@@ -146,13 +114,36 @@ class WarmupLedger:
     cost_usd: float
 
 
+# The per-call columns of a ConditionRun, in per_call.csv's order.
+CALL_COLUMNS = ("uncached", "cached_read", "cache_write", "output",
+                "cost_usd", "ttft_ms", "time_s")
+
+
 @dataclass(frozen=True)
 class ConditionRun:
-    """Evaluation results for one (policy, mode) condition plus its warmup ledger."""
+    """Evaluation results for one (policy, mode) condition, as columns, plus
+    its warmup ledger.
+
+    Evaluation session ``i`` is ``session_ids[i]``; its calls, in request
+    order, are rows ``offsets[i]`` up to ``offsets[i + 1]`` of the per-call
+    columns (token counts as ints; cost, TTFT and send time as floats).
+    ``session_cost_usd`` and ``session_ttft_ms`` hold each session's total
+    cost and mean TTFT, summed once, left to right.
+    """
 
     policy_name: str
     mode: StrategyMode
-    sessions: tuple[SessionResult, ...]
+    session_ids: list[str]
+    offsets: list[int]
+    uncached: list[int]
+    cached_read: list[int]
+    cache_write: list[int]
+    output: list[int]
+    cost_usd: list[float]
+    ttft_ms: list[float]
+    time_s: list[float]
+    session_cost_usd: list[float]
+    session_ttft_ms: list[float]
     warmup: WarmupLedger
 
 
@@ -178,12 +169,7 @@ def replay_call(layout: SessionLayout, request_index: int, store: CacheStore,
     segments = layout.segment_contents if policy.opportunistic_segments else ()
 
     cached, write = access(store, flat, limit, now_s, min(layout.stop, n), segments)
-    usage = UsageRecord(
-        uncached_input=n - cached,
-        cached_read=cached,
-        cache_write=write,
-        output=output_tokens,
-    )
+    usage = UsageRecord(n - cached, cached, write, output_tokens)
     cost = price_call(usage, policy, prompt_total_tokens=n)
     ttft = latency_model.mean_ttft_ms(usage) * math.exp(latency_model.noise_sigma * noise)
     return CallResult(request_index, usage, cost, ttft, now_s)
@@ -192,7 +178,7 @@ def replay_call(layout: SessionLayout, request_index: int, store: CacheStore,
 class Condition:
     """One (policy, mode) condition's replay state over ``transcripts``: a
     fresh store built for the policy, simulated time from 0 s, one noise
-    draw per API call and the sessions replayed so far.
+    draw per API call and the columns of the sessions replayed so far.
 
     The noise stream is derived from (latency seed, policy, mode), so
     conditions stay independent no matter how many run or in what order.
@@ -218,18 +204,28 @@ class Condition:
         calls = sum(len(t.messages) // 2 for t in transcripts)
         self.noise = iter(noise.standard_normal(calls).tolist())
         self.now_s = 0.0
-        self.sessions: list[SessionResult] = []
+        self.session_ids: list[str] = []
+        self.offsets = [0]
+        self.columns: dict[str, list] = {name: [] for name in CALL_COLUMNS}
+        self.session_cost_usd: list[float] = []
+        self.session_ttft_ms: list[float] = []
 
     def result(self) -> ConditionRun:
-        """The evaluation sessions and the warmup ledger, once every
-        transcript has been replayed."""
+        """The evaluation sessions' columns and the warmup ledger, once
+        every transcript has been replayed."""
         policy, mode, w = self.policy, self.mode, self.warmup_sessions
-        warm = self.sessions[:w]
+        k = self.offsets[w]
+        warm_cost = 0.0
+        for cost in self.session_cost_usd[:w]:
+            warm_cost += cost
         return ConditionRun(
-            policy_name=policy.name, mode=mode, sessions=tuple(self.sessions[w:]),
+            policy_name=policy.name, mode=mode, session_ids=self.session_ids[w:],
+            offsets=[offset - k for offset in self.offsets[w:]],
+            **{name: column[k:] for name, column in self.columns.items()},
+            session_cost_usd=self.session_cost_usd[w:],
+            session_ttft_ms=self.session_ttft_ms[w:],
             warmup=WarmupLedger(policy.name, mode.value, w,
-                                sum(s.total_cache_write for s in warm),
-                                sum((s.total_cost_usd for s in warm), 0.0)),
+                                sum(self.columns["cache_write"][:k]), warm_cost),
         )
 
 
@@ -238,19 +234,36 @@ def replay_session(condition: Condition, transcript: SessionTranscript,
     """Replay the condition's next session: ``transcript``, laid out under
     the condition's mode, whose ``requests()`` are ``requests``. Each call
     is sent at the condition's time, which then advances by the call's
-    gap, so the next session starts where this one ended."""
+    gap, so the next session starts where this one ended. Each call's
+    result goes into the condition's columns, and the session's total
+    cost and mean TTFT are summed as it runs."""
     store = condition.store
     latency_model = condition.latency_model
     noise = condition.noise
     session_seed = transcript.session_seed
     now_s = condition.now_s
-    calls = []
+    uncached, cached_read, cache_write, output, costs, ttfts, times = (
+        column.append for column in condition.columns.values())
+    cost = ttft = 0.0
     for r, (output_tokens, gap_s) in enumerate(requests, start=1):
-        calls.append(replay_call(layout, r, store, now_s, latency_model, output_tokens,
-                                 session_seed=session_seed, noise=next(noise)))
+        _, (u, c, w, o), call_cost, call_ttft, _ = replay_call(
+            layout, r, store, now_s, latency_model, output_tokens,
+            session_seed=session_seed, noise=next(noise))
+        uncached(u)
+        cached_read(c)
+        cache_write(w)
+        output(o)
+        costs(call_cost)
+        ttfts(call_ttft)
+        times(now_s)
+        cost += call_cost
+        ttft += call_ttft
         now_s += gap_s
     condition.now_s = now_s
-    condition.sessions.append(SessionResult(transcript.session_id, tuple(calls)))
+    condition.session_ids.append(transcript.session_id)
+    condition.offsets.append(len(condition.columns["uncached"]))
+    condition.session_cost_usd.append(cost)
+    condition.session_ttft_ms.append(ttft / len(requests))
 
 
 def run_condition(transcripts: Sequence[SessionTranscript], mode: StrategyMode,

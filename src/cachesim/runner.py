@@ -16,7 +16,9 @@ An ablation writes these three files for each grid value, into
 one ``ablation.csv`` of session medians across the grid.
 
 Rows are sorted by condition key, so outputs are byte-identical across
-reruns. Every summary value can be recomputed from ``per_call.csv``
+reruns. The CSV rows are formatted from each condition's columns, one
+condition at a time, with every string cell quoted as ``csv.writer``
+quotes it. Every summary value can be recomputed from ``per_call.csv``
 alone; :func:`verify_run` does exactly that and reports any value that
 fails to match.
 """
@@ -24,10 +26,12 @@ fails to match.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -77,50 +81,52 @@ def _report(config: ExperimentConfig, runs: Sequence[ConditionRun]) -> Experimen
     cost totals, and TTFT as one mean per session or, with
     ``ttft_aggregation`` set to ``per-call``, every call pooled."""
     per_call = config.ttft_aggregation == "per-call"
-    samples = [
-        ConditionSamples(
-            policy=run.policy_name,
-            mode=run.mode.value,
-            costs=tuple(s.total_cost_usd for s in run.sessions),
-            ttfts=(tuple(c.ttft_ms for s in run.sessions for c in s.calls) if per_call
-                   else tuple(s.mean_ttft_ms for s in run.sessions)),
-        )
-        for run in runs
-    ]
+    samples = [ConditionSamples(policy=run.policy_name, mode=run.mode.value,
+                                costs=tuple(run.session_cost_usd),
+                                ttfts=tuple(run.ttft_ms if per_call else run.session_ttft_ms))
+               for run in runs]
     return summarize_experiment(samples, alpha=config.alpha)
 
 
-def _write_per_call(runs: Sequence[ConditionRun], path: Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PER_CALL_COLUMNS)
-        for run in runs:
-            mode, policy = run.mode.value, run.policy_name
-            for session in run.sessions:
-                for call in session.calls:
-                    writer.writerow([
-                        session.session_id, call.request_index, mode,
-                        policy, call.usage.uncached_input,
-                        call.usage.cached_read, call.usage.cache_write,
-                        call.usage.output, repr(call.cost_usd),
-                        repr(call.ttft_ms), repr(call.time_s),
-                    ])
+def _csv_cell(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as one cell of a longer row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((text, ""))
+    return buf.getvalue()[:-3]  # drop ",\r\n"
 
 
-def _write_per_session(runs: Sequence[ConditionRun], path: Path) -> None:
+def _write_rows(path: Path, columns: Sequence[str], runs: Sequence[ConditionRun],
+                condition_rows) -> None:
+    """Write a CSV artifact one condition's ``condition_rows(run, cells)`` at a time."""
+    cells = {text: _csv_cell(text) for text in {
+        text for run in runs for text in (run.mode.value, run.policy_name, *run.session_ids)}}
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PER_SESSION_COLUMNS)
+        csv.writer(fh).writerow(columns)
         for run in runs:
-            mode, policy = run.mode.value, run.policy_name
-            for session in run.sessions:
-                writer.writerow([
-                    policy, mode, session.session_id,
-                    len(session.calls), repr(session.total_cost_usd),
-                    repr(session.mean_ttft_ms), session.total_uncached,
-                    session.total_cached_read, session.total_cache_write,
-                    session.total_output,
-                ])
+            fh.write("".join(condition_rows(run, cells)))
+
+
+def _per_call_rows(run: ConditionRun, cells: dict[str, str]) -> list[str]:
+    condition = f"{cells[run.mode.value]},{cells[run.policy_name]}"
+    sizes = [end - start for start, end in zip(run.offsets, run.offsets[1:])]
+    return [f"{session},{r},{condition},{u},{c},{w},{o},{cost!r},{ttft!r},{t!r}\r\n"
+            for session, r, u, c, w, o, cost, ttft, t in zip(
+                chain.from_iterable(map(repeat, map(cells.get, run.session_ids), sizes)),
+                chain.from_iterable(range(1, size + 1) for size in sizes),
+                run.uncached, run.cached_read, run.cache_write, run.output,
+                run.cost_usd, run.ttft_ms, run.time_s)]
+
+
+def _per_session_rows(run: ConditionRun, cells: dict[str, str]) -> list[str]:
+    condition = f"{cells[run.policy_name]},{cells[run.mode.value]}"
+    sessions = [slice(start, end) for start, end in zip(run.offsets, run.offsets[1:])]
+    totals = (map(sum, map(column.__getitem__, sessions))
+              for column in (run.uncached, run.cached_read, run.cache_write, run.output))
+    return [f"{condition},{cells[session]},{span.stop - span.start},{cost!r},{ttft!r},"
+            f"{u},{c},{w},{o}\r\n"
+            for session, span, cost, ttft, u, c, w, o in zip(
+                run.session_ids, sessions, run.session_cost_usd, run.session_ttft_ms,
+                *totals)]
 
 
 def _p_cell(comparison: Comparison) -> str:
@@ -159,8 +165,8 @@ def run_experiment(config: ExperimentConfig, *, out_dir: str | Path | None = Non
     runs = _execute_matrix(config)
     report = _report(config, runs)
 
-    _write_per_call(runs, out / "per_call.csv")
-    _write_per_session(runs, out / "per_session.csv")
+    _write_rows(out / "per_call.csv", PER_CALL_COLUMNS, runs, _per_call_rows)
+    _write_rows(out / "per_session.csv", PER_SESSION_COLUMNS, runs, _per_session_rows)
     summary = {
         "config": to_json(config),
         "warmup": to_json([run.warmup for run in runs]),
@@ -227,8 +233,8 @@ def run_ablation(config: ExperimentConfig, grid: AblationGrid, *,
                               quiet=True).runs
         medians = {
             (run.policy_name, run.mode.value): (
-                statistics.median(s.total_cost_usd for s in run.sessions),
-                statistics.median(s.mean_ttft_ms for s in run.sessions),
+                statistics.median(run.session_cost_usd),
+                statistics.median(run.session_ttft_ms),
             )
             for run in runs
         }
@@ -242,7 +248,7 @@ def run_ablation(config: ExperimentConfig, grid: AblationGrid, *,
                 improvement = 100.0 * (1.0 - med_ttft / baseline[1])
             rows.append(AblationRow(
                 dimension=grid.dimension, value=value, policy=run.policy_name,
-                mode=run.mode.value, sessions=len(run.sessions),
+                mode=run.mode.value, sessions=len(run.session_ids),
                 median_cost_usd=med_cost, median_ttft_ms=med_ttft,
                 cost_savings_pct=savings, ttft_improvement_pct=improvement,
             ))
@@ -250,15 +256,8 @@ def run_ablation(config: ExperimentConfig, grid: AblationGrid, *,
             print(f"{grid.dimension}={value}: {len(runs)} conditions done")
 
     with open(out / "ablation.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ABLATION_COLUMNS)
-        for row in rows:
-            writer.writerow([
-                row.dimension, row.value, row.policy, row.mode, row.sessions,
-                repr(row.median_cost_usd), repr(row.median_ttft_ms),
-                "" if row.cost_savings_pct is None else repr(row.cost_savings_pct),
-                "" if row.ttft_improvement_pct is None else repr(row.ttft_improvement_pct),
-            ])
+        # csv.writer writes a float as its repr and None as an empty cell.
+        csv.writer(fh).writerows([ABLATION_COLUMNS, *map(astuple, rows)])
     return AblationResult(rows=tuple(rows), out_dir=out)
 
 
@@ -330,76 +329,48 @@ def verify_run(run_dir: str | Path) -> list[str]:
     if problems:
         return problems
 
-    # Rebuild per-session aggregates from raw calls.
-    sessions: dict[tuple[str, str, str], dict] = {}
-    order: list[tuple[str, str, str]] = []
+    # Rebuild per-session aggregates from raw calls: the call count, the
+    # cost and TTFT sums and the four token totals, in per_session.csv's order.
+    sessions: dict[tuple[str, str, str], list] = {}
     for row in call_rows:
         key = (row["policy"], row["mode"], row["session_id"])
-        if key not in sessions:
-            sessions[key] = {"calls": 0, "cost": 0.0, "ttft": 0.0,
-                             "uncached": 0, "cached_read": 0,
-                             "cache_write": 0, "output": 0}
-            order.append(key)
-        agg = sessions[key]
-        agg["calls"] += 1
-        agg["cost"] += float(row["cost_usd"])
-        agg["ttft"] += float(row["ttft_ms"])
-        agg["uncached"] += int(row["uncached"])
-        agg["cached_read"] += int(row["cached_read"])
-        agg["cache_write"] += int(row["cache_write"])
-        agg["output"] += int(row["output"])
-        uncached_plus_cached = int(row["uncached"]) + int(row["cached_read"])
-        if int(row["cache_write"]) > uncached_plus_cached:
-            problems.append(
-                f"per_call.csv {key}: cache_write exceeds prompt tokens")
+        tokens = [int(row[name]) for name in PER_SESSION_COLUMNS[6:]]
+        if tokens[2] > tokens[0] + tokens[1]:
+            problems.append(f"per_call.csv {key}: cache_write exceeds prompt tokens")
+        agg = sessions.setdefault(key, [0, 0.0, 0.0, 0, 0, 0, 0])
+        for i, value in enumerate((1, float(row["cost_usd"]), float(row["ttft_ms"]), *tokens)):
+            agg[i] += value
 
-    if len(session_rows) != len(order):
+    if len(session_rows) != len(sessions):
         problems.append(
-            f"per_session.csv has {len(session_rows)} rows, per_call.csv implies {len(order)}")
+            f"per_session.csv has {len(session_rows)} rows, per_call.csv implies {len(sessions)}")
     for row in session_rows:
         key = (row["policy"], row["mode"], row["session_id"])
-        agg = sessions.get(key)
-        if agg is None:
+        if key not in sessions:
             problems.append(f"per_session.csv {key}: no matching calls")
             continue
-        checks = [
-            ("calls", int(row["calls"]), agg["calls"]),
-            ("total_cost_usd", float(row["total_cost_usd"]), agg["cost"]),
-            ("mean_ttft_ms", float(row["mean_ttft_ms"]), agg["ttft"] / agg["calls"]),
-            ("uncached", int(row["uncached"]), agg["uncached"]),
-            ("cached_read", int(row["cached_read"]), agg["cached_read"]),
-            ("cache_write", int(row["cache_write"]), agg["cache_write"]),
-            ("output", int(row["output"]), agg["output"]),
-        ]
-        for name, recorded, recomputed in checks:
-            if isinstance(recorded, float):
-                if not _close(recorded, recomputed):
-                    problems.append(f"per_session.csv {key} {name}: "
-                                    f"{recorded!r} != recomputed {recomputed!r}")
-            elif recorded != recomputed:
+        calls, cost, ttft, *tokens = sessions[key]
+        for name, recomputed in zip(PER_SESSION_COLUMNS[3:], (calls, cost, ttft / calls, *tokens)):
+            recorded = type(recomputed)(row[name])
+            if not (_close(recorded, recomputed) if isinstance(recomputed, float)
+                    else recorded == recomputed):
                 problems.append(f"per_session.csv {key} {name}: "
                                 f"{recorded!r} != recomputed {recomputed!r}")
 
     # Rebuild the comparison report from scratch.
     per_call_ttft = config.get("ttft_aggregation") == "per-call"
-    grouped: dict[tuple[str, str], list[tuple[str, float, float]]] = {}
-    for key in order:
-        policy, mode, session_id = key
-        agg = sessions[key]
-        grouped.setdefault((policy, mode), []).append(
-            (session_id, agg["cost"], agg["ttft"] / agg["calls"]))
-    pooled_ttfts: dict[tuple[str, str], list[float]] = {}
+    grouped: dict[tuple[str, str], tuple[list[float], list[float]]] = {}
+    for (policy, mode, _), (calls, cost, ttft, *_) in sessions.items():
+        costs, ttfts = grouped.setdefault((policy, mode), ([], []))
+        costs.append(cost)
+        if not per_call_ttft:
+            ttfts.append(ttft / calls)
     if per_call_ttft:
         for row in call_rows:
-            pooled_ttfts.setdefault((row["policy"], row["mode"]), []).append(
-                float(row["ttft_ms"]))
-    samples = [
-        ConditionSamples(policy=policy, mode=mode,
-                         costs=tuple(c for _, c, _ in rows),
-                         ttfts=tuple(pooled_ttfts[(policy, mode)]) if per_call_ttft
-                         else tuple(t for _, _, t in rows))
-        for (policy, mode), rows in grouped.items()
-    ]
+            grouped[(row["policy"], row["mode"])][1].append(float(row["ttft_ms"]))
+    samples = [ConditionSamples(policy=policy, mode=mode, costs=tuple(costs),
+                                ttfts=tuple(ttfts))
+               for (policy, mode), (costs, ttfts) in grouped.items()]
     alpha = config.get("alpha", 0.05)
     recomputed_report = to_json(summarize_experiment(samples, alpha=alpha))
     _diff_values("report", summary.get("report"), recomputed_report, problems)

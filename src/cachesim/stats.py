@@ -117,7 +117,11 @@ class TTestResult:
 
 
 def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values)
+    # Left to right: since Python 3.12, sum() of floats is compensated.
+    total = 0
+    for value in values:
+        total += value
+    return total / len(values)
 
 
 def _sample_variance(values: Sequence[float]) -> float:

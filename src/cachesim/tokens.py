@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -62,17 +63,31 @@ def synth_tokens(count: int, stream_seed: int) -> np.ndarray:
     for n <= m. Distinct seeds disagree at the first token except with
     vanishing probability.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    idx = np.arange(1, count + 1, dtype=np.uint64)
-    z = np.uint64(stream_seed & MASK64) + idx * _GOLDEN
-    z = (z ^ (z >> np.uint64(30))) * _MIX_A
-    z = (z ^ (z >> np.uint64(27))) * _MIX_B
-    z = z ^ (z >> np.uint64(31))
-    floor = np.uint64(RESERVED_TOKEN_FLOOR)
-    z = np.where(z < floor, z + floor, z)
+    return synth_token_streams((count,), (stream_seed,))[0]
+
+
+def synth_token_streams(counts: Sequence[int], stream_seeds: Sequence[int]) -> list[np.ndarray]:
+    """``synth_tokens(count, seed)`` for each pair of ``counts`` and
+    ``stream_seeds``, in one SplitMix64 pass over their concatenated
+    counters; each stream is a read-only view of one array."""
+    if min(counts) < 1:
+        raise ValueError(f"count must be >= 1, got {min(counts)}")
+    ends = np.cumsum(counts, dtype=np.uint64)
+    starts = ends - np.asarray(counts, dtype=np.uint64)
+    seeds = np.array([seed & MASK64 for seed in stream_seeds], dtype=np.uint64)
+    # In place, so that a long stream needs one temporary array at a time.
+    z = np.arange(1, int(ends[-1]) + 1, dtype=np.uint64)
+    z -= np.repeat(starts, counts)
+    z *= _GOLDEN
+    z += np.repeat(seeds, counts)
+    z ^= z >> np.uint64(30)
+    z *= _MIX_A
+    z ^= z >> np.uint64(27)
+    z *= _MIX_B
+    z ^= z >> np.uint64(31)
+    z[z < RESERVED_TOKEN_FLOOR] += np.uint64(RESERVED_TOKEN_FLOOR)
     z.setflags(write=False)
-    return z
+    return [z[start:end] for start, end in zip(starts.tolist(), ends.tolist())]
 
 
 @dataclass(frozen=True, eq=False)

@@ -42,7 +42,7 @@ import numpy as np
 from .checks import is_finite_number, is_int, is_seed
 from .errors import TranscriptParseError, TranscriptValidationError
 from .seeding import derive_seed
-from .tokens import RESERVED_TOKEN_FLOOR, Message, Role, synth_tokens
+from .tokens import RESERVED_TOKEN_FLOOR, Message, Role, synth_token_streams, synth_tokens
 
 MAX_TOKEN_COUNT = 2**20
 
@@ -164,29 +164,29 @@ def generate(spec: WorkloadSpec) -> list[SessionTranscript]:
     gap = spec.inter_call_gap_seconds
     turn_tokens = spec.reasoning_tokens_per_turn + spec.tool_call_tokens
 
+    # Each session's messages after the system prompt, as (role, token
+    # count, seed labels), synthesized in one pass per session.
+    shape = [(Role.HUMAN, spec.question_tokens, ("question",))]
+    times = [0.0, 0.0]
+    for k in range(1, spec.tool_calls + 1):
+        shape.append((Role.AI, turn_tokens, ("assistant", k)))
+        shape.append((Role.TOOL_RESULT, spec.tool_result_tokens, ("tool-result", k)))
+        times.extend([k * gap, k * gap])
+    shape.append((Role.AI, spec.final_answer_tokens, ("final",)))
+    times.append((spec.tool_calls + 1) * gap)
+    timestamps = tuple(times)
+    counts = [count for _, count, _ in shape]
+
     transcripts = []
     for s in range(spec.sessions):
         session_seed = derive_seed(spec.seed, "session", s)
-        messages: list[Message] = [
-            Message(Role.SYSTEM, system),
-            Message(Role.HUMAN,
-                    synth_tokens(spec.question_tokens, derive_seed(session_seed, "question"))),
-        ]
-        times: list[float] = [0.0, 0.0]
-        for k in range(1, spec.tool_calls + 1):
-            messages.append(Message(
-                Role.AI, synth_tokens(turn_tokens, derive_seed(session_seed, "assistant", k))))
-            messages.append(Message(
-                Role.TOOL_RESULT,
-                synth_tokens(spec.tool_result_tokens, derive_seed(session_seed, "tool-result", k))))
-            times.extend([k * gap, k * gap])
-        messages.append(Message(
-            Role.AI, synth_tokens(spec.final_answer_tokens, derive_seed(session_seed, "final"))))
-        times.append((spec.tool_calls + 1) * gap)
+        streams = synth_token_streams(
+            counts, [derive_seed(session_seed, *labels) for _, _, labels in shape])
         transcripts.append(SessionTranscript(
             session_id=f"s{s:03d}",
-            messages=tuple(messages),
-            timestamps=tuple(times),
+            messages=(Message(Role.SYSTEM, system),
+                      *(Message(role, tokens) for (role, _, _), tokens in zip(shape, streams))),
+            timestamps=timestamps,
             session_seed=session_seed,
         ))
     return transcripts

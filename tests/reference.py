@@ -26,14 +26,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from cachesim import (CacheMode, CallResult, ConditionRun, LatencyModel,
-                      Message, ProviderPolicy, Role, SessionResult, SessionTranscript,
-                      StrategyMode, UsageRecord, derive_seed, price_call)
-from cachesim.replay import WarmupLedger
+from cachesim import (CacheMode, ConditionRun, LatencyModel, Message, ProviderPolicy,
+                      Role, SessionTranscript, StrategyMode, UsageRecord, derive_seed,
+                      price_call)
+from cachesim.replay import CALL_COLUMNS, WarmupLedger
 from cachesim.tokens import RESERVED_TOKEN_FLOOR, ROLE_TAG_IDS
 
 
@@ -279,17 +280,32 @@ def reference_condition(transcripts: Sequence[SessionTranscript], mode: Strategy
             cost = price_call(usage, policy, prompt_total_tokens=len(flat))
             ttft = latency.mean_ttft_ms(usage) * math.exp(
                 latency.noise_sigma * noise.standard_normal())
-            calls.append(CallResult(request_index=r, usage=usage, cost_usd=cost,
-                                    ttft_ms=ttft, time_s=now))
+            calls.append((*usage, cost, ttft, now))
             # Call r is sent at its newest input message; the last call's
             # gap runs to the final message.
             end = tr.timestamps[2 * r + 1] if r < n else tr.timestamps[-1]
             now += end - tr.timestamps[2 * r - 1]
-        sessions.append(SessionResult(session_id=tr.session_id, calls=tuple(calls)))
+        sessions.append((tr.session_id, calls))
 
-    warm = sessions[:warmup]
+    def left_sum(values: Iterable[float]) -> float:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+
+    # A call is (uncached, cached_read, cache_write, output, cost, ttft, time).
+    session_costs = [left_sum(call[4] for call in calls) for _, calls in sessions]
+    warm, evaluated = sessions[:warmup], sessions[warmup:]
     ledger = WarmupLedger(policy.name, mode.value, warmup,
-                          sum(s.total_cache_write for s in warm),
-                          sum((s.total_cost_usd for s in warm), 0.0))
-    return ConditionRun(policy_name=policy.name, mode=mode,
-                        sessions=tuple(sessions[warmup:]), warmup=ledger)
+                          sum(call[2] for _, calls in warm for call in calls),
+                          left_sum(session_costs[:warmup]))
+    rows = [call for _, calls in evaluated for call in calls]
+    return ConditionRun(
+        policy_name=policy.name, mode=mode,
+        session_ids=[session_id for session_id, _ in evaluated],
+        offsets=[0, *accumulate(len(calls) for _, calls in evaluated)],
+        **{name: list(column) for name, column in zip(CALL_COLUMNS, zip(*rows))},
+        session_cost_usd=session_costs[warmup:],
+        session_ttft_ms=[left_sum(call[5] for call in calls) / len(calls)
+                         for _, calls in evaluated],
+        warmup=ledger)

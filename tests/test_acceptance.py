@@ -167,18 +167,18 @@ def test_acceptance_3_threshold_control():
                    ("gpt-4o", "gpt-5.2", "claude-sonnet-4.5", "gemini-2.5-pro")):
         for mode in StrategyMode:
             run = run_condition(small, mode, policy, QUIET_LATENCY, warmup_sessions=1)
-            reads = sum(s.total_cached_read for s in run.sessions)
+            reads = sum(run.cached_read)
             assert reads == 0, f"{policy.name}/{mode.value} cached below threshold"
         for mode in CACHING_MODES:
             run = run_condition(larger, mode, policy, QUIET_LATENCY, warmup_sessions=1)
-            reads = sum(s.total_cached_read for s in run.sessions)
+            reads = sum(run.cached_read)
             if policy.name == "gemini-2.5-pro":
                 assert reads == 0, "gemini cached below its 4096 minimum"
             else:
                 assert reads > 0, f"{policy.name}/{mode.value} failed to cache at 2000"
         baseline = run_condition(larger, StrategyMode.NO_CACHE, policy,
                                  QUIET_LATENCY, warmup_sessions=1)
-        assert sum(s.total_cached_read for s in baseline.sessions) == 0
+        assert sum(baseline.cached_read) == 0
     _ok(3, "below-minimum prompts never cache; 2000-token prompts cache "
            "exactly on the min-1024 policies")
 
@@ -204,17 +204,17 @@ def test_acceptance_4_asymptotic_savings():
     baseline = run_condition(transcripts, StrategyMode.NO_CACHE, g52,
                              QUIET_LATENCY, warmup_sessions=1)
 
-    last = spo.sessions[-1].calls[-1].usage
+    uncached, cached_read = spo.uncached[-1], spo.cached_read[-1]
     rate = g52.prices
-    with_cache = (last.uncached_input * rate.input_per_mtok
-                  + last.cached_read * rate.cached_read_per_mtok)
-    without = (last.uncached_input + last.cached_read) * rate.input_per_mtok
+    with_cache = (uncached * rate.input_per_mtok
+                  + cached_read * rate.cached_read_per_mtok)
+    without = (uncached + cached_read) * rate.input_per_mtok
     steady_pct = 100.0 * (1.0 - with_cache / without)
     assert 85.0 <= steady_pct <= 95.0, f"steady-state saving {steady_pct:.2f}%"
 
     session_savings = [
-        100.0 * (1.0 - cached.total_cost_usd / plain.total_cost_usd)
-        for cached, plain in zip(spo.sessions, baseline.sessions)]
+        100.0 * (1.0 - cached / plain)
+        for cached, plain in zip(spo.session_cost_usd, baseline.session_cost_usd)]
     assert all(s >= 85.0 for s in session_savings), session_savings
     _ok(4, f"gpt-5.2 steady-state input saving {steady_pct:.1f}%, session savings "
            f"{min(session_savings):.1f}%..{max(session_savings):.1f}% (>= 85%)")
@@ -234,8 +234,8 @@ def test_acceptance_5_full_context_ttft_regression():
                          noise_sigma=0.1, seed=5)
     full = run_condition(transcripts, StrategyMode.FULL_CONTEXT, policy, model)
     spo = run_condition(transcripts, StrategyMode.SYSTEM_PROMPT, policy, model)
-    full_ttfts = [s.mean_ttft_ms for s in full.sessions]
-    spo_ttfts = [s.mean_ttft_ms for s in spo.sessions]
+    full_ttfts = full.session_ttft_ms
+    spo_ttfts = spo.session_ttft_ms
     assert len(full_ttfts) == len(spo_ttfts) == 40
     mean_full = sum(full_ttfts) / 40
     mean_spo = sum(spo_ttfts) / 40

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -85,6 +86,25 @@ def test_simulate_writes_artifacts(tmp_path, capsys):
     # 2 policies x 2 modes x 3 eval sessions x 3 calls
     assert len(rows) == 36
     assert verify_run(out_dir) == []
+
+
+def test_csv_cells_are_quoted_as_csv_writer_quotes_them(tmp_path):
+    """A policy name with a comma and a quote reads back from both CSV
+    artifacts, and each file is exactly ``csv.writer``'s rendering of its
+    rows."""
+    name = 'a,"b'
+    policy = dict(to_json(builtin_policy("gpt-4o")), name=name)
+    assert main(["simulate", tiny_config(tmp_path, policies=["gpt-4o", policy])]) == EXIT_OK
+    out_dir = tmp_path / "out"
+    assert verify_run(out_dir) == []
+    for artifact in ("per_call.csv", "per_session.csv"):
+        with open(out_dir / artifact, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        column = rows[0].index("policy")
+        assert {row[column] for row in rows[1:]} == {"gpt-4o", name}
+        rendered = io.StringIO(newline="")
+        csv.writer(rendered).writerows(rows)
+        assert (out_dir / artifact).read_bytes() == rendered.getvalue().encode("utf-8")
 
 
 def test_simulate_baseline_only_has_no_comparisons(tmp_path):

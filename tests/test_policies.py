@@ -120,10 +120,6 @@ class TestPriceCall:
         for policy in builtin_policies():
             assert price_call(zero, policy, 0) == 0.0
 
-    def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
-            UsageRecord(-1, 0, 0, 0)
-
     @given(u1=st.integers(0, 10**6), r1=st.integers(0, 10**6),
            w1=st.integers(0, 10**6), o1=st.integers(0, 10**5),
            u2=st.integers(0, 10**6), r2=st.integers(0, 10**6),

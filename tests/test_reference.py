@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cachesim import (CacheMode, LatencyModel, Message, Role, SessionTranscript,
                       StrategyMode, WorkloadSpec, builtin_policy, derive_seed,
                       generate, run_condition, synth_tokens)
+from cachesim.replay import CALL_COLUMNS
 from reference import reference_condition
 
 _POLICIES = ("gpt-4o", "gpt-5.2", "claude-sonnet-4.5", "gemini-2.5-pro")
@@ -17,12 +18,10 @@ _POLICIES = ("gpt-4o", "gpt-5.2", "claude-sonnet-4.5", "gemini-2.5-pro")
 
 def _assert_same_run(got, want) -> None:
     assert got.warmup == want.warmup
-    assert len(got.sessions) == len(want.sessions)
-    for session, expected in zip(got.sessions, want.sessions):
-        assert session.session_id == expected.session_id
-        assert len(session.calls) == len(expected.calls)
-        for call, expected_call in zip(session.calls, expected.calls):
-            assert call == expected_call, session.session_id
+    assert got.session_ids == want.session_ids
+    assert got.offsets == want.offsets
+    for name in CALL_COLUMNS:
+        assert getattr(got, name) == getattr(want, name), name
     assert got == want
 
 
@@ -112,7 +111,6 @@ def test_reference_replay_in_the_gemini_long_context_tier():
     for mode in (StrategyMode.FULL_CONTEXT, StrategyMode.SYSTEM_PROMPT):
         got = run_condition(transcripts, mode, policy, latency, 1)
         _assert_same_run(got, reference_condition(transcripts, mode, policy, latency, 1))
-        calls = got.sessions[0].calls
-        last = calls[-1].usage
-        assert last.uncached_input + last.cached_read > policy.prices.tier_boundary_tokens
-        assert sum(c.usage.cached_read for c in calls) > 0
+        last = got.offsets[1] - 1
+        assert got.uncached[last] + got.cached_read[last] > policy.prices.tier_boundary_tokens
+        assert sum(got.cached_read[:last + 1]) > 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import replace
 
@@ -43,13 +44,15 @@ def test_token_conservation_every_call():
         policy = builtin_policy(policy_name)
         for mode in StrategyMode:
             run = run_condition(transcripts, mode, policy, QUIET)
-            for session, transcript in zip(run.sessions, transcripts):
-                for call in session.calls:
-                    msgs = transcript.messages[:2 * call.request_index]
+            assert len(run.session_ids) == len(transcripts)
+            for s, transcript in enumerate(transcripts):
+                start, end = run.offsets[s], run.offsets[s + 1]
+                for row in range(start, end):
+                    msgs = transcript.messages[:2 * (row - start + 1)]
                     results = sum(1 for m in msgs if m.role is Role.TOOL_RESULT)
                     expected = flat_length(msgs) + BREAKER_OVERHEAD[mode](results)
-                    assert call.usage.uncached_input + call.usage.cached_read == expected
-                    assert call.usage.cache_write <= expected
+                    assert run.uncached[row] + run.cached_read[row] == expected
+                    assert run.cache_write[row] <= expected
 
 
 def test_no_cache_never_reads():
@@ -57,8 +60,7 @@ def test_no_cache_never_reads():
     for policy in (builtin_policy("gpt-4o"), builtin_policy("claude-sonnet-4.5")):
         run = run_condition(transcripts, StrategyMode.NO_CACHE, policy, QUIET,
                             warmup_sessions=1)
-        assert all(c.usage.cached_read == 0
-                   for s in run.sessions for c in s.calls)
+        assert all(read == 0 for read in run.cached_read)
 
 
 def test_system_prompt_reads_match_expected_boundary():
@@ -66,36 +68,35 @@ def test_system_prompt_reads_match_expected_boundary():
     transcripts = generate(spec)
     claude = builtin_policy("claude-sonnet-4.5")
     run = run_condition(transcripts, StrategyMode.SYSTEM_PROMPT, claude, QUIET)
-    session = run.sessions[0]
-    assert session.calls[0].usage.cached_read == 0
-    assert all(c.usage.cached_read == 10_001 for c in session.calls[1:])
+    first = run.cached_read[:run.offsets[1]]
+    assert first[0] == 0
+    assert all(read == 10_001 for read in first[1:])
 
     gpt = builtin_policy("gpt-4o")
     run = run_condition(transcripts, StrategyMode.SYSTEM_PROMPT, gpt, QUIET)
     floored = ((10_002) // 128) * 128
-    assert all(c.usage.cached_read == floored
-               for c in run.sessions[0].calls[1:])
+    assert all(read == floored for read in run.cached_read[1:run.offsets[1]])
 
 
 def test_ttft_formula_when_noise_is_zero():
     transcripts = generate(small_spec(sessions=1))
     run = run_condition(transcripts, StrategyMode.SYSTEM_PROMPT,
                         builtin_policy("gpt-4o"), QUIET)
-    for call in run.sessions[0].calls:
-        u = call.usage
-        expected = (QUIET.base_ms + 0.05 * u.uncached_input
-                    + 0.005 * u.cached_read + 0.01 * u.cache_write)
-        assert call.ttft_ms == pytest.approx(expected, rel=1e-12)
+    assert run.offsets == [0, 4]
+    for row in range(4):
+        expected = (QUIET.base_ms + 0.05 * run.uncached[row]
+                    + 0.005 * run.cached_read[row] + 0.01 * run.cache_write[row])
+        assert run.ttft_ms[row] == pytest.approx(expected, rel=1e-12)
 
 
 def test_virtual_times_follow_the_gap():
     spec = small_spec(sessions=2, inter_call_gap_seconds=5.0)
     run = run_condition(generate(spec), StrategyMode.FULL_CONTEXT,
                         builtin_policy("gpt-4o"), QUIET)
-    first = run.sessions[0]
-    assert [c.time_s for c in first.calls] == [0.0, 5.0, 10.0, 15.0]
+    assert run.offsets == [0, 4, 8]
+    assert run.time_s[:4] == [0.0, 5.0, 10.0, 15.0]
     # next session starts after the final answer's slot
-    assert run.sessions[1].calls[0].time_s == 20.0
+    assert run.time_s[4] == 20.0
 
 
 def test_shifted_timestamps_replay_the_same():
@@ -117,8 +118,8 @@ def test_cost_ordering_cached_mode_never_beats_baseline():
         policy = builtin_policy(name)
         spo = run_condition(transcripts, StrategyMode.SYSTEM_PROMPT, policy, QUIET)
         baseline = run_condition(transcripts, StrategyMode.NO_CACHE, policy, QUIET)
-        for cached_session, plain_session in zip(spo.sessions, baseline.sessions):
-            assert cached_session.total_cost_usd <= plain_session.total_cost_usd + 1e-12
+        for cached, plain in zip(spo.session_cost_usd, baseline.session_cost_usd):
+            assert cached <= plain + 1e-12
 
 
 def test_cost_ordering_claude_after_warmup():
@@ -128,8 +129,8 @@ def test_cost_ordering_claude_after_warmup():
                         warmup_sessions=1)
     baseline = run_condition(transcripts, StrategyMode.NO_CACHE, claude, QUIET,
                              warmup_sessions=1)
-    for cached_session, plain_session in zip(spo.sessions, baseline.sessions):
-        assert cached_session.total_cost_usd <= plain_session.total_cost_usd + 1e-12
+    for cached, plain in zip(spo.session_cost_usd, baseline.session_cost_usd):
+        assert cached <= plain + 1e-12
 
 
 def test_bitwise_determinism():
@@ -149,9 +150,7 @@ def test_condition_noise_streams_differ():
                         builtin_policy("gpt-5.2"), noisy)
     fc = run_condition(transcripts, StrategyMode.FULL_CONTEXT,
                        builtin_policy("gpt-5.2"), noisy)
-    ratio_spo = [c.ttft_ms for s in spo.sessions for c in s.calls]
-    ratio_fc = [c.ttft_ms for s in fc.sessions for c in s.calls]
-    assert ratio_spo != ratio_fc
+    assert spo.ttft_ms != fc.ttft_ms
 
 
 def test_lockstep_replay_equals_each_condition_alone(tmp_path, monkeypatch):
@@ -182,6 +181,35 @@ def test_lockstep_replay_equals_each_condition_alone(tmp_path, monkeypatch):
                                     config.latency_for(policy.name), config.warmup_sessions)
 
 
+def test_one_replay_call_per_api_call(tmp_path, monkeypatch):
+    """Per-call tracing wraps ``replay.replay_call`` by name, reads its
+    ``request_index`` and ``session_seed`` parameters and its result's
+    ``.usage``: a run makes one such call per API call, warmup included."""
+    real = replay.replay_call
+    signature = inspect.signature(real)
+    assert {"request_index", "session_seed"} <= set(signature.parameters)
+    seen = []
+
+    def traced(*args, **kwargs):
+        result = real(*args, **kwargs)
+        call = signature.bind(*args, **kwargs).arguments
+        usage = result.usage
+        assert min(usage.uncached_input, usage.cached_read, usage.cache_write) >= 0
+        seen.append((call["session_seed"], call["request_index"]))
+        return result
+
+    monkeypatch.setattr(replay, "replay_call", traced)
+    config = config_from_dict(GOLDEN_CONFIG)
+    run_experiment(config, out_dir=tmp_path, quiet=True)
+
+    sessions = config.workload.sessions + config.warmup_sessions
+    calls = config.workload.tool_calls + 1
+    conditions = len(config.policies) * len(config.modes)
+    assert len(seen) == sessions * calls * conditions
+    assert len(set(seen)) == sessions * calls
+    assert all(seen.count(call) == conditions for call in set(seen))
+
+
 class TestWarmup:
     def test_warmup_primes_the_first_evaluation_call(self):
         transcripts = generate(small_spec())
@@ -189,8 +217,8 @@ class TestWarmup:
         cold = run_condition(transcripts, StrategyMode.SYSTEM_PROMPT, policy, QUIET)
         warm = run_condition(transcripts, StrategyMode.SYSTEM_PROMPT, policy, QUIET,
                              warmup_sessions=1)
-        assert cold.sessions[0].calls[0].usage.cached_read == 0
-        assert warm.sessions[0].calls[0].usage.cached_read > 0
+        assert cold.cached_read[0] == 0
+        assert warm.cached_read[0] > 0
         assert warm.warmup.sessions == 1
         assert warm.warmup.write_tokens > 0
         assert warm.warmup.cost_usd > 0
@@ -201,18 +229,18 @@ class TestWarmup:
         cold = run_condition(transcripts[1:], StrategyMode.NO_CACHE, policy, QUIET)
         warm = run_condition(transcripts, StrategyMode.NO_CACHE, policy, QUIET,
                              warmup_sessions=1)
-        cold_usage = [c.usage for s in cold.sessions for c in s.calls]
-        warm_usage = [c.usage for s in warm.sessions for c in s.calls]
-        assert cold_usage == warm_usage
+        def usage(run):
+            return list(zip(run.uncached, run.cached_read, run.cache_write, run.output))
+
+        assert usage(cold) == usage(warm)
 
     def test_full_context_cross_session_reads_are_system_only(self):
         spec = small_spec(sessions=2, system_prompt_tokens=3000)
         transcripts = generate(spec)
         claude = builtin_policy("claude-sonnet-4.5")
         run = run_condition(transcripts, StrategyMode.FULL_CONTEXT, claude, QUIET)
-        second_first_call = run.sessions[1].calls[0]
         # shared prefix: system framing + system + the question's framing token
-        assert second_first_call.usage.cached_read == 3000 + 2
+        assert run.cached_read[run.offsets[1]] == 3000 + 2
 
     def test_warmup_must_leave_evaluation_sessions(self):
         transcripts = generate(small_spec(sessions=2))
@@ -229,7 +257,7 @@ def test_opportunistic_segments_let_exclude_mode_diverge():
 
     def total_reads(p, mode):
         run = run_condition(transcripts, mode, p, QUIET)
-        return sum(c.usage.cached_read for s in run.sessions for c in s.calls)
+        return sum(run.cached_read)
 
     assert (total_reads(policy, StrategyMode.EXCLUDE_TOOL_RESULTS)
             > total_reads(policy, StrategyMode.SYSTEM_PROMPT))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from cachesim import (Comparison, ConditionSamples, ConfigError,
                       UndefinedBaselineError, compare, summarize_experiment, welch_t)
 from cachesim.config import to_json
-from cachesim.stats import regularized_incomplete_beta, student_t_two_sided_p
+from cachesim.stats import _mean, regularized_incomplete_beta, student_t_two_sided_p
 from cachesim.runner import format_report_table
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -69,6 +69,17 @@ class TestIncompleteBeta:
     def test_p_decreases_in_magnitude_of_t(self, dof, t1, t2):
         lo, hi = sorted((t1, t2))
         assert student_t_two_sided_p(hi, dof) <= student_t_two_sided_p(lo, dof) + 1e-12
+
+
+def test_mean_sums_left_to_right():
+    """Means add their values in order, so the last digits do not depend on
+    the Python version (since 3.12, ``sum()`` of floats is compensated and
+    gives exactly 1.0 here)."""
+    total = 0.0
+    for value in [0.1] * 10:
+        total += value
+    assert total == 0.9999999999999999
+    assert _mean([0.1] * 10) == total / 10 == 0.09999999999999999
 
 
 class TestWelch:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cachesim import Message, Role, synth_tokens
+from cachesim.tokens import synth_token_streams
 from cachesim.tokens import RESERVED_TOKEN_FLOOR, ROLE_TAG_IDS
 from reference import Prompt, flat_length, flatten
 
@@ -43,6 +44,23 @@ def test_synth_stream_prefix_property(n, extra, seed):
     short = synth_tokens(n, seed)
     long = synth_tokens(n + extra, seed)
     assert np.array_equal(long[:n], short)
+
+
+@given(streams=st.lists(st.tuples(st.integers(1, 60), st.integers(0, 2**64 - 1)),
+                       min_size=1, max_size=6))
+@settings(max_examples=100)
+def test_synth_streams_equal_one_synthesis_each(streams):
+    counts = [count for count, _ in streams]
+    got = synth_token_streams(counts, [seed for _, seed in streams])
+    assert len(got) == len(streams)
+    for tokens, (count, seed) in zip(got, streams):
+        assert np.array_equal(tokens, synth_tokens(count, seed))
+        assert not tokens.flags.writeable
+
+
+def test_synth_streams_reject_zero_count():
+    with pytest.raises(ValueError):
+        synth_token_streams([3, 0], [1, 2])
 
 
 def test_synth_distinct_seeds_differ_at_first_token():

@@ -10,7 +10,8 @@ import pytest
 import numpy as np
 
 from cachesim import (Role, TranscriptParseError, TranscriptValidationError,
-                      WorkloadSpec, export_transcripts, generate, ingest)
+                      WorkloadSpec, derive_seed, export_transcripts, generate, ingest,
+                      synth_tokens)
 from cachesim.workload import MAX_TOKEN_COUNT
 from reference import flat_length, flatten
 
@@ -102,6 +103,27 @@ def test_shared_system_unique_questions():
     questions = {t.messages[1].tokens.tobytes() for t in transcripts}
     assert len(systems) == 1
     assert len(questions) == 6
+
+
+def test_generated_messages_are_their_own_streams():
+    """``generate`` synthesizes each session's messages in one pass; every
+    message still equals ``synth_tokens`` of its count and seed labels."""
+    spec = small_spec()
+    turn = spec.reasoning_tokens_per_turn + spec.tool_call_tokens
+    for s, transcript in enumerate(generate(spec)):
+        session_seed = derive_seed(spec.seed, "session", s)
+        expected = [(spec.system_prompt_tokens, derive_seed(spec.seed, "system")),
+                    (spec.question_tokens, derive_seed(session_seed, "question"))]
+        for k in range(1, spec.tool_calls + 1):
+            expected.append((turn, derive_seed(session_seed, "assistant", k)))
+            expected.append((spec.tool_result_tokens,
+                             derive_seed(session_seed, "tool-result", k)))
+        expected.append((spec.final_answer_tokens, derive_seed(session_seed, "final")))
+        assert transcript.session_seed == session_seed
+        assert len(transcript.messages) == len(expected)
+        for message, (count, seed) in zip(transcript.messages, expected):
+            assert np.array_equal(message.tokens, synth_tokens(count, seed))
+            assert not message.tokens.flags.writeable
 
 
 def test_request_timing():
