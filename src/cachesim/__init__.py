@@ -9,8 +9,7 @@ parameterized latency model.
 
 from .config import AblationGrid, ExperimentConfig, load_config
 from .engine import CacheStore, access
-from .errors import (ConfigError, TranscriptParseError, TranscriptValidationError,
-                     UndefinedBaselineError)
+from .errors import ConfigError, TranscriptValidationError, UndefinedBaselineError
 from .policies import (CacheMode, PriceSchedule, ProviderPolicy, UsageRecord,
                        builtin_policies, builtin_policy, policy_from_dict,
                        price_call)
@@ -21,8 +20,7 @@ from .stats import (Comparison, ConditionSamples, ExperimentReport, TTestResult,
                     compare, summarize_experiment, welch_t)
 from .strategies import StrategyMode, session_layout
 from .tokens import Message, Role, synth_tokens
-from .workload import (SessionTranscript, WorkloadSpec, export_transcripts,
-                       generate, ingest)
+from .workload import SessionTranscript, WorkloadSpec, generate
 
 __version__ = "0.1.0"
 
@@ -31,10 +29,10 @@ __all__ = [
     "ConditionRun", "ConditionSamples", "ConfigError", "ExperimentConfig",
     "ExperimentReport", "LatencyModel", "Message", "PriceSchedule",
     "ProviderPolicy", "Role", "SessionTranscript",
-    "StrategyMode", "TTestResult", "TranscriptParseError",
-    "TranscriptValidationError", "UndefinedBaselineError", "UsageRecord",
+    "StrategyMode", "TTestResult", "TranscriptValidationError",
+    "UndefinedBaselineError", "UsageRecord",
     "WorkloadSpec", "access", "builtin_policies", "builtin_policy", "compare",
-    "derive_seed", "export_transcripts", "generate", "ingest", "load_config",
+    "derive_seed", "generate", "load_config",
     "policy_from_dict", "price_call", "replay_call", "run_ablation",
     "run_condition", "run_experiment", "session_layout", "summarize_experiment",
     "synth_tokens", "verify_run", "welch_t",

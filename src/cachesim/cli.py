@@ -111,10 +111,8 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
 
         if args.command == "ablate":
-            if args.values is not None:
-                grid = AblationGrid(args.dimension, tuple(args.values))
-            else:
-                grid = AblationGrid.default(args.dimension)
+            grid = AblationGrid(args.dimension,
+                                tuple(args.values or DEFAULT_GRIDS[args.dimension]))
             run_ablation(config, grid, out_dir=args.out)
             return EXIT_OK
 

@@ -26,7 +26,9 @@ are ignored. No value is coerced: ``policies`` and ``modes`` must be
 lists, ``output_dir`` and ``ttft_aggregation`` strings, and anything
 else is a :class:`~cachesim.errors.ConfigError` naming the field.
 ``modes`` must include ``no-cache``, the baseline every report compares
-against, so a config without it fails to load, before anything runs.
+against, and ``workload.sessions`` (evaluation sessions, warmup not
+counted) must be at least 2, the smallest sample a comparison takes; a
+config that breaks either fails to load, before anything runs.
 
 :func:`to_json` gives the JSON form of a config, a policy or a report:
 each dataclass maps to its fields, so every echoed object lists the
@@ -77,12 +79,6 @@ class AblationGrid:
         if any(v < floor for v in self.values):
             raise ConfigError(f"{self.dimension} values must be >= {floor}")
 
-    @classmethod
-    def default(cls, dimension: str) -> "AblationGrid":
-        if dimension not in DEFAULT_GRIDS:
-            raise ConfigError(f"unknown ablation dimension {dimension!r}")
-        return cls(dimension, DEFAULT_GRIDS[dimension])
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -110,6 +106,9 @@ class ExperimentConfig:
                 "baseline-relative reports need the no-cache mode in the mode list")
         if not is_finite_number(self.alpha) or not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be a number in (0, 1), got {self.alpha!r}")
+        if self.workload.sessions < 2:
+            raise ConfigError("workload.sessions must be at least 2, since reports compare "
+                              f"per-session samples, got {self.workload.sessions}")
         if not is_int(self.warmup_sessions) or self.warmup_sessions < 0:
             raise ConfigError(
                 f"warmup_sessions must be an integer >= 0, got {self.warmup_sessions!r}")

@@ -7,7 +7,9 @@ and counts are the only thing pricing cares about, so no real tokenizer
 is involved. Synthetic token streams are derived from seeds with a
 counter-based generator, which makes them reproducible and gives the
 stream property: the first ``n`` tokens of a stream never change when
-more tokens are drawn from it.
+more tokens are drawn from it. A generated session draws all of its
+messages after the system prompt as consecutive slices of one stream
+(see :func:`cachesim.workload.generate`).
 
 A flattened prompt (see :func:`cachesim.strategies.session_layout`)
 puts one fixed framing token in front of each message, the reserved id
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -63,23 +64,12 @@ def synth_tokens(count: int, stream_seed: int) -> np.ndarray:
     for n <= m. Distinct seeds disagree at the first token except with
     vanishing probability.
     """
-    return synth_token_streams((count,), (stream_seed,))[0]
-
-
-def synth_token_streams(counts: Sequence[int], stream_seeds: Sequence[int]) -> list[np.ndarray]:
-    """``synth_tokens(count, seed)`` for each pair of ``counts`` and
-    ``stream_seeds``, in one SplitMix64 pass over their concatenated
-    counters; each stream is a read-only view of one array."""
-    if min(counts) < 1:
-        raise ValueError(f"count must be >= 1, got {min(counts)}")
-    ends = np.cumsum(counts, dtype=np.uint64)
-    starts = ends - np.asarray(counts, dtype=np.uint64)
-    seeds = np.array([seed & MASK64 for seed in stream_seeds], dtype=np.uint64)
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     # In place, so that a long stream needs one temporary array at a time.
-    z = np.arange(1, int(ends[-1]) + 1, dtype=np.uint64)
-    z -= np.repeat(starts, counts)
+    z = np.arange(1, count + 1, dtype=np.uint64)
     z *= _GOLDEN
-    z += np.repeat(seeds, counts)
+    z += np.uint64(stream_seed & MASK64)
     z ^= z >> np.uint64(30)
     z *= _MIX_A
     z ^= z >> np.uint64(27)
@@ -87,7 +77,7 @@ def synth_token_streams(counts: Sequence[int], stream_seeds: Sequence[int]) -> l
     z ^= z >> np.uint64(31)
     z[z < RESERVED_TOKEN_FLOOR] += np.uint64(RESERVED_TOKEN_FLOOR)
     z.setflags(write=False)
-    return [z[start:end] for start, end in zip(starts.tolist(), ends.tolist())]
+    return z
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,4 @@
-"""Synthetic multi-turn agent sessions and transcript files.
+"""Synthetic multi-turn agent sessions.
 
 A generated session is one research-agent conversation: a system prompt
 shared by every session, a per-session unique question, ``tool_calls``
@@ -7,44 +7,32 @@ Request ``r`` of a session sends every message up to and including the
 previous turn's tool result, so consecutive requests grow append-only:
 each request's flattened prompt is a strict token prefix of the next
 one before any strategy is applied. A :class:`SessionTranscript` checks
-this message layout and finite, non-decreasing timestamps when it is
-built, so the strategies and replay rely on both without checking again;
+this message layout and finite, non-decreasing timestamps with a finite
+span when it is built, so the strategies and replay rely on both without checking again;
 :meth:`SessionTranscript.requests` gives replay each call's output length
 and its gap to the next call in one pass.
 
-Transcripts can round-trip through a JSONL file (one message per line)
-so recorded agent logs can be replayed instead of synthetic ones:
-
-    {"session_id": "s000", "role": "system", "tokens": [...],
-     "timestamp_s": 0.0}
-
-``tokens`` carries explicit token ids, integers from
-``RESERVED_TOKEN_FLOOR`` up to 2**64 - 1 (lower ids are reserved for
-framing); a ``token_count`` integer is accepted instead, in which case
-ids are synthesized deterministically from (session_id, line_number).
-A ``token_count`` is at most ``MAX_TOKEN_COUNT`` (2**20, a whole
-million-token context), so a stray number in a log cannot make ingest
-allocate without bound; a :class:`WorkloadSpec` caps its per-message
-token counts the same way. ``session_id`` must be a JSON string and
-``timestamp_s`` a finite JSON number.
+The system prompt is one token stream of its own. Every later message
+of a session is the next slice of one stream per session, seeded by the
+session's seed, so a session costs one seed derivation and one
+synthesis. Per-message token counts are at most ``MAX_TOKEN_COUNT``
+(2**20, a whole million-token context), so no spec asks for an
+allocation without bound.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import Iterator
 
 from .checks import is_finite_number, is_int, is_seed
-from .errors import TranscriptParseError, TranscriptValidationError
+from .errors import TranscriptValidationError
 from .seeding import derive_seed
-from .tokens import RESERVED_TOKEN_FLOOR, Message, Role, synth_token_streams, synth_tokens
+from .tokens import Message, Role, synth_tokens
 
 MAX_TOKEN_COUNT = 2**20
+
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -94,13 +82,17 @@ class SessionTranscript:
     """One session's ordered messages with per-message timestamps in seconds.
 
     Replay reads only the differences between timestamps, so a session's
-    first timestamp may be any finite time (ingest rebases it to 0).
+    first timestamp may be any finite time. Library callers may build
+    transcripts in code; every check below runs on each one.
 
     Message layout: system, question, then (assistant turn, tool result)
-    pairs, then the final answer. ``session_seed`` would derive the
-    session's breaker ids, which replay never needs (it leaves breaker
-    slots as placeholders); it is excluded from equality so that
-    transcripts survive a file round-trip unchanged.
+    pairs, then the final answer. ``session_seed`` identifies the session
+    to a per-call hook: replay passes it to each
+    :func:`~cachesim.replay.replay_call`, where the benchmark's tracer
+    (``bench/tracer.py``) reads it. It would derive the session's breaker
+    ids, which replay never needs (it leaves breaker slots as
+    placeholders), so no result depends on it and it is excluded from
+    equality.
     """
 
     session_id: str
@@ -131,12 +123,17 @@ class SessionTranscript:
             raise TranscriptValidationError(
                 f"session {self.session_id}: final message must be the assistant answer")
         stamps = self.timestamps
-        if not all(map(math.isfinite, stamps)):
+        if not all(map(is_finite_number, stamps)):
             raise TranscriptValidationError(
-                f"session {self.session_id}: timestamps must be finite")
+                f"session {self.session_id}: timestamps must be finite numbers")
         if any(later < earlier for earlier, later in zip(stamps, stamps[1:])):
             raise TranscriptValidationError(
                 f"session {self.session_id}: timestamps must be non-decreasing")
+        # Replay advances one clock across sessions by these differences, so
+        # an infinite one would make every later call's time infinite.
+        if not math.isfinite(stamps[-1] - stamps[0]):
+            raise TranscriptValidationError(
+                f"session {self.session_id}: timestamps must span a finite time")
 
     def requests(self) -> Iterator[tuple[int, float]]:
         """Each API call's output length and the time from when it is sent
@@ -165,127 +162,30 @@ def generate(spec: WorkloadSpec) -> list[SessionTranscript]:
     turn_tokens = spec.reasoning_tokens_per_turn + spec.tool_call_tokens
 
     # Each session's messages after the system prompt, as (role, token
-    # count, seed labels), synthesized in one pass per session.
-    shape = [(Role.HUMAN, spec.question_tokens, ("question",))]
+    # count), then as (role, start, end) slices of one stream per session.
+    shape = [(Role.HUMAN, spec.question_tokens)]
     times = [0.0, 0.0]
     for k in range(1, spec.tool_calls + 1):
-        shape.append((Role.AI, turn_tokens, ("assistant", k)))
-        shape.append((Role.TOOL_RESULT, spec.tool_result_tokens, ("tool-result", k)))
+        shape.append((Role.AI, turn_tokens))
+        shape.append((Role.TOOL_RESULT, spec.tool_result_tokens))
         times.extend([k * gap, k * gap])
-    shape.append((Role.AI, spec.final_answer_tokens, ("final",)))
+    shape.append((Role.AI, spec.final_answer_tokens))
     times.append((spec.tool_calls + 1) * gap)
     timestamps = tuple(times)
-    counts = [count for _, count, _ in shape]
+    spans, total = [], 0
+    for role, count in shape:
+        spans.append((role, total, total + count))
+        total += count
 
     transcripts = []
     for s in range(spec.sessions):
         session_seed = derive_seed(spec.seed, "session", s)
-        streams = synth_token_streams(
-            counts, [derive_seed(session_seed, *labels) for _, _, labels in shape])
+        stream = synth_tokens(total, session_seed)
         transcripts.append(SessionTranscript(
             session_id=f"s{s:03d}",
             messages=(Message(Role.SYSTEM, system),
-                      *(Message(role, tokens) for (role, _, _), tokens in zip(shape, streams))),
+                      *(Message(role, stream[start:end]) for role, start, end in spans)),
             timestamps=timestamps,
             session_seed=session_seed,
         ))
-    return transcripts
-
-
-_ROLE_BY_NAME = {role.value: role for role in Role}
-
-
-def export_transcripts(transcripts: Sequence[SessionTranscript], path: str | Path) -> None:
-    """Write transcripts as JSONL, one message per line, with explicit token ids."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for tr in transcripts:
-            for message, stamp in zip(tr.messages, tr.timestamps):
-                fh.write(json.dumps({
-                    "session_id": tr.session_id,
-                    "role": message.role.value,
-                    "tokens": message.tokens.tolist(),
-                    "timestamp_s": stamp,
-                }))
-                fh.write("\n")
-
-
-def ingest(path: str | Path) -> list[SessionTranscript]:
-    """Read transcripts from a JSONL file written by :func:`export_transcripts`
-    or assembled from real agent logs.
-
-    Lines carrying only a ``token_count`` get deterministic synthetic
-    ids derived from (session_id, line_number). Malformed lines raise
-    :class:`TranscriptParseError` with their line number; sessions that
-    violate the transcript invariants raise
-    :class:`TranscriptValidationError`.
-    """
-    per_session: dict[str, list[tuple[Message, float]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TranscriptParseError(line_number, f"invalid JSON ({exc.msg})") from exc
-            if not isinstance(record, dict):
-                raise TranscriptParseError(line_number, "expected a JSON object")
-            try:
-                session_id = record["session_id"]
-                role_name = record["role"]
-                stamp = record["timestamp_s"]
-            except KeyError as exc:
-                raise TranscriptParseError(line_number, f"missing field {exc.args[0]!r}") from exc
-            if not isinstance(session_id, str):
-                raise TranscriptParseError(
-                    line_number, f"session_id must be a string, got {session_id!r}")
-            if not is_finite_number(stamp):
-                raise TranscriptParseError(
-                    line_number, f"timestamp_s must be a finite number, got {stamp!r}")
-            role = _ROLE_BY_NAME.get(role_name) if isinstance(role_name, str) else None
-            if role is None:
-                raise TranscriptParseError(line_number, f"unknown role {role_name!r}")
-            if "tokens" in record:
-                ids = record["tokens"]
-                if not isinstance(ids, list) or not ids:
-                    raise TranscriptParseError(line_number, "tokens must be a non-empty list")
-                for token in ids:
-                    # bool is an int subclass; ids below the floor are framing tags.
-                    if type(token) is not int or not RESERVED_TOKEN_FLOOR <= token < 2**64:
-                        raise TranscriptParseError(
-                            line_number, f"token ids must be integers in "
-                            f"[{RESERVED_TOKEN_FLOOR}, 2**64), got {token!r}")
-                tokens = np.array(ids, dtype=np.uint64)
-                tokens.setflags(write=False)
-            elif "token_count" in record:
-                count = record["token_count"]
-                if not is_int(count) or not 1 <= count <= MAX_TOKEN_COUNT:
-                    raise TranscriptParseError(
-                        line_number, f"token_count must be an integer in [1, {MAX_TOKEN_COUNT}], "
-                        f"got {count!r}")
-                tokens = synth_tokens(count, derive_seed(0, "ingest", session_id, line_number))
-            else:
-                raise TranscriptParseError(line_number, "need either tokens or token_count")
-            per_session.setdefault(session_id, []).append(
-                (Message(role, tokens), float(stamp)))
-
-    transcripts = []
-    for session_id, rows in per_session.items():
-        stamps = [stamp for _, stamp in rows]
-        base = stamps[0]
-        transcripts.append(SessionTranscript(
-            session_id=session_id,
-            messages=tuple(m for m, _ in rows),
-            timestamps=tuple(stamp - base for stamp in stamps),
-            session_seed=derive_seed(0, "transcript", session_id),
-        ))
-
-    questions = set()
-    for tr in transcripts:
-        key = tr.messages[1].tokens.tobytes()
-        if key in questions:
-            raise TranscriptValidationError(
-                f"session {tr.session_id}: question duplicates another session's")
-        questions.add(key)
     return transcripts

@@ -17,7 +17,7 @@ import pytest
 import cachesim
 from cachesim import load_config, verify_run
 from cachesim.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
-from cachesim.config import AblationGrid, config_from_dict, to_json
+from cachesim.config import DEFAULT_GRIDS, AblationGrid, config_from_dict, to_json
 from cachesim.errors import ConfigError
 from cachesim.policies import builtin_policy
 
@@ -281,6 +281,21 @@ def test_out_of_range_seeds_exit_one(tmp_path, capsys, where, field, bad):
     assert not (tmp_path / "out").exists()
 
 
+def test_one_evaluation_session_exits_one_before_running(tmp_path, capsys):
+    """Reports compare per-session samples, so a config with one evaluation
+    session is an ``error:`` line naming ``workload.sessions`` and exit 1,
+    raised when it loads, before any condition runs or any file is
+    written."""
+    data = json.loads(Path(tiny_config(tmp_path)).read_text())
+    data["workload"]["sessions"] = 1
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(data))
+    assert main(["simulate", str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "workload.sessions" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_seed_range_edges_are_accepted(tmp_path):
     for seed in (0, 2**64 - 1):
         assert main(["simulate", tiny_config(tmp_path), "--seed", str(seed),
@@ -297,8 +312,8 @@ def test_empty_grid_is_config_error():
 
 
 def test_default_grids():
-    assert AblationGrid.default("prompt-size").values == (500, 2000, 5000, 10000, 20000, 50000)
-    assert AblationGrid.default("tool-count").values == (3, 5, 10, 20, 50)
+    assert DEFAULT_GRIDS["prompt-size"] == (500, 2000, 5000, 10000, 20000, 50000)
+    assert DEFAULT_GRIDS["tool-count"] == (3, 5, 10, 20, 50)
 
 
 def test_invalid_config_exits_one(tmp_path, capsys):

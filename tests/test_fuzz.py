@@ -1,24 +1,22 @@
-"""Fuzzed input loaders: only the documented error types may escape.
+"""Fuzzed inputs: only the documented error types may escape.
 
-``ingest`` reads random JSONL lines and ``config_from_dict`` reads a
-valid config with random JSON values patched in. A config that loads
-must echo every value its document set unchanged: the loader rejects a
-bad value, it never coerces one. Both only load; nothing is simulated.
+``SessionTranscript`` is built in code from random role sequences and
+random values as timestamps. ``config_from_dict`` reads a valid config
+with random JSON values patched in. A config that loads must echo every
+value its document set unchanged: the loader rejects a bad value, it
+never coerces one. Both only check; nothing is simulated.
 """
 
 from __future__ import annotations
 
 import copy
-import json
 import math
-import tempfile
-from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cachesim import (ConfigError, TranscriptParseError, TranscriptValidationError,
-                      ingest)
+from cachesim import (ConfigError, Message, Role, SessionTranscript,
+                      TranscriptValidationError, synth_tokens)
 from cachesim.config import config_from_dict, to_json
 from cachesim.policies import builtin_policy
 
@@ -36,55 +34,35 @@ json_values = st.recursive(
     max_leaves=8)
 
 
-def _field(plausible):
-    """A record field: absent (None), a plausible value, or any JSON value."""
-    return st.one_of(st.none(), plausible, json_values)
+def _build_transcript(session_id, roles, stamps) -> None:
+    messages = tuple(Message(role, synth_tokens(2, i)) for i, role in enumerate(roles))
+    try:
+        SessionTranscript(session_id, messages, tuple(stamps))
+    except TranscriptValidationError:
+        pass
 
 
-_ROLES = ["system", "human", "ai", "tool-call", "tool-result", "breaker", "robot"]
-
-records = st.fixed_dictionaries({}, optional={
-    "session_id": _field(st.sampled_from(["a", "b"])),
-    "role": _field(st.sampled_from(_ROLES)),
-    "timestamp_s": _field(st.floats(-1.0, 100.0)),
-    "tokens": _field(st.lists(st.integers(-2, 2**64 + 2), max_size=4)),
-    "token_count": _field(st.integers(-2, 64)),
-})
-
-lines = st.one_of(
-    records.map(lambda r: json.dumps({k: v for k, v in r.items() if v is not None})),
-    json_values.map(json.dumps),
-    st.text(max_size=20).filter(lambda t: "\n" not in t and "\r" not in t),
-)
+# Mostly well-formed layouts, so that the timestamp checks are reached.
+layouts = (st.integers(0, 4).map(lambda k: (Role.SYSTEM, Role.HUMAN)
+                                 + (Role.TOOL_CALL, Role.TOOL_RESULT) * k + (Role.AI,))
+           | st.lists(st.sampled_from(list(Role)), max_size=12))
 
 
-def _ingest_lines(rows) -> None:
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "fuzz.jsonl"
-        path.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
-        try:
-            ingest(path)
-        except (TranscriptParseError, TranscriptValidationError):
-            pass
-
-
-@given(st.lists(lines, max_size=12))
+@given(layouts, st.data())
 @settings(max_examples=300, deadline=None)
-def test_ingest_raises_only_transcript_errors(rows):
-    _ingest_lines(rows)
+def test_ingest_raises_only_transcript_errors(roles, data):
+    stamp = edge_values | st.floats() | st.integers()
+    size = data.draw(st.sampled_from([len(roles), len(roles), len(roles) + 1]))
+    _build_transcript("a", roles, data.draw(st.lists(stamp, min_size=size, max_size=size)))
 
 
 def test_ingest_edge_values_in_every_field():
-    valid = [{"session_id": "a", "role": role, "tokens": [100 + i], "token_count": 2,
-              "timestamp_s": float(i)}
-             for i, role in enumerate(["system", "human", "tool-call", "tool-result", "ai"])]
-    for field in valid[0]:
-        for value in EDGE_VALUES:
-            rows = copy.deepcopy(valid)
-            rows[2][field] = value
-            if field == "tokens":
-                rows[2]["tokens"] = [value]
-            _ingest_lines([json.dumps(row) for row in rows])
+    roles = (Role.SYSTEM, Role.HUMAN, Role.TOOL_CALL, Role.TOOL_RESULT, Role.AI)
+    stamps = [0.0, 1.0, 2.0, 3.0, 4.0]
+    for value in EDGE_VALUES:
+        _build_transcript(value, roles, stamps)
+        for i in range(len(stamps)):
+            _build_transcript("a", roles, stamps[:i] + [value] + stamps[i + 1:])
 
 
 def _valid_config() -> dict:

@@ -41,8 +41,8 @@ def _generated(draw):
 
 
 @st.composite
-def _ingested(draw):
-    """Sessions shaped like ingested logs: assistant turns that are tool calls
+def _recorded(draw):
+    """Sessions shaped like recorded agent logs: assistant turns that are tool calls
     or plain replies, tool results drawn from a small shared pool (so whole
     segments repeat), and irregular timestamps."""
     system = synth_tokens(draw(st.integers(8, 160)), draw(st.integers(0, 2**32)))
@@ -87,7 +87,7 @@ def _conditions(draw):
                            per_cached_token_ms=0.005, per_write_token_ms=0.01,
                            noise_sigma=draw(st.sampled_from([0.0, 0.3])),
                            seed=draw(st.integers(0, 2**32)))
-    transcripts = draw(st.one_of(_generated(), _ingested()))
+    transcripts = draw(st.one_of(_generated(), _recorded()))
     warmup = draw(st.integers(0, len(transcripts) - 1))
     return transcripts, draw(st.sampled_from(list(StrategyMode))), policy, latency, warmup
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 
 import numpy as np
@@ -10,8 +9,8 @@ import pytest
 
 from cachesim import (CacheMode, CacheStore, LatencyModel, Message, Role,
                       SessionTranscript, StrategyMode, TranscriptValidationError,
-                      WorkloadSpec, access, builtin_policy, generate, ingest, replay_call,
-                      session_layout, synth_tokens)
+                      WorkloadSpec, access, builtin_policy, derive_seed, generate,
+                      replay_call, session_layout, synth_tokens)
 from reference import apply_strategy, breaker_token, flatten
 
 
@@ -152,29 +151,29 @@ def test_exclude_tool_results_reads_match_system_prompt_mode():
         assert reads[StrategyMode.SYSTEM_PROMPT] == reads[StrategyMode.EXCLUDE_TOOL_RESULTS]
 
 
-def referee_transcripts(tmp_path):
-    """Generated sessions with 0, 1 and 4 tool calls, plus one ingested
-    session that mixes tool-call and assistant turns."""
+def referee_transcripts():
+    """Generated sessions with 0, 1 and 4 tool calls, plus one session
+    built in code that mixes tool-call and assistant turns."""
     transcripts = []
     for tool_calls in (0, 1, 4):
         transcripts += generate(WorkloadSpec(
             system_prompt_tokens=50, question_tokens=8, tool_calls=tool_calls,
             tool_call_tokens=5, tool_result_tokens=12, reasoning_tokens_per_turn=4,
             final_answer_tokens=6, sessions=2, seed=tool_calls))
-    rows = [("system", 30), ("human", 6), ("tool-call", 4), ("tool-result", 9),
-            ("ai", 5), ("tool-result", 7), ("ai", 3)]
-    path = tmp_path / "session.jsonl"
-    path.write_text("".join(
-        json.dumps({"session_id": "x", "role": role, "token_count": count,
-                    "timestamp_s": float(i)}) + "\n"
-        for i, (role, count) in enumerate(rows)))
-    transcripts += ingest(path)
+    rows = [(Role.SYSTEM, 30), (Role.HUMAN, 6), (Role.TOOL_CALL, 4), (Role.TOOL_RESULT, 9),
+            (Role.AI, 5), (Role.TOOL_RESULT, 7), (Role.AI, 3)]
+    transcripts.append(SessionTranscript(
+        session_id="x",
+        messages=tuple(Message(role, synth_tokens(count, derive_seed(0, "x", i)))
+                       for i, (role, count) in enumerate(rows)),
+        timestamps=tuple(float(i) for i in range(len(rows))),
+        session_seed=derive_seed(0, "transcript", "x")))
     return transcripts
 
 
 @pytest.mark.parametrize("policy_mode", list(CacheMode))
 @pytest.mark.parametrize("mode", list(StrategyMode))
-def test_layout_matches_the_per_request_reference(tmp_path, mode, policy_mode):
+def test_layout_matches_the_per_request_reference(mode, policy_mode):
     """Every layout fact for every request agrees with the prompt that
     apply_strategy + flatten build for that request alone. Its first
     ``lengths[r - 1]`` template tokens, a read-only view, equal that prompt
@@ -183,7 +182,7 @@ def test_layout_matches_the_per_request_reference(tmp_path, mode, policy_mode):
     limit is the last breakpoint (0 without one, ``None`` for the whole
     prompt), and automatic policies get no breakpoint; the segments that
     start below the length, cut at it, are the prompt's breaker-free runs."""
-    for tr in referee_transcripts(tmp_path):
+    for tr in referee_transcripts():
         layout = session_layout(tr, mode)
         template = layout.template.copy()
         assert not layout.template.flags.writeable

@@ -1,17 +1,15 @@
-"""Session generation, closed-form token accounting, and transcript files."""
+"""Session generation, closed-form token accounting, and transcript checks."""
 
 from __future__ import annotations
 
-import json
 import math
 
 import pytest
 
 import numpy as np
 
-from cachesim import (Role, TranscriptParseError, TranscriptValidationError,
-                      WorkloadSpec, derive_seed, export_transcripts, generate, ingest,
-                      synth_tokens)
+from cachesim import (Message, Role, SessionTranscript, TranscriptValidationError,
+                      WorkloadSpec, derive_seed, generate, synth_tokens)
 from cachesim.workload import MAX_TOKEN_COUNT
 from reference import flat_length, flatten
 
@@ -38,9 +36,8 @@ def test_spec_validation():
     "system_prompt_tokens", "question_tokens", "tool_call_tokens", "tool_result_tokens",
     "reasoning_tokens_per_turn", "final_answer_tokens"])
 def test_spec_caps_per_message_token_counts(field):
-    """Each per-message token count is capped at ``MAX_TOKEN_COUNT``, as
-    ``ingest`` caps a ``token_count``, so no spec asks ``generate`` for an
-    allocation without bound."""
+    """Each per-message token count is capped at ``MAX_TOKEN_COUNT``, so no
+    spec asks ``generate`` for an allocation without bound."""
     assert getattr(small_spec(**{field: MAX_TOKEN_COUNT}), field) == MAX_TOKEN_COUNT
     with pytest.raises(ValueError, match=f"{field} must be at most {MAX_TOKEN_COUNT}"):
         small_spec(**{field: MAX_TOKEN_COUNT + 1})
@@ -106,23 +103,23 @@ def test_shared_system_unique_questions():
 
 
 def test_generated_messages_are_their_own_streams():
-    """``generate`` synthesizes each session's messages in one pass; every
-    message still equals ``synth_tokens`` of its count and seed labels."""
+    """The system prompt is ``synth_tokens`` of its own seed; every later
+    message of session ``s`` is the next slice of one stream seeded by the
+    session's seed, in message order."""
     spec = small_spec()
     turn = spec.reasoning_tokens_per_turn + spec.tool_call_tokens
+    counts = ([spec.question_tokens] + [turn, spec.tool_result_tokens] * spec.tool_calls
+              + [spec.final_answer_tokens])
+    ends = np.cumsum(counts)
+    system = synth_tokens(spec.system_prompt_tokens, derive_seed(spec.seed, "system"))
     for s, transcript in enumerate(generate(spec)):
         session_seed = derive_seed(spec.seed, "session", s)
-        expected = [(spec.system_prompt_tokens, derive_seed(spec.seed, "system")),
-                    (spec.question_tokens, derive_seed(session_seed, "question"))]
-        for k in range(1, spec.tool_calls + 1):
-            expected.append((turn, derive_seed(session_seed, "assistant", k)))
-            expected.append((spec.tool_result_tokens,
-                             derive_seed(session_seed, "tool-result", k)))
-        expected.append((spec.final_answer_tokens, derive_seed(session_seed, "final")))
+        stream = synth_tokens(sum(counts), session_seed)
+        expected = [system] + [stream[end - count:end] for count, end in zip(counts, ends)]
         assert transcript.session_seed == session_seed
         assert len(transcript.messages) == len(expected)
-        for message, (count, seed) in zip(transcript.messages, expected):
-            assert np.array_equal(message.tokens, synth_tokens(count, seed))
+        for message, tokens in zip(transcript.messages, expected):
+            assert np.array_equal(message.tokens, tokens)
             assert not message.tokens.flags.writeable
 
 
@@ -141,148 +138,77 @@ def test_generate_is_deterministic():
     assert a.messages[0] != b.messages[0]
 
 
-def test_round_trip_through_jsonl(tmp_path):
-    transcripts = generate(small_spec())
-    path = tmp_path / "sessions.jsonl"
-    export_transcripts(transcripts, path)
-    assert ingest(path) == transcripts
+_VALID_ROLES = (Role.SYSTEM, Role.HUMAN, Role.TOOL_CALL, Role.TOOL_RESULT, Role.AI)
 
 
-def test_ingest_empty_file(tmp_path):
-    path = tmp_path / "empty.jsonl"
-    path.write_text("")
-    assert ingest(path) == []
+def _transcript(roles, stamps=None) -> SessionTranscript:
+    messages = tuple(Message(role, synth_tokens(3, i)) for i, role in enumerate(roles))
+    if stamps is None:
+        stamps = tuple(float(i) for i in range(len(roles)))
+    return SessionTranscript("a", messages, stamps)
 
 
-def test_ingest_minimal_session(tmp_path):
-    path = tmp_path / "one.jsonl"
-    rows = [
-        {"session_id": "a", "role": "system", "token_count": 10, "timestamp_s": 0.0},
-        {"session_id": "a", "role": "human", "token_count": 5, "timestamp_s": 0.0},
-        {"session_id": "a", "role": "ai", "token_count": 7, "timestamp_s": 1.0},
-    ]
-    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    transcripts = ingest(path)
-    assert len(transcripts) == 1
-    assert len(list(transcripts[0].requests())) == 1
-    assert [len(m.tokens) for m in transcripts[0].messages] == [10, 5, 7]
-
-
-def test_ingest_synthesized_ids_are_deterministic(tmp_path):
-    path = tmp_path / "one.jsonl"
-    rows = [
-        {"session_id": "a", "role": "system", "token_count": 10, "timestamp_s": 0.0},
-        {"session_id": "a", "role": "human", "token_count": 5, "timestamp_s": 0.0},
-        {"session_id": "a", "role": "ai", "token_count": 7, "timestamp_s": 1.0},
-    ]
-    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    assert ingest(path) == ingest(path)
-
-
-def test_ingest_reports_line_numbers(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    path.write_text('{"session_id": "a", "role": "system", "token_count": 3, "timestamp_s": 0}\n'
-                    'not json\n')
-    with pytest.raises(TranscriptParseError) as err:
-        ingest(path)
-    assert err.value.line_number == 2
-    assert "line 2" in str(err.value)
-
-
-@pytest.mark.parametrize("record, reason", [
-    ({"role": "system", "token_count": 3, "timestamp_s": 0}, "session_id"),
-    ({"session_id": "a", "token_count": 3, "timestamp_s": 0}, "role"),
-    ({"session_id": "a", "role": "wizard", "token_count": 3, "timestamp_s": 0}, "role"),
-    ({"session_id": "a", "role": "system", "timestamp_s": 0}, "tokens"),
-    ({"session_id": "a", "role": "system", "token_count": 0, "timestamp_s": 0}, "token_count"),
-    ({"session_id": "a", "role": "system", "token_count": 2**20 + 1, "timestamp_s": 0},
-     "token_count"),
-    ({"session_id": "a", "role": "system", "token_count": True, "timestamp_s": 0}, "token_count"),
-    ({"session_id": "a", "role": "system", "token_count": 3.0, "timestamp_s": 0}, "token_count"),
-    ({"session_id": "a", "role": "system", "token_count": 3, "timestamp_s": "0"}, "timestamp_s"),
-    ({"session_id": "a", "role": "system", "token_count": 3, "timestamp_s": [0]}, "timestamp_s"),
-    ({"session_id": "a", "role": "system", "token_count": 3, "timestamp_s": 10**400},
-     "timestamp_s"),
-    ({"session_id": "a", "role": ["system"], "token_count": 3, "timestamp_s": 0}, "role"),
-    ({"session_id": 1, "role": "system", "token_count": 3, "timestamp_s": 0}, "session_id"),
+@pytest.mark.parametrize("roles, stamps, reason", [
+    (_VALID_ROLES, (0.0, 1.0, 2.0, 3.0), "one timestamp per message"),
+    (_VALID_ROLES, (0.0, 1.0, 2.0, 3.0, 4.0, 5.0), "one timestamp per message"),
+    ((Role.SYSTEM, Role.HUMAN, Role.TOOL_RESULT, Role.TOOL_RESULT, Role.AI), None,
+     "message 2 must be an assistant turn"),
+    ((Role.SYSTEM, Role.HUMAN, Role.TOOL_CALL, Role.AI, Role.AI), None,
+     "message 3 must be a tool result"),
+    ((Role.SYSTEM, Role.HUMAN, Role.AI, Role.TOOL_RESULT, Role.TOOL_RESULT), None,
+     "final message must be the assistant answer"),
+    ((Role.HUMAN, Role.HUMAN, Role.AI), None, "must open with system then human"),
+    ((Role.SYSTEM, Role.HUMAN), None, "expected system, question"),
 ])
-def test_ingest_rejects_malformed_records(tmp_path, record, reason):
-    path = tmp_path / "bad.jsonl"
-    path.write_text(json.dumps(record) + "\n")
-    with pytest.raises(TranscriptParseError, match=reason):
-        ingest(path)
+def test_transcript_rejects_broken_sessions(roles, stamps, reason):
+    """A transcript built in code runs every session check: layout, role
+    order, one finite, non-decreasing timestamp per message."""
+    _transcript(_VALID_ROLES)  # with a tool-call turn, the unbroken session builds
+    with pytest.raises(TranscriptValidationError, match=f"session a: .*{reason}"):
+        _transcript(roles, stamps)
 
 
-def test_ingest_rejects_non_monotonic_timestamps(tmp_path):
-    rows = [
-        {"session_id": "a", "role": "system", "token_count": 10, "timestamp_s": 5.0},
-        {"session_id": "a", "role": "human", "token_count": 5, "timestamp_s": 4.0},
-        {"session_id": "a", "role": "ai", "token_count": 7, "timestamp_s": 6.0},
-    ]
-    path = tmp_path / "bad.jsonl"
-    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+# A transcript a library caller builds in code is checked as the simulator
+# takes it in, the same as a generated one.
+
+def _minimal_rows() -> tuple[Message, ...]:
+    return (Message(Role.SYSTEM, synth_tokens(10, 1)), Message(Role.HUMAN, synth_tokens(5, 2)),
+            Message(Role.AI, synth_tokens(7, 3)))
+
+
+def test_ingest_minimal_session():
+    transcript = SessionTranscript("a", _minimal_rows(), (0.0, 0.0, 1.0))
+    assert list(transcript.requests()) == [(7, 1.0)]
+    assert [len(m.tokens) for m in transcript.messages] == [10, 5, 7]
+
+
+def test_ingest_synthesized_ids_are_deterministic():
+    """The same rows build equal transcripts; ``session_seed`` only names
+    the session to a per-call hook, so it takes no part in equality."""
+    a = SessionTranscript("a", _minimal_rows(), (0.0, 0.0, 1.0), session_seed=1)
+    b = SessionTranscript("a", _minimal_rows(), (0.0, 0.0, 1.0), session_seed=2)
+    assert a == b
+
+
+def test_ingest_rejects_non_monotonic_timestamps():
     with pytest.raises(TranscriptValidationError, match="session a: .*non-decreasing"):
-        ingest(path)
+        SessionTranscript("a", _minimal_rows(), (5.0, 4.0, 6.0))
 
 
-def test_ingest_rejects_timestamps_that_overflow_when_rebased(tmp_path):
-    """Each stamp is finite, but rebasing to the first one makes the last
-    infinite, which would make every later session's time infinite."""
-    rows = [{"session_id": "a", "role": role, "token_count": 4, "timestamp_s": stamp}
-            for role, stamp in zip(("system", "human", "ai"), (-1e308, 0.0, 1e308))]
-    path = tmp_path / "far.jsonl"
-    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+def test_ingest_rejects_timestamps_that_overflow_when_rebased():
+    """Each stamp is finite, but the gap between them is not; replay adds
+    the gaps to one clock, which would make every later session's time
+    infinite."""
     with pytest.raises(TranscriptValidationError, match="session a: .*finite"):
-        ingest(path)
+        SessionTranscript("a", _minimal_rows(), (-1e308, 0.0, 1e308))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_ingest_rejects_non_finite_timestamps(tmp_path, bad):
-    roles = ("system", "human", "tool-call", "tool-result", "ai")
-    rows = [{"session_id": "a", "role": role, "token_count": 4, "timestamp_s": stamp}
-            for role, stamp in zip(roles, (0.0, 1.0, bad, 3.0, 4.0))]
-    path = tmp_path / "bad.jsonl"
-    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    with pytest.raises(TranscriptParseError) as err:
-        ingest(path)
-    assert err.value.line_number == 3
+def test_ingest_rejects_non_finite_timestamps(bad):
+    with pytest.raises(TranscriptValidationError, match="session a: .*finite"):
+        _transcript(_VALID_ROLES, (0.0, 1.0, bad, 3.0, 4.0))
 
 
-@pytest.mark.parametrize("bad", [1.5, 100.0, True, 6, 63, -1, 2**64])
-def test_ingest_rejects_bad_token_ids(tmp_path, bad):
-    rows = [
-        {"session_id": "a", "role": "system", "tokens": [100, 101], "timestamp_s": 0.0},
-        {"session_id": "a", "role": "human", "tokens": [200, bad], "timestamp_s": 0.0},
-        {"session_id": "a", "role": "ai", "tokens": [300], "timestamp_s": 1.0},
-    ]
-    path = tmp_path / "bad.jsonl"
-    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    with pytest.raises(TranscriptParseError) as err:
-        ingest(path)
-    assert err.value.line_number == 2
-
-
-def test_ingest_rejects_duplicate_questions(tmp_path):
-    rows = []
-    for sid in ("a", "b"):
-        rows += [
-            {"session_id": sid, "role": "system", "tokens": [100, 101], "timestamp_s": 0.0},
-            {"session_id": sid, "role": "human", "tokens": [200, 201], "timestamp_s": 0.0},
-            {"session_id": sid, "role": "ai", "tokens": [300], "timestamp_s": 1.0},
-        ]
-    path = tmp_path / "dup.jsonl"
-    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    with pytest.raises(TranscriptValidationError):
-        ingest(path)
-
-
-def test_ingest_rejects_broken_role_pattern(tmp_path):
-    rows = [
-        {"session_id": "a", "role": "system", "token_count": 4, "timestamp_s": 0.0},
-        {"session_id": "a", "role": "ai", "token_count": 4, "timestamp_s": 0.0},
-        {"session_id": "a", "role": "ai", "token_count": 4, "timestamp_s": 1.0},
-    ]
-    path = tmp_path / "bad.jsonl"
-    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    with pytest.raises(TranscriptValidationError):
-        ingest(path)
+def test_ingest_rejects_broken_role_pattern():
+    with pytest.raises(TranscriptValidationError, match="session a: .*system then human"):
+        _transcript((Role.SYSTEM, Role.AI, Role.AI))
