@@ -13,7 +13,7 @@ from .errors import ConfigError, TranscriptValidationError, UndefinedBaselineErr
 from .policies import (CacheMode, PriceSchedule, ProviderPolicy, UsageRecord,
                        builtin_policies, builtin_policy, policy_from_dict,
                        price_call)
-from .replay import CallResult, ConditionRun, LatencyModel, replay_call, run_condition
+from .replay import ConditionRun, LatencyModel, run_condition
 from .runner import run_ablation, run_experiment, verify_run
 from .seeding import derive_seed
 from .stats import (Comparison, ConditionSamples, ExperimentReport, TTestResult,
@@ -25,7 +25,7 @@ from .workload import SessionTranscript, WorkloadSpec, generate
 __version__ = "0.1.0"
 
 __all__ = [
-    "AblationGrid", "CacheMode", "CacheStore", "CallResult", "Comparison",
+    "AblationGrid", "CacheMode", "CacheStore", "Comparison",
     "ConditionRun", "ConditionSamples", "ConfigError", "ExperimentConfig",
     "ExperimentReport", "LatencyModel", "Message", "PriceSchedule",
     "ProviderPolicy", "Role", "SessionTranscript",
@@ -33,7 +33,7 @@ __all__ = [
     "UndefinedBaselineError", "UsageRecord",
     "WorkloadSpec", "access", "builtin_policies", "builtin_policy", "compare",
     "derive_seed", "generate", "load_config",
-    "policy_from_dict", "price_call", "replay_call", "run_ablation",
+    "policy_from_dict", "price_call", "run_ablation",
     "run_condition", "run_experiment", "session_layout", "summarize_experiment",
     "synth_tokens", "verify_run", "welch_t",
 ]

@@ -32,6 +32,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
+import numpy as np
+
 from .checks import is_finite_number, is_int
 
 
@@ -87,7 +89,8 @@ class PriceSchedule:
 
 
 class UsageRecord(NamedTuple):
-    """Per-call token accounting, mirroring provider usage blocks."""
+    """Token accounting, mirroring provider usage blocks: one call's
+    counts, or many calls' as numpy columns (see :func:`price_call`)."""
 
     uncached_input: int
     cached_read: int
@@ -136,6 +139,15 @@ class ProviderPolicy:
                 "opportunistic_segments applies only to automatic-mode policies, "
                 "not to explicit-breakpoints mode")
 
+    @property
+    def cache_rules(self) -> tuple:
+        """Every field a cache store or replay reads, and nothing else:
+        policies with equal rules read and write the same tokens on every
+        call, whatever their prices, so replay keeps one cache trace per
+        set of rules."""
+        return (self.min_cache_tokens, self.granularity_tokens, self.ttl_seconds,
+                self.refresh_on_read, self.mode, self.opportunistic_segments)
+
 
 def builtin_policies() -> list[ProviderPolicy]:
     """The four built-in policies."""
@@ -180,20 +192,22 @@ def builtin_policy(name: str) -> ProviderPolicy:
 
 
 def price_call(usage: UsageRecord, policy: ProviderPolicy,
-               prompt_total_tokens: int) -> float:
-    """Price one API call in USD.
+               prompt_total_tokens: np.ndarray) -> np.ndarray:
+    """Price API calls in USD, one per entry of ``usage``'s columns and
+    ``prompt_total_tokens`` (numpy arrays of token counts).
 
     Each usage component is billed at its per-token rate. For tiered
-    schedules the tier is selected once per call from the whole prompt
-    size, and the tier-2 rates then apply to every component of the
-    call. Storage charges are not included here.
+    schedules the tier is selected per call from the whole prompt size,
+    and the tier-2 rates then apply to every component of that call.
+    Storage charges are not included here.
     """
     p = policy.prices
-    tiered = (p.tier_boundary_tokens is not None
-              and prompt_total_tokens > p.tier_boundary_tokens)
-    in_rate = p.tier2_input_per_mtok if tiered else p.input_per_mtok
-    read_rate = p.tier2_cached_read_per_mtok if tiered else p.cached_read_per_mtok
-    out_rate = p.tier2_output_per_mtok if tiered else p.output_per_mtok
+    in_rate, read_rate, out_rate = p.input_per_mtok, p.cached_read_per_mtok, p.output_per_mtok
+    if p.tier_boundary_tokens is not None:
+        tiered = prompt_total_tokens > p.tier_boundary_tokens
+        in_rate = np.where(tiered, p.tier2_input_per_mtok, in_rate)
+        read_rate = np.where(tiered, p.tier2_cached_read_per_mtok, read_rate)
+        out_rate = np.where(tiered, p.tier2_output_per_mtok, out_rate)
     write_rate = p.cache_write_per_mtok or 0.0
     total = (usage.uncached_input * in_rate
              + usage.cached_read * read_rate

@@ -1,53 +1,75 @@
-"""Session replay: simulated time and pricing around the cache.
+"""Session replay: one cache trace per set of cache rules, then one pricing
+pass per condition.
+
+A run replays the same transcripts under every (policy, mode) condition,
+and each per-call fact is computed once, at the level it depends on:
+
+* The run's :class:`Timeline` holds what depends only on the transcripts:
+  each call's send time and output tokens, and each session's id and
+  first row. Simulated time starts at 0 s, and each call advances it by
+  the gap between its transcript's timestamps to the next request (to the
+  final message after the last call), so each session starts where the
+  one before it ended; transcripts hold only finite, non-decreasing
+  timestamps, and the store rejects a time that is not finite or goes
+  back. This one clock is every store's time, so no condition keeps a
+  clock of its own.
+* A :class:`CacheTrace` holds what depends on the mode and the cache
+  rules (:attr:`~cachesim.policies.ProviderPolicy.cache_rules`): one fresh
+  store, and each call's uncached, cached-read and cache-write tokens as
+  columns. Policies whose rules are equal share one trace per mode
+  (gpt-4o and gpt-5.2 do), whatever their prices.
+* :func:`price_condition` is the one pass per condition over what
+  depends on the condition itself: it prices the trace's columns by the
+  condition's own policy and models time-to-first-token as
+
+      ttft = (base + per_uncached * uncached + per_cached * cached
+              + per_write * write) * exp(sigma * z)
+
+  with ``z`` drawn from a seeded per-condition stream. Token conservation
+  holds on every call: uncached + cached reads equals the flattened prompt
+  length.
 
 Each session is flattened once per mode into a
 :class:`~cachesim.strategies.SessionLayout`, which holds every fact about
-its requests that the strategy decides and depends on no policy. Each
-simulated API call slices its request's prompt from that layout (a
-zero-copy prefix of the session's template, with a placeholder in each
-breaker slot), cuts the layout's first breaker slot to the prompt's
-length and takes the layout's explicit breakpoint as its cacheable limit
-under a breakpoint-style policy (the whole prompt otherwise). It then
-reads from and writes to the condition's store in one access, passing
-the layout's serialized breaker-free segments along to an
-opportunistic-segments store; the store applies every cache rule of its
-policy (see :mod:`cachesim.engine`). Replay prices the resulting usage by
-the store's policy and models time-to-first-token as
+its requests that the strategy decides and depends on no policy. A call
+slices its request's prompt from that layout (a zero-copy prefix of the
+session's template, with a placeholder in each breaker slot), cuts the
+layout's first breaker slot to the prompt's length and takes the
+layout's explicit breakpoint as its cacheable limit under a
+breakpoint-style policy (the whole prompt otherwise). It then reads from
+and writes to the trace's store in one access, passing the layout's
+serialized breaker-free segments along to an opportunistic-segments
+store; the store applies every cache rule of its policy (see
+:mod:`cachesim.engine`).
 
-    ttft = (base + per_uncached * uncached + per_cached * cached
-            + per_write * write) * exp(N(0, sigma))
+Every condition sends every API call through :func:`replay_call`, in
+:func:`replay_session`, one session at a time; a caller can replay a
+mode's conditions in lockstep, building each session's layout once for
+all of them (the experiment runner does). The first condition of a trace
+to send a call runs it through the store; the others get the trace's
+record of it back without touching the store. Their calls change no
+result, but ``replay_call`` stays the boundary of one API call of one
+condition, the hook that per-call tracing wraps, so a run makes one call
+of it per condition and API call. :func:`run_condition` replays one
+condition alone through the same steps.
 
-with the lognormal factor drawn from a seeded per-condition stream.
-Token conservation holds on every call: uncached + cached reads equals
-the flattened prompt length.
-
-A :class:`Condition` owns one fresh store, built for its policy, its
-noise draws and its own simulated time in seconds. The time starts at 0,
-and each call advances it by the gap between its transcript's timestamps
-to the next request (to the final message after the last call), so each
-session starts where the one before it ended; transcripts hold only
-finite, non-decreasing timestamps, and the store rejects a time that is
-not finite or goes back. Warmup sessions are the first ones replayed
-against the store, to prime it; their results are excluded from
-evaluation and their cache writes are reported in a separate ledger.
-
-:func:`replay_session` replays one session of one condition from a
-layout it is given, so a caller can replay several conditions of a mode
-in lockstep, building each session's layout once for all of them (the
-experiment runner does); :func:`run_condition` replays one condition
-alone through the same step. Each call's usage, cost and times go into
-the condition's columns (see :class:`ConditionRun`); no call keeps an
-object of its own.
+Warmup sessions are the first ones replayed, to prime the store; their
+rows are excluded from evaluation and their cache writes and cost are
+reported in a separate ledger. A :class:`ConditionRun` holds the
+timeline's and the trace's evaluation columns by reference, shared with
+every other condition of the run and of the trace, as read-only data;
+only its cost and TTFT columns and session totals are its own.
 
 ``tests/reference.py`` restates a whole condition one request at a time,
-with real breaker ids and a plain-list cache, and the tests compare the
-two call for call.
+with real breaker ids, a plain-list cache and plain-Python pricing, and
+the tests compare the two call for call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -87,20 +109,13 @@ class LatencyModel:
         if self.per_cached_token_ms >= self.per_uncached_token_ms:
             raise ValueError("cached tokens must be faster than uncached tokens")
 
-    def mean_ttft_ms(self, usage: UsageRecord) -> float:
-        """Noise-free model value for one call's usage."""
+    def mean_ttft_ms(self, usage: UsageRecord) -> np.ndarray:
+        """Noise-free model value for each call of ``usage``'s columns
+        (numpy arrays of token counts)."""
         return (self.base_ms
                 + self.per_uncached_token_ms * usage.uncached_input
                 + self.per_cached_token_ms * usage.cached_read
                 + self.per_write_token_ms * usage.cache_write)
-
-
-class CallResult(NamedTuple):
-    request_index: int
-    usage: UsageRecord
-    cost_usd: float
-    ttft_ms: float
-    time_s: float
 
 
 @dataclass(frozen=True)
@@ -114,11 +129,6 @@ class WarmupLedger:
     cost_usd: float
 
 
-# The per-call columns of a ConditionRun, in per_call.csv's order.
-CALL_COLUMNS = ("uncached", "cached_read", "cache_write", "output",
-                "cost_usd", "ttft_ms", "time_s")
-
-
 @dataclass(frozen=True)
 class ConditionRun:
     """Evaluation results for one (policy, mode) condition, as columns, plus
@@ -128,7 +138,9 @@ class ConditionRun:
     order, are rows ``offsets[i]`` up to ``offsets[i + 1]`` of the per-call
     columns (token counts as ints; cost, TTFT and send time as floats).
     ``session_cost_usd`` and ``session_ttft_ms`` hold each session's total
-    cost and mean TTFT, summed once, left to right.
+    cost and mean TTFT, summed once, left to right. Every column but the
+    cost and TTFT ones may be shared with other conditions of the same run,
+    so treat them as read-only.
     """
 
     policy_name: str
@@ -147,45 +159,14 @@ class ConditionRun:
     warmup: WarmupLedger
 
 
-def replay_call(layout: SessionLayout, request_index: int, store: CacheStore,
-                now_s: float, latency_model: LatencyModel, output_tokens: int, *,
-                session_seed: int, noise: float) -> CallResult:
-    """Simulate one API call, issued at condition time ``now_s``, of a
-    session laid out by :func:`~cachesim.strategies.session_layout`,
-    against ``store`` and priced by the store's policy. ``noise`` is the
-    call's standard normal draw, which scales its TTFT by
-    ``exp(noise_sigma * noise)``.
-
-    ``session_seed`` does not change the result (breaker ids never reach
-    the cache); it identifies the call's session to per-call tracing."""
-    if not 1 <= request_index <= len(layout.lengths):
-        raise IndexError(f"request {request_index} out of range 1..{len(layout.lengths)}")
-    policy = store.policy
-    n = layout.lengths[request_index - 1]
-    flat = layout.template[:n]
-    limit = layout.explicit_limit
-    if limit is None or policy.mode is not CacheMode.EXPLICIT_BREAKPOINTS:
-        limit = n
-    segments = layout.segment_contents if policy.opportunistic_segments else ()
-
-    cached, write = access(store, flat, limit, now_s, min(layout.stop, n), segments)
-    usage = UsageRecord(n - cached, cached, write, output_tokens)
-    cost = price_call(usage, policy, prompt_total_tokens=n)
-    ttft = latency_model.mean_ttft_ms(usage) * math.exp(latency_model.noise_sigma * noise)
-    return CallResult(request_index, usage, cost, ttft, now_s)
-
-
-class Condition:
-    """One (policy, mode) condition's replay state over ``transcripts``: a
-    fresh store built for the policy, simulated time from 0 s, one noise
-    draw per API call and the columns of the sessions replayed so far.
-
-    The noise stream is derived from (latency seed, policy, mode), so
-    conditions stay independent no matter how many run or in what order.
+class Timeline:
+    """What every condition of a run shares, computed once from the
+    transcripts: each call's send time (``time_s``) and output tokens
+    (``output``), one row per call in replay order, warmup sessions
+    first; session ``s`` is rows ``offsets[s]`` up to ``offsets[s + 1]``.
     """
 
-    def __init__(self, transcripts: Sequence[SessionTranscript], mode: StrategyMode,
-                 policy: ProviderPolicy, latency_model: LatencyModel,
+    def __init__(self, transcripts: Sequence[SessionTranscript],
                  warmup_sessions: int) -> None:
         if warmup_sessions < 0:
             raise ValueError("warmup_sessions must be >= 0")
@@ -193,77 +174,161 @@ class Condition:
             raise ValueError(
                 f"warmup_sessions={warmup_sessions} leaves no evaluation sessions "
                 f"out of {len(transcripts)} transcripts")
-        self.mode = mode
-        self.policy = policy
-        self.latency_model = latency_model
+        time_s: list[float] = []
+        output: list[int] = []
+        offsets = [0]
+        now_s = 0.0
+        for transcript in transcripts:
+            for output_tokens, gap_s in transcript.requests():
+                time_s.append(now_s)
+                output.append(output_tokens)
+                now_s += gap_s
+            offsets.append(len(time_s))
+        self.transcripts = tuple(transcripts)
         self.warmup_sessions = warmup_sessions
+        self.time_s = time_s
+        self.output = output
+        self.offsets = offsets
+        self.output_tokens = np.array(output, dtype=np.float64)
+        k = offsets[warmup_sessions]
+        # The evaluation rows, held by reference by every ConditionRun.
+        self.shared = dict(
+            session_ids=[t.session_id for t in self.transcripts[warmup_sessions:]],
+            offsets=[offset - k for offset in offsets[warmup_sessions:]],
+            output=output[k:], time_s=time_s[k:])
+
+
+class CallRecord(NamedTuple):
+    """One API call as its cache trace recorded it: the call's usage block,
+    read as a provider response's ``usage``."""
+
+    usage: UsageRecord
+
+
+class CacheTrace:
+    """One mode's cache outcomes under one set of cache rules: a fresh store
+    built for ``policy`` (whose rules alone it reads) and each call's
+    ``uncached``, ``cached_read`` and ``cache_write`` tokens, by row of
+    ``timeline``, as the store served them."""
+
+    def __init__(self, timeline: Timeline, mode: StrategyMode,
+                 policy: ProviderPolicy) -> None:
+        self.timeline = timeline
+        self.mode = mode
         self.store = CacheStore(policy)
-        noise = np.random.Generator(np.random.PCG64(
-            derive_seed(latency_model.seed, "noise", policy.name, mode.value)))
-        # A transcript of 2k + 1 messages makes k calls.
-        calls = sum(len(t.messages) // 2 for t in transcripts)
-        self.noise = iter(noise.standard_normal(calls).tolist())
-        self.now_s = 0.0
-        self.session_ids: list[str] = []
-        self.offsets = [0]
-        self.columns: dict[str, list] = {name: [] for name in CALL_COLUMNS}
-        self.session_cost_usd: list[float] = []
-        self.session_ttft_ms: list[float] = []
+        self.uncached: list[int] = []
+        self.cached_read: list[int] = []
+        self.cache_write: list[int] = []
+        self.records: list[CallRecord] = []
 
-    def result(self) -> ConditionRun:
-        """The evaluation sessions' columns and the warmup ledger, once
-        every transcript has been replayed."""
-        policy, mode, w = self.policy, self.mode, self.warmup_sessions
-        k = self.offsets[w]
-        warm_cost = 0.0
-        for cost in self.session_cost_usd[:w]:
-            warm_cost += cost
-        return ConditionRun(
-            policy_name=policy.name, mode=mode, session_ids=self.session_ids[w:],
-            offsets=[offset - k for offset in self.offsets[w:]],
-            **{name: column[k:] for name, column in self.columns.items()},
-            session_cost_usd=self.session_cost_usd[w:],
-            session_ttft_ms=self.session_ttft_ms[w:],
-            warmup=WarmupLedger(policy.name, mode.value, w,
-                                sum(self.columns["cache_write"][:k]), warm_cost),
-        )
+    @cached_property
+    def usage(self) -> UsageRecord:
+        """Every row's usage as float columns, built once for pricing."""
+        columns = (self.uncached, self.cached_read, self.cache_write)
+        return UsageRecord(*(np.array(column, dtype=np.float64) for column in columns),
+                           self.timeline.output_tokens)
+
+    @cached_property
+    def prompt_tokens(self) -> np.ndarray:
+        return self.usage.uncached_input + self.usage.cached_read
+
+    @cached_property
+    def shared(self) -> dict[str, list[int]]:
+        """The evaluation rows, held by reference by every ConditionRun."""
+        k = self.timeline.offsets[self.timeline.warmup_sessions]
+        return dict(uncached=self.uncached[k:], cached_read=self.cached_read[k:],
+                    cache_write=self.cache_write[k:])
 
 
-def replay_session(condition: Condition, transcript: SessionTranscript,
-                   layout: SessionLayout, requests: Sequence[tuple[int, float]]) -> None:
-    """Replay the condition's next session: ``transcript``, laid out under
-    the condition's mode, whose ``requests()`` are ``requests``. Each call
-    is sent at the condition's time, which then advances by the call's
-    gap, so the next session starts where this one ended. Each call's
-    result goes into the condition's columns, and the session's total
-    cost and mean TTFT are summed as it runs."""
-    store = condition.store
-    latency_model = condition.latency_model
-    noise = condition.noise
-    session_seed = transcript.session_seed
-    now_s = condition.now_s
-    uncached, cached_read, cache_write, output, costs, ttfts, times = (
-        column.append for column in condition.columns.values())
-    cost = ttft = 0.0
-    for r, (output_tokens, gap_s) in enumerate(requests, start=1):
-        _, (u, c, w, o), call_cost, call_ttft, _ = replay_call(
-            layout, r, store, now_s, latency_model, output_tokens,
-            session_seed=session_seed, noise=next(noise))
-        uncached(u)
-        cached_read(c)
-        cache_write(w)
-        output(o)
-        costs(call_cost)
-        ttfts(call_ttft)
-        times(now_s)
-        cost += call_cost
-        ttft += call_ttft
-        now_s += gap_s
-    condition.now_s = now_s
-    condition.session_ids.append(transcript.session_id)
-    condition.offsets.append(len(condition.columns["uncached"]))
-    condition.session_cost_usd.append(cost)
-    condition.session_ttft_ms.append(ttft / len(requests))
+def replay_call(trace: CacheTrace, session: int, layout: SessionLayout,
+                request_index: int, *, session_seed: int) -> CallRecord:
+    """Send API call ``request_index`` of the timeline's session
+    ``session``, laid out by :func:`~cachesim.strategies.session_layout`
+    under the trace's mode, through ``trace``.
+
+    The first condition of the trace to send the call runs it through the
+    trace's store, at the timeline's send time, and records its usage;
+    every later one gets that record back without touching the store.
+    Calls reach the store in row order. ``session_seed`` does not change
+    the result (breaker ids never reach the cache); it identifies the
+    call's session to per-call tracing."""
+    timeline = trace.timeline
+    first = timeline.offsets[session]
+    if not 1 <= request_index <= timeline.offsets[session + 1] - first:
+        raise IndexError(f"request {request_index} out of range "
+                         f"1..{timeline.offsets[session + 1] - first}")
+    row = first + request_index - 1
+    recorded = len(trace.records)
+    if row < recorded:
+        return trace.records[row]
+    if row > recorded:
+        raise IndexError(f"row {row} sent before row {recorded}")
+    store = trace.store
+    policy = store.policy
+    n = layout.lengths[request_index - 1]
+    limit = layout.explicit_limit
+    if limit is None or policy.mode is not CacheMode.EXPLICIT_BREAKPOINTS:
+        limit = n
+    segments = layout.segment_contents if policy.opportunistic_segments else ()
+
+    cached, write = access(store, layout.template[:n], limit, timeline.time_s[row],
+                           min(layout.stop, n), segments)
+    trace.uncached.append(n - cached)
+    trace.cached_read.append(cached)
+    trace.cache_write.append(write)
+    record = CallRecord(UsageRecord(n - cached, cached, write, timeline.output[row]))
+    trace.records.append(record)
+    return record
+
+
+def replay_session(trace: CacheTrace, session: int, layout: SessionLayout) -> None:
+    """Send every API call of the timeline's session ``session``, laid out
+    under the trace's mode, through ``trace``, once for one condition."""
+    timeline = trace.timeline
+    session_seed = timeline.transcripts[session].session_seed
+    calls = timeline.offsets[session + 1] - timeline.offsets[session]
+    for r in range(1, calls + 1):
+        replay_call(trace, session, layout, r, session_seed=session_seed)
+
+
+def _left_sum(values: Sequence[float]) -> float:
+    """``values`` added left to right from 0.0, as ``sum()`` of floats no
+    longer does since Python 3.12."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def price_condition(trace: CacheTrace, policy: ProviderPolicy,
+                    latency_model: LatencyModel) -> ConditionRun:
+    """The (policy, trace's mode) condition's results, once every session
+    has been replayed through ``trace``: every call priced by ``policy``'s
+    own rates and timed by ``latency_model`` in one pass.
+
+    The noise stream is derived from (latency seed, policy, mode), so
+    conditions stay independent no matter how many run or in what order.
+    """
+    timeline, mode = trace.timeline, trace.mode
+    usage = trace.usage
+    noise = np.random.Generator(np.random.PCG64(
+        derive_seed(latency_model.seed, "noise", policy.name, mode.value)))
+    scaled = latency_model.noise_sigma * noise.standard_normal(len(timeline.time_s))
+    factors = np.array([math.exp(x) for x in scaled.tolist()])
+    cost = price_call(usage, policy, trace.prompt_tokens).tolist()
+    ttft = (latency_model.mean_ttft_ms(usage) * factors).tolist()
+
+    w, offsets = timeline.warmup_sessions, timeline.offsets
+    k = offsets[w]
+    sessions = list(zip(offsets, offsets[1:]))
+    session_cost = [_left_sum(cost[start:end]) for start, end in sessions]
+    session_ttft = [_left_sum(ttft[start:end]) / (end - start) for start, end in sessions[w:]]
+    return ConditionRun(
+        policy_name=policy.name, mode=mode, **timeline.shared, **trace.shared,
+        cost_usd=cost[k:], ttft_ms=ttft[k:],
+        session_cost_usd=session_cost[w:], session_ttft_ms=session_ttft,
+        warmup=WarmupLedger(policy.name, mode.value, w,
+                            sum(trace.cache_write[:k]), _left_sum(session_cost[:w])))
 
 
 def run_condition(transcripts: Sequence[SessionTranscript], mode: StrategyMode,
@@ -275,8 +340,7 @@ def run_condition(transcripts: Sequence[SessionTranscript], mode: StrategyMode,
     never contaminate each other. The first ``warmup_sessions``
     transcripts prime the cache; the rest are the evaluation set.
     """
-    condition = Condition(transcripts, mode, policy, latency_model, warmup_sessions)
-    for transcript in transcripts:
-        replay_session(condition, transcript, session_layout(transcript, mode),
-                       tuple(transcript.requests()))
-    return condition.result()
+    trace = CacheTrace(Timeline(transcripts, warmup_sessions), mode, policy)
+    for session, transcript in enumerate(transcripts):
+        replay_session(trace, session, session_layout(transcript, mode))
+    return price_condition(trace, policy, latency_model)

@@ -1,11 +1,15 @@
 """Experiment orchestration and report files.
 
 Runs every (policy x mode) condition of a config and writes the results.
-Each mode's conditions replay in lockstep: each session's layout is built
-once and replayed against every policy's condition, then dropped before
-the next session. A condition owns its store, simulated time and noise
-stream, so conditions do not interact, and only the read-only layout is
-shared. The run writes:
+The run's :class:`~cachesim.replay.Timeline` (each call's send time and
+output tokens, each session's id and rows) is computed once. Each mode
+keeps one :class:`~cachesim.replay.CacheTrace` per distinct set of cache
+rules, shared by the policies that have those rules, and replays its
+conditions in lockstep: each session's layout is built once and replayed
+through every policy's trace, then dropped before the next session.
+Once a mode's sessions are replayed, each condition prices its trace's
+columns in one pass (:func:`~cachesim.replay.price_condition`). The run
+writes:
 
 * ``per_call.csv``  - one row per evaluated API call
 * ``per_session.csv`` - one row per evaluated session
@@ -18,9 +22,12 @@ one ``ablation.csv`` of session medians across the grid.
 Rows are sorted by condition key, so outputs are byte-identical across
 reruns. The CSV rows are formatted from each condition's columns, one
 condition at a time, with every string cell quoted as ``csv.writer``
-quotes it. Every summary value can be recomputed from ``per_call.csv``
-alone; :func:`verify_run` does exactly that and reports any value that
-fails to match.
+quotes it. Text that comes from columns several conditions hold by
+reference (the timeline's session ids, call indexes and send times, a
+trace's token counts) is formatted once per shared column, and each
+condition adds only its own cost and TTFT cells. Every summary value can
+be recomputed from ``per_call.csv`` alone; :func:`verify_run` does
+exactly that and reports any value that fails to match.
 """
 
 from __future__ import annotations
@@ -31,13 +38,12 @@ import json
 import math
 import statistics
 from dataclasses import astuple, dataclass, replace
-from itertools import chain, repeat
 from pathlib import Path
 from typing import Sequence
 
 from .checks import is_finite_number
 from .config import AblationGrid, ExperimentConfig, to_json
-from .replay import Condition, ConditionRun, replay_session
+from .replay import CacheTrace, ConditionRun, Timeline, price_condition, replay_session
 from .stats import (BASELINE_MODE, Comparison, ConditionSamples, ExperimentReport,
                     summarize_experiment)
 from .strategies import StrategyMode, session_layout
@@ -62,17 +68,21 @@ def _execute_matrix(config: ExperimentConfig) -> tuple[ConditionRun, ...]:
     spec = replace(config.workload,
                    sessions=config.workload.sessions + config.warmup_sessions)
     transcripts = generate(spec)
+    timeline = Timeline(transcripts, config.warmup_sessions)
     runs = []
     for mode in config.modes:
-        conditions = [Condition(transcripts, mode, policy, config.latency_for(policy.name),
-                                config.warmup_sessions)
-                      for policy in config.policies]
-        for transcript in transcripts:
+        traces: dict[tuple, CacheTrace] = {}
+        conditions = []
+        for policy in config.policies:
+            if policy.cache_rules not in traces:
+                traces[policy.cache_rules] = CacheTrace(timeline, mode, policy)
+            conditions.append((policy, traces[policy.cache_rules]))
+        for session, transcript in enumerate(transcripts):
             layout = session_layout(transcript, mode)
-            requests = tuple(transcript.requests())
-            for condition in conditions:
-                replay_session(condition, transcript, layout, requests)
-        runs.extend(condition.result() for condition in conditions)
+            for _, trace in conditions:
+                replay_session(trace, session, layout)
+        runs.extend(price_condition(trace, policy, config.latency_for(policy.name))
+                    for policy, trace in conditions)
     return tuple(sorted(runs, key=lambda r: (r.policy_name, r.mode.value)))
 
 
@@ -97,36 +107,74 @@ def _csv_cell(text: str) -> str:
 
 def _write_rows(path: Path, columns: Sequence[str], runs: Sequence[ConditionRun],
                 condition_rows) -> None:
-    """Write a CSV artifact one condition's ``condition_rows(run, cells)`` at a time."""
-    cells = {text: _csv_cell(text) for text in {
-        text for run in runs for text in (run.mode.value, run.policy_name, *run.session_ids)}}
+    """Write a CSV artifact one condition's ``condition_rows(run, shared)``
+    at a time. ``shared(format_text, *columns)`` returns
+    ``format_text(*columns)``, formatted once per set of column objects, so
+    conditions that hold the same columns by reference share its text."""
+    texts: dict[tuple, list[str]] = {}
+
+    def shared(format_text, *shared_columns) -> list[str]:
+        key = (format_text, *map(id, shared_columns))
+        if key not in texts:
+            texts[key] = format_text(*shared_columns)
+        return texts[key]
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(columns)
         for run in runs:
-            fh.write("".join(condition_rows(run, cells)))
+            fh.write("".join(condition_rows(run, shared)))
 
 
-def _per_call_rows(run: ConditionRun, cells: dict[str, str]) -> list[str]:
-    condition = f"{cells[run.mode.value]},{cells[run.policy_name]}"
-    sizes = [end - start for start, end in zip(run.offsets, run.offsets[1:])]
-    return [f"{session},{r},{condition},{u},{c},{w},{o},{cost!r},{ttft!r},{t!r}\r\n"
-            for session, r, u, c, w, o, cost, ttft, t in zip(
-                chain.from_iterable(map(repeat, map(cells.get, run.session_ids), sizes)),
-                chain.from_iterable(range(1, size + 1) for size in sizes),
-                run.uncached, run.cached_read, run.cache_write, run.output,
-                run.cost_usd, run.ttft_ms, run.time_s)]
+def _spans(offsets: Sequence[int]):
+    return zip(offsets, offsets[1:])
 
 
-def _per_session_rows(run: ConditionRun, cells: dict[str, str]) -> list[str]:
-    condition = f"{cells[run.policy_name]},{cells[run.mode.value]}"
-    sessions = [slice(start, end) for start, end in zip(run.offsets, run.offsets[1:])]
-    totals = (map(sum, map(column.__getitem__, sessions))
-              for column in (run.uncached, run.cached_read, run.cache_write, run.output))
-    return [f"{condition},{cells[session]},{span.stop - span.start},{cost!r},{ttft!r},"
-            f"{u},{c},{w},{o}\r\n"
-            for session, span, cost, ttft, u, c, w, o in zip(
-                run.session_ids, sessions, run.session_cost_usd, run.session_ttft_ms,
-                *totals)]
+def _call_heads(session_ids: list[str], offsets: list[int]) -> list[str]:
+    return [f"{cell},{r},"
+            for cell, (start, end) in zip(map(_csv_cell, session_ids), _spans(offsets))
+            for r in range(1, end - start + 1)]
+
+
+def _call_tokens(uncached: list[int], cached_read: list[int], cache_write: list[int],
+                 output: list[int]) -> list[str]:
+    return [f"{u},{c},{w},{o},"
+            for u, c, w, o in zip(uncached, cached_read, cache_write, output)]
+
+
+def _call_tails(time_s: list[float]) -> list[str]:
+    return [f",{t!r}\r\n" for t in time_s]
+
+
+def _per_call_rows(run: ConditionRun, shared) -> list[str]:
+    condition = f"{_csv_cell(run.mode.value)},{_csv_cell(run.policy_name)},"
+    return [f"{head}{condition}{tokens}{cost!r},{ttft!r}{tail}"
+            for head, tokens, cost, ttft, tail in zip(
+                shared(_call_heads, run.session_ids, run.offsets),
+                shared(_call_tokens, run.uncached, run.cached_read, run.cache_write,
+                       run.output),
+                run.cost_usd, run.ttft_ms, shared(_call_tails, run.time_s))]
+
+
+def _session_heads(session_ids: list[str], offsets: list[int]) -> list[str]:
+    return [f"{_csv_cell(session)},{end - start},"
+            for session, (start, end) in zip(session_ids, _spans(offsets))]
+
+
+def _session_tokens(offsets: list[int], *columns: list[int]) -> list[str]:
+    """Each session's token totals, summed once per set of shared columns."""
+    totals = [[sum(column[start:end]) for start, end in _spans(offsets)]
+              for column in columns]
+    return [f",{u},{c},{w},{o}\r\n" for u, c, w, o in zip(*totals)]
+
+
+def _per_session_rows(run: ConditionRun, shared) -> list[str]:
+    condition = f"{_csv_cell(run.policy_name)},{_csv_cell(run.mode.value)},"
+    return [f"{condition}{head}{cost!r},{ttft!r}{tokens}"
+            for head, cost, ttft, tokens in zip(
+                shared(_session_heads, run.session_ids, run.offsets),
+                run.session_cost_usd, run.session_ttft_ms,
+                shared(_session_tokens, run.offsets, run.uncached, run.cached_read,
+                       run.cache_write, run.output))]
 
 
 def _p_cell(comparison: Comparison) -> str:

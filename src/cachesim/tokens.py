@@ -14,9 +14,10 @@ messages after the system prompt as consecutive slices of one stream
 A flattened prompt (see :func:`cachesim.strategies.session_layout`)
 puts one fixed framing token in front of each message, the reserved id
 of its role, so it is ``sum(message lengths) + message count`` tokens
-long. Token ids below ``RESERVED_TOKEN_FLOOR`` are reserved for framing;
-synthesized content ids never fall in that band, so framing tokens can
-always be told apart from content.
+long. Token ids below ``RESERVED_TOKEN_FLOOR`` are reserved for framing:
+synthesized content ids never fall in that band and :class:`Message`
+rejects any that do, so framing tokens can always be told apart from
+content.
 """
 
 from __future__ import annotations
@@ -83,7 +84,8 @@ def synth_tokens(count: int, stream_seed: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Message:
     """One chat message: a role plus its token payload, a non-empty,
-    read-only, one-dimensional ``uint64`` array.
+    read-only, one-dimensional ``uint64`` array of content ids, none
+    below ``RESERVED_TOKEN_FLOOR``.
 
     Messages compare equal when their roles and token ids are equal.
     """
@@ -100,6 +102,9 @@ class Message:
             raise ValueError("message tokens must be a read-only 1-D uint64 array")
         if tokens.size == 0:
             raise ValueError("message tokens must be non-empty")
+        if tokens.min() < RESERVED_TOKEN_FLOOR:
+            raise ValueError(f"message token ids must be >= {RESERVED_TOKEN_FLOOR}; "
+                             "lower ids are reserved for role framing")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Message):

@@ -16,10 +16,11 @@ segment memo of the replay path:
   the oracle does not lean on the engine's single expiry reference.
 * :func:`reference_condition` replays a whole (policy, mode) condition
   one API call at a time through the two above and its own segment
-  memo, then
-  :func:`cachesim.price_call` and the latency model with the same
-  per-condition noise stream, so comparing it with ``run_condition``,
-  call for call, catches an error in how the replay's pieces compose.
+  memo, then prices and times each call with :func:`reference_price`
+  and :func:`reference_ttft`, plain-Python restatements of the rate
+  table and the latency formula, with the same per-condition noise
+  stream, so comparing it with ``run_condition``, call for call, catches
+  an error in how the replay's pieces compose or in the column pricer.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from cachesim import (CacheMode, ConditionRun, LatencyModel, Message, ProviderPolicy,
-                      Role, SessionTranscript, StrategyMode, UsageRecord, derive_seed,
-                      price_call)
-from cachesim.replay import CALL_COLUMNS, WarmupLedger
+                      Role, SessionTranscript, StrategyMode, UsageRecord, derive_seed)
+from cachesim.replay import WarmupLedger
 from cachesim.tokens import RESERVED_TOKEN_FLOOR, ROLE_TAG_IDS
 
 
@@ -251,6 +251,32 @@ def _segment_reads(prompt: Prompt, prefix_end: int, granularity: int,
     return extra
 
 
+# The per-call columns of a ConditionRun, in per_call.csv's order.
+CALL_COLUMNS = ("uncached", "cached_read", "cache_write", "output",
+                "cost_usd", "ttft_ms", "time_s")
+
+
+def reference_price(usage: UsageRecord, policy: ProviderPolicy, prompt_total: int) -> float:
+    """One call's price in USD: every component at its per-token rate, the
+    tier picked from the whole prompt size (boundary exclusive)."""
+    p = policy.prices
+    tiered = p.tier_boundary_tokens is not None and prompt_total > p.tier_boundary_tokens
+    in_rate = p.tier2_input_per_mtok if tiered else p.input_per_mtok
+    read_rate = p.tier2_cached_read_per_mtok if tiered else p.cached_read_per_mtok
+    out_rate = p.tier2_output_per_mtok if tiered else p.output_per_mtok
+    write_rate = p.cache_write_per_mtok or 0.0
+    return (usage.uncached_input * in_rate + usage.cached_read * read_rate
+            + usage.cache_write * write_rate + usage.output * out_rate) / 1e6
+
+
+def reference_ttft(latency: LatencyModel, usage: UsageRecord, z: float) -> float:
+    """One call's time to first token under noise draw ``z``."""
+    mean = (latency.base_ms + latency.per_uncached_token_ms * usage.uncached_input
+            + latency.per_cached_token_ms * usage.cached_read
+            + latency.per_write_token_ms * usage.cache_write)
+    return mean * math.exp(latency.noise_sigma * z)
+
+
 def reference_condition(transcripts: Sequence[SessionTranscript], mode: StrategyMode,
                         policy: ProviderPolicy, latency: LatencyModel,
                         warmup: int = 0) -> ConditionRun:
@@ -277,9 +303,8 @@ def reference_condition(transcripts: Sequence[SessionTranscript], mode: Strategy
                 read += _segment_reads(prompt, read, policy.granularity_tokens, seen)
             usage = UsageRecord(uncached_input=len(flat) - read, cached_read=read,
                                 cache_write=write, output=len(tr.messages[2 * r].tokens))
-            cost = price_call(usage, policy, prompt_total_tokens=len(flat))
-            ttft = latency.mean_ttft_ms(usage) * math.exp(
-                latency.noise_sigma * noise.standard_normal())
+            cost = reference_price(usage, policy, len(flat))
+            ttft = reference_ttft(latency, usage, noise.standard_normal())
             calls.append((*usage, cost, ttft, now))
             # Call r is sent at its newest input message; the last call's
             # gap runs to the final message.

@@ -14,6 +14,7 @@ from dataclasses import replace
 from fractions import Fraction
 from time import perf_counter
 
+import numpy as np
 import pytest
 import scipy.stats
 
@@ -133,7 +134,8 @@ def test_acceptance_2_pricing_exactness():
     ]
     assert len(cases) == 12
     for name, usage, total, exact in cases:
-        got = price_call(usage, builtin_policy(name), total)
+        columns = UsageRecord(*(np.array([count]) for count in usage))
+        got = price_call(columns, builtin_policy(name), np.array([total])).tolist()[0]
         if exact == 0:
             assert got == 0.0
         else:

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from cachesim import (CacheMode, LatencyModel, Message, Role, SessionTranscript,
                       StrategyMode, WorkloadSpec, builtin_policy, derive_seed,
                       generate, run_condition, synth_tokens)
-from cachesim.replay import CALL_COLUMNS
-from reference import reference_condition
+from reference import CALL_COLUMNS, reference_condition
 
 _POLICIES = ("gpt-4o", "gpt-5.2", "claude-sonnet-4.5", "gemini-2.5-pro")
 

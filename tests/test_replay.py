@@ -9,10 +9,11 @@ from dataclasses import replace
 import pytest
 
 from cachesim import (CacheStore, LatencyModel, Role, StrategyMode,
-                      TranscriptValidationError, WorkloadSpec, builtin_policy, generate,
-                      replay_call, run_condition, run_experiment, session_layout)
+                      TranscriptValidationError, WorkloadSpec, access, builtin_policy,
+                      generate, run_condition, run_experiment, session_layout)
 from cachesim import replay, runner
-from cachesim.config import config_from_dict
+from cachesim.replay import CacheTrace, Timeline, replay_call
+from cachesim.config import config_from_dict, to_json
 from reference import flat_length, reference_condition
 from test_golden import GOLDEN_CONFIG
 
@@ -181,6 +182,51 @@ def test_lockstep_replay_equals_each_condition_alone(tmp_path, monkeypatch):
                                     config.latency_for(policy.name), config.warmup_sessions)
 
 
+# One value per cache rule that differs from gpt-4o's.
+RULE_CHANGES = {"min_cache_tokens": 256, "granularity_tokens": 32, "ttl_seconds": 2.5,
+                "refresh_on_read": True, "mode": "explicit-breakpoints",
+                "opportunistic_segments": True}
+
+
+@pytest.mark.parametrize("field", sorted(RULE_CHANGES))
+def test_policies_with_equal_cache_rules_share_one_trace(field, tmp_path, monkeypatch):
+    """gpt-4o and gpt-5.2 differ only in prices, so each mode sends their
+    calls through one store; a policy that differs from gpt-4o in any one
+    cache rule gets a store of its own. The stores are accessed once per
+    (mode, set of rules, call), and every condition still equals
+    ``run_condition`` on that condition alone."""
+    variant = to_json(builtin_policy("gpt-4o"))
+    variant.update({"name": "variant", field: RULE_CHANGES[field]})
+    config = config_from_dict({**GOLDEN_CONFIG, "policies": ["gpt-4o", "gpt-5.2", variant]})
+    stores, accesses = [], []
+
+    class CountedStore(CacheStore):
+        def __init__(self, policy):
+            super().__init__(policy)
+            stores.append(policy.name)
+
+    def counted_access(*args, **kwargs):
+        accesses.append(args[0].policy.name)
+        return access(*args, **kwargs)
+
+    monkeypatch.setattr(replay, "CacheStore", CountedStore)
+    monkeypatch.setattr(replay, "access", counted_access)
+    runs = run_experiment(config, out_dir=tmp_path, quiet=True).runs
+    monkeypatch.undo()
+
+    modes = len(config.modes)
+    sessions = config.workload.sessions + config.warmup_sessions
+    calls = sessions * (config.workload.tool_calls + 1)
+    assert sorted(stores) == ["gpt-4o"] * modes + ["variant"] * modes
+    assert sorted(accesses) == ["gpt-4o"] * modes * calls + ["variant"] * modes * calls
+    assert len(runs) == 3 * modes
+    transcripts = generate(replace(config.workload, sessions=sessions))
+    for run in runs:
+        policy = next(p for p in config.policies if p.name == run.policy_name)
+        assert run == run_condition(transcripts, run.mode, policy,
+                                    config.latency_for(policy.name), config.warmup_sessions)
+
+
 def test_one_replay_call_per_api_call(tmp_path, monkeypatch):
     """Per-call tracing wraps ``replay.replay_call`` by name, reads its
     ``request_index`` and ``session_seed`` parameters and its result's
@@ -272,21 +318,22 @@ class TestLatencyModel:
             LatencyModel(per_uncached_token_ms=0.01, per_cached_token_ms=0.01)
 
     def test_clock_rejects_backwards_motion(self):
-        """The store keeps replay time: a call issued before the store's
-        last access is rejected, and the store's time stays put."""
+        """The store keeps replay time: a call sent before the store's last
+        access is rejected, records nothing, and the store's time stays put."""
         transcript = generate(small_spec(sessions=1))[0]
-        layout = session_layout(transcript, StrategyMode.FULL_CONTEXT)
-        store = CacheStore(builtin_policy("gpt-4o"))
+        mode = StrategyMode.FULL_CONTEXT
+        layout = session_layout(transcript, mode)
+        trace = CacheTrace(Timeline([transcript], 0), mode, builtin_policy("gpt-4o"))
+        prompt = layout.template[:layout.lengths[0]]
 
-        def call(request_index, now_s):
-            return replay_call(layout, request_index, store,
-                               now_s, QUIET, 1, session_seed=0,
-                               noise=0.0)
+        def later(now_s):
+            return access(trace.store, prompt, len(prompt), now_s)
 
-        call(1, 5.0)
+        later(100.0)
         with pytest.raises(ValueError, match="never go back"):
-            call(2, 4.0)
-        assert call(2, 5.0).time_s == 5.0
+            replay_call(trace, 0, layout, 1, session_seed=0)
+        assert trace.cache_write == []
+        assert later(100.0)[0] > 0
 
     @pytest.mark.parametrize("stamp", [math.nan, math.inf])
     def test_clock_rejects_non_finite_steps(self, stamp):

@@ -7,10 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cachesim import (CacheMode, CacheStore, LatencyModel, Message, Role,
+from cachesim import (CacheMode, CacheStore, Message, Role,
                       SessionTranscript, StrategyMode, TranscriptValidationError,
                       WorkloadSpec, access, builtin_policy, derive_seed, generate,
-                      replay_call, session_layout, synth_tokens)
+                      session_layout, synth_tokens)
+from cachesim.replay import CacheTrace, Timeline, replay_call
 from reference import apply_strategy, breaker_token, flatten
 
 
@@ -247,16 +248,19 @@ def test_layout_rejects_what_the_reference_rejects(msgs):
         session_layout(valid, "full-context")
 
 
+def _trace(transcript, mode, policy):
+    return CacheTrace(Timeline([transcript], 0), mode, policy)
+
+
 def test_layout_request_bounds():
     """replay_call serves requests 1..n of a layout and rejects the rest:
     index 0 would otherwise wrap to the last request."""
     transcript = make_transcript(make_conversation(2) + [Message(Role.AI, synth_tokens(3, 8))])
     layout = session_layout(transcript, StrategyMode.NO_CACHE)
-    store = CacheStore(builtin_policy("gpt-4o"))
+    trace = _trace(transcript, StrategyMode.NO_CACHE, builtin_policy("gpt-4o"))
     for r in (0, len(layout.lengths) + 1):
         with pytest.raises(IndexError):
-            replay_call(layout, r, store, 0.0, LatencyModel(), 1,
-                        session_seed=0, noise=0.0)
+            replay_call(trace, 0, layout, r, session_seed=0)
 
 
 def test_segment_contents_are_serialized_once_and_only_when_read():
@@ -264,16 +268,21 @@ def test_segment_contents_are_serialized_once_and_only_when_read():
     opportunistic-segments store and then serves the same bytes to every
     later request and store; a plain store never asks for them."""
     transcript = make_transcript(make_conversation(3) + [Message(Role.AI, synth_tokens(3, 8))])
-    layout = session_layout(transcript, StrategyMode.EXCLUDE_TOOL_RESULTS)
+    mode = StrategyMode.EXCLUDE_TOOL_RESULTS
+    layout = session_layout(transcript, mode)
+
+    def send(policy, requests):
+        trace = _trace(transcript, mode, policy)
+        for r in range(1, requests + 1):
+            replay_call(trace, 0, layout, r, session_seed=0)
+
     plain = builtin_policy("gpt-4o")
-    replay_call(layout, 2, CacheStore(plain), 0.0, LatencyModel(), 1, session_seed=0, noise=0.0)
+    send(plain, 2)
     assert "segment_contents" not in vars(layout)
 
     opportunistic = replace(plain, opportunistic_segments=True)
-    replay_call(layout, 2, CacheStore(opportunistic), 0.0, LatencyModel(), 1,
-                session_seed=0, noise=0.0)
+    send(opportunistic, 2)
     contents = vars(layout)["segment_contents"]
     assert contents == tuple((a, layout.template[a:b].tobytes()) for a, b in layout.segments)
-    replay_call(layout, 3, CacheStore(opportunistic), 0.0, LatencyModel(), 1,
-                session_seed=0, noise=0.0)
+    send(opportunistic, 3)
     assert layout.segment_contents is contents

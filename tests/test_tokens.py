@@ -74,6 +74,18 @@ def test_token_arrays_are_read_only():
             Message(Role.HUMAN, bad)
 
 
+@pytest.mark.parametrize("ids", [[1, 2], [63], [64, 70, 5, 90], [0]])
+def test_message_rejects_reserved_ids(ids):
+    """Ids below the floor are role framing tokens; content may not use them."""
+    tokens = np.array(ids, dtype=np.uint64)
+    tokens.setflags(write=False)
+    with pytest.raises(ValueError, match=f">= {RESERVED_TOKEN_FLOOR}"):
+        Message(Role.HUMAN, tokens)
+    floor = np.array([RESERVED_TOKEN_FLOOR], dtype=np.uint64)
+    floor.setflags(write=False)
+    assert Message(Role.HUMAN, floor).tokens[0] == RESERVED_TOKEN_FLOOR
+
+
 def test_message_requires_tokens():
     with pytest.raises(ValueError):
         Message(Role.HUMAN, synth_tokens(1, 0)[:0])
