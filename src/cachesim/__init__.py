@@ -13,8 +13,8 @@ from .errors import ConfigError, TranscriptValidationError, UndefinedBaselineErr
 from .policies import (CacheMode, PriceSchedule, ProviderPolicy, UsageRecord,
                        builtin_policies, builtin_policy, policy_from_dict,
                        price_call)
-from .replay import ConditionRun, LatencyModel, run_condition
-from .runner import run_ablation, run_experiment, verify_run
+from .replay import ConditionRun, LatencyModel
+from .runner import run_ablation, run_condition, run_experiment, verify_run
 from .seeding import derive_seed
 from .stats import (Comparison, ConditionSamples, ExperimentReport, TTestResult,
                     compare, summarize_experiment, welch_t)

@@ -49,7 +49,7 @@ from .policies import ProviderPolicy, builtin_policy, policy_from_dict
 from .replay import LatencyModel
 from .seeding import derive_seed
 from .strategies import StrategyMode
-from .workload import WorkloadSpec
+from .workload import MAX_RUN_TOKENS, WorkloadSpec
 
 DEFAULT_GRIDS: dict[str, tuple[int, ...]] = {
     "prompt-size": (500, 2_000, 5_000, 10_000, 20_000, 50_000),
@@ -112,6 +112,11 @@ class ExperimentConfig:
         if not is_int(self.warmup_sessions) or self.warmup_sessions < 0:
             raise ConfigError(
                 f"warmup_sessions must be an integer >= 0, got {self.warmup_sessions!r}")
+        sessions = self.workload.sessions + self.warmup_sessions
+        if self.workload.run_tokens(sessions) > MAX_RUN_TOKENS:
+            raise ConfigError(self.workload.too_many_tokens(
+                sessions, f"workload.sessions={self.workload.sessions} + "
+                          f"warmup_sessions={self.warmup_sessions}"))
         if self.ttft_aggregation not in ("session-mean", "per-call"):
             raise ConfigError("ttft_aggregation must be 'session-mean' or 'per-call', "
                               f"got {self.ttft_aggregation!r}")

@@ -43,15 +43,18 @@ store; the store applies every cache rule of its policy (see
 :mod:`cachesim.engine`).
 
 Every condition sends every API call through :func:`replay_call`, in
-:func:`replay_session`, one session at a time; a caller can replay a
-mode's conditions in lockstep, building each session's layout once for
-all of them (the experiment runner does). The first condition of a trace
-to send a call runs it through the store; the others get the trace's
-record of it back without touching the store. Their calls change no
-result, but ``replay_call`` stays the boundary of one API call of one
-condition, the hook that per-call tracing wraps, so a run makes one call
-of it per condition and API call. :func:`run_condition` replays one
-condition alone through the same steps.
+:func:`replay_session`, one session at a time; this module has no loop
+over sessions. The experiment runner's loop
+(:func:`cachesim.runner.run_condition` is its one-condition case)
+replays a mode's conditions in lockstep, building each session's layout
+once for all of them. The first condition of a trace to send a call
+runs it through the store and appends its tokens to the trace's
+columns; the others get the same usage back, rebuilt from those
+columns, without touching the store. Their calls change no result, but
+``replay_call`` stays the boundary of one API call of one condition,
+the hook that per-call tracing wraps: a run makes one call of it per
+condition and API call, and passes the session's index in the timeline
+as its ``session_seed`` keyword, the name the tracer reads.
 
 Warmup sessions are the first ones replayed, to prime the store; their
 rows are excluded from evaluation and their cache writes and cost are
@@ -78,7 +81,7 @@ from .checks import is_finite_number, is_seed
 from .engine import CacheStore, access
 from .policies import CacheMode, ProviderPolicy, UsageRecord, price_call
 from .seeding import derive_seed
-from .strategies import SessionLayout, StrategyMode, session_layout
+from .strategies import SessionLayout, StrategyMode
 from .workload import SessionTranscript
 
 
@@ -184,7 +187,6 @@ class Timeline:
                 output.append(output_tokens)
                 now_s += gap_s
             offsets.append(len(time_s))
-        self.transcripts = tuple(transcripts)
         self.warmup_sessions = warmup_sessions
         self.time_s = time_s
         self.output = output
@@ -193,7 +195,7 @@ class Timeline:
         k = offsets[warmup_sessions]
         # The evaluation rows, held by reference by every ConditionRun.
         self.shared = dict(
-            session_ids=[t.session_id for t in self.transcripts[warmup_sessions:]],
+            session_ids=[t.session_id for t in transcripts[warmup_sessions:]],
             offsets=[offset - k for offset in offsets[warmup_sessions:]],
             output=output[k:], time_s=time_s[k:])
 
@@ -219,7 +221,6 @@ class CacheTrace:
         self.uncached: list[int] = []
         self.cached_read: list[int] = []
         self.cache_write: list[int] = []
-        self.records: list[CallRecord] = []
 
     @cached_property
     def usage(self) -> UsageRecord:
@@ -244,51 +245,46 @@ def replay_call(trace: CacheTrace, session: int, layout: SessionLayout,
                 request_index: int, *, session_seed: int) -> CallRecord:
     """Send API call ``request_index`` of the timeline's session
     ``session``, laid out by :func:`~cachesim.strategies.session_layout`
-    under the trace's mode, through ``trace``.
+    under the trace's mode, through ``trace``, and return its usage.
 
     The first condition of the trace to send the call runs it through the
-    trace's store, at the timeline's send time, and records its usage;
-    every later one gets that record back without touching the store.
-    Calls reach the store in row order. ``session_seed`` does not change
-    the result (breaker ids never reach the cache); it identifies the
-    call's session to per-call tracing."""
+    trace's store, at the timeline's send time, and appends its tokens to
+    the trace's columns; every later one reads them back without touching
+    the store. Calls reach the store in row order. ``session_seed`` does
+    not change the result; it identifies the call's session to per-call
+    tracing."""
     timeline = trace.timeline
     first = timeline.offsets[session]
     if not 1 <= request_index <= timeline.offsets[session + 1] - first:
         raise IndexError(f"request {request_index} out of range "
                          f"1..{timeline.offsets[session + 1] - first}")
     row = first + request_index - 1
-    recorded = len(trace.records)
-    if row < recorded:
-        return trace.records[row]
+    recorded = len(trace.uncached)
     if row > recorded:
         raise IndexError(f"row {row} sent before row {recorded}")
-    store = trace.store
-    policy = store.policy
-    n = layout.lengths[request_index - 1]
-    limit = layout.explicit_limit
-    if limit is None or policy.mode is not CacheMode.EXPLICIT_BREAKPOINTS:
-        limit = n
-    segments = layout.segment_contents if policy.opportunistic_segments else ()
-
-    cached, write = access(store, layout.template[:n], limit, timeline.time_s[row],
-                           min(layout.stop, n), segments)
-    trace.uncached.append(n - cached)
-    trace.cached_read.append(cached)
-    trace.cache_write.append(write)
-    record = CallRecord(UsageRecord(n - cached, cached, write, timeline.output[row]))
-    trace.records.append(record)
-    return record
+    if row == recorded:
+        policy = trace.store.policy
+        n = layout.lengths[request_index - 1]
+        limit = layout.explicit_limit
+        if limit is None or policy.mode is not CacheMode.EXPLICIT_BREAKPOINTS:
+            limit = n
+        segments = layout.segment_contents if policy.opportunistic_segments else ()
+        cached, write = access(trace.store, layout.template[:n], limit,
+                               timeline.time_s[row], min(layout.stop, n), segments)
+        trace.uncached.append(n - cached)
+        trace.cached_read.append(cached)
+        trace.cache_write.append(write)
+    return CallRecord(UsageRecord(trace.uncached[row], trace.cached_read[row],
+                                  trace.cache_write[row], timeline.output[row]))
 
 
 def replay_session(trace: CacheTrace, session: int, layout: SessionLayout) -> None:
     """Send every API call of the timeline's session ``session``, laid out
-    under the trace's mode, through ``trace``, once for one condition."""
-    timeline = trace.timeline
-    session_seed = timeline.transcripts[session].session_seed
-    calls = timeline.offsets[session + 1] - timeline.offsets[session]
-    for r in range(1, calls + 1):
-        replay_call(trace, session, layout, r, session_seed=session_seed)
+    under the trace's mode, through ``trace``, once for one condition.
+    Per-call tracing reads the session's index as ``session_seed``."""
+    offsets = trace.timeline.offsets
+    for r in range(1, offsets[session + 1] - offsets[session] + 1):
+        replay_call(trace, session, layout, r, session_seed=session)
 
 
 def _left_sum(values: Sequence[float]) -> float:
@@ -304,7 +300,9 @@ def price_condition(trace: CacheTrace, policy: ProviderPolicy,
                     latency_model: LatencyModel) -> ConditionRun:
     """The (policy, trace's mode) condition's results, once every session
     has been replayed through ``trace``: every call priced by ``policy``'s
-    own rates and timed by ``latency_model`` in one pass.
+    own rates and timed by ``latency_model`` in one pass. A noise factor,
+    cost or TTFT, or a session's total of them, that is not finite is a
+    ``ValueError`` naming the policy and mode.
 
     The noise stream is derived from (latency seed, policy, mode), so
     conditions stay independent no matter how many run or in what order.
@@ -313,34 +311,35 @@ def price_condition(trace: CacheTrace, policy: ProviderPolicy,
     usage = trace.usage
     noise = np.random.Generator(np.random.PCG64(
         derive_seed(latency_model.seed, "noise", policy.name, mode.value)))
-    scaled = latency_model.noise_sigma * noise.standard_normal(len(timeline.time_s))
-    factors = np.array([math.exp(x) for x in scaled.tolist()])
-    cost = price_call(usage, policy, trace.prompt_tokens).tolist()
-    ttft = (latency_model.mean_ttft_ms(usage) * factors).tolist()
+
+    def not_finite(what: str) -> ValueError:
+        return ValueError(f"policy {policy.name!r} under mode {mode.value!r}: {what} is "
+                          "not finite; lower its prices or latency parameters")
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = latency_model.noise_sigma * noise.standard_normal(len(timeline.time_s))
+        try:
+            factors = np.array([math.exp(x) for x in scaled.tolist()])
+        except OverflowError:
+            raise not_finite("a noise factor") from None
+        cost = price_call(usage, policy, trace.prompt_tokens)
+        ttft = latency_model.mean_ttft_ms(usage) * factors
+    for what, column in (("a noise factor", factors), ("a cost", cost), ("a TTFT", ttft)):
+        if not np.isfinite(column).all():
+            raise not_finite(what)
+    cost, ttft = cost.tolist(), ttft.tolist()
 
     w, offsets = timeline.warmup_sessions, timeline.offsets
     k = offsets[w]
     sessions = list(zip(offsets, offsets[1:]))
     session_cost = [_left_sum(cost[start:end]) for start, end in sessions]
     session_ttft = [_left_sum(ttft[start:end]) / (end - start) for start, end in sessions[w:]]
+    warmup_cost = _left_sum(session_cost[:w])
+    if not all(map(math.isfinite, (warmup_cost, *session_cost, *session_ttft))):
+        raise not_finite("a session's total cost or mean TTFT")
     return ConditionRun(
         policy_name=policy.name, mode=mode, **timeline.shared, **trace.shared,
         cost_usd=cost[k:], ttft_ms=ttft[k:],
         session_cost_usd=session_cost[w:], session_ttft_ms=session_ttft,
         warmup=WarmupLedger(policy.name, mode.value, w,
-                            sum(trace.cache_write[:k]), _left_sum(session_cost[:w])))
-
-
-def run_condition(transcripts: Sequence[SessionTranscript], mode: StrategyMode,
-                  policy: ProviderPolicy, latency_model: LatencyModel,
-                  warmup_sessions: int = 0) -> ConditionRun:
-    """Replay all transcripts under one (policy, mode) condition alone.
-
-    A fresh store is used and condition time starts at 0 s, so conditions
-    never contaminate each other. The first ``warmup_sessions``
-    transcripts prime the cache; the rest are the evaluation set.
-    """
-    trace = CacheTrace(Timeline(transcripts, warmup_sessions), mode, policy)
-    for session, transcript in enumerate(transcripts):
-        replay_session(trace, session, session_layout(transcript, mode))
-    return price_condition(trace, policy, latency_model)
+                            sum(trace.cache_write[:k]), warmup_cost))

@@ -2,14 +2,16 @@
 
 Runs every (policy x mode) condition of a config and writes the results.
 The run's :class:`~cachesim.replay.Timeline` (each call's send time and
-output tokens, each session's id and rows) is computed once. Each mode
-keeps one :class:`~cachesim.replay.CacheTrace` per distinct set of cache
-rules, shared by the policies that have those rules, and replays its
-conditions in lockstep: each session's layout is built once and replayed
-through every policy's trace, then dropped before the next session.
-Once a mode's sessions are replayed, each condition prices its trace's
-columns in one pass (:func:`~cachesim.replay.price_condition`). The run
-writes:
+output tokens, each session's id and rows) is computed once. One loop
+replays a mode: it keeps one :class:`~cachesim.replay.CacheTrace` per
+distinct set of cache rules, shared by the policies that have those
+rules, and replays the mode's conditions in lockstep: each session's
+layout is built once and replayed through every policy's trace, one
+:func:`~cachesim.replay.replay_session` per (condition, session), then
+dropped before the next session. Once a mode's sessions are replayed,
+each condition prices its trace's columns in one pass
+(:func:`~cachesim.replay.price_condition`). :func:`run_condition` is
+that loop with one mode and one policy. The run writes:
 
 * ``per_call.csv``  - one row per evaluated API call
 * ``per_session.csv`` - one row per evaluated session
@@ -43,11 +45,13 @@ from typing import Sequence
 
 from .checks import is_finite_number
 from .config import AblationGrid, ExperimentConfig, to_json
-from .replay import CacheTrace, ConditionRun, Timeline, price_condition, replay_session
+from .policies import ProviderPolicy
+from .replay import (CacheTrace, ConditionRun, LatencyModel, Timeline, price_condition,
+                     replay_session)
 from .stats import (BASELINE_MODE, Comparison, ConditionSamples, ExperimentReport,
                     summarize_experiment)
 from .strategies import StrategyMode, session_layout
-from .workload import generate
+from .workload import SessionTranscript, generate
 
 PER_CALL_COLUMNS = ["session_id", "call_index", "mode", "policy", "uncached",
                     "cached_read", "cache_write", "output", "cost_usd",
@@ -64,25 +68,43 @@ class RunResult:
     out_dir: Path
 
 
+def _replay_mode(transcripts: Sequence[SessionTranscript], timeline: Timeline, mode: StrategyMode,
+                 conditions: Sequence[tuple[ProviderPolicy, LatencyModel]]) -> list[ConditionRun]:
+    """Replay one mode's (policy, latency model) conditions in lockstep, with
+    one trace per distinct set of cache rules and one layout per session,
+    then price each condition."""
+    traces: dict[tuple, CacheTrace] = {}
+    for policy, _ in conditions:
+        if policy.cache_rules not in traces:
+            traces[policy.cache_rules] = CacheTrace(timeline, mode, policy)
+    condition_traces = [traces[policy.cache_rules] for policy, _ in conditions]
+    for session, transcript in enumerate(transcripts):
+        layout = session_layout(transcript, mode)
+        for trace in condition_traces:
+            replay_session(trace, session, layout)
+    return [price_condition(trace, policy, latency_model)
+            for trace, (policy, latency_model) in zip(condition_traces, conditions)]
+
+
+def run_condition(transcripts: Sequence[SessionTranscript], mode: StrategyMode,
+                  policy: ProviderPolicy, latency_model: LatencyModel,
+                  warmup_sessions: int = 0) -> ConditionRun:
+    """Replay all transcripts under one (policy, mode) condition alone, with
+    a fresh store and time from 0 s: the run's loop with one mode and one
+    policy. The first ``warmup_sessions`` transcripts prime the cache."""
+    [run] = _replay_mode(transcripts, Timeline(transcripts, warmup_sessions), mode,
+                         [(policy, latency_model)])
+    return run
+
+
 def _execute_matrix(config: ExperimentConfig) -> tuple[ConditionRun, ...]:
     spec = replace(config.workload,
                    sessions=config.workload.sessions + config.warmup_sessions)
     transcripts = generate(spec)
     timeline = Timeline(transcripts, config.warmup_sessions)
-    runs = []
-    for mode in config.modes:
-        traces: dict[tuple, CacheTrace] = {}
-        conditions = []
-        for policy in config.policies:
-            if policy.cache_rules not in traces:
-                traces[policy.cache_rules] = CacheTrace(timeline, mode, policy)
-            conditions.append((policy, traces[policy.cache_rules]))
-        for session, transcript in enumerate(transcripts):
-            layout = session_layout(transcript, mode)
-            for _, trace in conditions:
-                replay_session(trace, session, layout)
-        runs.extend(price_condition(trace, policy, config.latency_for(policy.name))
-                    for policy, trace in conditions)
+    conditions = [(policy, config.latency_for(policy.name)) for policy in config.policies]
+    runs = [run for mode in config.modes
+            for run in _replay_mode(transcripts, timeline, mode, conditions)]
     return tuple(sorted(runs, key=lambda r: (r.policy_name, r.mode.value)))
 
 

@@ -13,17 +13,25 @@ span when it is built, so the strategies and replay rely on both without checkin
 and its gap to the next call in one pass.
 
 The system prompt is one token stream of its own. Every later message
-of a session is the next slice of one stream per session, seeded by the
-session's seed, so a session costs one seed derivation and one
-synthesis. Per-message token counts are at most ``MAX_TOKEN_COUNT``
-(2**20, a whole million-token context), so no spec asks for an
-allocation without bound.
+of a session is the next slice of one stream per session, seeded by
+``derive_seed(spec.seed, "session", s)`` for session ``s``, so a session
+costs one seed derivation and one synthesis. A transcript keeps no seed:
+replay leaves breaker slots as placeholders, so nothing downstream
+needs one.
+
+Two caps keep every allocation bounded. Per-message token counts are at
+most ``MAX_TOKEN_COUNT`` (2**20, a whole million-token context), and the
+tokens one run synthesizes (the system prompt plus every session's
+stream, warmup sessions included) at most ``MAX_RUN_TOKENS`` (2**24,
+128 MiB of ``uint64`` ids); :class:`WorkloadSpec` checks the second for
+its own sessions and the experiment config for the sessions plus
+warmup.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .checks import is_finite_number, is_int, is_seed
@@ -32,13 +40,16 @@ from .seeding import derive_seed
 from .tokens import Message, Role, synth_tokens
 
 MAX_TOKEN_COUNT = 2**20
+MAX_RUN_TOKENS = 2**24
 
 
 @dataclass(frozen=True)
 class WorkloadSpec:
     """Shape of the synthetic sessions; token counts are calibration knobs.
 
-    Each per-message token count is an integer in [1, ``MAX_TOKEN_COUNT``].
+    Each per-message token count is an integer in [1, ``MAX_TOKEN_COUNT``],
+    and ``sessions`` sessions may synthesize at most ``MAX_RUN_TOKENS``
+    tokens (see :meth:`run_tokens`).
     """
 
     system_prompt_tokens: int = 10_000
@@ -75,6 +86,21 @@ class WorkloadSpec:
         gap = self.inter_call_gap_seconds
         if not is_finite_number(gap) or gap < 0:
             raise ValueError(f"inter_call_gap_seconds must be finite and >= 0, got {gap!r}")
+        if self.run_tokens(self.sessions) > MAX_RUN_TOKENS:
+            raise ValueError(self.too_many_tokens(self.sessions, f"sessions={self.sessions}"))
+
+    def run_tokens(self, sessions: int) -> int:
+        """The tokens :func:`generate` synthesizes for ``sessions`` sessions
+        of this shape: the shared system prompt plus one stream per session."""
+        turn = self.reasoning_tokens_per_turn + self.tool_call_tokens + self.tool_result_tokens
+        return self.system_prompt_tokens + sessions * (
+            self.question_tokens + self.tool_calls * turn + self.final_answer_tokens)
+
+    def too_many_tokens(self, sessions: int, counted: str) -> str:
+        """Why ``sessions`` sessions, counted as ``counted``, are too many."""
+        return (f"{counted}: {sessions} sessions with tool_calls={self.tool_calls} would "
+                f"synthesize {self.run_tokens(sessions)} tokens, more than "
+                f"MAX_RUN_TOKENS={MAX_RUN_TOKENS}")
 
 
 @dataclass(frozen=True)
@@ -86,19 +112,12 @@ class SessionTranscript:
     transcripts in code; every check below runs on each one.
 
     Message layout: system, question, then (assistant turn, tool result)
-    pairs, then the final answer. ``session_seed`` identifies the session
-    to a per-call hook: replay passes it to each
-    :func:`~cachesim.replay.replay_call`, where the benchmark's tracer
-    (``bench/tracer.py``) reads it. It would derive the session's breaker
-    ids, which replay never needs (it leaves breaker slots as
-    placeholders), so no result depends on it and it is excluded from
-    equality.
+    pairs, then the final answer.
     """
 
     session_id: str
     messages: tuple[Message, ...]
     timestamps: tuple[float, ...]
-    session_seed: int = field(compare=False, default=0)
 
     def __post_init__(self) -> None:
         msgs = self.messages
@@ -179,13 +198,11 @@ def generate(spec: WorkloadSpec) -> list[SessionTranscript]:
 
     transcripts = []
     for s in range(spec.sessions):
-        session_seed = derive_seed(spec.seed, "session", s)
-        stream = synth_tokens(total, session_seed)
+        stream = synth_tokens(total, derive_seed(spec.seed, "session", s))
         transcripts.append(SessionTranscript(
             session_id=f"s{s:03d}",
             messages=(Message(Role.SYSTEM, system),
                       *(Message(role, stream[start:end]) for role, start, end in spans)),
             timestamps=timestamps,
-            session_seed=session_seed,
         ))
     return transcripts

@@ -7,7 +7,8 @@ segment memo of the replay path:
 * :class:`Prompt`, :func:`apply_strategy`, :func:`breaker_token` and
   :func:`flatten` build one request's prompt message by message, with a
   real, fresh breaker id derived from (session seed, request, position)
-  in every breaker slot; :func:`flat_length` is its length. They
+  in every breaker slot, where :func:`session_breaker_seed` derives a
+  session's seed from its id; :func:`flat_length` is its length. They
   referee :func:`cachesim.session_layout`.
 * :func:`oracle_access` serves a prompt from a plain list of
   :class:`OracleEntry` values, comparing token by token; it referees
@@ -86,6 +87,12 @@ def flatten(prompt: Prompt | Sequence[Message]) -> np.ndarray:
     flat = np.concatenate(parts)
     flat.setflags(write=False)
     return flat
+
+
+def session_breaker_seed(session_id: str) -> int:
+    """The seed of a session's breaker ids, derived from its id: sessions
+    with distinct ids (every caller's are) never share a breaker id."""
+    return derive_seed(0, "breakers", session_id)
 
 
 def breaker_token(session_seed: int, request_index: int, position_index: int) -> int:
@@ -291,7 +298,8 @@ def reference_condition(transcripts: Sequence[SessionTranscript], mode: Strategy
         calls = []
         n = (len(tr.messages) - 1) // 2
         for r in range(1, n + 1):
-            prompt = apply_strategy(tr.messages[:2 * r], mode, r, tr.session_seed,
+            prompt = apply_strategy(tr.messages[:2 * r], mode, r,
+                                    session_breaker_seed(tr.session_id),
                                     policy.mode)
             flat = flatten(prompt)
             if policy.mode is CacheMode.EXPLICIT_BREAKPOINTS:

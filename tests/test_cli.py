@@ -425,6 +425,57 @@ def test_non_integer_counts_exit_one(tmp_path, capsys, monkeypatch, section, fie
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("section, field, bad", [
+    ("workload", "tool_calls", 10**9),
+    ("workload", "sessions", 10**8),
+    (None, "warmup_sessions", 10**6),
+])
+def test_oversized_run_exits_one_at_load(tmp_path, capsys, section, field, bad):
+    """A run whose sessions would synthesize more than ``MAX_RUN_TOKENS``
+    tokens, warmup included, is an ``error:`` line naming the field and
+    exit 1 when the config loads; nothing is generated or written."""
+    data = json.loads(Path(tiny_config(tmp_path)).read_text())
+    (data if section is None else data[section])[field] = bad
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match=f"{field}={bad}"):
+        config_from_dict(data)
+    assert main(["simulate", str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "MAX_RUN_TOKENS" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def _priced_at(value: float) -> dict:
+    policy = to_json(builtin_policy("gpt-4o"))
+    policy["name"] = "priced"
+    policy["prices"]["input_per_mtok"] = value
+    return policy
+
+
+@pytest.mark.parametrize("case", ["noise_sigma", "base_ms", "inline-price"])
+def test_non_finite_condition_exits_one(tmp_path, capsys, case):
+    """A condition whose noise factor, cost or TTFT (or a session's total of
+    them) is not finite is an ``error:`` line naming its policy and mode and
+    exit 1, not an ``OverflowError`` traceback or a statistics error that
+    names neither."""
+    data = json.loads(Path(tiny_config(tmp_path)).read_text())
+    if case == "inline-price":
+        data["policies"] = [_priced_at(1e308)]
+        policy = "priced"
+    else:
+        data["latency"]["default"][case] = 1e308
+        policy = "gpt-4o"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    assert main(["simulate", str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not finite" in err
+    assert f"policy {policy!r} under mode 'no-cache'" in err
+    assert "Traceback" not in err
+
+
 def test_bench_shaped_config_loads(tmp_path):
     """The benchmark's generated config: every policy and mode, plus the
     ``jobs`` key it still writes, which the loader ignores."""

@@ -61,8 +61,7 @@ def _recorded(draw):
         for _ in messages[1:]:
             stamps.append(stamps[-1] + draw(st.sampled_from([0.0, 0.25, 1.5, 6.0])))
         transcripts.append(SessionTranscript(
-            session_id=session_id, messages=tuple(messages), timestamps=tuple(stamps),
-            session_seed=derive_seed(0, "transcript", session_id)))
+            session_id=session_id, messages=tuple(messages), timestamps=tuple(stamps)))
     return transcripts
 
 

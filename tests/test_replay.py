@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import math
+from collections import defaultdict
 from dataclasses import replace
 
 import pytest
@@ -167,8 +168,7 @@ def test_lockstep_replay_equals_each_condition_alone(tmp_path, monkeypatch):
         layouts.append((transcript.session_id, mode))
         return session_layout(transcript, mode)
 
-    for module in (runner, replay):
-        monkeypatch.setattr(module, "session_layout", counted)
+    monkeypatch.setattr(runner, "session_layout", counted)
     runs = run_experiment(config, out_dir=tmp_path, quiet=True).runs
     monkeypatch.undo()
 
@@ -230,11 +230,16 @@ def test_policies_with_equal_cache_rules_share_one_trace(field, tmp_path, monkey
 def test_one_replay_call_per_api_call(tmp_path, monkeypatch):
     """Per-call tracing wraps ``replay.replay_call`` by name, reads its
     ``request_index`` and ``session_seed`` parameters and its result's
-    ``.usage``: a run makes one such call per API call, warmup included."""
+    ``.usage``: a run makes one such call per condition and API call,
+    warmup included. gpt-5.2 shares gpt-4o's cache rules, so its calls
+    follow gpt-4o's through one trace, and every call of one trace, session
+    and request returns the same usage, whether it ran the store or was
+    rebuilt from the trace's columns."""
     real = replay.replay_call
     signature = inspect.signature(real)
     assert {"request_index", "session_seed"} <= set(signature.parameters)
     seen = []
+    usages = defaultdict(list)
 
     def traced(*args, **kwargs):
         result = real(*args, **kwargs)
@@ -242,10 +247,12 @@ def test_one_replay_call_per_api_call(tmp_path, monkeypatch):
         usage = result.usage
         assert min(usage.uncached_input, usage.cached_read, usage.cache_write) >= 0
         seen.append((call["session_seed"], call["request_index"]))
+        usages[call["trace"], call["session"], call["request_index"]].append(usage)
         return result
 
     monkeypatch.setattr(replay, "replay_call", traced)
-    config = config_from_dict(GOLDEN_CONFIG)
+    config = config_from_dict({**GOLDEN_CONFIG,
+                               "policies": [*GOLDEN_CONFIG["policies"], "gpt-5.2"]})
     run_experiment(config, out_dir=tmp_path, quiet=True)
 
     sessions = config.workload.sessions + config.warmup_sessions
@@ -254,6 +261,8 @@ def test_one_replay_call_per_api_call(tmp_path, monkeypatch):
     assert len(seen) == sessions * calls * conditions
     assert len(set(seen)) == sessions * calls
     assert all(seen.count(call) == conditions for call in set(seen))
+    assert all(len(set(group)) == 1 for group in usages.values())
+    assert any(len(group) > 1 for group in usages.values())
 
 
 class TestWarmup:

@@ -12,7 +12,7 @@ from cachesim import (CacheMode, CacheStore, Message, Role,
                       WorkloadSpec, access, builtin_policy, derive_seed, generate,
                       session_layout, synth_tokens)
 from cachesim.replay import CacheTrace, Timeline, replay_call
-from reference import apply_strategy, breaker_token, flatten
+from reference import apply_strategy, breaker_token, flatten, session_breaker_seed
 
 
 def common_prefix_len(a: np.ndarray, b: np.ndarray) -> int:
@@ -167,8 +167,7 @@ def referee_transcripts():
         session_id="x",
         messages=tuple(Message(role, synth_tokens(count, derive_seed(0, "x", i)))
                        for i, (role, count) in enumerate(rows)),
-        timestamps=tuple(float(i) for i in range(len(rows))),
-        session_seed=derive_seed(0, "transcript", "x")))
+        timestamps=tuple(float(i) for i in range(len(rows)))))
     return transcripts
 
 
@@ -189,7 +188,8 @@ def test_layout_matches_the_per_request_reference(mode, policy_mode):
         assert not layout.template.flags.writeable
         assert len(layout.lengths) == len(list(tr.requests()))
         for r in range(1, len(layout.lengths) + 1):
-            prompt = apply_strategy(tr.messages[:2 * r], mode, r, tr.session_seed,
+            prompt = apply_strategy(tr.messages[:2 * r], mode, r,
+                                    session_breaker_seed(tr.session_id),
                                     policy_mode)
             expected = flatten(prompt)
             slots, runs = [], []

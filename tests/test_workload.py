@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from cachesim import (Message, Role, SessionTranscript, TranscriptValidationError,
                       WorkloadSpec, derive_seed, generate, synth_tokens)
-from cachesim.workload import MAX_TOKEN_COUNT
+from cachesim.workload import MAX_RUN_TOKENS, MAX_TOKEN_COUNT
 from reference import flat_length, flatten
 
 
@@ -41,6 +42,17 @@ def test_spec_caps_per_message_token_counts(field):
     assert getattr(small_spec(**{field: MAX_TOKEN_COUNT}), field) == MAX_TOKEN_COUNT
     with pytest.raises(ValueError, match=f"{field} must be at most {MAX_TOKEN_COUNT}"):
         small_spec(**{field: MAX_TOKEN_COUNT + 1})
+
+
+def test_spec_caps_the_tokens_one_run_synthesizes():
+    """The system prompt plus every session's stream is capped at
+    ``MAX_RUN_TOKENS``, checked when the spec is built (nothing here is
+    generated)."""
+    spec = small_spec(tool_result_tokens=MAX_TOKEN_COUNT, sessions=5)
+    at_cap = MAX_RUN_TOKENS - spec.run_tokens(5) + spec.system_prompt_tokens
+    assert replace(spec, system_prompt_tokens=at_cap).run_tokens(5) == MAX_RUN_TOKENS
+    with pytest.raises(ValueError, match="sessions=5: .* more than MAX_RUN_TOKENS"):
+        replace(spec, system_prompt_tokens=at_cap + 1)
 
 
 def test_zero_tool_calls_is_one_request():
@@ -113,10 +125,8 @@ def test_generated_messages_are_their_own_streams():
     ends = np.cumsum(counts)
     system = synth_tokens(spec.system_prompt_tokens, derive_seed(spec.seed, "system"))
     for s, transcript in enumerate(generate(spec)):
-        session_seed = derive_seed(spec.seed, "session", s)
-        stream = synth_tokens(sum(counts), session_seed)
+        stream = synth_tokens(sum(counts), derive_seed(spec.seed, "session", s))
         expected = [system] + [stream[end - count:end] for count, end in zip(counts, ends)]
-        assert transcript.session_seed == session_seed
         assert len(transcript.messages) == len(expected)
         for message, tokens in zip(transcript.messages, expected):
             assert np.array_equal(message.tokens, tokens)
@@ -183,10 +193,9 @@ def test_ingest_minimal_session():
 
 
 def test_ingest_synthesized_ids_are_deterministic():
-    """The same rows build equal transcripts; ``session_seed`` only names
-    the session to a per-call hook, so it takes no part in equality."""
-    a = SessionTranscript("a", _minimal_rows(), (0.0, 0.0, 1.0), session_seed=1)
-    b = SessionTranscript("a", _minimal_rows(), (0.0, 0.0, 1.0), session_seed=2)
+    """The same rows build equal transcripts."""
+    a = SessionTranscript("a", _minimal_rows(), (0.0, 0.0, 1.0))
+    b = SessionTranscript("a", _minimal_rows(), (0.0, 0.0, 1.0))
     assert a == b
 
 
