@@ -6,7 +6,9 @@ Subcommands:
   policies                 print the built-in policy table
   verify   <run-dir>       recompute a run's summary from its CSV
 
-Exit codes: 0 success, 1 validation problem, 2 I/O problem.
+Exit codes: 0 success, 1 validation problem, 2 I/O problem. This is the
+one module that writes to the terminal; the library calls it makes
+return their results and print nothing.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from .checks import is_seed
 from .config import DEFAULT_GRIDS, AblationGrid, load_config, to_json
 from .errors import ConfigError
 from .policies import builtin_policies
-from .runner import run_ablation, run_experiment, verify_run
+from .runner import format_report_table, run_ablation, run_experiment, verify_run
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -107,13 +110,15 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"--seed must be an integer in [0, 2**64), got {args.seed}")
         config = load_config(args.config, master_seed=args.seed)
         if args.command == "simulate":
-            run_experiment(config, out_dir=args.out)
+            print(format_report_table(run_experiment(config, out_dir=args.out).report))
             return EXIT_OK
 
         if args.command == "ablate":
             grid = AblationGrid(args.dimension,
                                 tuple(args.values or DEFAULT_GRIDS[args.dimension]))
-            run_ablation(config, grid, out_dir=args.out)
+            rows = run_ablation(config, grid, out_dir=args.out).rows
+            for value, conditions in Counter(row.value for row in rows).items():
+                print(f"{grid.dimension}={value}: {conditions} conditions done")
             return EXIT_OK
 
         raise AssertionError(f"unhandled command {args.command}")

@@ -17,18 +17,23 @@ A config file is one JSON object:
     }
 
 Policies may be built-in names or inline policy objects (see the policy
-JSON schema in :mod:`cachesim.policies`). Unset workload and latency
+JSON schema in :mod:`cachesim.policies`); any other key in a policy
+object is rejected with its name. Unset workload and latency
 seeds are derived from the master seed, one label per purpose, so runs
 are reproducible from the single master value; every seed is an
-integer in [0, 2**64). A ``latency`` key is
+integer in [0, 2**64). The last four keys above are optional, with
+:class:`ExperimentConfig`'s defaults. A ``latency`` key is
 ``"default"`` or the name of a configured policy; unknown top-level keys
 are ignored. No value is coerced: ``policies`` and ``modes`` must be
 lists, ``output_dir`` and ``ttft_aggregation`` strings, and anything
 else is a :class:`~cachesim.errors.ConfigError` naming the field.
 ``modes`` must include ``no-cache``, the baseline every report compares
 against, and ``workload.sessions`` (evaluation sessions, warmup not
-counted) must be at least 2, the smallest sample a comparison takes; a
-config that breaks either fails to load, before anything runs.
+counted) must be at least 2, the smallest sample a comparison takes.
+The run's sessions, warmup included, must pass the workload's own caps,
+and its API calls (sessions x (tool_calls + 1) x policies x modes) must
+be at most ``MAX_RUN_CALLS`` (2**20). A config that breaks any of these
+fails to load, before anything runs.
 
 :func:`to_json` gives the JSON form of a config, a policy or a report:
 each dataclass maps to its fields, so every echoed object lists the
@@ -41,6 +46,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 from .checks import is_finite_number, is_int, is_seed
@@ -49,7 +55,9 @@ from .policies import ProviderPolicy, builtin_policy, policy_from_dict
 from .replay import LatencyModel
 from .seeding import derive_seed
 from .strategies import StrategyMode
-from .workload import MAX_RUN_TOKENS, WorkloadSpec
+from .workload import WorkloadSpec
+
+MAX_RUN_CALLS = 2**20
 
 DEFAULT_GRIDS: dict[str, tuple[int, ...]] = {
     "prompt-size": (500, 2_000, 5_000, 10_000, 20_000, 50_000),
@@ -75,9 +83,6 @@ class AblationGrid:
         if any(a >= b for a, b in zip(self.values, self.values[1:])):
             raise ConfigError(
                 f"ablation grid values must be strictly ascending, got {list(self.values)}")
-        floor = 1 if self.dimension == "prompt-size" else 0
-        if any(v < floor for v in self.values):
-            raise ConfigError(f"{self.dimension} values must be >= {floor}")
 
 
 @dataclass(frozen=True)
@@ -112,11 +117,17 @@ class ExperimentConfig:
         if not is_int(self.warmup_sessions) or self.warmup_sessions < 0:
             raise ConfigError(
                 f"warmup_sessions must be an integer >= 0, got {self.warmup_sessions!r}")
-        sessions = self.workload.sessions + self.warmup_sessions
-        if self.workload.run_tokens(sessions) > MAX_RUN_TOKENS:
-            raise ConfigError(self.workload.too_many_tokens(
-                sessions, f"workload.sessions={self.workload.sessions} + "
-                          f"warmup_sessions={self.warmup_sessions}"))
+        try:
+            run = self.run_workload
+        except ValueError as exc:
+            raise ConfigError(f"workload.sessions={self.workload.sessions} + "
+                              f"warmup_sessions={self.warmup_sessions}: {exc}") from exc
+        calls = run.sessions * (run.tool_calls + 1) * len(self.policies) * len(self.modes)
+        if calls > MAX_RUN_CALLS:
+            raise ConfigError(
+                f"{run.sessions} sessions (warmup included) x {run.tool_calls + 1} calls x "
+                f"{len(self.policies)} policies x {len(self.modes)} modes make {calls} "
+                f"API calls, more than MAX_RUN_CALLS={MAX_RUN_CALLS}")
         if self.ttft_aggregation not in ("session-mean", "per-call"):
             raise ConfigError("ttft_aggregation must be 'session-mean' or 'per-call', "
                               f"got {self.ttft_aggregation!r}")
@@ -132,6 +143,13 @@ class ExperimentConfig:
             if missing:
                 raise ConfigError(
                     f"latency config missing for {missing} and no 'default' given")
+
+    @cached_property
+    def run_workload(self) -> WorkloadSpec:
+        """The workload a run generates: its evaluation sessions plus the
+        warmup sessions before them."""
+        return dataclasses.replace(
+            self.workload, sessions=self.workload.sessions + self.warmup_sessions)
 
     def latency_for(self, policy_name: str) -> LatencyModel:
         if policy_name in self.latency:
@@ -207,10 +225,8 @@ def config_from_dict(data: dict, master_seed: int | None = None) -> ExperimentCo
             modes=tuple(modes),
             workload=workload,
             latency=latency,
-            warmup_sessions=data.get("warmup_sessions", 1),
-            alpha=data.get("alpha", 0.05),
-            output_dir=data.get("output_dir", "out"),
-            ttft_aggregation=data.get("ttft_aggregation", "session-mean"),
+            **{key: data[key] for key in ("warmup_sessions", "alpha", "output_dir",
+                                          "ttft_aggregation") if key in data},
         )
     except ConfigError:
         raise

@@ -237,24 +237,20 @@ def price_call(usage: UsageRecord, policy: ProviderPolicy,
 #     "tier2_cached_read_per_mtok": float | null
 #   }
 # }
-# Config files list such objects inline among their policies. A name
-# that is not a string is rejected, and so are a mode other than the two
-# above, a TTL or rate that is not a finite number (or is a bool), a
-# negative rate, a token count that is not an integer, a non-boolean
-# flag, and opportunistic segments on an explicit-breakpoints policy.
+# Config files list such objects inline among their policies. A missing
+# required key or any key not listed above, in the policy or in its
+# prices, is rejected with its name, and so are a name that is not a
+# string, a mode other than the two above, a TTL or rate that is not a
+# finite number (or is a bool), a negative rate, a token count that is
+# not an integer, a non-boolean flag, and opportunistic segments on an
+# explicit-breakpoints policy.
 
 def policy_from_dict(data: dict) -> ProviderPolicy:
+    """Build a policy from its JSON object: the object's keys are
+    :class:`ProviderPolicy`'s fields, with ``mode`` and ``prices`` given in
+    their JSON form."""
     try:
-        prices = PriceSchedule(**data["prices"])
-        return ProviderPolicy(
-            name=data["name"],
-            min_cache_tokens=data["min_cache_tokens"],
-            granularity_tokens=data["granularity_tokens"],
-            ttl_seconds=data["ttl_seconds"],
-            refresh_on_read=data["refresh_on_read"],
-            mode=CacheMode(data["mode"]),
-            prices=prices,
-            opportunistic_segments=data.get("opportunistic_segments", False),
-        )
+        return ProviderPolicy(**{**data, "mode": CacheMode(data["mode"]),
+                                 "prices": PriceSchedule(**data["prices"])})
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed policy document: {exc}") from exc

@@ -81,6 +81,7 @@ from .checks import is_finite_number, is_seed
 from .engine import CacheStore, access
 from .policies import CacheMode, ProviderPolicy, UsageRecord, price_call
 from .seeding import derive_seed
+from .stats import left_sum
 from .strategies import SessionLayout, StrategyMode
 from .workload import SessionTranscript
 
@@ -287,15 +288,6 @@ def replay_session(trace: CacheTrace, session: int, layout: SessionLayout) -> No
         replay_call(trace, session, layout, r, session_seed=session)
 
 
-def _left_sum(values: Sequence[float]) -> float:
-    """``values`` added left to right from 0.0, as ``sum()`` of floats no
-    longer does since Python 3.12."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
-
-
 def price_condition(trace: CacheTrace, policy: ProviderPolicy,
                     latency_model: LatencyModel) -> ConditionRun:
     """The (policy, trace's mode) condition's results, once every session
@@ -332,9 +324,9 @@ def price_condition(trace: CacheTrace, policy: ProviderPolicy,
     w, offsets = timeline.warmup_sessions, timeline.offsets
     k = offsets[w]
     sessions = list(zip(offsets, offsets[1:]))
-    session_cost = [_left_sum(cost[start:end]) for start, end in sessions]
-    session_ttft = [_left_sum(ttft[start:end]) / (end - start) for start, end in sessions[w:]]
-    warmup_cost = _left_sum(session_cost[:w])
+    session_cost = [left_sum(cost[start:end]) for start, end in sessions]
+    session_ttft = [left_sum(ttft[start:end]) / (end - start) for start, end in sessions[w:]]
+    warmup_cost = left_sum(session_cost[:w])
     if not all(map(math.isfinite, (warmup_cost, *session_cost, *session_ttft))):
         raise not_finite("a session's total cost or mean TTFT")
     return ConditionRun(

@@ -98,9 +98,7 @@ def run_condition(transcripts: Sequence[SessionTranscript], mode: StrategyMode,
 
 
 def _execute_matrix(config: ExperimentConfig) -> tuple[ConditionRun, ...]:
-    spec = replace(config.workload,
-                   sessions=config.workload.sessions + config.warmup_sessions)
-    transcripts = generate(spec)
+    transcripts = generate(config.run_workload)
     timeline = Timeline(transcripts, config.warmup_sessions)
     conditions = [(policy, config.latency_for(policy.name)) for policy in config.policies]
     runs = [run for mode in config.modes
@@ -227,8 +225,8 @@ def format_report_table(report: ExperimentReport) -> str:
     return "\n".join(lines)
 
 
-def run_experiment(config: ExperimentConfig, *, out_dir: str | Path | None = None,
-                   quiet: bool = False) -> RunResult:
+def run_experiment(config: ExperimentConfig, *,
+                   out_dir: str | Path | None = None) -> RunResult:
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -245,9 +243,6 @@ def run_experiment(config: ExperimentConfig, *, out_dir: str | Path | None = Non
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-    if not quiet:
-        print(format_report_table(report))
     return RunResult(report=report, runs=runs, out_dir=out)
 
 
@@ -287,8 +282,7 @@ def _ablation_config(config: ExperimentConfig, grid: AblationGrid,
 
 
 def run_ablation(config: ExperimentConfig, grid: AblationGrid, *,
-                 out_dir: str | Path | None = None,
-                 quiet: bool = False) -> AblationResult:
+                 out_dir: str | Path | None = None) -> AblationResult:
     """Sweep one workload dimension: a full :func:`run_experiment` run in
     ``<dimension>-<value>/`` per grid value, plus a long ``ablation.csv``
     of per-condition session medians. Every value's config is built before
@@ -299,8 +293,7 @@ def run_ablation(config: ExperimentConfig, grid: AblationGrid, *,
 
     rows: list[AblationRow] = []
     for value, value_config in configs.items():
-        runs = run_experiment(value_config, out_dir=out / f"{grid.dimension}-{value}",
-                              quiet=True).runs
+        runs = run_experiment(value_config, out_dir=out / f"{grid.dimension}-{value}").runs
         medians = {
             (run.policy_name, run.mode.value): (
                 statistics.median(run.session_cost_usd),
@@ -322,8 +315,6 @@ def run_ablation(config: ExperimentConfig, grid: AblationGrid, *,
                 median_cost_usd=med_cost, median_ttft_ms=med_ttft,
                 cost_savings_pct=savings, ttft_improvement_pct=improvement,
             ))
-        if not quiet:
-            print(f"{grid.dimension}={value}: {len(runs)} conditions done")
 
     with open(out / "ablation.csv", "w", newline="", encoding="utf-8") as fh:
         # csv.writer writes a float as its repr and None as an empty cell.
@@ -394,7 +385,7 @@ def verify_run(run_dir: str | Path) -> list[str]:
     config = summary.get("config", {}) if isinstance(summary, dict) else None
     if not isinstance(config, dict):
         problems.append("summary.json: expected an object whose config is an object")
-    elif not is_finite_number(config.get("alpha", 0.05)):
+    elif not is_finite_number(config.get("alpha")):
         problems.append("summary.json: config.alpha must be a finite number")
     if problems:
         return problems
@@ -441,7 +432,6 @@ def verify_run(run_dir: str | Path) -> list[str]:
     samples = [ConditionSamples(policy=policy, mode=mode, costs=tuple(costs),
                                 ttfts=tuple(ttfts))
                for (policy, mode), (costs, ttfts) in grouped.items()]
-    alpha = config.get("alpha", 0.05)
-    recomputed_report = to_json(summarize_experiment(samples, alpha=alpha))
+    recomputed_report = to_json(summarize_experiment(samples, alpha=config["alpha"]))
     _diff_values("report", summary.get("report"), recomputed_report, problems)
     return problems

@@ -116,12 +116,17 @@ class TTestResult:
     zero_variance: bool = False
 
 
-def _mean(values: Sequence[float]) -> float:
-    # Left to right: since Python 3.12, sum() of floats is compensated.
-    total = 0
+def left_sum(values: Sequence[float]) -> float:
+    """``values`` added left to right from 0.0, as ``sum()`` of floats no
+    longer does since Python 3.12."""
+    total = 0.0
     for value in values:
         total += value
-    return total / len(values)
+    return total
+
+
+def _mean(values: Sequence[float]) -> float:
+    return left_sum(values) / len(values)
 
 
 def _sample_variance(values: Sequence[float]) -> float:
@@ -142,9 +147,20 @@ def _validate_sample(values: Sequence[float], label: str) -> None:
 
 
 def welch_t(a: Sequence[float], b: Sequence[float]) -> TTestResult:
-    """Welch's independent two-sample t-test."""
+    """Welch's independent two-sample t-test.
+
+    Both samples are first multiplied by the one power of two that brings
+    their largest magnitude below 1, so no mean, variance, ``se`` or ``t``
+    overflows however large the finite inputs. ``t``, ``dof`` and the
+    zero-variance rule do not change with scale, and scaling by a power of
+    two is exact (short of a value 2**1000 times smaller than the largest),
+    so the result is the unscaled one to the last digit.
+    """
     _validate_sample(a, "sample a")
     _validate_sample(b, "sample b")
+    _, exponent = math.frexp(max(map(abs, (*a, *b))))
+    a = [math.ldexp(v, -exponent) for v in a]
+    b = [math.ldexp(v, -exponent) for v in b]
     na, nb = len(a), len(b)
     ma, mb = _mean(a), _mean(b)
     va, vb = _sample_variance(a), _sample_variance(b)
@@ -246,13 +262,20 @@ class ExperimentReport:
 BASELINE_MODE = "no-cache"
 
 
+def _check_finite(policy: str, mode: str, *values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"policy {policy!r} under mode {mode!r}: a mean or an "
+                         "improvement is not finite; lower its prices or latency parameters")
+
+
 def summarize_experiment(samples: Sequence[ConditionSamples],
                          alpha: float = 0.05) -> ExperimentReport:
     """Build the per-policy comparison report against the no-cache baseline.
 
     Every policy present must include a no-cache condition; policies
     whose only condition is the baseline are reported with means and no
-    comparisons.
+    comparisons. A mean, improvement or normalized share that is not
+    finite is a ``ValueError`` naming its policy and mode.
     """
     by_policy: dict[str, list[ConditionSamples]] = {}
     for cond in samples:
@@ -266,19 +289,24 @@ def summarize_experiment(samples: Sequence[ConditionSamples],
                 f"policy {policy!r} has no {BASELINE_MODE!r} condition to compare against")
         base_cost_mean = _mean(baseline.costs)
         base_ttft_mean = _mean(baseline.ttfts)
+        _check_finite(policy, BASELINE_MODE, base_cost_mean, base_ttft_mean)
         modes = []
         for cond in conditions:
             if cond.mode == BASELINE_MODE:
                 continue
             cost_cmp = compare(baseline.costs, cond.costs, alpha)
             ttft_cmp = compare(baseline.ttfts, cond.ttfts, alpha)
-            modes.append(ModeSummary(
+            summary = ModeSummary(
                 mode=cond.mode,
                 cost=cost_cmp,
                 ttft=ttft_cmp,
                 cost_normalized_pct=100.0 * cost_cmp.variant_mean / base_cost_mean,
                 ttft_normalized_pct=100.0 * ttft_cmp.variant_mean / base_ttft_mean,
-            ))
+            )
+            _check_finite(policy, cond.mode, cost_cmp.variant_mean, ttft_cmp.variant_mean,
+                          cost_cmp.improvement_pct, ttft_cmp.improvement_pct,
+                          summary.cost_normalized_pct, summary.ttft_normalized_pct)
+            modes.append(summary)
         best_cost = max(modes, key=lambda m: m.cost.improvement_pct, default=None)
         best_ttft = max(modes, key=lambda m: m.ttft.improvement_pct, default=None)
         summaries.append(PolicySummary(

@@ -19,13 +19,14 @@ costs one seed derivation and one synthesis. A transcript keeps no seed:
 replay leaves breaker slots as placeholders, so nothing downstream
 needs one.
 
-Two caps keep every allocation bounded. Per-message token counts are at
-most ``MAX_TOKEN_COUNT`` (2**20, a whole million-token context), and the
+Three caps keep every allocation bounded. Per-message token counts are
+at most ``MAX_TOKEN_COUNT`` (2**20, a whole million-token context), the
 tokens one run synthesizes (the system prompt plus every session's
-stream, warmup sessions included) at most ``MAX_RUN_TOKENS`` (2**24,
-128 MiB of ``uint64`` ids); :class:`WorkloadSpec` checks the second for
-its own sessions and the experiment config for the sessions plus
-warmup.
+stream) at most ``MAX_RUN_TOKENS`` (2**24, 128 MiB of ``uint64`` ids),
+and its sessions at most ``MAX_RUN_SESSIONS`` (2**16).
+:class:`WorkloadSpec` checks all three; the experiment config checks the
+run's sessions, warmup included, by building the spec that
+:func:`generate` runs.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .tokens import Message, Role, synth_tokens
 
 MAX_TOKEN_COUNT = 2**20
 MAX_RUN_TOKENS = 2**24
+MAX_RUN_SESSIONS = 2**16
 
 
 @dataclass(frozen=True)
@@ -48,8 +50,8 @@ class WorkloadSpec:
     """Shape of the synthetic sessions; token counts are calibration knobs.
 
     Each per-message token count is an integer in [1, ``MAX_TOKEN_COUNT``],
-    and ``sessions`` sessions may synthesize at most ``MAX_RUN_TOKENS``
-    tokens (see :meth:`run_tokens`).
+    ``sessions`` sessions may synthesize at most ``MAX_RUN_TOKENS`` tokens
+    (see :meth:`run_tokens`), and ``sessions`` is at most ``MAX_RUN_SESSIONS``.
     """
 
     system_prompt_tokens: int = 10_000
@@ -86,8 +88,15 @@ class WorkloadSpec:
         gap = self.inter_call_gap_seconds
         if not is_finite_number(gap) or gap < 0:
             raise ValueError(f"inter_call_gap_seconds must be finite and >= 0, got {gap!r}")
-        if self.run_tokens(self.sessions) > MAX_RUN_TOKENS:
-            raise ValueError(self.too_many_tokens(self.sessions, f"sessions={self.sessions}"))
+        tokens = self.run_tokens(self.sessions)
+        if tokens > MAX_RUN_TOKENS:
+            raise ValueError(
+                f"sessions={self.sessions}: {self.sessions} sessions with tool_calls="
+                f"{self.tool_calls} would synthesize {tokens} tokens, more than "
+                f"MAX_RUN_TOKENS={MAX_RUN_TOKENS}")
+        if self.sessions > MAX_RUN_SESSIONS:
+            raise ValueError(f"sessions={self.sessions}: more than "
+                             f"MAX_RUN_SESSIONS={MAX_RUN_SESSIONS}")
 
     def run_tokens(self, sessions: int) -> int:
         """The tokens :func:`generate` synthesizes for ``sessions`` sessions
@@ -95,12 +104,6 @@ class WorkloadSpec:
         turn = self.reasoning_tokens_per_turn + self.tool_call_tokens + self.tool_result_tokens
         return self.system_prompt_tokens + sessions * (
             self.question_tokens + self.tool_calls * turn + self.final_answer_tokens)
-
-    def too_many_tokens(self, sessions: int, counted: str) -> str:
-        """Why ``sessions`` sessions, counted as ``counted``, are too many."""
-        return (f"{counted}: {sessions} sessions with tool_calls={self.tool_calls} would "
-                f"synthesize {self.run_tokens(sessions)} tokens, more than "
-                f"MAX_RUN_TOKENS={MAX_RUN_TOKENS}")
 
 
 @dataclass(frozen=True)

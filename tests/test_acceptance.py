@@ -258,7 +258,7 @@ def test_acceptance_6_ablation_monotonicity_and_stability(tmp_path):
 
     prompt_result = _run_ablation(
         config, AblationGrid("prompt-size", (2_000, 5_000, 10_000, 20_000, 50_000)),
-        out_dir=tmp_path / "prompt", quiet=True)
+        out_dir=tmp_path / "prompt")
     series: dict[tuple[str, str], list[float]] = {}
     for row in prompt_result.rows:
         if row.cost_savings_pct is not None:
@@ -274,7 +274,7 @@ def test_acceptance_6_ablation_monotonicity_and_stability(tmp_path):
         p for p in config.policies if p.name in ("gpt-5.2", "gpt-4o")))
     tool_result = _run_ablation(
         tool_config, AblationGrid("tool-count", (3, 5, 10, 20, 50)),
-        out_dir=tmp_path / "tool", quiet=True)
+        out_dir=tmp_path / "tool")
     best_by_policy: dict[str, dict[int, float]] = {}
     for row in tool_result.rows:
         if row.cost_savings_pct is None:

@@ -17,9 +17,12 @@ import pytest
 import cachesim
 from cachesim import load_config, verify_run
 from cachesim.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
-from cachesim.config import DEFAULT_GRIDS, AblationGrid, config_from_dict, to_json
+from cachesim.config import (DEFAULT_GRIDS, MAX_RUN_CALLS, AblationGrid, config_from_dict,
+                             to_json)
 from cachesim.errors import ConfigError
 from cachesim.policies import builtin_policy
+from cachesim.runner import run_ablation, run_experiment
+from cachesim.workload import MAX_RUN_SESSIONS
 
 
 def tiny_config(tmp_path, **overrides) -> str:
@@ -197,6 +200,30 @@ def test_verify_reports_malformed_artifacts(tmp_path, capsys, name, tamper, mess
     assert message in err and "mismatch" in err
 
 
+def test_verify_reports_a_summary_without_alpha(tmp_path, capsys):
+    """A config echo without ``alpha`` is a verify problem; verify does not
+    assume the default it would have had."""
+    assert main(["simulate", tiny_config(tmp_path)]) == EXIT_OK
+    path = tmp_path / "out" / "summary.json"
+    summary = json.loads(path.read_text())
+    del summary["config"]["alpha"]
+    path.write_text(json.dumps(summary))
+    capsys.readouterr()
+    assert main(["verify", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert "config.alpha must be a finite number" in capsys.readouterr().err
+
+
+def test_no_warmup_writes_a_float_zero_warmup_cost(tmp_path):
+    """Without warmup sessions the ledger's cost is the empty left-to-right
+    sum, written as the float ``0.0``, not the integer ``0``."""
+    assert main(["simulate", tiny_config(tmp_path, warmup_sessions=0)]) == EXIT_OK
+    text = (tmp_path / "out" / "summary.json").read_text()
+    ledgers = json.loads(text)["warmup"]
+    assert ledgers and all(entry["sessions"] == 0 and entry["write_tokens"] == 0
+                           and repr(entry["cost_usd"]) == "0.0" for entry in ledgers)
+    assert '"cost_usd": 0.0' in text and '"cost_usd": 0,' not in text
+
+
 def test_verify_missing_dir(tmp_path):
     assert main(["verify", str(tmp_path / "nope")]) == EXIT_VALIDATION
 
@@ -251,6 +278,39 @@ def test_ablate_checks_every_value_before_running_any(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "system_prompt_tokens" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("dimension, value, field", [
+    ("prompt-size", "0", "system_prompt_tokens"),
+    ("tool-count", "-1", "tool_calls"),
+])
+def test_ablate_rejects_values_below_the_workload_floor(tmp_path, capsys, dimension,
+                                                        value, field):
+    """The workload's own floors bound an ablation grid: a value below one
+    is an ``error:`` line naming the field, and nothing is written."""
+    cfg = tiny_config(tmp_path)
+    assert main(["ablate", cfg, "--dimension", dimension,
+                 "--values", value, "5"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_library_runs_print_nothing_and_the_cli_reports(tmp_path, capsys):
+    """``run_experiment`` and ``run_ablation`` write only their artifacts;
+    the report table and the ablation progress lines are the CLI's."""
+    cfg = tiny_config(tmp_path)
+    config = load_config(cfg)
+    run_experiment(config, out_dir=tmp_path / "sim")
+    run_ablation(config, AblationGrid("tool-count", (1, 2)), out_dir=tmp_path / "lib")
+    assert capsys.readouterr().out == ""
+    assert main(["ablate", cfg, "--dimension", "tool-count", "--values", "1", "2",
+                 "--out", str(tmp_path / "cli")]) == EXIT_OK
+    assert capsys.readouterr().out == ("tool-count=1: 4 conditions done\n"
+                                       "tool-count=2: 4 conditions done\n")
+    assert main(["simulate", cfg]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("policy ")
 
 
 @pytest.mark.parametrize("bad", [-1, 2**64, 2**64 + 42])
@@ -447,6 +507,61 @@ def test_oversized_run_exits_one_at_load(tmp_path, capsys, section, field, bad):
     assert not (tmp_path / "out").exists()
 
 
+def _one_call_sessions(tmp_path, sessions: int, tool_calls: int = 0, **overrides) -> dict:
+    """A config of one-token messages: sessions this small reach the session
+    and call caps long before the token cap."""
+    data = json.loads(Path(tiny_config(tmp_path, policies=["gpt-4o"],
+                                       modes=["no-cache"])).read_text())
+    data["workload"] = dict(
+        {name: 1 for name in data["workload"] if "_tokens" in name},
+        tool_calls=tool_calls, sessions=sessions, inter_call_gap_seconds=1.0)
+    data.update(overrides)
+    return data
+
+
+def test_run_sessions_are_capped_warmup_included(tmp_path, capsys):
+    """A run generates at most ``MAX_RUN_SESSIONS`` sessions, warmup
+    included; more is an ``error:`` line at load, with nothing generated."""
+    at_cap = config_from_dict(_one_call_sessions(tmp_path, MAX_RUN_SESSIONS - 1))
+    assert at_cap.run_workload.sessions == MAX_RUN_SESSIONS
+    with pytest.raises(ConfigError, match=f"sessions={MAX_RUN_SESSIONS + 1}: more than "
+                                          "MAX_RUN_SESSIONS"):
+        config_from_dict(_one_call_sessions(tmp_path, MAX_RUN_SESSIONS + 1))
+    over = _one_call_sessions(tmp_path, MAX_RUN_SESSIONS - 1, warmup_sessions=2)
+    with pytest.raises(ConfigError, match=f"workload.sessions={MAX_RUN_SESSIONS - 1} \\+ "
+                                          "warmup_sessions=2: .*MAX_RUN_SESSIONS"):
+        config_from_dict(over)
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(over))
+    assert main(["simulate", str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "MAX_RUN_SESSIONS" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"tool_calls": 1024},
+    {"warmup_sessions": 2},
+    {"policies": ["gpt-4o", "gpt-5.2"]},
+    {"modes": ["no-cache", "system-prompt"]},
+], ids=["tool_calls", "warmup_sessions", "policies", "modes"])
+def test_run_api_calls_are_capped(tmp_path, capsys, overrides):
+    """A run makes at most ``MAX_RUN_CALLS`` API calls, counted as sessions
+    (warmup included) x (tool_calls + 1) x policies x modes: 1024 x 1024 x
+    1 x 1 loads, and raising any one factor is an ``error:`` line at load."""
+    assert config_from_dict(_one_call_sessions(tmp_path, 1023, tool_calls=1023))
+    data = _one_call_sessions(tmp_path, 1023, tool_calls=overrides.pop("tool_calls", 1023),
+                              **overrides)
+    with pytest.raises(ConfigError, match=f"more than MAX_RUN_CALLS={MAX_RUN_CALLS}"):
+        config_from_dict(data)
+    path = tmp_path / "calls.json"
+    path.write_text(json.dumps(data))
+    assert main(["simulate", str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "MAX_RUN_CALLS" in err
+    assert not (tmp_path / "out").exists()
+
+
 def _priced_at(value: float) -> dict:
     policy = to_json(builtin_policy("gpt-4o"))
     policy["name"] = "priced"
@@ -476,6 +591,19 @@ def test_non_finite_condition_exits_one(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+def test_huge_finite_latency_runs_and_verifies(tmp_path, capsys):
+    """TTFTs near 1e200 ms are finite, so the run completes and its
+    artifacts verify: the t-tests scale such samples instead of
+    overflowing while squaring them."""
+    data = json.loads(Path(tiny_config(tmp_path)).read_text())
+    data["latency"]["default"]["base_ms"] = 1e200
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    assert main(["simulate", str(path)]) == EXIT_OK
+    assert main(["verify", str(tmp_path / "out")]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_bench_shaped_config_loads(tmp_path):
     """The benchmark's generated config: every policy and mode, plus the
     ``jobs`` key it still writes, which the loader ignores."""
@@ -503,6 +631,26 @@ def test_latency_key_naming_no_policy_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'gpt4o'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("path, key", [
+    ((), "opportunistic_segment"),
+    ((), "ttl_secs"),
+    (("prices",), "cache_write_per_mtk"),
+], ids=["opportunistic_segment", "ttl_secs", "prices.cache_write_per_mtk"])
+def test_misspelt_policy_key_exits_one_naming_it(tmp_path, capsys, path, key):
+    """An inline policy object with a key its schema lacks is an ``error:``
+    line naming the key, not a rule silently left at its default."""
+    policy = dict(to_json(builtin_policy("gpt-4o")), name="mine")
+    target = policy
+    for part in path:
+        target = target[part]
+    target[key] = True if key == "opportunistic_segment" else 1.0
+    assert main(["simulate", tiny_config(tmp_path, policies=[policy])]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"'{key}'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_import_needs_only_numpy():

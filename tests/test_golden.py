@@ -15,7 +15,7 @@ import hashlib
 import json
 
 from cachesim.cli import EXIT_OK, main
-from cachesim.config import to_json
+from cachesim.config import config_from_dict, load_config, to_json
 from cachesim.policies import builtin_policy
 from cachesim.runner import verify_run
 
@@ -69,3 +69,15 @@ def test_golden_artifacts_are_byte_identical(tmp_path):
                for name in GOLDEN_DIGESTS}
     assert digests == GOLDEN_DIGESTS
     assert verify_run(out) == []
+
+
+def test_config_echo_reads_back_as_the_loaded_config(tmp_path):
+    """``summary.json``'s config echo is itself a config: reading it back
+    gives the config the run loaded, the inline policies' segments, short
+    TTLs and refresh-on-read included."""
+    config = tmp_path / "golden.json"
+    config.write_text(json.dumps(GOLDEN_CONFIG))
+    out = tmp_path / "out"
+    assert main(["simulate", str(config), "--out", str(out)]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert config_from_dict(summary["config"]) == load_config(config)

@@ -169,7 +169,7 @@ def test_lockstep_replay_equals_each_condition_alone(tmp_path, monkeypatch):
         return session_layout(transcript, mode)
 
     monkeypatch.setattr(runner, "session_layout", counted)
-    runs = run_experiment(config, out_dir=tmp_path, quiet=True).runs
+    runs = run_experiment(config, out_dir=tmp_path).runs
     monkeypatch.undo()
 
     sessions = config.workload.sessions + config.warmup_sessions
@@ -211,7 +211,7 @@ def test_policies_with_equal_cache_rules_share_one_trace(field, tmp_path, monkey
 
     monkeypatch.setattr(replay, "CacheStore", CountedStore)
     monkeypatch.setattr(replay, "access", counted_access)
-    runs = run_experiment(config, out_dir=tmp_path, quiet=True).runs
+    runs = run_experiment(config, out_dir=tmp_path).runs
     monkeypatch.undo()
 
     modes = len(config.modes)
@@ -253,7 +253,7 @@ def test_one_replay_call_per_api_call(tmp_path, monkeypatch):
     monkeypatch.setattr(replay, "replay_call", traced)
     config = config_from_dict({**GOLDEN_CONFIG,
                                "policies": [*GOLDEN_CONFIG["policies"], "gpt-5.2"]})
-    run_experiment(config, out_dir=tmp_path, quiet=True)
+    run_experiment(config, out_dir=tmp_path)
 
     sessions = config.workload.sessions + config.warmup_sessions
     calls = config.workload.tool_calls + 1

@@ -164,6 +164,21 @@ class TestWelch:
         assert scaled.dof == pytest.approx(plain.dof, rel=1e-7)
         assert scaled.p_value == pytest.approx(plain.p_value, abs=1e-8)
 
+    @pytest.mark.parametrize("factor", [2.0**600, 1e200], ids=["2**600", "1e200"])
+    @given(a=samples, b=samples)
+    @settings(max_examples=60)
+    def test_huge_finite_samples_match_scipy(self, factor, a, b):
+        """Samples near 1e200 give the t-test of the unscaled samples instead
+        of an ``OverflowError``; a power-of-two factor changes no digit."""
+        if not self._well_conditioned(a, b):
+            return
+        result = welch_t([factor * x for x in a], [factor * x for x in b])
+        reference = scipy.stats.ttest_ind(a, b, equal_var=False)
+        assert result.t == pytest.approx(float(reference.statistic), rel=1e-9, abs=1e-12)
+        assert result.p_value == pytest.approx(float(reference.pvalue), abs=1e-10)
+        if factor == 2.0**600:
+            assert result == welch_t(a, b)
+
 
 class TestCompare:
     def test_eighty_percent_improvement(self):
@@ -244,6 +259,16 @@ class TestSummarize:
                 ConditionSamples("p", "no-cache", (1.0,), (1.0,)),
                 ConditionSamples("p", "full-context", (1.0,), (1.0,)),
             ])
+
+    @pytest.mark.parametrize("mode, costs", [
+        ("no-cache", (1e308, 1.7e308)),       # the baseline mean overflows
+        ("full-context", (1.5e307, 1.5e307)),  # the improvement overflows
+    ])
+    def test_non_finite_mean_or_improvement_names_policy_and_mode(self, mode, costs):
+        samples = {"no-cache": (1.0, 2.0), "full-context": (1.0, 2.0), mode: costs}
+        with pytest.raises(ValueError, match=f"policy 'p' under mode '{mode}': .* not finite"):
+            summarize_experiment([ConditionSamples("p", name, values, (5.0, 6.0))
+                                  for name, values in samples.items()])
 
     def test_report_to_dict_has_both_metrics_per_mode(self):
         data = to_json(summarize_experiment(self.conditions()))
