@@ -14,6 +14,7 @@ return their results and print nothing.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from collections import Counter
@@ -131,7 +132,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    code = main()
+    # Skip the collection the interpreter makes at shutdown, which walks
+    # every object the run left behind: reference counting still frees
+    # them, and flushes and atexit handlers still run. main() does not
+    # freeze, as tests and tools call it in a process that goes on.
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -49,12 +49,16 @@ over sessions. The experiment runner's loop
 replays a mode's conditions in lockstep, building each session's layout
 once for all of them. The first condition of a trace to send a call
 runs it through the store and appends its tokens to the trace's
-columns; the others get the same usage back, rebuilt from those
-columns, without touching the store. Their calls change no result, but
-``replay_call`` stays the boundary of one API call of one condition,
-the hook that per-call tracing wraps: a run makes one call of it per
-condition and API call, and passes the session's index in the timeline
-as its ``session_seed`` keyword, the name the tracer reads.
+columns; the others leave the store and the columns alone. A trace
+reads the two cache rules that shape a call (explicit breakpoints,
+opportunistic segments) from its policy once, when it is built.
+Either way ``replay_call`` returns a :class:`CallRecord` of the trace
+and row, whose ``usage`` is built from the trace's columns only when
+something reads it; the run itself never does. ``replay_call`` stays
+the boundary of one API call of one condition, the hook that per-call
+tracing wraps: a run makes one call of it per condition and API call,
+and passes the session's index in the timeline as its ``session_seed``
+keyword, the name the tracer reads.
 
 Warmup sessions are the first ones replayed, to prime the store; their
 rows are excluded from evaluation and their cache writes and cost are
@@ -73,7 +77,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -201,13 +205,6 @@ class Timeline:
             output=output[k:], time_s=time_s[k:])
 
 
-class CallRecord(NamedTuple):
-    """One API call as its cache trace recorded it: the call's usage block,
-    read as a provider response's ``usage``."""
-
-    usage: UsageRecord
-
-
 class CacheTrace:
     """One mode's cache outcomes under one set of cache rules: a fresh store
     built for ``policy`` (whose rules alone it reads) and each call's
@@ -219,6 +216,8 @@ class CacheTrace:
         self.timeline = timeline
         self.mode = mode
         self.store = CacheStore(policy)
+        self.explicit_breakpoints = policy.mode is CacheMode.EXPLICIT_BREAKPOINTS
+        self.opportunistic_segments = policy.opportunistic_segments
         self.uncached: list[int] = []
         self.cached_read: list[int] = []
         self.cache_write: list[int] = []
@@ -242,18 +241,36 @@ class CacheTrace:
                     cache_write=self.cache_write[k:])
 
 
+class CallRecord:
+    """One API call as its cache trace recorded it: row ``row`` of
+    ``trace``. ``usage`` is the call's usage block, read as a provider
+    response's ``usage``, built from the trace's columns on each read."""
+
+    __slots__ = ("trace", "row")
+
+    def __init__(self, trace: CacheTrace, row: int) -> None:
+        self.trace = trace
+        self.row = row
+
+    @property
+    def usage(self) -> UsageRecord:
+        trace, row = self.trace, self.row
+        return UsageRecord(trace.uncached[row], trace.cached_read[row],
+                           trace.cache_write[row], trace.timeline.output[row])
+
+
 def replay_call(trace: CacheTrace, session: int, layout: SessionLayout,
                 request_index: int, *, session_seed: int) -> CallRecord:
     """Send API call ``request_index`` of the timeline's session
     ``session``, laid out by :func:`~cachesim.strategies.session_layout`
-    under the trace's mode, through ``trace``, and return its usage.
+    under the trace's mode, through ``trace``, and return its record.
 
     The first condition of the trace to send the call runs it through the
     trace's store, at the timeline's send time, and appends its tokens to
-    the trace's columns; every later one reads them back without touching
-    the store. Calls reach the store in row order. ``session_seed`` does
-    not change the result; it identifies the call's session to per-call
-    tracing."""
+    the trace's columns; every later one touches neither. Calls reach the
+    store in row order. Every condition gets a record of the same row, so
+    the same usage. ``session_seed`` does not change the result; it
+    identifies the call's session to per-call tracing."""
     timeline = trace.timeline
     first = timeline.offsets[session]
     if not 1 <= request_index <= timeline.offsets[session + 1] - first:
@@ -264,19 +281,17 @@ def replay_call(trace: CacheTrace, session: int, layout: SessionLayout,
     if row > recorded:
         raise IndexError(f"row {row} sent before row {recorded}")
     if row == recorded:
-        policy = trace.store.policy
         n = layout.lengths[request_index - 1]
         limit = layout.explicit_limit
-        if limit is None or policy.mode is not CacheMode.EXPLICIT_BREAKPOINTS:
+        if limit is None or not trace.explicit_breakpoints:
             limit = n
-        segments = layout.segment_contents if policy.opportunistic_segments else ()
+        segments = layout.segment_contents if trace.opportunistic_segments else ()
         cached, write = access(trace.store, layout.template[:n], limit,
                                timeline.time_s[row], min(layout.stop, n), segments)
         trace.uncached.append(n - cached)
         trace.cached_read.append(cached)
         trace.cache_write.append(write)
-    return CallRecord(UsageRecord(trace.uncached[row], trace.cached_read[row],
-                                  trace.cache_write[row], timeline.output[row]))
+    return CallRecord(trace, row)
 
 
 def replay_session(trace: CacheTrace, session: int, layout: SessionLayout) -> None:

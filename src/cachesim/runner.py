@@ -27,7 +27,9 @@ condition at a time, with every string cell quoted as ``csv.writer``
 quotes it. Text that comes from columns several conditions hold by
 reference (the timeline's session ids, call indexes and send times, a
 trace's token counts) is formatted once per shared column, and each
-condition adds only its own cost and TTFT cells. Every summary value can
+condition adds only its own cost and TTFT cells. Costs repeat (by call
+index, and across sessions), so each condition formats each distinct
+nonzero cost once per column. Every summary value can
 be recomputed from ``per_call.csv`` alone; :func:`verify_run` does
 exactly that and reports any value that fails to match.
 """
@@ -165,14 +167,22 @@ def _call_tails(time_s: list[float]) -> list[str]:
     return [f",{t!r}\r\n" for t in time_s]
 
 
+def _float_texts(values: list[float]) -> list[str]:
+    """``[repr(v) for v in values]``, with each distinct nonzero value
+    formatted once. Zeros are formatted one by one: ``0.0 == -0.0``, but
+    their reprs differ."""
+    texts = {value: repr(value) for value in set(values) if value}
+    return [texts.get(value) or repr(value) for value in values]
+
+
 def _per_call_rows(run: ConditionRun, shared) -> list[str]:
     condition = f"{_csv_cell(run.mode.value)},{_csv_cell(run.policy_name)},"
-    return [f"{head}{condition}{tokens}{cost!r},{ttft!r}{tail}"
+    return [f"{head}{condition}{tokens}{cost},{ttft!r}{tail}"
             for head, tokens, cost, ttft, tail in zip(
                 shared(_call_heads, run.session_ids, run.offsets),
                 shared(_call_tokens, run.uncached, run.cached_read, run.cache_write,
                        run.output),
-                run.cost_usd, run.ttft_ms, shared(_call_tails, run.time_s))]
+                _float_texts(run.cost_usd), run.ttft_ms, shared(_call_tails, run.time_s))]
 
 
 def _session_heads(session_ids: list[str], offsets: list[int]) -> list[str]:
@@ -189,10 +199,10 @@ def _session_tokens(offsets: list[int], *columns: list[int]) -> list[str]:
 
 def _per_session_rows(run: ConditionRun, shared) -> list[str]:
     condition = f"{_csv_cell(run.policy_name)},{_csv_cell(run.mode.value)},"
-    return [f"{condition}{head}{cost!r},{ttft!r}{tokens}"
+    return [f"{condition}{head}{cost},{ttft!r}{tokens}"
             for head, cost, ttft, tokens in zip(
                 shared(_session_heads, run.session_ids, run.offsets),
-                run.session_cost_usd, run.session_ttft_ms,
+                _float_texts(run.session_cost_usd), run.session_ttft_ms,
                 shared(_session_tokens, run.offsets, run.uncached, run.cached_read,
                        run.cache_write, run.output))]
 

@@ -12,7 +12,9 @@ span when it is built, so the strategies and replay rely on both without checkin
 :meth:`SessionTranscript.requests` gives replay each call's output length
 and its gap to the next call in one pass.
 
-The system prompt is one token stream of its own. Every later message
+The system prompt is one token stream of its own, and one
+:class:`~cachesim.tokens.Message` that every transcript of a run shares,
+so its tokens are checked once per run. Every later message
 of a session is the next slice of one stream per session, seeded by
 ``derive_seed(spec.seed, "session", s)`` for session ``s``, so a session
 costs one seed derivation and one synthesis. A transcript keeps no seed:
@@ -179,7 +181,8 @@ def generate(spec: WorkloadSpec) -> list[SessionTranscript]:
     ``tool_calls + 1`` API requests spaced ``inter_call_gap_seconds``
     apart.
     """
-    system = synth_tokens(spec.system_prompt_tokens, derive_seed(spec.seed, "system"))
+    system = Message(Role.SYSTEM,
+                     synth_tokens(spec.system_prompt_tokens, derive_seed(spec.seed, "system")))
     gap = spec.inter_call_gap_seconds
     turn_tokens = spec.reasoning_tokens_per_turn + spec.tool_call_tokens
 
@@ -204,7 +207,7 @@ def generate(spec: WorkloadSpec) -> list[SessionTranscript]:
         stream = synth_tokens(total, derive_seed(spec.seed, "session", s))
         transcripts.append(SessionTranscript(
             session_id=f"s{s:03d}",
-            messages=(Message(Role.SYSTEM, system),
+            messages=(system,
                       *(Message(role, stream[start:end]) for role, start, end in spans)),
             timestamps=timestamps,
         ))

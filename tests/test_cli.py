@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -21,7 +22,7 @@ from cachesim.config import (DEFAULT_GRIDS, MAX_RUN_CALLS, AblationGrid, config_
                              to_json)
 from cachesim.errors import ConfigError
 from cachesim.policies import builtin_policy
-from cachesim.runner import run_ablation, run_experiment
+from cachesim.runner import _float_texts, run_ablation, run_experiment
 from cachesim.workload import MAX_RUN_SESSIONS
 
 
@@ -665,3 +666,37 @@ def test_import_needs_only_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out.split() == ["cachesim", "numpy"]
+
+
+def test_cost_text_is_the_repr_of_each_value():
+    """Costs are formatted once per distinct nonzero value; zeros one by
+    one, as ``0.0 == -0.0`` but their reprs differ."""
+    values = [0.0, -0.0, 0.1, 0.1, 5e-324, 1.7976931348623157e308, -0.0, 0.0]
+    assert _float_texts(values) == list(map(repr, values))
+
+
+def test_cli_process_exits_with_the_main_exit_code(tmp_path):
+    """``python -m cachesim.cli`` goes through ``cli.run``, which freezes
+    the heap before it exits: a run exits 0 with artifacts that verify, a
+    bad config exits 1 with an ``error:`` line and no traceback. ``main``
+    itself, called in-process, freezes nothing."""
+    src = str(Path(cachesim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+    def cli(*args):
+        return subprocess.run([sys.executable, "-m", "cachesim.cli", *args], env=env,
+                              capture_output=True, text=True, check=False, timeout=60)
+
+    out = tmp_path / "run"
+    proc = cli("simulate", tiny_config(tmp_path), "--out", str(out))
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert proc.stdout.startswith("policy")
+    assert main(["verify", str(out)]) == EXIT_OK
+    assert gc.get_freeze_count() == 0
+
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    proc = cli("simulate", str(bad))
+    assert proc.returncode == EXIT_VALIDATION
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
