@@ -117,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "ablate":
             grid = AblationGrid(args.dimension,
                                 tuple(args.values or DEFAULT_GRIDS[args.dimension]))
-            rows = run_ablation(config, grid, out_dir=args.out).rows
+            rows = run_ablation(config, grid, out_dir=args.out)
             for value, conditions in Counter(row.value for row in rows).items():
                 print(f"{grid.dimension}={value}: {conditions} conditions done")
             return EXIT_OK

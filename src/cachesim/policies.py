@@ -191,20 +191,19 @@ def builtin_policy(name: str) -> ProviderPolicy:
     raise KeyError(f"unknown policy {name!r}; built-ins are: {known}")
 
 
-def price_call(usage: UsageRecord, policy: ProviderPolicy,
-               prompt_total_tokens: np.ndarray) -> np.ndarray:
-    """Price API calls in USD, one per entry of ``usage``'s columns and
-    ``prompt_total_tokens`` (numpy arrays of token counts).
+def price_call(usage: UsageRecord, policy: ProviderPolicy) -> np.ndarray:
+    """Price API calls in USD, one per entry of ``usage``'s columns (numpy
+    arrays of token counts).
 
     Each usage component is billed at its per-token rate. For tiered
     schedules the tier is selected per call from the whole prompt size,
-    and the tier-2 rates then apply to every component of that call.
-    Storage charges are not included here.
+    ``uncached_input + cached_read``, and the tier-2 rates then apply to
+    every component of that call. Storage charges are not included here.
     """
     p = policy.prices
     in_rate, read_rate, out_rate = p.input_per_mtok, p.cached_read_per_mtok, p.output_per_mtok
     if p.tier_boundary_tokens is not None:
-        tiered = prompt_total_tokens > p.tier_boundary_tokens
+        tiered = usage.uncached_input + usage.cached_read > p.tier_boundary_tokens
         in_rate = np.where(tiered, p.tier2_input_per_mtok, in_rate)
         read_rate = np.where(tiered, p.tier2_cached_read_per_mtok, read_rate)
         out_rate = np.where(tiered, p.tier2_output_per_mtok, out_rate)

@@ -27,7 +27,8 @@ and each per-call fact is computed once, at the level it depends on:
 
   with ``z`` drawn from a seeded per-condition stream. Token conservation
   holds on every call: uncached + cached reads equals the flattened prompt
-  length.
+  length, so pricing reads a tiered schedule's prompt size from the usage
+  columns alone.
 
 Each session is flattened once per mode into a
 :class:`~cachesim.strategies.SessionLayout`, which holds every fact about
@@ -230,10 +231,6 @@ class CacheTrace:
                            self.timeline.output_tokens)
 
     @cached_property
-    def prompt_tokens(self) -> np.ndarray:
-        return self.usage.uncached_input + self.usage.cached_read
-
-    @cached_property
     def shared(self) -> dict[str, list[int]]:
         """The evaluation rows, held by reference by every ConditionRun."""
         k = self.timeline.offsets[self.timeline.warmup_sessions]
@@ -329,7 +326,7 @@ def price_condition(trace: CacheTrace, policy: ProviderPolicy,
             factors = np.array([math.exp(x) for x in scaled.tolist()])
         except OverflowError:
             raise not_finite("a noise factor") from None
-        cost = price_call(usage, policy, trace.prompt_tokens)
+        cost = price_call(usage, policy)
         ttft = latency_model.mean_ttft_ms(usage) * factors
     for what, column in (("a noise factor", factors), ("a cost", cost), ("a TTFT", ttft)):
         if not np.isfinite(column).all():

@@ -31,7 +31,10 @@ condition adds only its own cost and TTFT cells. Costs repeat (by call
 index, and across sessions), so each condition formats each distinct
 nonzero cost once per column. Every summary value can
 be recomputed from ``per_call.csv`` alone; :func:`verify_run` does
-exactly that and reports any value that fails to match.
+exactly that and reports any value that is not equal to the recorded
+one. Every sum runs left to right and every float round-trips through
+its ``repr``, so the recomputation gives the same bits, and no
+tolerance is needed.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import statistics
 from dataclasses import astuple, dataclass, replace
 from pathlib import Path
@@ -67,7 +69,6 @@ PER_SESSION_COLUMNS = ["policy", "mode", "session_id", "calls", "total_cost_usd"
 class RunResult:
     report: ExperimentReport
     runs: tuple[ConditionRun, ...]
-    out_dir: Path
 
 
 def _replay_mode(transcripts: Sequence[SessionTranscript], timeline: Timeline, mode: StrategyMode,
@@ -253,7 +254,7 @@ def run_experiment(config: ExperimentConfig, *,
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return RunResult(report=report, runs=runs, out_dir=out)
+    return RunResult(report=report, runs=runs)
 
 
 # --- ablations ---------------------------------------------------------------
@@ -276,12 +277,6 @@ class AblationRow:
     ttft_improvement_pct: float | None
 
 
-@dataclass(frozen=True)
-class AblationResult:
-    rows: tuple[AblationRow, ...]
-    out_dir: Path
-
-
 def _ablation_config(config: ExperimentConfig, grid: AblationGrid,
                      value: int) -> ExperimentConfig:
     if grid.dimension == "prompt-size":
@@ -292,11 +287,12 @@ def _ablation_config(config: ExperimentConfig, grid: AblationGrid,
 
 
 def run_ablation(config: ExperimentConfig, grid: AblationGrid, *,
-                 out_dir: str | Path | None = None) -> AblationResult:
+                 out_dir: str | Path | None = None) -> tuple[AblationRow, ...]:
     """Sweep one workload dimension: a full :func:`run_experiment` run in
     ``<dimension>-<value>/`` per grid value, plus a long ``ablation.csv``
-    of per-condition session medians. Every value's config is built before
-    any runs, so a value the workload rejects writes nothing."""
+    of per-condition session medians, whose rows it returns. Every value's
+    config is built before any runs, so a value the workload rejects
+    writes nothing."""
     configs = {value: _ablation_config(config, grid, value) for value in grid.values}
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -329,14 +325,10 @@ def run_ablation(config: ExperimentConfig, grid: AblationGrid, *,
     with open(out / "ablation.csv", "w", newline="", encoding="utf-8") as fh:
         # csv.writer writes a float as its repr and None as an empty cell.
         csv.writer(fh).writerows([ABLATION_COLUMNS, *map(astuple, rows)])
-    return AblationResult(rows=tuple(rows), out_dir=out)
+    return tuple(rows)
 
 
 # --- verification ------------------------------------------------------------
-
-def _close(a: float, b: float) -> bool:
-    return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
-
 
 def _diff_values(path: str, expected, actual, problems: list[str]) -> None:
     if isinstance(expected, dict) and isinstance(actual, dict):
@@ -351,11 +343,6 @@ def _diff_values(path: str, expected, actual, problems: list[str]) -> None:
             return
         for i, (e, a) in enumerate(zip(expected, actual)):
             _diff_values(f"{path}[{i}]", e, a, problems)
-    elif isinstance(expected, float) or isinstance(actual, float):
-        ok = (isinstance(expected, (int, float)) and isinstance(actual, (int, float))
-              and _close(float(expected), float(actual)))
-        if not ok:
-            problems.append(f"{path}: {expected!r} != {actual!r}")
     elif expected != actual:
         problems.append(f"{path}: {expected!r} != {actual!r}")
 
@@ -379,7 +366,8 @@ def verify_run(run_dir: str | Path) -> list[str]:
     """Recompute a run's summary from its per-call CSV and diff the two.
 
     Returns a list of mismatch descriptions; empty means the artifacts
-    are internally consistent. Artifacts of the wrong shape (a summary
+    are internally consistent: every recorded number equals its
+    recomputed value exactly. Artifacts of the wrong shape (a summary
     that is not an object, a CSV without the columns the run writes) are
     reported as such, and nothing is recomputed from them.
     """
@@ -423,8 +411,7 @@ def verify_run(run_dir: str | Path) -> list[str]:
         calls, cost, ttft, *tokens = sessions[key]
         for name, recomputed in zip(PER_SESSION_COLUMNS[3:], (calls, cost, ttft / calls, *tokens)):
             recorded = type(recomputed)(row[name])
-            if not (_close(recorded, recomputed) if isinstance(recomputed, float)
-                    else recorded == recomputed):
+            if recorded != recomputed:
                 problems.append(f"per_session.csv {key} {name}: "
                                 f"{recorded!r} != recomputed {recomputed!r}")
 

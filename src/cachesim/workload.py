@@ -26,14 +26,15 @@ at most ``MAX_TOKEN_COUNT`` (2**20, a whole million-token context), the
 tokens one run synthesizes (the system prompt plus every session's
 stream) at most ``MAX_RUN_TOKENS`` (2**24, 128 MiB of ``uint64`` ids),
 and its sessions at most ``MAX_RUN_SESSIONS`` (2**16).
-:class:`WorkloadSpec` checks all three; the experiment config checks the
-run's sessions, warmup included, by building the spec that
-:func:`generate` runs.
+:class:`WorkloadSpec` checks all three, and that the run's simulated
+time stays finite; the experiment config checks the run's sessions,
+warmup included, by building the spec that :func:`generate` runs.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -52,8 +53,10 @@ class WorkloadSpec:
     """Shape of the synthetic sessions; token counts are calibration knobs.
 
     Each per-message token count is an integer in [1, ``MAX_TOKEN_COUNT``],
-    ``sessions`` sessions may synthesize at most ``MAX_RUN_TOKENS`` tokens
-    (see :meth:`run_tokens`), and ``sessions`` is at most ``MAX_RUN_SESSIONS``.
+    the run may synthesize at most ``MAX_RUN_TOKENS`` tokens
+    (see :meth:`run_tokens`), ``sessions`` is at most ``MAX_RUN_SESSIONS``,
+    and the run's simulated time, ``sessions * (tool_calls + 1) *
+    inter_call_gap_seconds``, is at most half the largest float.
     """
 
     system_prompt_tokens: int = 10_000
@@ -90,7 +93,7 @@ class WorkloadSpec:
         gap = self.inter_call_gap_seconds
         if not is_finite_number(gap) or gap < 0:
             raise ValueError(f"inter_call_gap_seconds must be finite and >= 0, got {gap!r}")
-        tokens = self.run_tokens(self.sessions)
+        tokens = self.run_tokens()
         if tokens > MAX_RUN_TOKENS:
             raise ValueError(
                 f"sessions={self.sessions}: {self.sessions} sessions with tool_calls="
@@ -99,12 +102,20 @@ class WorkloadSpec:
         if self.sessions > MAX_RUN_SESSIONS:
             raise ValueError(f"sessions={self.sessions}: more than "
                              f"MAX_RUN_SESSIONS={MAX_RUN_SESSIONS}")
+        # Replay runs every session's calls on one clock, back to back; half
+        # the largest float leaves room for the rounding of its running sum.
+        span_s = gap * self.sessions * (self.tool_calls + 1)
+        if span_s > sys.float_info.max / 2:
+            raise ValueError(
+                f"inter_call_gap_seconds={gap!r}: {self.sessions} sessions of "
+                f"{self.tool_calls + 1} calls would run {span_s!r} s of simulated "
+                "time, more than half the largest float")
 
-    def run_tokens(self, sessions: int) -> int:
-        """The tokens :func:`generate` synthesizes for ``sessions`` sessions
-        of this shape: the shared system prompt plus one stream per session."""
+    def run_tokens(self) -> int:
+        """The tokens :func:`generate` synthesizes for this spec: the shared
+        system prompt plus one stream per session."""
         turn = self.reasoning_tokens_per_turn + self.tool_call_tokens + self.tool_result_tokens
-        return self.system_prompt_tokens + sessions * (
+        return self.system_prompt_tokens + self.sessions * (
             self.question_tokens + self.tool_calls * turn + self.final_answer_tokens)
 
 

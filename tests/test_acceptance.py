@@ -106,36 +106,36 @@ def test_acceptance_2_pricing_exactness():
     M = Fraction(10) ** 6
     F = Fraction
     cases = [
-        # (policy, usage, prompt_total, exact hand arithmetic)
-        ("gpt-4o", UsageRecord(10_000, 0, 0, 0), 10_000,
+        # (policy, usage, exact hand arithmetic)
+        ("gpt-4o", UsageRecord(10_000, 0, 0, 0),
          F(10_000) * F("2.50") / M),
-        ("gpt-4o", UsageRecord(1_234, 5_678, 0, 910), 6_912,
+        ("gpt-4o", UsageRecord(1_234, 5_678, 0, 910),
          (F(1_234) * F("2.50") + F(5_678) * F("1.25") + F(910) * F("10.00")) / M),
-        ("gpt-5.2", UsageRecord(50_000, 0, 0, 0), 50_000,
+        ("gpt-5.2", UsageRecord(50_000, 0, 0, 0),
          F(50_000) * F("1.75") / M),
-        ("gpt-5.2", UsageRecord(0, 100_000, 0, 0), 100_000,
+        ("gpt-5.2", UsageRecord(0, 100_000, 0, 0),
          F(100_000) * F("0.175") / M),
-        ("gpt-5.2", UsageRecord(3, 7, 11, 13), 10,
+        ("gpt-5.2", UsageRecord(3, 7, 11, 13),
          (F(3) * F("1.75") + F(7) * F("0.175") + F(13) * F("14.00")) / M),
-        ("claude-sonnet-4.5", UsageRecord(0, 0, 10_000, 0), 10_000,
+        ("claude-sonnet-4.5", UsageRecord(0, 0, 10_000, 0),
          F(10_000) * F("3.75") / M),
-        ("claude-sonnet-4.5", UsageRecord(1_000, 2_000, 3_000, 400), 3_000,
+        ("claude-sonnet-4.5", UsageRecord(1_000, 2_000, 3_000, 400),
          (F(1_000) * F("3.00") + F(2_000) * F("0.30")
           + F(3_000) * F("3.75") + F(400) * F("15.00")) / M),
-        ("claude-sonnet-4.5", UsageRecord(0, 0, 0, 0), 0, F(0)),
-        ("gemini-2.5-pro", UsageRecord(100_000, 50_000, 0, 2_000), 150_000,
+        ("claude-sonnet-4.5", UsageRecord(0, 0, 0, 0), F(0)),
+        ("gemini-2.5-pro", UsageRecord(100_000, 50_000, 0, 2_000),
          (F(100_000) * F("1.25") + F(50_000) * F("0.125") + F(2_000) * F("10.00")) / M),
-        ("gemini-2.5-pro", UsageRecord(200_000, 0, 0, 0), 200_000,
+        ("gemini-2.5-pro", UsageRecord(200_000, 0, 0, 0),
          F(200_000) * F("1.25") / M),  # boundary itself stays tier 1
-        ("gemini-2.5-pro", UsageRecord(250_000, 0, 0, 0), 250_000,
+        ("gemini-2.5-pro", UsageRecord(250_000, 0, 0, 0),
          F(250_000) * F("2.50") / M),
-        ("gemini-2.5-pro", UsageRecord(150_000, 100_000, 0, 5_000), 250_000,
+        ("gemini-2.5-pro", UsageRecord(150_000, 100_000, 0, 5_000),
          (F(150_000) * F("2.50") + F(100_000) * F("0.250") + F(5_000) * F("15.00")) / M),
     ]
     assert len(cases) == 12
-    for name, usage, total, exact in cases:
+    for name, usage, exact in cases:
         columns = UsageRecord(*(np.array([count]) for count in usage))
-        got = price_call(columns, builtin_policy(name), np.array([total])).tolist()[0]
+        got = price_call(columns, builtin_policy(name)).tolist()[0]
         if exact == 0:
             assert got == 0.0
         else:
@@ -260,7 +260,7 @@ def test_acceptance_6_ablation_monotonicity_and_stability(tmp_path):
         config, AblationGrid("prompt-size", (2_000, 5_000, 10_000, 20_000, 50_000)),
         out_dir=tmp_path / "prompt")
     series: dict[tuple[str, str], list[float]] = {}
-    for row in prompt_result.rows:
+    for row in prompt_result:
         if row.cost_savings_pct is not None:
             series.setdefault((row.policy, row.mode), []).append(row.cost_savings_pct)
     assert len(series) == 4 * 3
@@ -276,7 +276,7 @@ def test_acceptance_6_ablation_monotonicity_and_stability(tmp_path):
         tool_config, AblationGrid("tool-count", (3, 5, 10, 20, 50)),
         out_dir=tmp_path / "tool")
     best_by_policy: dict[str, dict[int, float]] = {}
-    for row in tool_result.rows:
+    for row in tool_result:
         if row.cost_savings_pct is None:
             continue
         per_value = best_by_policy.setdefault(row.policy, {})

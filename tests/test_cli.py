@@ -173,6 +173,20 @@ def test_verify_passes_then_catches_tampering(tmp_path, capsys):
     assert "mismatch" in capsys.readouterr().err
 
 
+def test_verify_compares_exactly(tmp_path, capsys):
+    """Every recomputed summary number must equal the recorded one: a report
+    float moved by one ulp is a mismatch that names its path."""
+    assert main(["simulate", tiny_config(tmp_path)]) == EXIT_OK
+    path = tmp_path / "out" / "summary.json"
+    summary = json.loads(path.read_text())
+    policy = summary["report"]["policies"][0]
+    policy["baseline_cost_mean"] = math.nextafter(policy["baseline_cost_mean"], math.inf)
+    path.write_text(json.dumps(summary))
+    capsys.readouterr()
+    assert main(["verify", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert "report.policies[0].baseline_cost_mean: " in capsys.readouterr().err
+
+
 def _short_row(text: str) -> str:
     header, row, rest = text.split("\n", 2)
     return "\n".join([header, row.rsplit(",", 1)[0], rest])
@@ -504,6 +518,29 @@ def test_oversized_run_exits_one_at_load(tmp_path, capsys, section, field, bad):
     assert main(["simulate", str(path)]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error:") and "MAX_RUN_TOKENS" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source, gap", [
+    ("configs/main_study.json", 1e306),
+    ("configs/main_study.json", 1e308),
+    # 3 sessions of 3 calls fit; the warmup session makes 4.
+    (None, 8e306),
+])
+def test_simulated_time_overflow_exits_one_at_load(tmp_path, capsys, source, gap):
+    """A gap between calls that would run the simulated clock past half the
+    largest float, over every session (warmup included) of the run, is an
+    ``error:`` line naming ``inter_call_gap_seconds`` and exit 1 when the
+    config loads; nothing is replayed or written."""
+    data = json.loads(Path(source or tiny_config(tmp_path)).read_text())
+    data["output_dir"] = str(tmp_path / "out")
+    data["workload"]["inter_call_gap_seconds"] = gap
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps(data))
+    assert main(["simulate", str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "inter_call_gap_seconds" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

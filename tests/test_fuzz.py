@@ -4,19 +4,30 @@
 random values as timestamps. ``config_from_dict`` reads a valid config
 with random JSON values patched in. A config that loads must echo every
 value its document set unchanged: the loader rejects a bad value, it
-never coerces one. Both only check; nothing is simulated.
+never coerces one. These two only check; nothing is simulated.
+
+The run fuzz simulates tiny configs whose latency parameters, prices,
+gaps and TTLs are extreme finite floats, through ``cli.main``: every run
+exits 0 or 1 with an ``error:`` line, never with a traceback, and a run
+that exits 0 passes ``verify``.
 """
 
 from __future__ import annotations
 
 import copy
+import io
+import json
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cachesim import (ConfigError, Message, Role, SessionTranscript,
                       TranscriptValidationError, synth_tokens)
+from cachesim.cli import EXIT_OK, EXIT_VALIDATION, main
 from cachesim.config import config_from_dict, to_json
 from cachesim.policies import builtin_policy
 
@@ -158,3 +169,83 @@ def test_config_from_dict_raises_only_config_errors(patches):
         except (KeyError, IndexError, TypeError):
             continue  # an earlier patch replaced part of this path
     _load(doc)
+
+
+# Finite floats from zero and the smallest subnormal to near the float
+# maximum, after ordinary values (which examples shrink towards) so that
+# some runs get past validation.
+EXTREME_FLOATS = [1.0, 3.0, 0.01, 0.0, 5e-324, 1e-300, 1e300, 1.7e308]
+extreme = st.sampled_from(EXTREME_FLOATS)
+token_counts = st.integers(1, 64)
+maybe_extreme = st.none() | extreme
+# (cached, uncached) rates: a cached token must cost less than an uncached one.
+discounted = st.lists(extreme, min_size=2, max_size=2, unique=True).map(sorted)
+
+
+@st.composite
+def run_configs(draw) -> dict:
+    automatic = draw(st.booleans())
+    minimum = draw(st.integers(1, 256))
+    boundary = draw(st.none() | st.integers(0, 512))
+    cached_read, uncached = draw(discounted)
+    per_cached, per_uncached = draw(discounted)
+    tier2 = ({} if boundary is None else
+             {"tier2_input_per_mtok": draw(extreme), "tier2_output_per_mtok": draw(extreme),
+              "tier2_cached_read_per_mtok": draw(extreme)})
+    policy = {
+        "name": "fuzz", "min_cache_tokens": minimum,
+        "granularity_tokens": draw(st.integers(1, minimum)),
+        "ttl_seconds": draw(extreme), "refresh_on_read": draw(st.booleans()),
+        "mode": "automatic" if automatic else "explicit-breakpoints",
+        "opportunistic_segments": automatic and draw(st.booleans()),
+        "prices": {"input_per_mtok": uncached, "output_per_mtok": draw(extreme),
+                   "cached_read_per_mtok": cached_read,
+                   "cache_write_per_mtok": draw(maybe_extreme),
+                   "storage_per_mtok_hour": draw(maybe_extreme),
+                   "tier_boundary_tokens": boundary, **tier2},
+    }
+    return {
+        "master_seed": draw(st.integers(0, 3)),
+        "policies": draw(st.sampled_from([[policy], [policy, "gpt-4o"]])),
+        "modes": ["no-cache", *draw(st.lists(
+            st.sampled_from(["full-context", "system-prompt", "exclude-tool-results"]),
+            max_size=2, unique=True))],
+        "workload": {
+            "system_prompt_tokens": draw(token_counts), "question_tokens": draw(token_counts),
+            "tool_calls": draw(st.integers(0, 2)), "tool_call_tokens": draw(token_counts),
+            "tool_result_tokens": draw(token_counts),
+            "reasoning_tokens_per_turn": draw(token_counts),
+            "final_answer_tokens": draw(token_counts),
+            "inter_call_gap_seconds": draw(extreme), "sessions": draw(st.integers(2, 3)),
+        },
+        "latency": {"default": {
+            "base_ms": draw(extreme), "per_uncached_token_ms": per_uncached,
+            "per_cached_token_ms": per_cached, "per_write_token_ms": draw(extreme),
+            "noise_sigma": draw(extreme),
+        }},
+        "warmup_sessions": draw(st.integers(0, 1)),
+        "ttft_aggregation": draw(st.sampled_from(["session-mean", "per-call"])),
+    }
+
+
+def _run_cli(args: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(args)
+    return code, err.getvalue()
+
+
+@given(run_configs())
+@settings(max_examples=150, deadline=None)
+def test_runs_exit_cleanly_and_verify(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        out = str(Path(tmp) / "out")
+        code, err = _run_cli(["simulate", str(path), "--out", out])
+        assert code in (EXIT_OK, EXIT_VALIDATION), err
+        assert "Traceback" not in err
+        if code == EXIT_VALIDATION:
+            assert err.startswith("error:"), err
+        else:
+            assert _run_cli(["verify", out]) == (EXIT_OK, ""), config

@@ -17,9 +17,10 @@ from cachesim import (CacheMode, PriceSchedule, ProviderPolicy, UsageRecord,
 from cachesim.config import to_json
 
 
-def exact_price(usage: UsageRecord, policy: ProviderPolicy, prompt_total: int) -> Fraction:
+def exact_price(usage: UsageRecord, policy: ProviderPolicy) -> Fraction:
     """Independent exact-arithmetic pricing used to referee the float path."""
     p = policy.prices
+    prompt_total = usage.uncached_input + usage.cached_read
     tiered = (p.tier_boundary_tokens is not None and prompt_total > p.tier_boundary_tokens)
 
     def rate(value) -> Fraction:
@@ -34,15 +35,15 @@ def exact_price(usage: UsageRecord, policy: ProviderPolicy, prompt_total: int) -
     return total / 10**6
 
 
-def price_one(usage: UsageRecord, policy: ProviderPolicy, prompt_total: int) -> float:
+def price_one(usage: UsageRecord, policy: ProviderPolicy) -> float:
     """``price_call`` on columns of one call."""
     columns = UsageRecord(*(np.array([count]) for count in usage))
-    return price_call(columns, policy, np.array([prompt_total])).tolist()[0]
+    return price_call(columns, policy).tolist()[0]
 
 
-def assert_exact(usage, policy, prompt_total):
-    expected = exact_price(usage, policy, prompt_total)
-    got = price_one(usage, policy, prompt_total)
+def assert_exact(usage, policy):
+    expected = exact_price(usage, policy)
+    got = price_one(usage, policy)
     if expected == 0:
         assert got == 0.0
     else:
@@ -107,25 +108,25 @@ class TestBuiltins:
 class TestPriceCall:
     def test_gpt4o_uncached_only(self):
         usage = UsageRecord(10_000, 0, 0, 0)
-        assert price_one(usage, builtin_policy("gpt-4o"), 10_000) == pytest.approx(0.025, rel=1e-12)
+        assert price_one(usage, builtin_policy("gpt-4o")) == pytest.approx(0.025, rel=1e-12)
 
     def test_claude_write_only(self):
         usage = UsageRecord(0, 0, 10_000, 0)
-        assert price_one(usage, builtin_policy("claude-sonnet-4.5"), 10_000) == pytest.approx(0.0375, rel=1e-12)
+        assert price_one(usage, builtin_policy("claude-sonnet-4.5")) == pytest.approx(0.0375, rel=1e-12)
 
     def test_gemini_tier2_input(self):
         usage = UsageRecord(250_000, 0, 0, 0)
-        assert price_one(usage, builtin_policy("gemini-2.5-pro"), 250_000) == pytest.approx(0.625, rel=1e-12)
+        assert price_one(usage, builtin_policy("gemini-2.5-pro")) == pytest.approx(0.625, rel=1e-12)
 
     def test_gemini_boundary_is_exclusive(self):
         usage = UsageRecord(200_000, 0, 0, 0)
-        got = price_one(usage, builtin_policy("gemini-2.5-pro"), 200_000)
+        got = price_one(usage, builtin_policy("gemini-2.5-pro"))
         assert got == pytest.approx(200_000 * 1.25e-6, rel=1e-12)
 
     def test_zero_usage_costs_zero_on_every_builtin(self):
         zero = UsageRecord(0, 0, 0, 0)
         for policy in builtin_policies():
-            assert price_one(zero, policy, 0) == 0.0
+            assert price_one(zero, policy) == 0.0
 
     @given(u1=st.integers(0, 10**6), r1=st.integers(0, 10**6),
            w1=st.integers(0, 10**6), o1=st.integers(0, 10**5),
@@ -137,8 +138,8 @@ class TestPriceCall:
         a = UsageRecord(u1, r1, w1, o1)
         b = UsageRecord(u2, r2, w2, o2)
         both = UsageRecord(u1 + u2, r1 + r2, w1 + w2, o1 + o2)
-        total = price_one(a, policy, 1000) + price_one(b, policy, 1000)
-        assert price_one(both, policy, 1000) == pytest.approx(total, rel=1e-9, abs=1e-15)
+        total = price_one(a, policy) + price_one(b, policy)
+        assert price_one(both, policy) == pytest.approx(total, rel=1e-9, abs=1e-15)
 
     def test_columns_price_each_call_in_its_own_tier(self):
         """A column prices every call as that call alone, picking the
@@ -146,12 +147,11 @@ class TestPriceCall:
         policy = builtin_policy("gemini-2.5-pro")
         calls = [UsageRecord(250_000, 0, 0, 100), UsageRecord(1_000, 199_000, 0, 10),
                  UsageRecord(150_000, 60_000, 0, 0), UsageRecord(0, 0, 0, 0)]
-        totals = [250_000, 200_000, 210_000, 0]
         columns = UsageRecord(*(np.array(column) for column in zip(*calls)))
-        got = price_call(columns, policy, np.array(totals)).tolist()
-        assert got == [price_one(u, policy, t) for u, t in zip(calls, totals)]
-        for usage, total, cost in zip(calls, totals, got):
-            expected = exact_price(usage, policy, total)
+        got = price_call(columns, policy).tolist()
+        assert got == [price_one(u, policy) for u in calls]
+        for usage, cost in zip(calls, got):
+            expected = exact_price(usage, policy)
             assert abs(cost - float(expected)) <= 1e-12 * float(expected)
 
     def test_read_discount_ratios(self):
@@ -159,17 +159,16 @@ class TestPriceCall:
         expected = {"gpt-4o": 0.5, "gpt-5.2": 0.1,
                     "claude-sonnet-4.5": 0.1, "gemini-2.5-pro": 0.1}
         for policy in builtin_policies():
-            reads = price_one(UsageRecord(0, 50_000, 0, 0), policy, 50_000)
-            uncached = price_one(UsageRecord(50_000, 0, 0, 0), policy, 50_000)
+            reads = price_one(UsageRecord(0, 50_000, 0, 0), policy)
+            uncached = price_one(UsageRecord(50_000, 0, 0, 0), policy)
             assert reads / uncached == pytest.approx(expected[policy.name], abs=1e-12)
 
     @given(u=st.integers(0, 10**7), r=st.integers(0, 10**7),
-           w=st.integers(0, 10**7), o=st.integers(0, 10**6),
-           total=st.integers(0, 10**6))
+           w=st.integers(0, 10**7), o=st.integers(0, 10**6))
     @settings(max_examples=80)
-    def test_matches_exact_arithmetic(self, u, r, w, o, total):
+    def test_matches_exact_arithmetic(self, u, r, w, o):
         for policy in builtin_policies():
-            assert_exact(UsageRecord(u, r, w, o), policy, total)
+            assert_exact(UsageRecord(u, r, w, o), policy)
 
 
 def test_schedule_validation():

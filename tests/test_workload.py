@@ -49,8 +49,8 @@ def test_spec_caps_the_tokens_one_run_synthesizes():
     ``MAX_RUN_TOKENS``, checked when the spec is built (nothing here is
     generated)."""
     spec = small_spec(tool_result_tokens=MAX_TOKEN_COUNT, sessions=5)
-    at_cap = MAX_RUN_TOKENS - spec.run_tokens(5) + spec.system_prompt_tokens
-    assert replace(spec, system_prompt_tokens=at_cap).run_tokens(5) == MAX_RUN_TOKENS
+    at_cap = MAX_RUN_TOKENS - spec.run_tokens() + spec.system_prompt_tokens
+    assert replace(spec, system_prompt_tokens=at_cap).run_tokens() == MAX_RUN_TOKENS
     with pytest.raises(ValueError, match="sessions=5: .* more than MAX_RUN_TOKENS"):
         replace(spec, system_prompt_tokens=at_cap + 1)
 
