@@ -42,16 +42,16 @@ Each API call is one :func:`access`, which works in four steps:
    alive.
 4. **Segments.** Under an opportunistic-segments policy, a provider that
    reuses repeated interior content is modeled as matching any segment
-   (a breaker-free run of a prompt that has a breaker) it has seen
-   verbatim before, in any earlier call to the store. Each seen segment
-   that starts at or past the prefix read adds its length, rounded down
-   to the granularity, to the read; the write charge of step 3 stays as
-   it was. Segments are remembered by their full content, never expire
-   and are compared exactly, so two segments never collide. The caller
-   passes each segment's content already serialized, and a session
-   layout serializes each of its segments once for all its requests, so
-   a segment that a prompt holds whole costs one set lookup, not a copy
-   and a hash; only a segment cut at the prompt's end is copied.
+   it has seen verbatim before, in any earlier call to the store. A
+   segment is a non-empty breaker-free run that a breaker closes inside
+   the prompt; the run that reaches the prompt's end is not one. Each
+   seen segment that starts at or past the prefix read adds its length,
+   rounded down to the granularity, to the read; the write charge of
+   step 3 stays as it was. Segments are remembered by their full
+   content, never expire and are compared exactly, so two segments never
+   collide. The caller passes each segment's content already serialized,
+   and a session layout serializes each of its segments once for all its
+   requests, so a segment costs one set lookup and no copy.
 
 The entries are indexed by a token-level radix tree. A node's children
 are keyed by the first token of their edge; the entries that end at a
@@ -205,12 +205,12 @@ def access(store: CacheStore, prompt: np.ndarray, cacheable_limit: int,
     prompt's first breaker (the whole prompt when omitted): no token from
     it on is read or stored. ``segments`` are the prompt's breaker-free
     runs in ascending order, each as ``(start, content)`` with ``content``
-    the run's tokens as bytes (``prompt[start:end].tobytes()``); runs from
-    the prompt's end on are ignored and one that runs past it is cut
-    there, so a session layout's ``segment_contents`` can be passed for
-    any of its requests. Only an opportunistic-segments store reads them,
-    and only when ``stop`` falls inside the prompt. ``now`` must be
-    finite and no earlier than the store's last access.
+    the run's tokens as bytes (``prompt[start:end].tobytes()``); only the
+    runs that end before the prompt's end, where a breaker closes them,
+    are segments, and the first run that reaches it ends the list, so a
+    session layout's ``segment_contents`` can be passed for any of its
+    requests. Only an opportunistic-segments store reads them. ``now``
+    must be finite and no earlier than the store's last access.
     """
     n = int(prompt.size)
     if stop is None:
@@ -296,15 +296,13 @@ def access(store: CacheStore, prompt: np.ndarray, cacheable_limit: int,
                 node.children[int(prompt[depth])] = _Node(entry, depth, size, held=[entry])
 
     seen = store._seen
-    if seen is not None and stop < n:
+    if seen is not None:
         extra = 0
         contents = []
         itemsize = prompt.itemsize
         for start, data in segments:
-            if start >= n:
-                break
-            if start + len(data) // itemsize > n:
-                data = data[:(n - start) * itemsize]
+            if start + len(data) // itemsize >= n:
+                break  # no breaker closes this run inside the prompt
             if start >= read and data in seen:
                 extra += len(data) // itemsize // g * g
             contents.append(data)

@@ -10,9 +10,11 @@ and each per-call fact is computed once, at the level it depends on:
   the gap between its transcript's timestamps to the next request (to the
   final message after the last call), so each session starts where the
   one before it ended; transcripts hold only finite, non-decreasing
-  timestamps, and the store rejects a time that is not finite or goes
-  back. This one clock is every store's time, so no condition keeps a
-  clock of its own.
+  timestamps, the timeline rejects a clock that ends a session past
+  ``MAX_CLOCK_S`` (half the largest float, the bound a generated
+  workload keeps), and the store rejects a time that is not finite or
+  goes back. This one clock is every store's time, so no condition keeps
+  a clock of its own.
 * A :class:`CacheTrace` holds what depends on the mode and the cache
   rules (:attr:`~cachesim.policies.ProviderPolicy.cache_rules`): one fresh
   store, and each call's uncached, cached-read and cache-write tokens as
@@ -88,7 +90,7 @@ from .policies import CacheMode, ProviderPolicy, UsageRecord, price_call
 from .seeding import derive_seed
 from .stats import left_sum
 from .strategies import SessionLayout, StrategyMode
-from .workload import SessionTranscript
+from .workload import MAX_CLOCK_S, SessionTranscript
 
 
 @dataclass(frozen=True)
@@ -173,6 +175,8 @@ class Timeline:
     transcripts: each call's send time (``time_s``) and output tokens
     (``output``), one row per call in replay order, warmup sessions
     first; session ``s`` is rows ``offsets[s]`` up to ``offsets[s + 1]``.
+    A clock that runs past ``MAX_CLOCK_S`` by a session's end is a
+    ``ValueError`` that names the session.
     """
 
     def __init__(self, transcripts: Sequence[SessionTranscript],
@@ -193,6 +197,10 @@ class Timeline:
                 output.append(output_tokens)
                 now_s += gap_s
             offsets.append(len(time_s))
+            if now_s > MAX_CLOCK_S:
+                raise ValueError(
+                    f"session {transcript.session_id}: the run's clock reaches {now_s!r} s "
+                    f"by its end, more than MAX_CLOCK_S={MAX_CLOCK_S!r}")
         self.warmup_sessions = warmup_sessions
         self.time_s = time_s
         self.output = output

@@ -252,7 +252,7 @@ def run_experiment(config: ExperimentConfig, *,
         "report": to_json(report),
     }
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return RunResult(report=report, runs=runs)
 
@@ -330,6 +330,22 @@ def run_ablation(config: ExperimentConfig, grid: AblationGrid, *,
 
 # --- verification ------------------------------------------------------------
 
+class _NonJson(str):
+    """A ``NaN``, ``Infinity`` or ``-Infinity`` constant: Python's ``json``
+    reads them, but JSON has no such value."""
+
+
+def _find_non_json(path: str, value, problems: list[str]) -> None:
+    if isinstance(value, _NonJson):
+        problems.append(f"summary.json {path}: {value} is not a JSON value")
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _find_non_json(f"{path}.{key}", item, problems)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _find_non_json(f"{path}[{i}]", item, problems)
+
+
 def _diff_values(path: str, expected, actual, problems: list[str]) -> None:
     if isinstance(expected, dict) and isinstance(actual, dict):
         for key in sorted(set(expected) | set(actual)):
@@ -368,14 +384,15 @@ def verify_run(run_dir: str | Path) -> list[str]:
     Returns a list of mismatch descriptions; empty means the artifacts
     are internally consistent: every recorded number equals its
     recomputed value exactly. Artifacts of the wrong shape (a summary
-    that is not an object, a CSV without the columns the run writes) are
-    reported as such, and nothing is recomputed from them.
+    that is not an object or holds a non-JSON constant such as
+    ``Infinity``, a CSV without the columns the run writes) are reported
+    as such, and nothing is recomputed from them.
     """
     run_dir = Path(run_dir)
     problems: list[str] = []
     try:
         with open(run_dir / "summary.json", encoding="utf-8") as fh:
-            summary = json.load(fh)
+            summary = json.load(fh, parse_constant=_NonJson)
         call_rows = _read_rows(run_dir / "per_call.csv", PER_CALL_COLUMNS, problems)
         session_rows = _read_rows(run_dir / "per_session.csv", PER_SESSION_COLUMNS, problems)
     except FileNotFoundError as exc:
@@ -385,6 +402,9 @@ def verify_run(run_dir: str | Path) -> list[str]:
         problems.append("summary.json: expected an object whose config is an object")
     elif not is_finite_number(config.get("alpha")):
         problems.append("summary.json: config.alpha must be a finite number")
+    if isinstance(summary, dict):
+        for key, value in summary.items():
+            _find_non_json(key, value, problems)
     if problems:
         return problems
 

@@ -13,7 +13,11 @@ continued-fraction expansion (modified Lentz), accurate to well under
 
 Degenerate inputs follow fixed rules: two zero-variance samples with
 equal means give t = 0, p = 1; with unequal means the difference is
-certain, reported as p = 0 with the ``zero_variance`` flag set.
+certain, reported as t = +-inf, p = 0. Either way the ``zero_variance``
+flag is set. Those values are a rule, not a measurement, so a
+:class:`Comparison` of zero-variance samples records no t statistic,
+p-value or significance (``None``, ``null`` in ``summary.json``, which
+as JSON has no infinity).
 
 The report dataclasses, :class:`ExperimentReport` down to
 :class:`Comparison`, reach ``summary.json`` through
@@ -191,10 +195,10 @@ class Comparison:
     baseline_mean: float
     variant_mean: float
     improvement_pct: float
-    t_stat: float
+    t_stat: float | None
     dof: float
-    p_value: float
-    significant: bool
+    p_value: float | None
+    significant: bool | None
     zero_variance: bool = False
 
 
@@ -203,9 +207,11 @@ def compare(baseline: Sequence[float], variant: Sequence[float],
     """Improvement of ``variant`` over ``baseline`` with significance at ``alpha``.
 
     Improvement is 100 * (baseline - variant) / baseline, so negative
-    values mean the variant regressed.
+    values mean the variant regressed. A zero-variance comparison has no
+    t statistic, p-value or significance (``None``).
     """
     result = welch_t(baseline, variant)
+    degenerate = result.zero_variance
     baseline_mean = _mean(baseline)
     variant_mean = _mean(variant)
     if baseline_mean == 0.0:
@@ -215,10 +221,10 @@ def compare(baseline: Sequence[float], variant: Sequence[float],
         baseline_mean=baseline_mean,
         variant_mean=variant_mean,
         improvement_pct=improvement,
-        t_stat=result.t,
+        t_stat=None if degenerate else result.t,
         dof=result.dof,
-        p_value=result.p_value,
-        significant=result.p_value < alpha,
+        p_value=None if degenerate else result.p_value,
+        significant=None if degenerate else result.p_value < alpha,
         zero_variance=result.zero_variance,
     )
 

@@ -32,14 +32,15 @@ strategy: :func:`session_layout` builds one read-only template of the
 last request, with a placeholder in every breaker slot, and records
 everything a request needs that the strategy decides: each request's
 length, the first breaker slot, the explicit breakpoint and the
-breaker-free segments. Request ``r`` is then the template's first
-``lengths[r - 1]`` tokens, and no other module knows where or how wide a
-breaker is: replay hands the first breaker slot and the segments to the
-cache store as they are, and the store applies its policy's rules to
-them. A layout depends on no policy, so a run builds one per (session,
-mode) and shares it across the mode's policies; it serializes its
-segments' contents on first use, for an opportunistic-segments store,
-and keeps them for every later request and store.
+segments, the breaker-free runs that a breaker closes. Request ``r`` is
+then the template's first ``lengths[r - 1]`` tokens, and no other module
+knows where or how wide a breaker is: replay hands the first breaker
+slot and the segments to the cache store as they are, and the store
+applies its policy's rules to them. A layout depends on no policy, so a
+run builds one per (session, mode) and shares it across the mode's
+policies; it serializes its segments' contents on first use, for an
+opportunistic-segments store, and keeps them for every later request and
+store.
 
 The tests hold the layout against a plain per-request reference in
 ``tests/reference.py``: ``apply_strategy`` followed by ``flatten`` builds
@@ -79,9 +80,11 @@ class SessionLayout:
     breakpoint-style provider ends its cacheable prefix: ``None`` for the
     whole prompt, 0 for nothing, and the end of the system message for
     the selective strategies. ``segments`` are the template's non-empty
-    breaker-free runs as ``(start, end)`` ranges in ascending order; a
-    request's runs are those starting below its length, cut at it, since
-    a breaker always falls whole inside one request.
+    breaker-free runs that a breaker closes, as ``(start, end)`` ranges in
+    ascending order; a request's segments are those that end below its
+    length, since a breaker always falls whole inside one request. The
+    run after the last breaker is no segment, so ``no-cache`` and
+    ``full-context`` layouts have none.
     """
 
     template: np.ndarray
@@ -133,7 +136,6 @@ def session_layout(transcript: SessionTranscript, mode: StrategyMode) -> Session
             starts.append(size)
         if i % 2:
             lengths.append(size)
-    ends.append(size)
 
     template = np.concatenate(parts)
     template.setflags(write=False)

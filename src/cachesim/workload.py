@@ -46,6 +46,9 @@ from .tokens import Message, Role, synth_tokens
 MAX_TOKEN_COUNT = 2**20
 MAX_RUN_TOKENS = 2**24
 MAX_RUN_SESSIONS = 2**16
+# Replay runs every session's calls on one clock, back to back; half the
+# largest float leaves room for the rounding of its running sum.
+MAX_CLOCK_S = sys.float_info.max / 2
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,8 @@ class WorkloadSpec:
     the run may synthesize at most ``MAX_RUN_TOKENS`` tokens
     (see :meth:`run_tokens`), ``sessions`` is at most ``MAX_RUN_SESSIONS``,
     and the run's simulated time, ``sessions * (tool_calls + 1) *
-    inter_call_gap_seconds``, is at most half the largest float.
+    inter_call_gap_seconds``, is at most ``MAX_CLOCK_S``, half the largest
+    float.
     """
 
     system_prompt_tokens: int = 10_000
@@ -102,10 +106,8 @@ class WorkloadSpec:
         if self.sessions > MAX_RUN_SESSIONS:
             raise ValueError(f"sessions={self.sessions}: more than "
                              f"MAX_RUN_SESSIONS={MAX_RUN_SESSIONS}")
-        # Replay runs every session's calls on one clock, back to back; half
-        # the largest float leaves room for the rounding of its running sum.
         span_s = gap * self.sessions * (self.tool_calls + 1)
-        if span_s > sys.float_info.max / 2:
+        if span_s > MAX_CLOCK_S:
             raise ValueError(
                 f"inter_call_gap_seconds={gap!r}: {self.sessions} sessions of "
                 f"{self.tool_calls + 1} calls would run {span_s!r} s of simulated "

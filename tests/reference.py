@@ -231,13 +231,11 @@ def _segment_reads(prompt: Prompt, prefix_end: int, granularity: int,
     """Extra cached tokens under opportunistic segments, and record the
     prompt's segments in ``seen``.
 
-    A segment is a non-empty run of messages between breakers, flattened.
-    One seen verbatim in an earlier call, and starting at or after the
-    cached prefix, adds its length rounded down to the granularity. A
-    prompt without breakers has no segments.
+    A segment is a non-empty run of messages between breakers, flattened:
+    the run after the last breaker, which no breaker closes, is none. One
+    seen verbatim in an earlier call, and starting at or after the cached
+    prefix, adds its length rounded down to the granularity.
     """
-    if not any(m.role is Role.BREAKER for m in prompt.messages):
-        return 0
     segments = []
     run: list = []
     start = position = 0
@@ -250,8 +248,6 @@ def _segment_reads(prompt: Prompt, prefix_end: int, granularity: int,
         else:
             run.append(m)
         position += 1 + len(m.tokens)
-    if run:
-        segments.append((start, tuple(flatten(run).tolist())))
     extra = sum(len(tokens) // granularity * granularity
                 for start, tokens in segments if start >= prefix_end and tokens in seen)
     seen.update(tokens for _, tokens in segments)

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from cachesim.config import (DEFAULT_GRIDS, MAX_RUN_CALLS, AblationGrid, config_
                              to_json)
 from cachesim.errors import ConfigError
 from cachesim.policies import builtin_policy
-from cachesim.runner import _float_texts, run_ablation, run_experiment
+from cachesim.runner import PER_CALL_COLUMNS, _float_texts, run_ablation, run_experiment
 from cachesim.workload import MAX_RUN_SESSIONS
 
 
@@ -192,18 +193,49 @@ def _short_row(text: str) -> str:
     return "\n".join([header, row.rsplit(",", 1)[0], rest])
 
 
+def _huge_first_write(text: str) -> str:
+    header, row, rest = text.split("\n", 2)
+    cells = row.split(",")
+    cells[PER_CALL_COLUMNS.index("cache_write")] = "999999999"
+    return "\n".join([header, ",".join(cells), rest])
+
+
+def _drop_last_row(text: str) -> str:
+    return text.rsplit("\n", 2)[0] + "\n"
+
+
+def _drop_last_policy(text: str) -> str:
+    summary = json.loads(text)
+    summary["report"]["policies"].pop()
+    return json.dumps(summary)
+
+
 @pytest.mark.parametrize("name, tamper, message", [
     ("summary.json", lambda text: "[]", "summary.json: expected an object"),
     ("summary.json", lambda text: '{"config": 3}', "summary.json: expected an object"),
     ("summary.json", lambda text: text.replace('"alpha": 0.05', '"alpha": "0.05"'),
      "config.alpha"),
+    ("summary.json",
+     lambda text: re.sub(r'"baseline_cost_mean": [^,]+', '"baseline_cost_mean": NaN', text, 1),
+     "summary.json report.policies[0].baseline_cost_mean: NaN is not a JSON value"),
+    ("summary.json", lambda text: text.replace('"seed"', '"-Infinity": -Infinity, "seed"', 1),
+     "summary.json config.latency.default.-Infinity: -Infinity is not a JSON value"),
+    ("summary.json", lambda text: text.replace('"best_cost_mode"', '"best_mode"', 1),
+     "report.policies[0].best_cost_mode: present on one side only"),
+    ("summary.json", _drop_last_policy, "report.policies: length 1 != 2"),
     ("per_call.csv", lambda text: text.replace("cost_usd", "cost", 1),
      "per_call.csv: missing column(s) cost_usd"),
     ("per_call.csv", lambda text: "", "per_call.csv: missing column(s) session_id"),
     ("per_call.csv", _short_row, "per_call.csv: a row has fewer fields"),
+    ("per_call.csv", _huge_first_write, "cache_write exceeds prompt tokens"),
     ("per_session.csv", _short_row, "per_session.csv: a row has fewer fields"),
-], ids=["summary-list", "config-not-object", "alpha-string", "no-cost-column",
-        "empty-per-call", "short-call-row", "short-session-row"])
+    ("per_session.csv", _drop_last_row, "per_session.csv has 11 rows, per_call.csv implies 12"),
+    ("per_session.csv", lambda text: text.replace(",s001,", ",s009,", 1),
+     "'s009'): no matching calls"),
+], ids=["summary-list", "config-not-object", "alpha-string", "nan-in-report",
+        "infinity-in-config", "key-on-one-side", "list-length", "no-cost-column",
+        "empty-per-call", "short-call-row", "write-exceeds-prompt", "short-session-row",
+        "session-row-count", "session-without-calls"])
 def test_verify_reports_malformed_artifacts(tmp_path, capsys, name, tamper, message):
     """Artifacts of the wrong shape are verify problems (exit 1), not crashes."""
     assert main(["simulate", tiny_config(tmp_path)]) == EXIT_OK
@@ -226,6 +258,37 @@ def test_verify_reports_a_summary_without_alpha(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(tmp_path / "out")]) == EXIT_VALIDATION
     assert "config.alpha must be a finite number" in capsys.readouterr().err
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON value")
+
+
+def test_shipped_runs_write_json_summaries(tmp_path):
+    """The main study's and every ablation directory's ``summary.json`` is
+    JSON: no ``NaN`` or ``Infinity`` constant. A zero-variance comparison
+    records its t statistic, p-value and significance as null, and verify
+    accepts every run."""
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    assert main(["simulate", str(configs / "main_study.json"),
+                 "--out", str(tmp_path / "main")]) == EXIT_OK
+    for dimension in DEFAULT_GRIDS:
+        assert main(["ablate", str(configs / "ablation.json"), "--dimension", dimension,
+                     "--out", str(tmp_path / dimension)]) == EXIT_OK
+    paths = sorted(tmp_path.rglob("summary.json"))
+    assert len(paths) == 1 + sum(map(len, DEFAULT_GRIDS.values()))
+    zero_variance = 0
+    for path in paths:
+        summary = json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+        for policy in summary["report"]["policies"]:
+            for mode in policy["modes"]:
+                for comparison in (mode["cost"], mode["ttft"]):
+                    if comparison["zero_variance"]:
+                        zero_variance += 1
+                        assert (comparison["t_stat"], comparison["p_value"],
+                                comparison["significant"]) == (None, None, None)
+        assert verify_run(path.parent) == []
+    assert zero_variance > 0
 
 
 def test_no_warmup_writes_a_float_zero_warmup_cost(tmp_path):
@@ -669,6 +732,17 @@ def test_latency_key_naming_no_policy_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'gpt4o'" in err
     assert "Traceback" not in err
+
+
+def test_latency_without_default_must_cover_every_policy(tmp_path, capsys):
+    """Without a ``default`` model, every configured policy needs its own;
+    the error names the ones left out."""
+    model = {"base_ms": 50.0, "per_uncached_token_ms": 0.05, "per_cached_token_ms": 0.005}
+    cfg = tiny_config(tmp_path, latency={"gpt-4o": model})
+    assert main(["simulate", cfg]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "missing for ['claude-sonnet-4.5']" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("path, key", [

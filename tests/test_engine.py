@@ -350,22 +350,25 @@ def test_store_keeps_one_expiry_rule():
 def test_opportunistic_store_reads_repeated_segments():
     """An opportunistic-segments store adds each segment it has seen before
     and that starts past the prefix read to the read, rounded down to the
-    granularity; the write is charged beyond the prefix read alone. A plain
-    store ignores segments, and a prompt without a breaker has none."""
+    granularity; the write is charged beyond the prefix read alone. Only a
+    run that a breaker closes is a segment: the run that reaches the
+    prompt's end reads nothing, even when its content was seen as a
+    segment. A plain store ignores segments, and a prompt without a
+    breaker has none."""
     system, chunk = synth_tokens(1200, 1), synth_tokens(300, 2)
     breaker = np.zeros(2, dtype=np.uint64)
-    prompt = np.concatenate([system, breaker, chunk, breaker, chunk])
+    prompt = np.concatenate([system, breaker, chunk, breaker, chunk, breaker, chunk])
     prompt.setflags(write=False)
     segments = tuple((a, prompt[a:b].tobytes())
-                     for a, b in ((0, 1200), (1202, 1502), (1504, 1804)))
+                     for a, b in ((0, 1200), (1202, 1502), (1504, 1804), (1806, 2106)))
     plain = builtin_policy("gpt-4o")
     stores = {False: CacheStore(plain),
               True: CacheStore(replace(plain, opportunistic_segments=True))}
     for store in stores.values():
         # Nothing seen yet: the repeated chunk does not match itself.
-        assert access(store, prompt, 1804, 0.0, 1200, segments) == (0, 1792)
-    assert access(stores[False], prompt, 1804, 1.0, 1200, segments) == (1152, 640)
-    assert access(stores[True], prompt, 1804, 1.0, 1200, segments) == (1152 + 2 * 256, 640)
+        assert access(store, prompt, 2106, 0.0, 1200, segments) == (0, 2048)
+    assert access(stores[False], prompt, 2106, 1.0, 1200, segments) == (1152, 896)
+    assert access(stores[True], prompt, 2106, 1.0, 1200, segments) == (1152 + 2 * 256, 896)
     assert access(stores[True], chunk, 0, 2.0, None, ((0, chunk.tobytes()),)) == (0, 0)
 
 

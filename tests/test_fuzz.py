@@ -61,13 +61,13 @@ layouts = (st.integers(0, 4).map(lambda k: (Role.SYSTEM, Role.HUMAN)
 
 @given(layouts, st.data())
 @settings(max_examples=300, deadline=None)
-def test_ingest_raises_only_transcript_errors(roles, data):
+def test_transcript_raises_only_transcript_errors(roles, data):
     stamp = edge_values | st.floats() | st.integers()
     size = data.draw(st.sampled_from([len(roles), len(roles), len(roles) + 1]))
     _build_transcript("a", roles, data.draw(st.lists(stamp, min_size=size, max_size=size)))
 
 
-def test_ingest_edge_values_in_every_field():
+def test_transcript_edge_values_in_every_field():
     roles = (Role.SYSTEM, Role.HUMAN, Role.TOOL_CALL, Role.TOOL_RESULT, Role.AI)
     stamps = [0.0, 1.0, 2.0, 3.0, 4.0]
     for value in EDGE_VALUES:

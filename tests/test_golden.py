@@ -56,7 +56,7 @@ GOLDEN_CONFIG = {
 GOLDEN_DIGESTS = {
     "per_call.csv": "739f1b97e78e5f9f7818aaa8a4a14bbfc7d598497e84dccc73cd18e7fc091a69",
     "per_session.csv": "9a9fcf9096f47f4aae0ddcf43fe5a58e1b9d5daa46e77bf821dbec3174aaafa3",
-    "summary.json": "b380e95edfffd4711d327b9cbc38343a2e08b10db966c9ec5d365b70b0266f51",
+    "summary.json": "93befeeca324cb83b1a059b33e5598d8d659a528cb6395f4d8636c0422973df2",
 }
 
 

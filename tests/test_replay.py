@@ -321,6 +321,24 @@ def test_opportunistic_segments_let_exclude_mode_diverge():
             == total_reads(plain, StrategyMode.SYSTEM_PROMPT))
 
 
+def test_opportunistic_segments_keep_the_baselines_on_a_repeated_session():
+    """Only a run that a breaker closes is a segment, so a session repeated
+    verbatim reads nothing under ``no-cache`` and no more than the system
+    prompt under ``system-prompt``: the run after their last breaker
+    reaches the prompt's end and is never matched."""
+    spec = small_spec(sessions=2)
+    first, second = generate(spec)
+    transcripts = [first, second, replace(first, session_id="again")]
+    policy = replace(builtin_policy("gpt-4o"), opportunistic_segments=True)
+    g = policy.granularity_tokens
+    system = (1 + spec.system_prompt_tokens) // g * g
+    for mode in (StrategyMode.NO_CACHE, StrategyMode.SYSTEM_PROMPT):
+        run = run_condition(transcripts, mode, policy, QUIET)
+        assert run == reference_condition(transcripts, mode, policy, QUIET)
+        ceiling = 0 if mode is StrategyMode.NO_CACHE else system
+        assert max(run.cached_read) == ceiling
+
+
 class TestLatencyModel:
     def test_cached_must_be_faster(self):
         with pytest.raises(ValueError):
@@ -343,6 +361,17 @@ class TestLatencyModel:
             replay_call(trace, 0, layout, 1, session_seed=0)
         assert trace.cache_write == []
         assert later(100.0)[0] > 0
+
+    @pytest.mark.parametrize("span_s, session", [(1e308, "s000"), (4e307, "s002")])
+    def test_clock_past_the_bound_names_its_session(self, span_s, session):
+        """Sessions that each span a finite time can still carry the run's
+        clock past ``MAX_CLOCK_S``: the timeline names the first session by
+        whose end it does, before any store sees an infinite time."""
+        transcripts = [replace(t, timestamps=(0.0,) * (len(t.timestamps) - 1) + (span_s,))
+                       for t in generate(small_spec(sessions=3))]
+        with pytest.raises(ValueError, match=f"session {session}: .* MAX_CLOCK_S"):
+            run_condition(transcripts, StrategyMode.FULL_CONTEXT,
+                          builtin_policy("gpt-4o"), QUIET)
 
     @pytest.mark.parametrize("stamp", [math.nan, math.inf])
     def test_clock_rejects_non_finite_steps(self, stamp):

@@ -97,16 +97,26 @@ class TestWelch:
                                           equal_var=False)
         assert result.p_value == pytest.approx(float(reference.pvalue), abs=1e-10)
 
+    # The zero-variance rule's t and p are no measurement: a comparison of
+    # such samples records none of them, nor a significance.
     def test_zero_variance_equal_means(self):
         result = welch_t([2.0, 2.0], [2.0, 2.0])
         assert (result.t, result.p_value) == (0.0, 1.0)
         assert result.zero_variance
+        comparison = compare([2.0, 2.0], [2.0, 2.0])
+        assert comparison.zero_variance and comparison.improvement_pct == 0.0
+        assert (comparison.t_stat, comparison.p_value, comparison.significant) == (
+            None, None, None)
 
     def test_zero_variance_unequal_means(self):
         result = welch_t([0.0, 0.0], [1.0, 1.0])
         assert result.p_value == 0.0
         assert result.zero_variance
         assert math.isinf(result.t)
+        comparison = compare([2.0, 2.0], [1.0, 1.0])
+        assert comparison.zero_variance and comparison.improvement_pct == 50.0
+        assert (comparison.t_stat, comparison.dof, comparison.p_value,
+                comparison.significant) == (None, 2.0, None, None)
 
     def test_constant_samples_are_zero_variance_despite_round_off(self):
         # The plain mean of 40 copies of 0.1 + 0.2 is not that value, so
@@ -114,6 +124,8 @@ class TestWelch:
         result = welch_t([0.1 + 0.2] * 40, [0.7] * 40)
         assert result.zero_variance
         assert (result.t, result.p_value) == (-math.inf, 0.0)
+        comparison = compare([0.7] * 40, [0.1 + 0.2] * 40)
+        assert comparison.zero_variance and comparison.p_value is None
 
     def test_short_samples_rejected(self):
         with pytest.raises(ValueError):

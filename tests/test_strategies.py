@@ -181,7 +181,8 @@ def test_layout_matches_the_per_request_reference(mode, policy_mode):
     length is the first slot (the whole prompt without one); the explicit
     limit is the last breakpoint (0 without one, ``None`` for the whole
     prompt), and automatic policies get no breakpoint; the segments that
-    start below the length, cut at it, are the prompt's breaker-free runs."""
+    end below the length are the prompt's breaker-free runs that a breaker
+    closes."""
     for tr in referee_transcripts():
         layout = session_layout(tr, mode)
         template = layout.template.copy()
@@ -201,8 +202,6 @@ def test_layout_matches_the_per_request_reference(mode, policy_mode):
                         runs.append((start, position))
                     start = position + 1 + len(m.tokens)
                 position += 1 + len(m.tokens)
-            if position > start:
-                runs.append((start, position))
 
             n = layout.lengths[r - 1]
             assert n == len(expected)
@@ -217,7 +216,7 @@ def test_layout_matches_the_per_request_reference(mode, policy_mode):
                 assert limit == (prompt.breakpoints[-1] if prompt.breakpoints else 0)
             else:
                 assert prompt.breakpoints == ()
-            assert [(a, min(b, n)) for a, b in layout.segments if a < n] == runs
+            assert [(a, b) for a, b in layout.segments if b < n] == runs
         assert layout.lengths[-1] == len(layout.template)
         assert np.array_equal(layout.template, template)
 
