@@ -55,18 +55,19 @@ Each API call is one :func:`access`, which works in four steps:
 
 The entries are indexed by a token-level radix tree. A node's children
 are keyed by the first token of their edge; the entries that end at a
-node are ``held`` there, in insertion order. Each edge is a range
-``rep.tokens[start:end]`` over the node's ``rep``, the earliest-inserted
-entry among its first held entry and its children's reps, so the tree
-copies no tokens and holds no back-pointers. A read walks the prompt's
-path, comparing each edge's tokens exactly, so membership is decided by
-token equality, never by a hash. The walk stops where the prompt leaves
-the tree or reaches ``stop``; every entry below that point shares the
-longest common prefix and the node's ``rep`` is the one the tie-break
-refreshes. An unsealed entry ends alone at a leaf, because a new entry
-never stops at or inside a live unsealed one and the ones it extends are
-dropped. Sealed entries may end at any node, several at one node, and a
-sealed entry that ends inside an edge splits it.
+node are ``held`` there, in insertion order. A node stores only where
+its edge ends; the edge starts where its parent's ends, so it is the
+range ``rep.tokens[parent.end:end]`` over the node's ``rep``, the
+earliest-inserted entry among its first held entry and its children's
+reps. The tree copies no tokens and holds no back-pointers. A read walks
+the prompt's path, comparing each edge's tokens exactly, so membership
+is decided by token equality, never by a hash. The walk stops where the
+prompt leaves the tree or reaches ``stop``; every entry below that point
+shares the longest common prefix and the node's ``rep`` is the one the
+tie-break refreshes. An unsealed entry ends alone at a leaf, because a
+new entry never stops at or inside a live unsealed one and the ones it
+extends are dropped. Sealed entries may end at any node, several at one
+node, and a sealed entry that ends inside an edge splits it.
 
 The store keeps its entries in order of their last use: a write appends
 its entry and a refresh moves the hit to the end, and the clock never
@@ -106,22 +107,18 @@ class CacheEntry:
     last_used_at: float
     sealed: bool = False
 
-    @property
-    def length(self) -> int:
-        return int(self.tokens.size)
-
 
 class _Node:
-    """Radix-tree node; the edge into it spells ``rep.tokens[start:end]``
-    and ``held`` lists the entries that end at it."""
+    """Radix-tree node; the edge into it starts at its parent's ``end`` and
+    spells ``rep.tokens[parent.end:end]``; ``held`` lists the entries that
+    end at it."""
 
-    __slots__ = ("rep", "start", "end", "children", "held")
+    __slots__ = ("rep", "end", "children", "held")
 
-    def __init__(self, rep: CacheEntry | None, start: int, end: int,
+    def __init__(self, rep: CacheEntry | None, end: int,
                  children: dict[int, _Node] | None = None,
                  held: list[CacheEntry] | None = None) -> None:
         self.rep = rep
-        self.start = start
         self.end = end
         self.children = {} if children is None else children
         self.held = [] if held is None else held
@@ -136,7 +133,7 @@ class CacheStore:
         # in order of the expiry reference, which the purge needs.
         self._entries: OrderedDict[CacheEntry, int] = OrderedDict()
         self._inserted = 0
-        self._root = _Node(None, 0, 0)
+        self._root = _Node(None, 0)
         self._now = -math.inf
         # The content of every segment seen, under opportunistic segments.
         self._seen: set[bytes] | None = set() if policy.opportunistic_segments else None
@@ -176,8 +173,7 @@ class CacheStore:
             if node is not self._root and not node.held and len(node.children) == 1:
                 # A one-child node that holds no entry is merged into its child.
                 (only,) = node.children.values()
-                only.start = node.start
-                path[-1].children[int(tokens[node.start])] = only
+                path[-1].children[int(tokens[path[-1].end])] = only
                 node = path.pop()
         path.append(node)
         self._repoint(path, entry)
@@ -286,14 +282,13 @@ def access(store: CacheStore, prompt: np.ndarray, cacheable_limit: int,
         else:
             if cut is not None:
                 # Split the edge the prompt left: ``mid`` keeps the shared part.
-                mid = _Node(cut.rep, cut.start, depth, {int(cut.rep.tokens[depth]): cut})
-                node.children[int(prompt[cut.start])] = mid
-                cut.start = depth
+                mid = _Node(cut.rep, depth, {int(cut.rep.tokens[depth]): cut})
+                node.children[int(prompt[node.end])] = mid
                 node = mid
             if size == depth:
                 node.held.append(entry)
             else:
-                node.children[int(prompt[depth])] = _Node(entry, depth, size, held=[entry])
+                node.children[int(prompt[depth])] = _Node(entry, size, held=[entry])
 
     seen = store._seen
     if seen is not None:

@@ -28,7 +28,7 @@ in the config.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NamedTuple
 
@@ -141,12 +141,13 @@ class ProviderPolicy:
 
     @property
     def cache_rules(self) -> tuple:
-        """Every field a cache store or replay reads, and nothing else:
-        policies with equal rules read and write the same tokens on every
-        call, whatever their prices, so replay keeps one cache trace per
-        set of rules."""
-        return (self.min_cache_tokens, self.granularity_tokens, self.ttl_seconds,
-                self.refresh_on_read, self.mode, self.opportunistic_segments)
+        """The values of every field but ``name`` and ``prices``, in field
+        order: all that a cache store or replay reads, so a field added
+        later counts as a rule. Policies with equal rules read and write
+        the same tokens on every call, whatever their prices, so replay
+        keeps one cache trace per set of rules."""
+        return tuple(getattr(self, f.name) for f in fields(self)
+                     if f.name not in ("name", "prices"))
 
 
 def builtin_policies() -> list[ProviderPolicy]:

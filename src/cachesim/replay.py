@@ -59,9 +59,9 @@ Either way ``replay_call`` returns a :class:`CallRecord` of the trace
 and row, whose ``usage`` is built from the trace's columns only when
 something reads it; the run itself never does. ``replay_call`` stays
 the boundary of one API call of one condition, the hook that per-call
-tracing wraps: a run makes one call of it per condition and API call,
-and passes the session's index in the timeline as its ``session_seed``
-keyword, the name the tracer reads.
+tracing wraps: a run makes one call of it per condition and API call.
+It names the call's session by one keyword, ``session_seed``, the
+session's index in the timeline, under the name the tracer reads.
 
 Warmup sessions are the first ones replayed, to prime the store; their
 rows are excluded from evaluation and their cache writes and cost are
@@ -205,7 +205,6 @@ class Timeline:
         self.time_s = time_s
         self.output = output
         self.offsets = offsets
-        self.output_tokens = np.array(output, dtype=np.float64)
         k = offsets[warmup_sessions]
         # The evaluation rows, held by reference by every ConditionRun.
         self.shared = dict(
@@ -234,9 +233,8 @@ class CacheTrace:
     @cached_property
     def usage(self) -> UsageRecord:
         """Every row's usage as float columns, built once for pricing."""
-        columns = (self.uncached, self.cached_read, self.cache_write)
-        return UsageRecord(*(np.array(column, dtype=np.float64) for column in columns),
-                           self.timeline.output_tokens)
+        columns = (self.uncached, self.cached_read, self.cache_write, self.timeline.output)
+        return UsageRecord(*(np.array(column, dtype=np.float64) for column in columns))
 
     @cached_property
     def shared(self) -> dict[str, list[int]]:
@@ -264,23 +262,23 @@ class CallRecord:
                            trace.cache_write[row], trace.timeline.output[row])
 
 
-def replay_call(trace: CacheTrace, session: int, layout: SessionLayout,
-                request_index: int, *, session_seed: int) -> CallRecord:
-    """Send API call ``request_index`` of the timeline's session
-    ``session``, laid out by :func:`~cachesim.strategies.session_layout`
-    under the trace's mode, through ``trace``, and return its record.
+def replay_call(trace: CacheTrace, layout: SessionLayout, request_index: int, *,
+                session_seed: int) -> CallRecord:
+    """Send API call ``request_index`` of session ``session_seed``, the
+    session's index in the timeline, laid out by
+    :func:`~cachesim.strategies.session_layout` under the trace's mode,
+    through ``trace``, and return its record.
 
     The first condition of the trace to send the call runs it through the
     trace's store, at the timeline's send time, and appends its tokens to
     the trace's columns; every later one touches neither. Calls reach the
     store in row order. Every condition gets a record of the same row, so
-    the same usage. ``session_seed`` does not change the result; it
-    identifies the call's session to per-call tracing."""
+    the same usage. Per-call tracing reads ``session_seed`` by name."""
     timeline = trace.timeline
-    first = timeline.offsets[session]
-    if not 1 <= request_index <= timeline.offsets[session + 1] - first:
+    first = timeline.offsets[session_seed]
+    if not 1 <= request_index <= timeline.offsets[session_seed + 1] - first:
         raise IndexError(f"request {request_index} out of range "
-                         f"1..{timeline.offsets[session + 1] - first}")
+                         f"1..{timeline.offsets[session_seed + 1] - first}")
     row = first + request_index - 1
     recorded = len(trace.uncached)
     if row > recorded:
@@ -301,11 +299,10 @@ def replay_call(trace: CacheTrace, session: int, layout: SessionLayout,
 
 def replay_session(trace: CacheTrace, session: int, layout: SessionLayout) -> None:
     """Send every API call of the timeline's session ``session``, laid out
-    under the trace's mode, through ``trace``, once for one condition.
-    Per-call tracing reads the session's index as ``session_seed``."""
+    under the trace's mode, through ``trace``, once for one condition."""
     offsets = trace.timeline.offsets
     for r in range(1, offsets[session + 1] - offsets[session] + 1):
-        replay_call(trace, session, layout, r, session_seed=session)
+        replay_call(trace, layout, r, session_seed=session)
 
 
 def price_condition(trace: CacheTrace, policy: ProviderPolicy,

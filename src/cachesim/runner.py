@@ -42,6 +42,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import statistics
 from dataclasses import astuple, dataclass, replace
 from pathlib import Path
@@ -363,9 +364,17 @@ def _diff_values(path: str, expected, actual, problems: list[str]) -> None:
         problems.append(f"{path}: {expected!r} != {actual!r}")
 
 
+# The numeric columns that verify_run reads, and the type of each.
+_NUMBER_TYPES = {"calls": int, "uncached": int, "cached_read": int, "cache_write": int,
+                 "output": int, "cost_usd": float, "ttft_ms": float,
+                 "total_cost_usd": float, "mean_ttft_ms": float}
+
+
 def _read_rows(path: Path, columns: Sequence[str], problems: list[str]) -> list[dict]:
-    """The rows of a CSV artifact; a missing column or a short row is
-    added to ``problems`` instead."""
+    """The rows of a CSV artifact, with each cell of a column in
+    ``_NUMBER_TYPES`` converted to its type; a missing column, a short row
+    or a cell that is not an integer or a finite number is added to
+    ``problems`` instead."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)
@@ -373,8 +382,22 @@ def _read_rows(path: Path, columns: Sequence[str], problems: list[str]) -> list[
     missing = [c for c in columns if c not in header]
     if missing:
         problems.append(f"{path.name}: missing column(s) {', '.join(missing)}")
-    elif any(None in row.values() for row in rows):
+        return rows
+    if any(None in row.values() for row in rows):
         problems.append(f"{path.name}: a row has fewer fields than the header")
+        return rows
+    numbers = [(c, _NUMBER_TYPES[c]) for c in columns if c in _NUMBER_TYPES]
+    for i, row in enumerate(rows, 1):
+        for column, kind in numbers:
+            text = row[column]
+            try:
+                value = kind(text)
+            except ValueError:
+                value = None
+            if value is None or kind is float and not math.isfinite(value):
+                what = "an integer" if kind is int else "a finite number"
+                problems.append(f"{path.name} row {i} {column}: {text!r} is not {what}")
+            row[column] = value
     return rows
 
 
@@ -385,8 +408,9 @@ def verify_run(run_dir: str | Path) -> list[str]:
     are internally consistent: every recorded number equals its
     recomputed value exactly. Artifacts of the wrong shape (a summary
     that is not an object or holds a non-JSON constant such as
-    ``Infinity``, a CSV without the columns the run writes) are reported
-    as such, and nothing is recomputed from them.
+    ``Infinity``, a CSV without the columns the run writes, a token
+    count that is not an integer or a cost or TTFT that is not a finite
+    number) are reported as such, and nothing is recomputed from them.
     """
     run_dir = Path(run_dir)
     problems: list[str] = []
@@ -413,11 +437,11 @@ def verify_run(run_dir: str | Path) -> list[str]:
     sessions: dict[tuple[str, str, str], list] = {}
     for row in call_rows:
         key = (row["policy"], row["mode"], row["session_id"])
-        tokens = [int(row[name]) for name in PER_SESSION_COLUMNS[6:]]
+        tokens = [row[name] for name in PER_SESSION_COLUMNS[6:]]
         if tokens[2] > tokens[0] + tokens[1]:
             problems.append(f"per_call.csv {key}: cache_write exceeds prompt tokens")
         agg = sessions.setdefault(key, [0, 0.0, 0.0, 0, 0, 0, 0])
-        for i, value in enumerate((1, float(row["cost_usd"]), float(row["ttft_ms"]), *tokens)):
+        for i, value in enumerate((1, row["cost_usd"], row["ttft_ms"], *tokens)):
             agg[i] += value
 
     if len(session_rows) != len(sessions):
@@ -430,7 +454,7 @@ def verify_run(run_dir: str | Path) -> list[str]:
             continue
         calls, cost, ttft, *tokens = sessions[key]
         for name, recomputed in zip(PER_SESSION_COLUMNS[3:], (calls, cost, ttft / calls, *tokens)):
-            recorded = type(recomputed)(row[name])
+            recorded = row[name]
             if recorded != recomputed:
                 problems.append(f"per_session.csv {key} {name}: "
                                 f"{recorded!r} != recomputed {recomputed!r}")
@@ -445,7 +469,7 @@ def verify_run(run_dir: str | Path) -> list[str]:
             ttfts.append(ttft / calls)
     if per_call_ttft:
         for row in call_rows:
-            grouped[(row["policy"], row["mode"])][1].append(float(row["ttft_ms"]))
+            grouped[(row["policy"], row["mode"])][1].append(row["ttft_ms"])
     samples = [ConditionSamples(policy=policy, mode=mode, costs=tuple(costs),
                                 ttfts=tuple(ttfts))
                for (policy, mode), (costs, ttfts) in grouped.items()]

@@ -57,7 +57,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tokens import ROLE_TAG_IDS, Role
+from .tokens import Role
 from .workload import SessionTranscript
 
 
@@ -100,10 +100,10 @@ class SessionLayout:
         return tuple((a, self.template[a:b].tobytes()) for a, b in self.segments)
 
 
-# Tag ids start at 1, so no flattened prompt ever carries this id.
+# Role values, the framing ids, start at 1, so no flattened prompt carries this id.
 _BREAKER_PLACEHOLDER = 0
-_BREAKER_PART = np.array([ROLE_TAG_IDS[Role.BREAKER], _BREAKER_PLACEHOLDER], dtype=np.uint64)
-_TAG_ARRAYS = {role: np.array([tag], dtype=np.uint64) for role, tag in ROLE_TAG_IDS.items()}
+_BREAKER_PART = np.array([Role.BREAKER.value, _BREAKER_PLACEHOLDER], dtype=np.uint64)
+_TAG_ARRAYS = {role: np.array([role.value], dtype=np.uint64) for role in Role}
 
 
 def session_layout(transcript: SessionTranscript, mode: StrategyMode) -> SessionLayout:

@@ -12,12 +12,12 @@ messages after the system prompt as consecutive slices of one stream
 (see :func:`cachesim.workload.generate`).
 
 A flattened prompt (see :func:`cachesim.strategies.session_layout`)
-puts one fixed framing token in front of each message, the reserved id
-of its role, so it is ``sum(message lengths) + message count`` tokens
-long. Token ids below ``RESERVED_TOKEN_FLOOR`` are reserved for framing:
-synthesized content ids never fall in that band and :class:`Message`
-rejects any that do, so framing tokens can always be told apart from
-content.
+puts one fixed framing token in front of each message, its role's
+value (a :class:`Role` is its framing id, 1 to 6), so it is
+``sum(message lengths) + message count`` tokens long. Token ids below
+``RESERVED_TOKEN_FLOOR`` are reserved for framing: synthesized content
+ids never fall in that band and :class:`Message` rejects any that do, so
+framing tokens can always be told apart from content.
 """
 
 from __future__ import annotations
@@ -31,22 +31,15 @@ from .seeding import MASK64
 
 
 class Role(Enum):
-    SYSTEM = "system"
-    HUMAN = "human"
-    AI = "ai"
-    TOOL_CALL = "tool-call"
-    TOOL_RESULT = "tool-result"
-    BREAKER = "breaker"
+    """A message's role; its value is the role's framing token id."""
 
+    SYSTEM = 1
+    HUMAN = 2
+    AI = 3
+    TOOL_CALL = 4
+    TOOL_RESULT = 5
+    BREAKER = 6
 
-ROLE_TAG_IDS: dict[Role, int] = {
-    Role.SYSTEM: 1,
-    Role.HUMAN: 2,
-    Role.AI: 3,
-    Role.TOOL_CALL: 4,
-    Role.TOOL_RESULT: 5,
-    Role.BREAKER: 6,
-}
 
 # Ids below this are reserved for role framing tokens.
 RESERVED_TOKEN_FLOOR = 64

@@ -36,7 +36,7 @@ import numpy as np
 from cachesim import (CacheMode, ConditionRun, LatencyModel, Message, ProviderPolicy,
                       Role, SessionTranscript, StrategyMode, UsageRecord, derive_seed)
 from cachesim.replay import WarmupLedger
-from cachesim.tokens import RESERVED_TOKEN_FLOOR, ROLE_TAG_IDS
+from cachesim.tokens import RESERVED_TOKEN_FLOOR
 
 
 def flat_length(messages: Sequence[Message]) -> int:
@@ -83,7 +83,7 @@ def flatten(prompt: Prompt | Sequence[Message]) -> np.ndarray:
     messages = prompt.messages if isinstance(prompt, Prompt) else prompt
     parts = [np.empty(0, dtype=np.uint64)]
     for m in messages:
-        parts += [np.array([ROLE_TAG_IDS[m.role]], dtype=np.uint64), m.tokens]
+        parts += [np.array([m.role.value], dtype=np.uint64), m.tokens]
     flat = np.concatenate(parts)
     flat.setflags(write=False)
     return flat
@@ -173,10 +173,6 @@ class OracleEntry:
     created_at: float
     last_used_at: float
 
-    @property
-    def length(self) -> int:
-        return len(self.tokens)
-
     def expires_from(self, policy: ProviderPolicy) -> float:
         """The time the entry's TTL runs from: its last use under a
         refresh-on-read policy, its creation otherwise."""
@@ -221,7 +217,7 @@ def oracle_access(entries: Iterable[OracleEntry], prompt: np.ndarray,
         return read, 0, live
     head = tokens[:w]
     kept = [entry for entry in live
-            if not (entry.length <= w and entry.tokens.tolist() == head[:entry.length])]
+            if not (entry.tokens.size <= w and entry.tokens.tolist() == head[:entry.tokens.size])]
     kept.append(OracleEntry(tokens=prompt[:w], created_at=now, last_used_at=now))
     return read, w - read, kept
 

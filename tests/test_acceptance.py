@@ -51,7 +51,7 @@ def _random_policy(rng: random.Random) -> ProviderPolicy:
 
 def _state(store: CacheStore) -> list[tuple[int, float]]:
     """Each engine entry's length and the expiry reference its purge uses."""
-    return [(e.length, e.last_used_at) for e in store.snapshot()]
+    return [(e.tokens.size, e.last_used_at) for e in store.snapshot()]
 
 
 def test_acceptance_1_oracle_equivalence():
@@ -88,7 +88,7 @@ def test_acceptance_1_oracle_equivalence():
             assert got == (read, write), (
                 f"engine {got} != oracle {(read, write)} "
                 f"(policy {policy.min_cache_tokens}/{policy.granularity_tokens}, now {now})")
-            assert _state(store) == [(e.length, e.expires_from(policy))
+            assert _state(store) == [(e.tokens.size, e.expires_from(policy))
                                      for e in expected_entries]
             comparisons += 1
     elapsed = perf_counter() - start

@@ -23,7 +23,7 @@ from cachesim.config import (DEFAULT_GRIDS, MAX_RUN_CALLS, AblationGrid, config_
                              to_json)
 from cachesim.errors import ConfigError
 from cachesim.policies import builtin_policy
-from cachesim.runner import PER_CALL_COLUMNS, _float_texts, run_ablation, run_experiment
+from cachesim.runner import _float_texts, run_ablation, run_experiment
 from cachesim.workload import MAX_RUN_SESSIONS
 
 
@@ -193,11 +193,14 @@ def _short_row(text: str) -> str:
     return "\n".join([header, row.rsplit(",", 1)[0], rest])
 
 
-def _huge_first_write(text: str) -> str:
-    header, row, rest = text.split("\n", 2)
-    cells = row.split(",")
-    cells[PER_CALL_COLUMNS.index("cache_write")] = "999999999"
-    return "\n".join([header, ",".join(cells), rest])
+def _first_row_cell(column: str, value: str):
+    """A tamper that sets ``column`` of a CSV's first row to ``value``."""
+    def tamper(text: str) -> str:
+        header, row, rest = text.split("\n", 2)
+        cells = row.split(",")
+        cells[header.split(",").index(column)] = value
+        return "\n".join([header, ",".join(cells), rest])
+    return tamper
 
 
 def _drop_last_row(text: str) -> str:
@@ -227,15 +230,27 @@ def _drop_last_policy(text: str) -> str:
      "per_call.csv: missing column(s) cost_usd"),
     ("per_call.csv", lambda text: "", "per_call.csv: missing column(s) session_id"),
     ("per_call.csv", _short_row, "per_call.csv: a row has fewer fields"),
-    ("per_call.csv", _huge_first_write, "cache_write exceeds prompt tokens"),
+    ("per_call.csv", _first_row_cell("cache_write", "999999999"),
+     "cache_write exceeds prompt tokens"),
+    ("per_call.csv", _first_row_cell("cost_usd", "abc"),
+     "per_call.csv row 1 cost_usd: 'abc' is not a finite number"),
+    ("per_call.csv", _first_row_cell("cost_usd", "inf"),
+     "per_call.csv row 1 cost_usd: 'inf' is not a finite number"),
+    ("per_call.csv", _first_row_cell("cost_usd", "nan"),
+     "per_call.csv row 1 cost_usd: 'nan' is not a finite number"),
+    ("per_call.csv", _first_row_cell("cached_read", "1.5"),
+     "per_call.csv row 1 cached_read: '1.5' is not an integer"),
     ("per_session.csv", _short_row, "per_session.csv: a row has fewer fields"),
     ("per_session.csv", _drop_last_row, "per_session.csv has 11 rows, per_call.csv implies 12"),
     ("per_session.csv", lambda text: text.replace(",s001,", ",s009,", 1),
      "'s009'): no matching calls"),
+    ("per_session.csv", _first_row_cell("calls", "x"),
+     "per_session.csv row 1 calls: 'x' is not an integer"),
 ], ids=["summary-list", "config-not-object", "alpha-string", "nan-in-report",
         "infinity-in-config", "key-on-one-side", "list-length", "no-cost-column",
-        "empty-per-call", "short-call-row", "write-exceeds-prompt", "short-session-row",
-        "session-row-count", "session-without-calls"])
+        "empty-per-call", "short-call-row", "write-exceeds-prompt", "cost-not-a-number",
+        "cost-infinite", "cost-nan", "tokens-not-an-integer", "short-session-row",
+        "session-row-count", "session-without-calls", "calls-not-an-integer"])
 def test_verify_reports_malformed_artifacts(tmp_path, capsys, name, tamper, message):
     """Artifacts of the wrong shape are verify problems (exit 1), not crashes."""
     assert main(["simulate", tiny_config(tmp_path)]) == EXIT_OK

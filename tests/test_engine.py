@@ -226,13 +226,13 @@ def test_whole_prompt_writes_are_views_and_breakpoint_writes_copies():
     assert access(store, whole, 2100, 0.0) == (0, 2048)
     (entry,) = store.snapshot()
     assert np.shares_memory(entry.tokens, whole)
-    assert entry.tokens.base is not None and entry.tokens.base.size - entry.length < 128
+    assert entry.tokens.base is not None and entry.tokens.base.size - entry.tokens.size < 128
     assert not entry.tokens.flags.writeable
 
     partial = synth_tokens(2100, 20)
     assert access(store, partial, 1500, 1.0) == (0, 1408)
     entry = store.snapshot()[-1]
-    assert entry.length == 1408
+    assert entry.tokens.size == 1408
     assert not np.shares_memory(entry.tokens, partial)
     assert not entry.tokens.flags.writeable
 
@@ -272,7 +272,7 @@ _POLICY_GRID = [(1, 1), (1024, 1), (1024, 128), (4096, 1), (4096, 128)]
 
 def _state(store: CacheStore) -> list[tuple[int, float]]:
     """Each engine entry's length and the expiry reference its purge uses."""
-    return [(e.length, e.last_used_at) for e in store.snapshot()]
+    return [(e.tokens.size, e.last_used_at) for e in store.snapshot()]
 
 
 _LIMITS = {"commit": lambda n: n, "partial": lambda n: n // 2, "lookup": lambda n: 0}
@@ -315,7 +315,7 @@ def test_lookup_matches_oracle_on_random_interleavings(case):
         read, write, expected_entries = oracle_access(expected_entries, prompt, limit,
                                                       now, policy)
         assert access(store, prompt, limit, now) == (read, write)
-        assert _state(store) == [(e.length, e.expires_from(policy))
+        assert _state(store) == [(e.tokens.size, e.expires_from(policy))
                                  for e in expected_entries]
 
 
@@ -425,6 +425,6 @@ def test_sealed_entries_match_the_oracle_with_fresh_breakers(seed):
         for entry, expected in zip(got, expected_entries):
             ids = expected.tokens.tolist()
             cut = next((i for i, t in enumerate(ids) if t >= _FRESH), len(ids))
-            assert entry.length == cut
+            assert entry.tokens.size == cut
             assert entry.sealed == (cut < len(ids))
             assert entry.tokens.tolist() == ids[:cut]

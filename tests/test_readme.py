@@ -16,5 +16,6 @@ def test_library_use_example_runs():
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     namespace: dict = {}
     exec(compile(block, f"{README}:Library use", "exec"), namespace)
-    assert 0.0 <= namespace["test"].p_value <= 1.0
+    test = namespace["test"]
+    assert not test.zero_variance and 0.0 < test.p_value < 1.0
     assert namespace["run"].session_ids == ["s001", "s002", "mine"]

@@ -247,7 +247,7 @@ def test_one_replay_call_per_api_call(tmp_path, monkeypatch):
         usage = result.usage
         assert min(usage.uncached_input, usage.cached_read, usage.cache_write) >= 0
         seen.append((call["session_seed"], call["request_index"]))
-        usages[call["trace"], call["session"], call["request_index"]].append(usage)
+        usages[call["trace"], call["session_seed"], call["request_index"]].append(usage)
         return result
 
     monkeypatch.setattr(replay, "replay_call", traced)
@@ -296,6 +296,10 @@ class TestWarmup:
         run = run_condition(transcripts, StrategyMode.FULL_CONTEXT, claude, QUIET)
         # shared prefix: system framing + system + the question's framing token
         assert run.cached_read[run.offsets[1]] == 3000 + 2
+
+    def test_warmup_must_not_be_negative(self):
+        with pytest.raises(ValueError, match="warmup_sessions must be >= 0"):
+            Timeline(generate(small_spec(sessions=2)), -1)
 
     def test_warmup_must_leave_evaluation_sessions(self):
         transcripts = generate(small_spec(sessions=2))
@@ -358,7 +362,7 @@ class TestLatencyModel:
 
         later(100.0)
         with pytest.raises(ValueError, match="never go back"):
-            replay_call(trace, 0, layout, 1, session_seed=0)
+            replay_call(trace, layout, 1, session_seed=0)
         assert trace.cache_write == []
         assert later(100.0)[0] > 0
 

@@ -64,6 +64,11 @@ class TestIncompleteBeta:
         for dof in (1, 2.5, 8, 40):
             assert student_t_two_sided_p(0.0, dof) == 1.0
 
+    @pytest.mark.parametrize("dof", [0.0, -1.0])
+    def test_p_rejects_non_positive_dof(self, dof):
+        with pytest.raises(ValueError, match="degrees of freedom must be positive"):
+            student_t_two_sided_p(1.0, dof)
+
     @given(dof=st.floats(1.0, 100.0), t1=st.floats(0.01, 20.0), t2=st.floats(0.01, 20.0))
     @settings(max_examples=100)
     def test_p_decreases_in_magnitude_of_t(self, dof, t1, t2):

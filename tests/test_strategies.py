@@ -259,7 +259,18 @@ def test_layout_request_bounds():
     trace = _trace(transcript, StrategyMode.NO_CACHE, builtin_policy("gpt-4o"))
     for r in (0, len(layout.lengths) + 1):
         with pytest.raises(IndexError):
-            replay_call(trace, 0, layout, r, session_seed=0)
+            replay_call(trace, layout, r, session_seed=0)
+
+
+def test_calls_reach_the_store_in_row_order():
+    """A call may not run ahead of the trace's columns: request 2 before
+    request 1 is rejected and records nothing."""
+    transcript = make_transcript(make_conversation(2) + [Message(Role.AI, synth_tokens(3, 8))])
+    layout = session_layout(transcript, StrategyMode.FULL_CONTEXT)
+    trace = _trace(transcript, StrategyMode.FULL_CONTEXT, builtin_policy("gpt-4o"))
+    with pytest.raises(IndexError, match="row 1 sent before row 0"):
+        replay_call(trace, layout, 2, session_seed=0)
+    assert trace.uncached == []
 
 
 def test_segment_contents_are_serialized_once_and_only_when_read():
@@ -273,7 +284,7 @@ def test_segment_contents_are_serialized_once_and_only_when_read():
     def send(policy, requests):
         trace = _trace(transcript, mode, policy)
         for r in range(1, requests + 1):
-            replay_call(trace, 0, layout, r, session_seed=0)
+            replay_call(trace, layout, r, session_seed=0)
 
     plain = builtin_policy("gpt-4o")
     send(plain, 2)

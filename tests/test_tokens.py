@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cachesim import Message, Role, synth_tokens
-from cachesim.tokens import RESERVED_TOKEN_FLOOR, ROLE_TAG_IDS
+from cachesim.tokens import RESERVED_TOKEN_FLOOR
 from reference import Prompt, flat_length, flatten
 
 
@@ -91,6 +91,22 @@ def test_message_requires_tokens():
         Message(Role.HUMAN, synth_tokens(1, 0)[:0])
 
 
+@pytest.mark.parametrize("role", ["human", Role.HUMAN.value, None])
+def test_message_role_must_be_a_role(role):
+    """A role's name or framing id is not a Role."""
+    with pytest.raises(ValueError, match="role must be a Role"):
+        Message(role, synth_tokens(3, 1))
+
+
+def test_message_equals_only_messages():
+    """Messages compare by role and ids; anything else is never equal."""
+    msg = Message(Role.HUMAN, synth_tokens(3, 1))
+    assert msg == Message(Role.HUMAN, synth_tokens(3, 1))
+    assert msg != Message(Role.AI, msg.tokens)
+    assert msg.__eq__((Role.HUMAN, msg.tokens)) is NotImplemented
+    assert msg != (Role.HUMAN, msg.tokens)
+
+
 def test_flatten_empty_prompt():
     assert len(flatten(Prompt(messages=()))) == 0
 
@@ -99,7 +115,7 @@ def test_flatten_adds_one_framing_token_per_message():
     msg = Message(Role.SYSTEM, synth_tokens(8, 3))
     flat = flatten([msg])
     assert len(flat) == 9
-    assert flat[0] == ROLE_TAG_IDS[Role.SYSTEM]
+    assert flat[0] == Role.SYSTEM.value
     assert np.array_equal(flat[1:], msg.tokens)
     assert not flat.flags.writeable
 

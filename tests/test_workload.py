@@ -186,25 +186,25 @@ def _minimal_rows() -> tuple[Message, ...]:
             Message(Role.AI, synth_tokens(7, 3)))
 
 
-def test_ingest_minimal_session():
+def test_transcript_minimal_session():
     transcript = SessionTranscript("a", _minimal_rows(), (0.0, 0.0, 1.0))
     assert list(transcript.requests()) == [(7, 1.0)]
     assert [len(m.tokens) for m in transcript.messages] == [10, 5, 7]
 
 
-def test_ingest_synthesized_ids_are_deterministic():
+def test_transcript_synthesized_ids_are_deterministic():
     """The same rows build equal transcripts."""
     a = SessionTranscript("a", _minimal_rows(), (0.0, 0.0, 1.0))
     b = SessionTranscript("a", _minimal_rows(), (0.0, 0.0, 1.0))
     assert a == b
 
 
-def test_ingest_rejects_non_monotonic_timestamps():
+def test_transcript_rejects_non_monotonic_timestamps():
     with pytest.raises(TranscriptValidationError, match="session a: .*non-decreasing"):
         SessionTranscript("a", _minimal_rows(), (5.0, 4.0, 6.0))
 
 
-def test_ingest_rejects_timestamps_that_overflow_when_rebased():
+def test_transcript_rejects_timestamps_that_overflow_when_rebased():
     """Each stamp is finite, but the gap between them is not; replay adds
     the gaps to one clock, which would make every later session's time
     infinite."""
@@ -213,11 +213,11 @@ def test_ingest_rejects_timestamps_that_overflow_when_rebased():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_ingest_rejects_non_finite_timestamps(bad):
+def test_transcript_rejects_non_finite_timestamps(bad):
     with pytest.raises(TranscriptValidationError, match="session a: .*finite"):
         _transcript(_VALID_ROLES, (0.0, 1.0, bad, 3.0, 4.0))
 
 
-def test_ingest_rejects_broken_role_pattern():
+def test_transcript_rejects_broken_role_pattern():
     with pytest.raises(TranscriptValidationError, match="session a: .*system then human"):
         _transcript((Role.SYSTEM, Role.AI, Role.AI))
