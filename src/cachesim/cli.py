@@ -8,7 +8,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation problem, 2 I/O problem. This is the
 one module that writes to the terminal; the library calls it makes
-return their results and print nothing.
+return their results and print nothing. Only ``simulate`` and
+``ablate`` import :mod:`cachesim.runner`, and with it numpy, once their
+config has loaded; ``policies``, ``verify`` and a config that fails to
+load run without numpy.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .checks import is_seed
 from .config import DEFAULT_GRIDS, AblationGrid, load_config, to_json
 from .errors import ConfigError
 from .policies import builtin_policies
-from .runner import format_report_table, run_ablation, run_experiment, verify_run
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -98,6 +100,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
 
         if args.command == "verify":
+            from .verify import verify_run
             problems = verify_run(args.run_dir)
             if problems:
                 for problem in problems:
@@ -111,10 +114,12 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"--seed must be an integer in [0, 2**64), got {args.seed}")
         config = load_config(args.config, master_seed=args.seed)
         if args.command == "simulate":
+            from .runner import format_report_table, run_experiment
             print(format_report_table(run_experiment(config, out_dir=args.out).report))
             return EXIT_OK
 
         if args.command == "ablate":
+            from .runner import run_ablation
             grid = AblationGrid(args.dimension,
                                 tuple(args.values or DEFAULT_GRIDS[args.dimension]))
             rows = run_ablation(config, grid, out_dir=args.out)

@@ -38,12 +38,21 @@ fails to load, before anything runs.
 :func:`to_json` gives the JSON form of a config, a policy or a report:
 each dataclass maps to its fields, so every echoed object lists the
 same fields as the dataclass behind it.
+
+The value types a config is built from live here too, next to the
+checks that load them: :class:`StrategyMode`, :class:`WorkloadSpec` with
+its caps (``MAX_TOKEN_COUNT``, ``MAX_RUN_TOKENS``, ``MAX_RUN_SESSIONS``
+and ``MAX_CLOCK_S``) and :class:`LatencyModel`. This module imports
+nothing that loads numpy, so loading a config, the policy table and
+``cachesim verify`` run without it; a file that is not UTF-8 or not JSON
+is a :class:`~cachesim.errors.ConfigError` that names the file.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -51,18 +60,134 @@ from pathlib import Path
 
 from .checks import is_finite_number, is_int, is_seed
 from .errors import ConfigError
-from .policies import ProviderPolicy, builtin_policy, policy_from_dict
-from .replay import LatencyModel
+from .policies import ProviderPolicy, UsageRecord, builtin_policy, policy_from_dict
 from .seeding import derive_seed
-from .strategies import StrategyMode
-from .workload import WorkloadSpec
 
+MAX_TOKEN_COUNT = 2**20
+MAX_RUN_TOKENS = 2**24
+MAX_RUN_SESSIONS = 2**16
+# Replay runs every session's calls on one clock, back to back; half the
+# largest float leaves room for the rounding of its running sum.
+MAX_CLOCK_S = sys.float_info.max / 2
 MAX_RUN_CALLS = 2**20
 
 DEFAULT_GRIDS: dict[str, tuple[int, ...]] = {
     "prompt-size": (500, 2_000, 5_000, 10_000, 20_000, 50_000),
     "tool-count": (3, 5, 10, 20, 50),
 }
+
+
+class StrategyMode(Enum):
+    NO_CACHE = "no-cache"
+    FULL_CONTEXT = "full-context"
+    SYSTEM_PROMPT = "system-prompt"
+    EXCLUDE_TOOL_RESULTS = "exclude-tool-results"
+
+
+@dataclass(frozen=True)
+class WorkloadSpec:
+    """Shape of the synthetic sessions; token counts are calibration knobs.
+
+    Each per-message token count is an integer in [1, ``MAX_TOKEN_COUNT``],
+    the run may synthesize at most ``MAX_RUN_TOKENS`` tokens
+    (see :meth:`run_tokens`), ``sessions`` is at most ``MAX_RUN_SESSIONS``,
+    and the run's simulated time, ``sessions * (tool_calls + 1) *
+    inter_call_gap_seconds``, is at most ``MAX_CLOCK_S``, half the largest
+    float.
+    """
+
+    system_prompt_tokens: int = 10_000
+    question_tokens: int = 150
+    tool_calls: int = 10
+    tool_call_tokens: int = 200
+    tool_result_tokens: int = 1_500
+    reasoning_tokens_per_turn: int = 150
+    final_answer_tokens: int = 1_000
+    inter_call_gap_seconds: float = 5.0
+    sessions: int = 40
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        ranges = {
+            "system_prompt_tokens": (1, MAX_TOKEN_COUNT),
+            "question_tokens": (1, MAX_TOKEN_COUNT),
+            "tool_calls": (0, None),
+            "tool_call_tokens": (1, MAX_TOKEN_COUNT),
+            "tool_result_tokens": (1, MAX_TOKEN_COUNT),
+            "reasoning_tokens_per_turn": (1, MAX_TOKEN_COUNT),
+            "final_answer_tokens": (1, MAX_TOKEN_COUNT),
+            "sessions": (1, None),
+        }
+        for name, (floor, ceiling) in ranges.items():
+            value = getattr(self, name)
+            if not is_int(value) or value < floor:
+                raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
+            if ceiling is not None and value > ceiling:
+                raise ValueError(f"{name} must be at most {ceiling}, got {value!r}")
+        if not is_seed(self.seed):
+            raise ValueError(
+                f"workload seed must be an integer in [0, 2**64), got {self.seed!r}")
+        gap = self.inter_call_gap_seconds
+        if not is_finite_number(gap) or gap < 0:
+            raise ValueError(f"inter_call_gap_seconds must be finite and >= 0, got {gap!r}")
+        tokens = self.run_tokens()
+        if tokens > MAX_RUN_TOKENS:
+            raise ValueError(
+                f"sessions={self.sessions}: {self.sessions} sessions with tool_calls="
+                f"{self.tool_calls} would synthesize {tokens} tokens, more than "
+                f"MAX_RUN_TOKENS={MAX_RUN_TOKENS}")
+        if self.sessions > MAX_RUN_SESSIONS:
+            raise ValueError(f"sessions={self.sessions}: more than "
+                             f"MAX_RUN_SESSIONS={MAX_RUN_SESSIONS}")
+        span_s = gap * self.sessions * (self.tool_calls + 1)
+        if span_s > MAX_CLOCK_S:
+            raise ValueError(
+                f"inter_call_gap_seconds={gap!r}: {self.sessions} sessions of "
+                f"{self.tool_calls + 1} calls would run {span_s!r} s of simulated "
+                "time, more than half the largest float")
+
+    def run_tokens(self) -> int:
+        """The tokens :func:`~cachesim.workload.generate` synthesizes for
+        this spec: the shared system prompt plus one stream per session."""
+        turn = self.reasoning_tokens_per_turn + self.tool_call_tokens + self.tool_result_tokens
+        return self.system_prompt_tokens + self.sessions * (
+            self.question_tokens + self.tool_calls * turn + self.final_answer_tokens)
+
+
+@dataclass(frozen=True)
+class LatencyModel:
+    """Linear prefill-time model with lognormal noise.
+
+    Cached tokens must be cheaper than uncached ones; writes may cost
+    extra on top of the uncached compute they ride on.
+    """
+
+    base_ms: float = 0.0
+    per_uncached_token_ms: float = 0.05
+    per_cached_token_ms: float = 0.005
+    per_write_token_ms: float = 0.0
+    noise_sigma: float = 0.0
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("base_ms", "per_uncached_token_ms", "per_cached_token_ms",
+                     "per_write_token_ms", "noise_sigma"):
+            value = getattr(self, name)
+            if not is_finite_number(value) or value < 0:
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+        if not is_seed(self.seed):
+            raise ValueError(
+                f"latency seed must be an integer in [0, 2**64), got {self.seed!r}")
+        if self.per_cached_token_ms >= self.per_uncached_token_ms:
+            raise ValueError("cached tokens must be faster than uncached tokens")
+
+    def mean_ttft_ms(self, usage: UsageRecord):
+        """Noise-free model value for each call of ``usage``'s columns
+        (numpy arrays of token counts), as a numpy array."""
+        return (self.base_ms
+                + self.per_uncached_token_ms * usage.uncached_input
+                + self.per_cached_token_ms * usage.cached_read
+                + self.per_write_token_ms * usage.cache_write)
 
 
 @dataclass(frozen=True)
@@ -258,6 +383,8 @@ def load_config(path: str | Path, master_seed: int | None = None) -> ExperimentC
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     return config_from_dict(data, master_seed)

@@ -24,6 +24,11 @@ for automatic policies, 1 for breakpoint policies; TTL 300 s;
 refresh-on-read only for claude-sonnet-4.5. To change them, derive a
 policy with :func:`dataclasses.replace` or give an inline policy object
 in the config.
+
+This module holds the policies and their usage record and imports no
+numpy, so a config loads and the policy table prints without it.
+Pricing a run's usage columns is :func:`cachesim.replay.price_call`,
+next to its one caller.
 """
 
 from __future__ import annotations
@@ -31,8 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NamedTuple
-
-import numpy as np
 
 from .checks import is_finite_number, is_int
 
@@ -90,7 +93,8 @@ class PriceSchedule:
 
 class UsageRecord(NamedTuple):
     """Token accounting, mirroring provider usage blocks: one call's
-    counts, or many calls' as numpy columns (see :func:`price_call`)."""
+    counts, or many calls' as numpy columns (see
+    :func:`cachesim.replay.price_call`)."""
 
     uncached_input: int
     cached_read: int
@@ -190,30 +194,6 @@ def builtin_policy(name: str) -> ProviderPolicy:
             return policy
     known = ", ".join(p.name for p in builtin_policies())
     raise KeyError(f"unknown policy {name!r}; built-ins are: {known}")
-
-
-def price_call(usage: UsageRecord, policy: ProviderPolicy) -> np.ndarray:
-    """Price API calls in USD, one per entry of ``usage``'s columns (numpy
-    arrays of token counts).
-
-    Each usage component is billed at its per-token rate. For tiered
-    schedules the tier is selected per call from the whole prompt size,
-    ``uncached_input + cached_read``, and the tier-2 rates then apply to
-    every component of that call. Storage charges are not included here.
-    """
-    p = policy.prices
-    in_rate, read_rate, out_rate = p.input_per_mtok, p.cached_read_per_mtok, p.output_per_mtok
-    if p.tier_boundary_tokens is not None:
-        tiered = usage.uncached_input + usage.cached_read > p.tier_boundary_tokens
-        in_rate = np.where(tiered, p.tier2_input_per_mtok, in_rate)
-        read_rate = np.where(tiered, p.tier2_cached_read_per_mtok, read_rate)
-        out_rate = np.where(tiered, p.tier2_output_per_mtok, out_rate)
-    write_rate = p.cache_write_per_mtok or 0.0
-    total = (usage.uncached_input * in_rate
-             + usage.cached_read * read_rate
-             + usage.cache_write * write_rate
-             + usage.output * out_rate)
-    return total / 1e6
 
 
 # --- JSON schema -------------------------------------------------------------

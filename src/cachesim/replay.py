@@ -22,7 +22,8 @@ and each per-call fact is computed once, at the level it depends on:
   (gpt-4o and gpt-5.2 do), whatever their prices.
 * :func:`price_condition` is the one pass per condition over what
   depends on the condition itself: it prices the trace's columns by the
-  condition's own policy and models time-to-first-token as
+  condition's own policy (:func:`price_call`) and models
+  time-to-first-token by its :class:`~cachesim.config.LatencyModel` as
 
       ttft = (base + per_uncached * uncached + per_cached * cached
               + per_write * write) * exp(sigma * z)
@@ -84,49 +85,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .checks import is_finite_number, is_seed
+from .config import MAX_CLOCK_S, LatencyModel, StrategyMode
 from .engine import CacheStore, access
-from .policies import CacheMode, ProviderPolicy, UsageRecord, price_call
+from .policies import CacheMode, ProviderPolicy, UsageRecord
 from .seeding import derive_seed
 from .stats import left_sum
-from .strategies import SessionLayout, StrategyMode
-from .workload import MAX_CLOCK_S, SessionTranscript
-
-
-@dataclass(frozen=True)
-class LatencyModel:
-    """Linear prefill-time model with lognormal noise.
-
-    Cached tokens must be cheaper than uncached ones; writes may cost
-    extra on top of the uncached compute they ride on.
-    """
-
-    base_ms: float = 0.0
-    per_uncached_token_ms: float = 0.05
-    per_cached_token_ms: float = 0.005
-    per_write_token_ms: float = 0.0
-    noise_sigma: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        for name in ("base_ms", "per_uncached_token_ms", "per_cached_token_ms",
-                     "per_write_token_ms", "noise_sigma"):
-            value = getattr(self, name)
-            if not is_finite_number(value) or value < 0:
-                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
-        if not is_seed(self.seed):
-            raise ValueError(
-                f"latency seed must be an integer in [0, 2**64), got {self.seed!r}")
-        if self.per_cached_token_ms >= self.per_uncached_token_ms:
-            raise ValueError("cached tokens must be faster than uncached tokens")
-
-    def mean_ttft_ms(self, usage: UsageRecord) -> np.ndarray:
-        """Noise-free model value for each call of ``usage``'s columns
-        (numpy arrays of token counts)."""
-        return (self.base_ms
-                + self.per_uncached_token_ms * usage.uncached_input
-                + self.per_cached_token_ms * usage.cached_read
-                + self.per_write_token_ms * usage.cache_write)
+from .strategies import SessionLayout
+from .workload import SessionTranscript
 
 
 @dataclass(frozen=True)
@@ -303,6 +268,30 @@ def replay_session(trace: CacheTrace, session: int, layout: SessionLayout) -> No
     offsets = trace.timeline.offsets
     for r in range(1, offsets[session + 1] - offsets[session] + 1):
         replay_call(trace, layout, r, session_seed=session)
+
+
+def price_call(usage: UsageRecord, policy: ProviderPolicy) -> np.ndarray:
+    """Price API calls in USD, one per entry of ``usage``'s columns (numpy
+    arrays of token counts).
+
+    Each usage component is billed at its per-token rate. For tiered
+    schedules the tier is selected per call from the whole prompt size,
+    ``uncached_input + cached_read``, and the tier-2 rates then apply to
+    every component of that call. Storage charges are not included here.
+    """
+    p = policy.prices
+    in_rate, read_rate, out_rate = p.input_per_mtok, p.cached_read_per_mtok, p.output_per_mtok
+    if p.tier_boundary_tokens is not None:
+        tiered = usage.uncached_input + usage.cached_read > p.tier_boundary_tokens
+        in_rate = np.where(tiered, p.tier2_input_per_mtok, in_rate)
+        read_rate = np.where(tiered, p.tier2_cached_read_per_mtok, read_rate)
+        out_rate = np.where(tiered, p.tier2_output_per_mtok, out_rate)
+    write_rate = p.cache_write_per_mtok or 0.0
+    total = (usage.uncached_input * in_rate
+             + usage.cached_read * read_rate
+             + usage.cache_write * write_rate
+             + usage.output * out_rate)
+    return total / 1e6
 
 
 def price_condition(trace: CacheTrace, policy: ProviderPolicy,

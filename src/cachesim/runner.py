@@ -30,11 +30,11 @@ trace's token counts) is formatted once per shared column, and each
 condition adds only its own cost and TTFT cells. Costs repeat (by call
 index, and across sessions), so each condition formats each distinct
 nonzero cost once per column. Every summary value can
-be recomputed from ``per_call.csv`` alone; :func:`verify_run` does
-exactly that and reports any value that is not equal to the recorded
-one. Every sum runs left to right and every float round-trips through
-its ``repr``, so the recomputation gives the same bits, and no
-tolerance is needed.
+be recomputed from ``per_call.csv`` alone;
+:func:`cachesim.verify.verify_run` does exactly that, and
+:mod:`cachesim.verify` owns the CSV column names this module writes.
+This module replays and prices through numpy, so the CLI imports it
+only for the commands that run an experiment.
 """
 
 from __future__ import annotations
@@ -42,28 +42,19 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import statistics
 from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from .checks import is_finite_number
-from .config import AblationGrid, ExperimentConfig, to_json
+from .config import AblationGrid, ExperimentConfig, LatencyModel, StrategyMode, to_json
 from .policies import ProviderPolicy
-from .replay import (CacheTrace, ConditionRun, LatencyModel, Timeline, price_condition,
-                     replay_session)
+from .replay import CacheTrace, ConditionRun, Timeline, price_condition, replay_session
 from .stats import (BASELINE_MODE, Comparison, ConditionSamples, ExperimentReport,
                     summarize_experiment)
-from .strategies import StrategyMode, session_layout
+from .strategies import session_layout
+from .verify import PER_CALL_COLUMNS, PER_SESSION_COLUMNS
 from .workload import SessionTranscript, generate
-
-PER_CALL_COLUMNS = ["session_id", "call_index", "mode", "policy", "uncached",
-                    "cached_read", "cache_write", "output", "cost_usd",
-                    "ttft_ms", "time_s"]
-PER_SESSION_COLUMNS = ["policy", "mode", "session_id", "calls", "total_cost_usd",
-                       "mean_ttft_ms", "uncached", "cached_read", "cache_write",
-                       "output"]
 
 
 @dataclass(frozen=True)
@@ -327,152 +318,3 @@ def run_ablation(config: ExperimentConfig, grid: AblationGrid, *,
         # csv.writer writes a float as its repr and None as an empty cell.
         csv.writer(fh).writerows([ABLATION_COLUMNS, *map(astuple, rows)])
     return tuple(rows)
-
-
-# --- verification ------------------------------------------------------------
-
-class _NonJson(str):
-    """A ``NaN``, ``Infinity`` or ``-Infinity`` constant: Python's ``json``
-    reads them, but JSON has no such value."""
-
-
-def _find_non_json(path: str, value, problems: list[str]) -> None:
-    if isinstance(value, _NonJson):
-        problems.append(f"summary.json {path}: {value} is not a JSON value")
-    elif isinstance(value, dict):
-        for key, item in value.items():
-            _find_non_json(f"{path}.{key}", item, problems)
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _find_non_json(f"{path}[{i}]", item, problems)
-
-
-def _diff_values(path: str, expected, actual, problems: list[str]) -> None:
-    if isinstance(expected, dict) and isinstance(actual, dict):
-        for key in sorted(set(expected) | set(actual)):
-            if key not in expected or key not in actual:
-                problems.append(f"{path}.{key}: present on one side only")
-                continue
-            _diff_values(f"{path}.{key}", expected[key], actual[key], problems)
-    elif isinstance(expected, list) and isinstance(actual, list):
-        if len(expected) != len(actual):
-            problems.append(f"{path}: length {len(expected)} != {len(actual)}")
-            return
-        for i, (e, a) in enumerate(zip(expected, actual)):
-            _diff_values(f"{path}[{i}]", e, a, problems)
-    elif expected != actual:
-        problems.append(f"{path}: {expected!r} != {actual!r}")
-
-
-# The numeric columns that verify_run reads, and the type of each.
-_NUMBER_TYPES = {"calls": int, "uncached": int, "cached_read": int, "cache_write": int,
-                 "output": int, "cost_usd": float, "ttft_ms": float,
-                 "total_cost_usd": float, "mean_ttft_ms": float}
-
-
-def _read_rows(path: Path, columns: Sequence[str], problems: list[str]) -> list[dict]:
-    """The rows of a CSV artifact, with each cell of a column in
-    ``_NUMBER_TYPES`` converted to its type; a missing column, a short row
-    or a cell that is not an integer or a finite number is added to
-    ``problems`` instead."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-        header = reader.fieldnames or ()
-    missing = [c for c in columns if c not in header]
-    if missing:
-        problems.append(f"{path.name}: missing column(s) {', '.join(missing)}")
-        return rows
-    if any(None in row.values() for row in rows):
-        problems.append(f"{path.name}: a row has fewer fields than the header")
-        return rows
-    numbers = [(c, _NUMBER_TYPES[c]) for c in columns if c in _NUMBER_TYPES]
-    for i, row in enumerate(rows, 1):
-        for column, kind in numbers:
-            text = row[column]
-            try:
-                value = kind(text)
-            except ValueError:
-                value = None
-            if value is None or kind is float and not math.isfinite(value):
-                what = "an integer" if kind is int else "a finite number"
-                problems.append(f"{path.name} row {i} {column}: {text!r} is not {what}")
-            row[column] = value
-    return rows
-
-
-def verify_run(run_dir: str | Path) -> list[str]:
-    """Recompute a run's summary from its per-call CSV and diff the two.
-
-    Returns a list of mismatch descriptions; empty means the artifacts
-    are internally consistent: every recorded number equals its
-    recomputed value exactly. Artifacts of the wrong shape (a summary
-    that is not an object or holds a non-JSON constant such as
-    ``Infinity``, a CSV without the columns the run writes, a token
-    count that is not an integer or a cost or TTFT that is not a finite
-    number) are reported as such, and nothing is recomputed from them.
-    """
-    run_dir = Path(run_dir)
-    problems: list[str] = []
-    try:
-        with open(run_dir / "summary.json", encoding="utf-8") as fh:
-            summary = json.load(fh, parse_constant=_NonJson)
-        call_rows = _read_rows(run_dir / "per_call.csv", PER_CALL_COLUMNS, problems)
-        session_rows = _read_rows(run_dir / "per_session.csv", PER_SESSION_COLUMNS, problems)
-    except FileNotFoundError as exc:
-        return [f"missing artifact: {exc.filename}"]
-    config = summary.get("config", {}) if isinstance(summary, dict) else None
-    if not isinstance(config, dict):
-        problems.append("summary.json: expected an object whose config is an object")
-    elif not is_finite_number(config.get("alpha")):
-        problems.append("summary.json: config.alpha must be a finite number")
-    if isinstance(summary, dict):
-        for key, value in summary.items():
-            _find_non_json(key, value, problems)
-    if problems:
-        return problems
-
-    # Rebuild per-session aggregates from raw calls: the call count, the
-    # cost and TTFT sums and the four token totals, in per_session.csv's order.
-    sessions: dict[tuple[str, str, str], list] = {}
-    for row in call_rows:
-        key = (row["policy"], row["mode"], row["session_id"])
-        tokens = [row[name] for name in PER_SESSION_COLUMNS[6:]]
-        if tokens[2] > tokens[0] + tokens[1]:
-            problems.append(f"per_call.csv {key}: cache_write exceeds prompt tokens")
-        agg = sessions.setdefault(key, [0, 0.0, 0.0, 0, 0, 0, 0])
-        for i, value in enumerate((1, row["cost_usd"], row["ttft_ms"], *tokens)):
-            agg[i] += value
-
-    if len(session_rows) != len(sessions):
-        problems.append(
-            f"per_session.csv has {len(session_rows)} rows, per_call.csv implies {len(sessions)}")
-    for row in session_rows:
-        key = (row["policy"], row["mode"], row["session_id"])
-        if key not in sessions:
-            problems.append(f"per_session.csv {key}: no matching calls")
-            continue
-        calls, cost, ttft, *tokens = sessions[key]
-        for name, recomputed in zip(PER_SESSION_COLUMNS[3:], (calls, cost, ttft / calls, *tokens)):
-            recorded = row[name]
-            if recorded != recomputed:
-                problems.append(f"per_session.csv {key} {name}: "
-                                f"{recorded!r} != recomputed {recomputed!r}")
-
-    # Rebuild the comparison report from scratch.
-    per_call_ttft = config.get("ttft_aggregation") == "per-call"
-    grouped: dict[tuple[str, str], tuple[list[float], list[float]]] = {}
-    for (policy, mode, _), (calls, cost, ttft, *_) in sessions.items():
-        costs, ttfts = grouped.setdefault((policy, mode), ([], []))
-        costs.append(cost)
-        if not per_call_ttft:
-            ttfts.append(ttft / calls)
-    if per_call_ttft:
-        for row in call_rows:
-            grouped[(row["policy"], row["mode"])][1].append(row["ttft_ms"])
-    samples = [ConditionSamples(policy=policy, mode=mode, costs=tuple(costs),
-                                ttfts=tuple(ttfts))
-               for (policy, mode), (costs, ttfts) in grouped.items()]
-    recomputed_report = to_json(summarize_experiment(samples, alpha=config["alpha"]))
-    _diff_values("report", summary.get("report"), recomputed_report, problems)
-    return problems

@@ -5,7 +5,9 @@ before the call goes through the cache. Boundaries are controlled with
 breaker messages: single fresh tokens that differ on every request, so
 no prefix beyond a breaker can ever match a previous request.
 
-Four strategies are provided:
+Four strategies are provided, one per
+:class:`~cachesim.config.StrategyMode` (which lives with the config
+that names it):
 
 * ``no-cache`` - a fresh breaker in front of the system prompt,
   guaranteeing full recomputation every request (the baseline).
@@ -52,20 +54,13 @@ engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
+from .config import StrategyMode
 from .tokens import Role
 from .workload import SessionTranscript
-
-
-class StrategyMode(Enum):
-    NO_CACHE = "no-cache"
-    FULL_CONTEXT = "full-context"
-    SYSTEM_PROMPT = "system-prompt"
-    EXCLUDE_TOOL_RESULTS = "exclude-tool-results"
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,99 +26,25 @@ at most ``MAX_TOKEN_COUNT`` (2**20, a whole million-token context), the
 tokens one run synthesizes (the system prompt plus every session's
 stream) at most ``MAX_RUN_TOKENS`` (2**24, 128 MiB of ``uint64`` ids),
 and its sessions at most ``MAX_RUN_SESSIONS`` (2**16).
-:class:`WorkloadSpec` checks all three, and that the run's simulated
-time stays finite; the experiment config checks the run's sessions,
-warmup included, by building the spec that :func:`generate` runs.
+:class:`~cachesim.config.WorkloadSpec` checks all three, and that the
+run's simulated time stays finite; the experiment config checks the
+run's sessions, warmup included, by building the spec that
+:func:`generate` runs. The spec and its caps live in
+:mod:`cachesim.config`, which loads without numpy; this module builds
+token streams, so it imports numpy through :mod:`cachesim.tokens`.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Iterator
 
-from .checks import is_finite_number, is_int, is_seed
+from .checks import is_finite_number
+from .config import WorkloadSpec
 from .errors import TranscriptValidationError
 from .seeding import derive_seed
 from .tokens import Message, Role, synth_tokens
-
-MAX_TOKEN_COUNT = 2**20
-MAX_RUN_TOKENS = 2**24
-MAX_RUN_SESSIONS = 2**16
-# Replay runs every session's calls on one clock, back to back; half the
-# largest float leaves room for the rounding of its running sum.
-MAX_CLOCK_S = sys.float_info.max / 2
-
-
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """Shape of the synthetic sessions; token counts are calibration knobs.
-
-    Each per-message token count is an integer in [1, ``MAX_TOKEN_COUNT``],
-    the run may synthesize at most ``MAX_RUN_TOKENS`` tokens
-    (see :meth:`run_tokens`), ``sessions`` is at most ``MAX_RUN_SESSIONS``,
-    and the run's simulated time, ``sessions * (tool_calls + 1) *
-    inter_call_gap_seconds``, is at most ``MAX_CLOCK_S``, half the largest
-    float.
-    """
-
-    system_prompt_tokens: int = 10_000
-    question_tokens: int = 150
-    tool_calls: int = 10
-    tool_call_tokens: int = 200
-    tool_result_tokens: int = 1_500
-    reasoning_tokens_per_turn: int = 150
-    final_answer_tokens: int = 1_000
-    inter_call_gap_seconds: float = 5.0
-    sessions: int = 40
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        ranges = {
-            "system_prompt_tokens": (1, MAX_TOKEN_COUNT),
-            "question_tokens": (1, MAX_TOKEN_COUNT),
-            "tool_calls": (0, None),
-            "tool_call_tokens": (1, MAX_TOKEN_COUNT),
-            "tool_result_tokens": (1, MAX_TOKEN_COUNT),
-            "reasoning_tokens_per_turn": (1, MAX_TOKEN_COUNT),
-            "final_answer_tokens": (1, MAX_TOKEN_COUNT),
-            "sessions": (1, None),
-        }
-        for name, (floor, ceiling) in ranges.items():
-            value = getattr(self, name)
-            if not is_int(value) or value < floor:
-                raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
-            if ceiling is not None and value > ceiling:
-                raise ValueError(f"{name} must be at most {ceiling}, got {value!r}")
-        if not is_seed(self.seed):
-            raise ValueError(
-                f"workload seed must be an integer in [0, 2**64), got {self.seed!r}")
-        gap = self.inter_call_gap_seconds
-        if not is_finite_number(gap) or gap < 0:
-            raise ValueError(f"inter_call_gap_seconds must be finite and >= 0, got {gap!r}")
-        tokens = self.run_tokens()
-        if tokens > MAX_RUN_TOKENS:
-            raise ValueError(
-                f"sessions={self.sessions}: {self.sessions} sessions with tool_calls="
-                f"{self.tool_calls} would synthesize {tokens} tokens, more than "
-                f"MAX_RUN_TOKENS={MAX_RUN_TOKENS}")
-        if self.sessions > MAX_RUN_SESSIONS:
-            raise ValueError(f"sessions={self.sessions}: more than "
-                             f"MAX_RUN_SESSIONS={MAX_RUN_SESSIONS}")
-        span_s = gap * self.sessions * (self.tool_calls + 1)
-        if span_s > MAX_CLOCK_S:
-            raise ValueError(
-                f"inter_call_gap_seconds={gap!r}: {self.sessions} sessions of "
-                f"{self.tool_calls + 1} calls would run {span_s!r} s of simulated "
-                "time, more than half the largest float")
-
-    def run_tokens(self) -> int:
-        """The tokens :func:`generate` synthesizes for this spec: the shared
-        system prompt plus one stream per session."""
-        turn = self.reasoning_tokens_per_turn + self.tool_call_tokens + self.tool_result_tokens
-        return self.system_prompt_tokens + self.sessions * (
-            self.question_tokens + self.tool_calls * turn + self.final_answer_tokens)
 
 
 @dataclass(frozen=True)

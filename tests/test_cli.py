@@ -19,12 +19,11 @@ import pytest
 import cachesim
 from cachesim import load_config, verify_run
 from cachesim.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
-from cachesim.config import (DEFAULT_GRIDS, MAX_RUN_CALLS, AblationGrid, config_from_dict,
-                             to_json)
+from cachesim.config import (DEFAULT_GRIDS, MAX_RUN_CALLS, MAX_RUN_SESSIONS, AblationGrid,
+                             config_from_dict, to_json)
 from cachesim.errors import ConfigError
 from cachesim.policies import builtin_policy
 from cachesim.runner import _float_texts, run_ablation, run_experiment
-from cachesim.workload import MAX_RUN_SESSIONS
 
 
 def tiny_config(tmp_path, **overrides) -> str:
@@ -203,6 +202,19 @@ def _first_row_cell(column: str, value: str):
     return tamper
 
 
+def _overflow_first_session(text: str) -> str:
+    """Sets ``ttft_ms`` of the first two rows, calls of one session, to
+    1e308: each cell is finite, their sum is not."""
+    header, first, second, rest = text.split("\n", 3)
+    column = header.split(",").index("ttft_ms")
+    rows = []
+    for row in (first, second):
+        cells = row.split(",")
+        cells[column] = "1e308"
+        rows.append(",".join(cells))
+    return "\n".join([header, *rows, rest])
+
+
 def _drop_last_row(text: str) -> str:
     return text.rsplit("\n", 2)[0] + "\n"
 
@@ -240,6 +252,8 @@ def _drop_last_policy(text: str) -> str:
      "per_call.csv row 1 cost_usd: 'nan' is not a finite number"),
     ("per_call.csv", _first_row_cell("cached_read", "1.5"),
      "per_call.csv row 1 cached_read: '1.5' is not an integer"),
+    ("per_call.csv", _overflow_first_session,
+     "per_call.csv ('claude-sonnet-4.5', 'no-cache', 's001'): ttft_ms cells sum to inf"),
     ("per_session.csv", _short_row, "per_session.csv: a row has fewer fields"),
     ("per_session.csv", _drop_last_row, "per_session.csv has 11 rows, per_call.csv implies 12"),
     ("per_session.csv", lambda text: text.replace(",s001,", ",s009,", 1),
@@ -249,7 +263,8 @@ def _drop_last_policy(text: str) -> str:
 ], ids=["summary-list", "config-not-object", "alpha-string", "nan-in-report",
         "infinity-in-config", "key-on-one-side", "list-length", "no-cost-column",
         "empty-per-call", "short-call-row", "write-exceeds-prompt", "cost-not-a-number",
-        "cost-infinite", "cost-nan", "tokens-not-an-integer", "short-session-row",
+        "cost-infinite", "cost-nan", "tokens-not-an-integer", "ttft-sum-overflows",
+        "short-session-row",
         "session-row-count", "session-without-calls", "calls-not-an-integer"])
 def test_verify_reports_malformed_artifacts(tmp_path, capsys, name, tamper, message):
     """Artifacts of the wrong shape are verify problems (exit 1), not crashes."""
@@ -260,6 +275,50 @@ def test_verify_reports_malformed_artifacts(tmp_path, capsys, name, tamper, mess
     assert main(["verify", str(tmp_path / "out")]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert message in err and "mismatch" in err
+
+
+def test_verify_keeps_session_mismatches_when_a_sum_overflows(tmp_path, capsys):
+    """A session whose finite TTFT cells sum past the float range is named,
+    and the ``per_session.csv`` mismatch found before it is still reported."""
+    assert main(["simulate", tiny_config(tmp_path)]) == EXIT_OK
+    path = tmp_path / "out" / "per_call.csv"
+    path.write_text(_overflow_first_session(path.read_text()))
+    capsys.readouterr()
+    assert main(["verify", str(tmp_path / "out")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    key = "('claude-sonnet-4.5', 'no-cache', 's001')"
+    assert err[0].startswith(f"per_session.csv {key} mean_ttft_ms: ")
+    assert err[0].endswith("!= recomputed inf")
+    assert err[1:] == [f"per_call.csv {key}: ttft_ms cells sum to inf, past the float range",
+                       "verify: 2 mismatch(es)"]
+
+
+@pytest.mark.parametrize("name", ["summary.json", "per_call.csv", "per_session.csv"])
+def test_verify_reports_an_artifact_that_is_not_utf8(tmp_path, capsys, name):
+    """A byte that is not UTF-8 is a verify problem naming the file (exit 1),
+    not a decoding error."""
+    assert main(["simulate", tiny_config(tmp_path)]) == EXIT_OK
+    path = tmp_path / "out" / name
+    data = path.read_bytes()
+    path.write_bytes(data[:1] + b"\xff" + data[1:])
+    capsys.readouterr()
+    assert main(["verify", str(tmp_path / "out")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(f"{name}: not UTF-8 (")
+    assert err[1:] == ["verify: 1 mismatch(es)"]
+
+
+def test_config_that_is_not_utf8_names_its_file(tmp_path, capsys):
+    """A config whose first byte is not UTF-8 exits 1 with an ``error:``
+    line that names the file, and writes nothing."""
+    path = Path(tiny_config(tmp_path))
+    path.write_bytes(b"\xff" + path.read_bytes())
+    with pytest.raises(ConfigError, match="not UTF-8"):
+        load_config(path)
+    assert main(["simulate", str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 (") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_reports_a_summary_without_alpha(tmp_path, capsys):
@@ -781,17 +840,72 @@ def test_misspelt_policy_key_exits_one_naming_it(tmp_path, capsys, path, key):
 
 
 def test_import_needs_only_numpy():
-    """numpy is the one runtime dependency: importing cachesim in a fresh
-    interpreter loads no other top-level module outside the standard library."""
+    """numpy is the one runtime dependency: importing cachesim and a
+    numpy-backed name in a fresh interpreter loads no other top-level
+    module outside the standard library."""
     src = str(Path(cachesim.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    code = ("import sys; before = set(sys.modules); import cachesim; "
+    code = ("import sys; before = set(sys.modules); import cachesim; cachesim.generate; "
             "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
             " - set(sys.stdlib_module_names))))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out.split() == ["cachesim", "numpy"]
+
+
+# Runs the cachesim CLI as ``python -m cachesim.cli`` does, then reports at
+# exit whether numpy was ever imported.
+_NUMPY_PROBE = ("import atexit, runpy, sys\n"
+                "atexit.register(lambda: print('numpy:', 'numpy' in sys.modules,"
+                " file=sys.stderr))\n"
+                "sys.argv[0] = 'cachesim'\n"
+                "runpy.run_module('cachesim.cli', run_name='__main__', alter_sys=True)\n")
+
+
+def test_commands_that_compute_nothing_run_without_numpy(tmp_path):
+    """``policies``, ``verify`` and a config that fails to load never import
+    numpy, and neither does loading a config through the package."""
+    src = str(Path(cachesim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    config = tiny_config(tmp_path)
+    assert main(["simulate", config]) == EXIT_OK
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**json.loads(Path(config).read_text()), "modes": ["full-context"]}))
+
+    def numpy_loaded(*args) -> tuple[int, str]:
+        proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *args], env=env,
+                              capture_output=True, text=True, check=False, timeout=60)
+        return proc.returncode, proc.stderr.splitlines()[-1]
+
+    assert numpy_loaded("policies") == (EXIT_OK, "numpy: False")
+    assert numpy_loaded("policies", "--json") == (EXIT_OK, "numpy: False")
+    assert numpy_loaded("verify", str(tmp_path / "out")) == (EXIT_OK, "numpy: False")
+    assert numpy_loaded("simulate", str(bad)) == (EXIT_VALIDATION, "numpy: False")
+    assert numpy_loaded("simulate", config, "--out", str(tmp_path / "again")) == (
+        EXIT_OK, "numpy: True")
+    code = ("import sys, cachesim; cachesim.load_config(sys.argv[1]); "
+            "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, config], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.split() == ["False"]
+
+
+def test_package_names_resolve_to_their_home_modules():
+    """Every name in ``cachesim.__all__`` is the object its home module
+    defines, ``dir`` and a star import list it, and any other name is an
+    AttributeError."""
+    assert cachesim.__all__ == sorted(set(cachesim.__all__))
+    star: dict = {}
+    exec("from cachesim import *", star)
+    for name in cachesim.__all__:
+        value = getattr(cachesim, name)
+        home = sys.modules[value.__module__]
+        assert home.__name__.startswith("cachesim.") and getattr(home, name) is value
+        assert name in dir(cachesim) and star[name] is value
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cachesim.no_such_name
 
 
 def test_cost_text_is_the_repr_of_each_value():

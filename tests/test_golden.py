@@ -17,7 +17,7 @@ import json
 from cachesim.cli import EXIT_OK, main
 from cachesim.config import config_from_dict, load_config, to_json
 from cachesim.policies import builtin_policy
-from cachesim.runner import verify_run
+from cachesim.verify import verify_run
 
 
 def _inline(base: str, name: str, **rules) -> dict:

@@ -11,7 +11,7 @@ import numpy as np
 
 from cachesim import (Message, Role, SessionTranscript, TranscriptValidationError,
                       WorkloadSpec, derive_seed, generate, synth_tokens)
-from cachesim.workload import MAX_RUN_TOKENS, MAX_TOKEN_COUNT
+from cachesim.config import MAX_RUN_TOKENS, MAX_TOKEN_COUNT
 from reference import flat_length, flatten
 
 
