@@ -60,7 +60,7 @@ its edge ends; the edge starts where its parent's ends, so it is the
 range ``rep.tokens[parent.end:end]`` over the node's ``rep``, the
 earliest-inserted entry among its first held entry and its children's
 reps. The tree copies no tokens and holds no back-pointers. A read walks
-the prompt's path, comparing each edge's tokens exactly, so membership
+the prompt's path, matching each edge's tokens exactly, so membership
 is decided by token equality, never by a hash. The walk stops where the
 prompt leaves the tree or reaches ``stop``; every entry below that point
 shares the longest common prefix and the node's ``rep`` is the one the
@@ -68,6 +68,28 @@ tie-break refreshes. An unsealed entry ends alone at a leaf, because a
 new entry never stops at or inside a live unsealed one and the ones it
 extends are dropped. Sealed entries may end at any node, several at one
 node, and a sealed entry that ends inside an edge splits it.
+
+A prompt is the first ``length`` tokens of an array, its *origin*:
+replay passes a session layout's template, so all of a session's
+requests share one. Each entry is a prefix of an origin too: the
+prompt's origin for an entry written as a view, its own copy otherwise.
+**Arrays given to a store are read-only and never written afterwards**
+(the store already relies on this to keep views of them as entries), so
+two arrays that agree on a prefix agree on it for good. The store
+remembers the last prompt origin it was given, by identity, and for each
+entry origin compared with it since, how many leading tokens the two are
+known to share and whether their first difference has been found;
+another prompt origin starts the map afresh. The prompt origin itself is
+never compared, so neither is an entry viewing it. Any other origin, a
+copy included, is compared only past what is known and only as far as
+the walk needs, the edge's end or ``stop``, in chunks that double in
+size, so a scan stops soon after the first difference. An edge
+then matches as far as its ``rep``'s origin agrees: the rep shares the
+path so far with the prompt, so its origin agrees at least that far. A
+session sent as growing lengths of one template thus compares each token
+of another origin once, not once per call. The map holds arrays, not
+entries, so a dropped entry is still freed at once, and a dropped copy
+takes its array out of the map in the same step.
 
 The store keeps its entries in order of their last use: a write appends
 its entry and a refresh moves the hit to the end, and the clock never
@@ -86,19 +108,24 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .policies import ProviderPolicy
 
+# The first chunk an agreement scan compares; each later one is twice the last.
+_FIRST_CHUNK = 256
+
 
 @dataclass(eq=False)
 class CacheEntry:
     """One stored prefix. ``tokens`` is a read-only uint64 array;
     ``last_used_at`` is its expiry reference; ``sealed`` marks an entry
-    cut short at its prompt's first breaker.
+    cut short at its prompt's first breaker; ``origin`` is the read-only
+    array whose first ``tokens.size`` tokens ``tokens`` holds: the prompt's
+    origin for a view, ``tokens`` itself for a copy.
 
     Entries compare and hash by identity.
     """
@@ -106,6 +133,7 @@ class CacheEntry:
     tokens: np.ndarray
     last_used_at: float
     sealed: bool = False
+    origin: np.ndarray = field(kw_only=True, repr=False)
 
 
 class _Node:
@@ -135,6 +163,11 @@ class CacheStore:
         self._inserted = 0
         self._root = _Node(None, 0)
         self._now = -math.inf
+        # The last prompt origin given and, by the id of each other entry
+        # origin compared with it, ``[array, tokens known to agree, difference
+        # found]``; the array keeps its id from being reused.
+        self._origin: np.ndarray | None = None
+        self._agreed: dict[int, list] = {}
         # The content of every segment seen, under opportunistic segments.
         self._seen: set[bytes] | None = set() if policy.opportunistic_segments else None
 
@@ -157,8 +190,15 @@ class CacheStore:
                 reps.append(node.held[0])
             node.rep = min(reps, key=rank)
 
-    def _remove(self, entry: CacheEntry) -> None:
+    def _forget(self, entry: CacheEntry) -> None:
+        """Drop ``entry`` from the entries, and a copy's own array from the
+        agreement map; the tree is the caller's."""
         del self._entries[entry]
+        if entry.origin is entry.tokens:
+            self._agreed.pop(id(entry.tokens), None)
+
+    def _remove(self, entry: CacheEntry) -> None:
+        self._forget(entry)
         tokens = entry.tokens
         path = []
         node = self._root
@@ -187,28 +227,68 @@ class CacheStore:
                 break
             self._remove(oldest)
 
+    def _agreement(self, origin: np.ndarray, depth: int, end: int) -> int:
+        """How many leading tokens ``origin``, an entry's origin known to
+        agree with the current prompt origin below ``depth``, shares with
+        it: the exact count if it is below ``end``, else at least ``end``."""
+        if origin is self._origin:
+            return end
+        known = self._agreed.get(id(origin))
+        if known is None:
+            known = self._agreed[id(origin)] = [origin, depth, False]
+        _, agreed, found = known
+        if found or agreed >= end:
+            return agreed
+        prompt = self._origin
+        agreed = max(agreed, depth)
+        step = _FIRST_CHUNK
+        while agreed < end:
+            upto = min(agreed + step, end)
+            differs = prompt[agreed:upto] != origin[agreed:upto]
+            k = int(differs.argmax())
+            if differs[k]:
+                agreed += k
+                known[2] = True
+                break
+            agreed, step = upto, 2 * step
+        known[1] = agreed
+        return agreed
+
 
 def access(store: CacheStore, prompt: np.ndarray, cacheable_limit: int,
            now: float, stop: int | None = None,
-           segments: Sequence[tuple[int, bytes]] = ()) -> tuple[int, int]:
+           segments: Sequence[tuple[int, bytes]] = (), *,
+           length: int | None = None) -> tuple[int, int]:
     """One API call against the cache: returns ``(read, write)`` tokens.
 
+    The call sends ``prompt[:length]`` (the whole array when ``length`` is
+    omitted). ``prompt`` is a read-only ``uint64`` token array that must
+    never be written afterwards: it is the prompt's origin, and the store
+    remembers how far it agrees with each stored entry's origin (see the
+    module docstring), so a caller that sends a session's requests as
+    growing lengths of one template compares each stored token once per
+    session, not once per call. Positions below are in the prompt sent.
+
     Purges expired entries, reads the longest usable cached prefix of
-    ``prompt``, a read-only ``uint64`` token array (refreshing the matched
-    entry under a refresh-on-read policy), then caches the prefix up to
-    ``cacheable_limit`` and charges only the tokens beyond the read. A
-    limit of 0 makes it a pure read. ``stop`` is the position of the
-    prompt's first breaker (the whole prompt when omitted): no token from
-    it on is read or stored. ``segments`` are the prompt's breaker-free
-    runs in ascending order, each as ``(start, content)`` with ``content``
-    the run's tokens as bytes (``prompt[start:end].tobytes()``); only the
-    runs that end before the prompt's end, where a breaker closes them,
-    are segments, and the first run that reaches it ends the list, so a
-    session layout's ``segment_contents`` can be passed for any of its
-    requests. Only an opportunistic-segments store reads them. ``now``
-    must be finite and no earlier than the store's last access.
+    the prompt (refreshing the matched entry under a refresh-on-read
+    policy), then caches the prefix up to ``cacheable_limit`` and charges
+    only the tokens beyond the read. A limit of 0 makes it a pure read.
+    ``stop`` is the position of the prompt's first breaker (the whole
+    prompt when omitted): no token from it on is read or stored.
+    ``segments`` are the prompt's breaker-free runs in ascending order,
+    each as ``(start, content)`` with ``content`` the run's tokens as
+    bytes (``prompt[start:end].tobytes()``); only the runs that end before
+    the prompt's end, where a breaker closes them, are segments, and the
+    first run that reaches it ends the list, so a session layout's
+    ``segment_contents`` can be passed for any of its requests. Only an
+    opportunistic-segments store reads them. ``now`` must be finite and no
+    earlier than the store's last access.
     """
     n = int(prompt.size)
+    if length is not None:
+        if length < 0 or length > n:
+            raise ValueError(f"length {length} outside array of {n} tokens")
+        n = length
     if stop is None:
         stop = n
     if cacheable_limit < 0 or cacheable_limit > n:
@@ -221,6 +301,9 @@ def access(store: CacheStore, prompt: np.ndarray, cacheable_limit: int,
             f"access at {now} s: the store was last accessed at {store._now} s "
             "and time must stay finite and never go back")
     store._now = now
+    if prompt is not store._origin:
+        store._origin = prompt
+        store._agreed.clear()
     if store._entries:
         store._purge(now)
 
@@ -236,10 +319,9 @@ def access(store: CacheStore, prompt: np.ndarray, cacheable_limit: int,
         if child is None:
             break
         end = min(child.end, stop)
-        differs = prompt[depth:end] != child.rep.tokens[depth:end]
-        k = int(differs.argmax())
-        if differs[k]:
-            depth += k
+        agreed = store._agreement(child.rep.origin, depth, end)
+        if agreed < end:
+            depth = agreed
             cut = child
             break
         depth = end
@@ -266,9 +348,12 @@ def access(store: CacheStore, prompt: np.ndarray, cacheable_limit: int,
         # Here w > depth, and the stored part ends at or past where the prompt
         # left the tree. View or copy: see the write step in the module docstring.
         size = min(w, stop)
-        stored = prompt[:size] if cacheable_limit == n else prompt[:size].copy()
+        if cacheable_limit == n:
+            stored, origin = prompt[:size], prompt
+        else:
+            stored = origin = prompt[:size].copy()
         stored.setflags(write=False)
-        entry = CacheEntry(tokens=stored, last_used_at=now, sealed=w > stop)
+        entry = CacheEntry(tokens=stored, last_used_at=now, sealed=w > stop, origin=origin)
         store._entries[entry] = store._inserted
         store._inserted += 1
         if cut is None and node.held and not node.held[0].sealed:
@@ -277,7 +362,7 @@ def access(store: CacheStore, prompt: np.ndarray, cacheable_limit: int,
             node.rep = entry
             node.end = size
             node.held = [entry]
-            del store._entries[gone]
+            store._forget(gone)
             store._repoint(path, gone)
         else:
             if cut is not None:

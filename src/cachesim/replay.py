@@ -36,15 +36,16 @@ and each per-call fact is computed once, at the level it depends on:
 Each session is flattened once per mode into a
 :class:`~cachesim.strategies.SessionLayout`, which holds every fact about
 its requests that the strategy decides and depends on no policy. A call
-slices its request's prompt from that layout (a zero-copy prefix of the
-session's template, with a placeholder in each breaker slot), cuts the
-layout's first breaker slot to the prompt's length and takes the
-layout's explicit breakpoint as its cacheable limit under a
-breakpoint-style policy (the whole prompt otherwise). It then reads from
-and writes to the trace's store in one access, passing the layout's
-serialized breaker-free segments along to an opportunistic-segments
-store; the store applies every cache rule of its policy (see
-:mod:`cachesim.engine`).
+sends its request's prompt as the first ``length`` tokens of the
+session's template (with a placeholder in each breaker slot), so all of
+a session's requests share one origin and the store compares each stored
+token with it at most once. It cuts the layout's first breaker slot to the prompt's
+length and takes the layout's explicit breakpoint as its cacheable limit
+under a breakpoint-style policy (the whole prompt otherwise). It then
+reads from and writes to the trace's store in one access, passing the
+layout's serialized breaker-free segments along to an
+opportunistic-segments store; the store applies every cache rule of its
+policy (see :mod:`cachesim.engine`).
 
 Every condition sends every API call through :func:`replay_call`, in
 :func:`replay_session`, one session at a time; this module has no loop
@@ -254,8 +255,8 @@ def replay_call(trace: CacheTrace, layout: SessionLayout, request_index: int, *,
         if limit is None or not trace.explicit_breakpoints:
             limit = n
         segments = layout.segment_contents if trace.opportunistic_segments else ()
-        cached, write = access(trace.store, layout.template[:n], limit,
-                               timeline.time_s[row], min(layout.stop, n), segments)
+        cached, write = access(trace.store, layout.template, limit, timeline.time_s[row],
+                               min(layout.stop, n), segments, length=n)
         trace.uncached.append(n - cached)
         trace.cached_read.append(cached)
         trace.cache_write.append(write)

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .checks import is_finite_number
 from .config import to_json
-from .stats import ConditionSamples, summarize_experiment
+from .stats import BASELINE_MODE, ConditionSamples, summarize_experiment
 
 PER_CALL_COLUMNS = ["session_id", "call_index", "mode", "policy", "uncached",
                     "cached_read", "cache_write", "output", "cost_usd",
@@ -119,12 +119,15 @@ def verify_run(run_dir: str | Path) -> list[str]:
     Returns a list of mismatch descriptions; empty means the artifacts
     are internally consistent: every recorded number equals its
     recomputed value exactly. Artifacts of the wrong shape (a file that
-    is not UTF-8, a summary that is not an object or holds a non-JSON
-    constant such as ``Infinity``, a CSV without the columns the run
-    writes, a token count that is not an integer or a cost or TTFT that
-    is not a finite number) are reported as such, and nothing is
+    is not UTF-8, a summary that is not JSON, is not an object or holds a
+    non-JSON constant such as ``Infinity``, a CSV without the columns the
+    run writes, a token count that is not an integer or a cost or TTFT
+    that is not a finite number) are reported as such, and nothing is
     recomputed from them. Neither is a report rebuilt from a session
-    whose finite cost or TTFT cells sum past the float range.
+    whose finite cost or TTFT cells sum past the float range, nor from
+    calls of a policy that has no ``no-cache`` rows to compare against.
+    Each of these last problems follows the problems found before it,
+    which stay reported.
     """
     run_dir = Path(run_dir)
     problems: list[str] = []
@@ -136,7 +139,10 @@ def verify_run(run_dir: str | Path) -> list[str]:
         return [f"missing artifact: {exc.filename}"]
     if summary_text is None:
         return problems
-    summary = json.loads(summary_text, parse_constant=_NonJson)
+    try:
+        summary = json.loads(summary_text, parse_constant=_NonJson)
+    except ValueError as exc:
+        return problems + [f"summary.json: not JSON ({exc})"]
     config = summary.get("config", {}) if isinstance(summary, dict) else None
     if not isinstance(config, dict):
         problems.append("summary.json: expected an object whose config is an object")
@@ -175,14 +181,19 @@ def verify_run(run_dir: str | Path) -> list[str]:
                 problems.append(f"per_session.csv {key} {name}: "
                                 f"{recorded!r} != recomputed {recomputed!r}")
 
-    # Finite cells can still sum past the float range; no report is
-    # rebuilt from such a session.
-    overflows = [f"per_call.csv {key}: {name} cells sum to {total!r}, past the float range"
-                 for key, (_, cost, ttft, *_) in sessions.items()
-                 for name, total in (("cost_usd", cost), ("ttft_ms", ttft))
-                 if not math.isfinite(total)]
-    if overflows:
-        return problems + overflows
+    # Finite cells can still sum past the float range, and a policy needs
+    # its baseline rows; no report is rebuilt without both.
+    unreportable = [f"per_call.csv {key}: {name} cells sum to {total!r}, past the float range"
+                    for key, (_, cost, ttft, *_) in sessions.items()
+                    for name, total in (("cost_usd", cost), ("ttft_ms", ttft))
+                    if not math.isfinite(total)]
+    baselines = {policy for policy, mode, _ in sessions if mode == BASELINE_MODE}
+    unreportable += [f"per_call.csv: policy {policy!r} has no {BASELINE_MODE!r} rows "
+                     "to compare against"
+                     for policy in dict.fromkeys(policy for policy, _, _ in sessions)
+                     if policy not in baselines]
+    if unreportable:
+        return problems + unreportable
 
     # Rebuild the comparison report from scratch.
     per_call_ttft = config.get("ttft_aggregation") == "per-call"

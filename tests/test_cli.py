@@ -225,6 +225,14 @@ def _drop_last_policy(text: str) -> str:
     return json.dumps(summary)
 
 
+def _drop_baseline(policy: str):
+    """A tamper that drops ``policy``'s ``no-cache`` rows from per_call.csv."""
+    def tamper(text: str) -> str:
+        return "".join(line for line in text.splitlines(keepends=True)
+                       if f",no-cache,{policy}," not in line)
+    return tamper
+
+
 @pytest.mark.parametrize("name, tamper, message", [
     ("summary.json", lambda text: "[]", "summary.json: expected an object"),
     ("summary.json", lambda text: '{"config": 3}', "summary.json: expected an object"),
@@ -238,6 +246,7 @@ def _drop_last_policy(text: str) -> str:
     ("summary.json", lambda text: text.replace('"best_cost_mode"', '"best_mode"', 1),
      "report.policies[0].best_cost_mode: present on one side only"),
     ("summary.json", _drop_last_policy, "report.policies: length 1 != 2"),
+    ("summary.json", lambda text: "{", "summary.json: not JSON (Expecting property name"),
     ("per_call.csv", lambda text: text.replace("cost_usd", "cost", 1),
      "per_call.csv: missing column(s) cost_usd"),
     ("per_call.csv", lambda text: "", "per_call.csv: missing column(s) session_id"),
@@ -254,6 +263,8 @@ def _drop_last_policy(text: str) -> str:
      "per_call.csv row 1 cached_read: '1.5' is not an integer"),
     ("per_call.csv", _overflow_first_session,
      "per_call.csv ('claude-sonnet-4.5', 'no-cache', 's001'): ttft_ms cells sum to inf"),
+    ("per_call.csv", _drop_baseline("gpt-4o"),
+     "per_call.csv: policy 'gpt-4o' has no 'no-cache' rows to compare against"),
     ("per_session.csv", _short_row, "per_session.csv: a row has fewer fields"),
     ("per_session.csv", _drop_last_row, "per_session.csv has 11 rows, per_call.csv implies 12"),
     ("per_session.csv", lambda text: text.replace(",s001,", ",s009,", 1),
@@ -261,10 +272,10 @@ def _drop_last_policy(text: str) -> str:
     ("per_session.csv", _first_row_cell("calls", "x"),
      "per_session.csv row 1 calls: 'x' is not an integer"),
 ], ids=["summary-list", "config-not-object", "alpha-string", "nan-in-report",
-        "infinity-in-config", "key-on-one-side", "list-length", "no-cost-column",
-        "empty-per-call", "short-call-row", "write-exceeds-prompt", "cost-not-a-number",
-        "cost-infinite", "cost-nan", "tokens-not-an-integer", "ttft-sum-overflows",
-        "short-session-row",
+        "infinity-in-config", "key-on-one-side", "list-length", "summary-not-json",
+        "no-cost-column", "empty-per-call", "short-call-row", "write-exceeds-prompt",
+        "cost-not-a-number", "cost-infinite", "cost-nan", "tokens-not-an-integer",
+        "ttft-sum-overflows", "policy-without-baseline", "short-session-row",
         "session-row-count", "session-without-calls", "calls-not-an-integer"])
 def test_verify_reports_malformed_artifacts(tmp_path, capsys, name, tamper, message):
     """Artifacts of the wrong shape are verify problems (exit 1), not crashes."""
@@ -291,6 +302,34 @@ def test_verify_keeps_session_mismatches_when_a_sum_overflows(tmp_path, capsys):
     assert err[0].endswith("!= recomputed inf")
     assert err[1:] == [f"per_call.csv {key}: ttft_ms cells sum to inf, past the float range",
                        "verify: 2 mismatch(es)"]
+
+
+def test_verify_keeps_earlier_mismatches_when_no_report_can_be_rebuilt(tmp_path, capsys):
+    """A policy without ``no-cache`` rows and a summary that is not JSON are
+    each named after the mismatches already found, which stay reported."""
+    assert main(["simulate", tiny_config(tmp_path)]) == EXIT_OK
+    out = tmp_path / "out"
+    path = out / "per_call.csv"
+    path.write_text(_drop_baseline("gpt-4o")(path.read_text()))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "per_session.csv has 12 rows, per_call.csv implies 9"
+    assert err[1:4] == [f"per_session.csv ('gpt-4o', 'no-cache', '{s}'): no matching calls"
+                        for s in ("s001", "s002", "s003")]
+    assert err[4:] == ["per_call.csv: policy 'gpt-4o' has no 'no-cache' rows to compare against",
+                       "verify: 5 mismatch(es)"]
+
+    (out / "summary.json").write_text("{")
+    assert main(["verify", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["summary.json: not JSON (Expecting property name enclosed in double quotes: "
+                   "line 1 column 2 (char 1))", "verify: 1 mismatch(es)"]
+    path = out / "per_session.csv"
+    path.write_text(_first_row_cell("calls", "x")(path.read_text()))
+    assert main(["verify", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines()[:2] == [
+        "per_session.csv row 1 calls: 'x' is not an integer", err[0]]
 
 
 @pytest.mark.parametrize("name", ["summary.json", "per_call.csv", "per_session.csv"])

@@ -428,3 +428,133 @@ def test_sealed_entries_match_the_oracle_with_fresh_breakers(seed):
             assert entry.tokens.size == cut
             assert entry.sealed == (cut < len(ids))
             assert entry.tokens.tolist() == ids[:cut]
+
+
+def test_an_offset_view_of_an_entrys_origin_is_compared():
+    """A prompt that views the same array as a stored entry, but from
+    another first token, shares no memory identity with the entry's origin
+    that would let it skip the comparison: it reads only what it shares."""
+    policy = make_policy(min_tokens=1, granularity=1)
+    template = np.concatenate([np.full(5, 70, dtype=np.uint64), synth_tokens(2000, 21)])
+    template.setflags(write=False)
+    store = CacheStore(policy)
+    entries = oracle_access([], template, 2005, 0.0, policy)[2]
+    assert access(store, template, 2005, 0.0) == (0, 2005)
+    for now, prompt in enumerate((template[1:], template[:], template[1:], template), 1):
+        read, write, entries = oracle_access(entries, prompt, 0, float(now), policy)
+        assert access(store, prompt, 0, float(now)) == (read, write)
+    assert access(store, template[1:], 0, 9.0) == (4, 0)
+    assert access(store, template, 0, 10.0, length=1500) == (1500, 0)
+
+
+
+def test_a_dropped_copy_is_freed_while_its_origin_stays():
+    """A breakpoint write stores a copy that agrees with its prompt's origin
+    throughout; once the copy's entry is subsumed or expires, nothing keeps
+    the copy alive, even while the store still sees the same origin."""
+    policy = make_policy(min_tokens=1024, granularity=1, ttl=10.0)
+    prompt = synth_tokens(3000, 23)
+    store = CacheStore(policy)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert access(store, prompt, 1500, 0.0) == (0, 1500)
+        first = weakref.ref(store.snapshot()[0].tokens)
+        assert access(store, prompt, 2000, 1.0) == (1500, 500)
+        assert first() is None
+        second = weakref.ref(store.snapshot()[0].tokens)
+        assert access(store, prompt, 0, 12.0) == (0, 0)
+        assert second() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+def test_length_sends_a_prefix_of_the_array():
+    """``length`` sends the array's first tokens: it reads and writes as
+    the sliced prompt would, bounds ``stop`` and the limit, and must lie
+    inside the array."""
+    policy = make_policy(min_tokens=1024, granularity=1)
+    template = synth_tokens(3000, 22)
+    sliced, whole = CacheStore(policy), CacheStore(policy)
+    for now, n in enumerate((1200, 2000, 3000)):
+        assert (access(whole, template, n, float(now), length=n)
+                == access(sliced, template[:n], n, float(now)))
+    assert [e.tokens.size for e in whole.snapshot()] == [3000]
+    for length, limit, stop in ((-1, 0, None), (3001, 0, None), (10, 11, None), (10, 0, 11)):
+        with pytest.raises(ValueError):
+            access(whole, template, limit, 5.0, stop, length=length)
+
+
+def _session_interleaving(rng: random.Random):
+    """A policy, up to four session templates and up to 30 steps of
+    (session, length, limit, time step). Templates share a prefix of random
+    length, two may be equal arrays that are different objects, and some
+    hold a breaker slot (a placeholder 0); each session mostly grows its
+    prompt, as replay does."""
+    gran = rng.choice([1, 4, 16])
+    policy = make_policy(min_tokens=gran * rng.randint(1, 8), granularity=gran,
+                         ttl=rng.choice([2.0, 6.0, 300.0]), refresh=rng.random() < 0.5)
+    alphabet = range(64, 64 + rng.randint(2, 4))
+    shared = [rng.choice(alphabet) for _ in range(rng.randint(100, 700))]
+    templates, slots = [], []
+    for _ in range(rng.randint(1, 4)):
+        if templates and rng.random() < 0.25:
+            i = rng.randrange(len(templates))
+            template, slot = templates[i].copy(), slots[i]
+        else:
+            ids = shared[:rng.randint(0, len(shared))]
+            ids += [rng.choice(alphabet) for _ in range(rng.randint(1, 700))]
+            slot = rng.randrange(len(ids)) if rng.random() < 0.4 else None
+            if slot is not None:
+                ids[slot] = 0
+            template = np.array(ids, dtype=np.uint64)
+        template.setflags(write=False)
+        templates.append(template)
+        slots.append(slot)
+    lengths = [0] * len(templates)
+    steps = []
+    for _ in range(rng.randint(1, 30)):
+        s = rng.randrange(len(templates))
+        size = templates[s].size
+        if rng.random() < 0.8:
+            lengths[s] = min(size, lengths[s] + rng.randint(1, 200))
+        else:
+            lengths[s] = rng.randint(1, size)
+        n = lengths[s]
+        limit = rng.choice([n, n, 0, rng.randint(0, n)])
+        steps.append((s, n, limit, rng.choice([0.0, 0.5, 1.0, 3.0])))
+    return policy, templates, slots, steps
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_session_templates_match_the_oracle(seed):
+    """Sessions sent as growing lengths of shared read-only templates,
+    interleaved, with expiry, refresh-on-read and breakpoint copies: the
+    engine, which compares each entry origin with a template once, agrees
+    with the oracle's plain scan on every read, every write and the store
+    after every step. The oracle sees each prompt as its own array, with
+    a fresh breaker id in the template's breaker slot."""
+    policy, templates, slots, steps = _session_interleaving(random.Random(seed))
+    store = CacheStore(policy)
+    expected_entries = []
+    now = 0.0
+    fresh = _FRESH
+    for s, n, limit, dt in steps:
+        now += dt
+        real = templates[s][:n].copy()
+        slot = slots[s]
+        stop = n if slot is None or slot >= n else slot
+        if stop < n:
+            real[slot] = fresh
+            fresh += 1
+        read, write, expected_entries = oracle_access(expected_entries, real, limit, now,
+                                                      policy)
+        assert access(store, templates[s], limit, now, stop, length=n) == (read, write)
+        got = store.snapshot()
+        assert [e.last_used_at for e in got] == [
+            e.expires_from(policy) for e in expected_entries]
+        for entry, expected in zip(got, expected_entries):
+            ids = expected.tokens.tolist()
+            cut = next((i for i, t in enumerate(ids) if t >= _FRESH), len(ids))
+            assert entry.tokens.tolist() == ids[:cut]
+            assert entry.sealed == (cut < len(ids))
