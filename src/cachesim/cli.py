@@ -4,7 +4,8 @@ Subcommands:
   simulate <config.json>   run the full (policy x mode) matrix
   ablate   <config.json>   sweep prompt size or tool count
   policies                 print the built-in policy table
-  verify   <run-dir>       recompute a run's summary from its CSV
+  verify   <run-dir>       recompute a run's summary from its CSV (each
+                           value's, for an ablation directory)
 
 Exit codes: 0 success, 1 validation problem, 2 I/O problem. This is the
 one module that writes to the terminal; the library calls it makes
@@ -55,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="emit the policy table as JSON")
 
     ver = sub.add_parser("verify", help="recompute a run's summary and diff it")
-    ver.add_argument("run_dir", help="directory written by the simulate command")
+    ver.add_argument("run_dir", help="directory written by simulate, or by ablate")
     return parser
 
 

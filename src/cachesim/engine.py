@@ -34,12 +34,11 @@ Each API call is one :func:`access`, which works in four steps:
    the first ``min(w, stop)`` tokens and is sealed when ``w > stop``.
    Unsealed entries that are prefixes of the new one are dropped
    (subsumed): the new entry matches at least as much and expires no
-   sooner. When the limit is the whole prompt, the entry is a read-only
-   view of the prompt's ids, which pins the rest of the array they view
-   (for a prompt served from a session layout, the session's template,
-   which all its entries share); a write up to an earlier breakpoint
-   stores a copy, so the entry does not keep the rest of the prompt
-   alive.
+   sooner. Every entry is a read-only view of the first ``min(w, stop)``
+   ids of the array given to :func:`access`, its origin: it copies no
+   token and pins that whole array, which for a prompt served from a
+   session layout is the session's template that all of the session's
+   entries share.
 4. **Segments.** Under an opportunistic-segments policy, a provider that
    reuses repeated interior content is modeled as matching any segment
    it has seen verbatim before, in any earlier call to the store. A
@@ -71,25 +70,24 @@ node, and a sealed entry that ends inside an edge splits it.
 
 A prompt is the first ``length`` tokens of an array, its *origin*:
 replay passes a session layout's template, so all of a session's
-requests share one. Each entry is a prefix of an origin too: the
-prompt's origin for an entry written as a view, its own copy otherwise.
-**Arrays given to a store are read-only and never written afterwards**
-(the store already relies on this to keep views of them as entries), so
-two arrays that agree on a prefix agree on it for good. The store
-remembers the last prompt origin it was given, by identity, and for each
-entry origin compared with it since, how many leading tokens the two are
-known to share and whether their first difference has been found;
-another prompt origin starts the map afresh. The prompt origin itself is
-never compared, so neither is an entry viewing it. Any other origin, a
-copy included, is compared only past what is known and only as far as
-the walk needs, the edge's end or ``stop``, in chunks that double in
-size, so a scan stops soon after the first difference. An edge
-then matches as far as its ``rep``'s origin agrees: the rep shares the
-path so far with the prompt, so its origin agrees at least that far. A
+requests share one. Each entry is a prefix of the origin of the prompt
+that wrote it. **Arrays given to a store are read-only and never written
+afterwards** (the store already relies on this to keep views of them as
+entries), so two arrays that agree on a prefix agree on it for good. The
+store remembers the last prompt origin it was given, by identity, and
+for each entry origin compared with it since, how many leading tokens
+the two are known to share and whether their first difference has been
+found; another prompt origin starts the map afresh. The prompt origin
+itself is never compared, so neither is an entry cut from it. Any other
+origin is compared only past what is known, and at most as far as the
+walk needs, the edge's end or ``stop``, in one pass. An edge then
+matches as far as its ``rep``'s origin agrees: the rep shares the path
+so far with the prompt, so its origin agrees at least that far. A
 session sent as growing lengths of one template thus compares each token
-of another origin once, not once per call. The map holds arrays, not
-entries, so a dropped entry is still freed at once, and a dropped copy
-takes its array out of the map in the same step.
+of another origin once, not once per call. The pass has no early exit:
+the walk enters an edge only through a matching first token, and the
+origins then mostly agree to its end. The map holds arrays, not
+entries, so a dropped entry is still freed at once.
 
 The store keeps its entries in order of their last use: a write appends
 its entry and a refresh moves the hit to the end, and the clock never
@@ -115,17 +113,13 @@ import numpy as np
 
 from .policies import ProviderPolicy
 
-# The first chunk an agreement scan compares; each later one is twice the last.
-_FIRST_CHUNK = 256
-
 
 @dataclass(eq=False)
 class CacheEntry:
-    """One stored prefix. ``tokens`` is a read-only uint64 array;
-    ``last_used_at`` is its expiry reference; ``sealed`` marks an entry
-    cut short at its prompt's first breaker; ``origin`` is the read-only
-    array whose first ``tokens.size`` tokens ``tokens`` holds: the prompt's
-    origin for a view, ``tokens`` itself for a copy.
+    """One stored prefix. ``tokens`` is a read-only uint64 view of the
+    first ``tokens.size`` ids of ``origin``, the array its prompt was given
+    to :func:`access` as; ``last_used_at`` is its expiry reference;
+    ``sealed`` marks an entry cut short at its prompt's first breaker.
 
     Entries compare and hash by identity.
     """
@@ -190,15 +184,8 @@ class CacheStore:
                 reps.append(node.held[0])
             node.rep = min(reps, key=rank)
 
-    def _forget(self, entry: CacheEntry) -> None:
-        """Drop ``entry`` from the entries, and a copy's own array from the
-        agreement map; the tree is the caller's."""
-        del self._entries[entry]
-        if entry.origin is entry.tokens:
-            self._agreed.pop(id(entry.tokens), None)
-
     def _remove(self, entry: CacheEntry) -> None:
-        self._forget(entry)
+        del self._entries[entry]
         tokens = entry.tokens
         path = []
         node = self._root
@@ -233,24 +220,18 @@ class CacheStore:
         it: the exact count if it is below ``end``, else at least ``end``."""
         if origin is self._origin:
             return end
-        known = self._agreed.get(id(origin))
-        if known is None:
-            known = self._agreed[id(origin)] = [origin, depth, False]
+        known = self._agreed.setdefault(id(origin), [origin, 0, False])
         _, agreed, found = known
         if found or agreed >= end:
             return agreed
-        prompt = self._origin
         agreed = max(agreed, depth)
-        step = _FIRST_CHUNK
-        while agreed < end:
-            upto = min(agreed + step, end)
-            differs = prompt[agreed:upto] != origin[agreed:upto]
-            k = int(differs.argmax())
-            if differs[k]:
-                agreed += k
-                known[2] = True
-                break
-            agreed, step = upto, 2 * step
+        differs = self._origin[agreed:end] != origin[agreed:end]
+        k = int(differs.argmax())
+        if differs[k]:
+            agreed += k
+            known[2] = True
+        else:
+            agreed = end
         known[1] = agreed
         return agreed
 
@@ -263,11 +244,12 @@ def access(store: CacheStore, prompt: np.ndarray, cacheable_limit: int,
 
     The call sends ``prompt[:length]`` (the whole array when ``length`` is
     omitted). ``prompt`` is a read-only ``uint64`` token array that must
-    never be written afterwards: it is the prompt's origin, and the store
-    remembers how far it agrees with each stored entry's origin (see the
-    module docstring), so a caller that sends a session's requests as
-    growing lengths of one template compares each stored token once per
-    session, not once per call. Positions below are in the prompt sent.
+    never be written afterwards: it is the prompt's origin, a written
+    entry is a view of its first ids, and the store remembers how far it
+    agrees with each stored entry's origin (see the module docstring), so
+    a caller that sends a session's requests as growing lengths of one
+    template compares each stored token once per session, not once per
+    call. Positions below are in the prompt sent.
 
     Purges expired entries, reads the longest usable cached prefix of
     the prompt (refreshing the matched entry under a refresh-on-read
@@ -346,14 +328,11 @@ def access(store: CacheStore, prompt: np.ndarray, cacheable_limit: int,
     if w >= policy.min_cache_tokens and w > read:
         write = w - read
         # Here w > depth, and the stored part ends at or past where the prompt
-        # left the tree. View or copy: see the write step in the module docstring.
+        # left the tree.
         size = min(w, stop)
-        if cacheable_limit == n:
-            stored, origin = prompt[:size], prompt
-        else:
-            stored = origin = prompt[:size].copy()
+        stored = prompt[:size]
         stored.setflags(write=False)
-        entry = CacheEntry(tokens=stored, last_used_at=now, sealed=w > stop, origin=origin)
+        entry = CacheEntry(tokens=stored, last_used_at=now, sealed=w > stop, origin=prompt)
         store._entries[entry] = store._inserted
         store._inserted += 1
         if cut is None and node.held and not node.held[0].sealed:
@@ -362,7 +341,7 @@ def access(store: CacheStore, prompt: np.ndarray, cacheable_limit: int,
             node.rep = entry
             node.end = size
             node.held = [entry]
-            store._forget(gone)
+            del store._entries[gone]
             store._repoint(path, gone)
         else:
             if cut is not None:

@@ -113,6 +113,18 @@ def _read_rows(path: Path, columns: Sequence[str], problems: list[str]) -> list[
     return rows
 
 
+def _verify_ablation(root: Path) -> list[str]:
+    problems: list[str] = []
+    rows = _read_rows(root / "ablation.csv", ("dimension", "value"), problems)
+    if not rows and not problems:
+        problems.append("ablation.csv: no rows")
+    if problems:
+        return problems
+    for name in dict.fromkeys(f"{row['dimension']}-{row['value']}" for row in rows):
+        problems += [f"{name}: {problem}" for problem in verify_run(root / name)]
+    return problems
+
+
 def verify_run(run_dir: str | Path) -> list[str]:
     """Recompute a run's summary from its per-call CSV and diff the two.
 
@@ -127,9 +139,13 @@ def verify_run(run_dir: str | Path) -> list[str]:
     whose finite cost or TTFT cells sum past the float range, nor from
     calls of a policy that has no ``no-cache`` rows to compare against.
     Each of these last problems follows the problems found before it,
-    which stay reported.
+    which stay reported. On an ablation root (``ablation.csv`` and no
+    ``summary.json``) it verifies each run that a row names, and prefixes
+    each problem with that run's directory, a missing one included.
     """
     run_dir = Path(run_dir)
+    if (run_dir / "ablation.csv").exists() and not (run_dir / "summary.json").exists():
+        return _verify_ablation(run_dir)
     problems: list[str] = []
     try:
         summary_text = _read_text(run_dir / "summary.json", problems)

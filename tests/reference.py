@@ -27,7 +27,7 @@ segment memo of the replay path:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -167,11 +167,13 @@ def apply_strategy(messages: Sequence[Message], mode: StrategyMode,
 
 @dataclass
 class OracleEntry:
-    """One entry of the oracle's cache, with both of its timestamps."""
+    """One entry of the oracle's cache, with both of its timestamps;
+    ``ids`` holds ``tokens`` as a list, which the oracle compares."""
 
     tokens: np.ndarray
     created_at: float
     last_used_at: float
+    ids: list[int] = field(repr=False)
 
     def expires_from(self, policy: ProviderPolicy) -> float:
         """The time the entry's TTL runs from: its last use under a
@@ -200,7 +202,7 @@ def oracle_access(entries: Iterable[OracleEntry], prompt: np.ndarray,
     hit: OracleEntry | None = None
     for entry in live:
         n = 0
-        for a, b in zip(tokens, entry.tokens.tolist()):
+        for a, b in zip(tokens, entry.ids):
             if a != b:
                 break
             n += 1
@@ -217,8 +219,8 @@ def oracle_access(entries: Iterable[OracleEntry], prompt: np.ndarray,
         return read, 0, live
     head = tokens[:w]
     kept = [entry for entry in live
-            if not (entry.tokens.size <= w and entry.tokens.tolist() == head[:entry.tokens.size])]
-    kept.append(OracleEntry(tokens=prompt[:w], created_at=now, last_used_at=now))
+            if not (len(entry.ids) <= w and entry.ids == head[:len(entry.ids)])]
+    kept.append(OracleEntry(tokens=prompt[:w], created_at=now, last_used_at=now, ids=head))
     return read, w - read, kept
 
 

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -436,6 +437,41 @@ def test_ablate_writes_grid_outputs(tmp_path):
     savings = [float(r["cost_savings_pct"]) for r in rows
                if r["policy"] == "gpt-4o" and r["mode"] == "system-prompt"]
     assert savings == sorted(savings)
+
+
+def test_verify_checks_each_run_of_an_ablation(tmp_path, capsys):
+    """On an ablation root, ``verify`` verifies each value directory that
+    ``ablation.csv`` names, prefixes each problem with that directory and
+    reports a missing one."""
+    out = tmp_path / "abl"
+    assert main(["ablate", tiny_config(tmp_path), "--dimension", "prompt-size",
+                 "--values", "1500", "3000", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == "verify: ok\n"
+
+    calls = out / "prompt-size-3000" / "per_call.csv"
+    calls.write_text(_first_row_cell("cost_usd", "999.0")(calls.read_text()))
+    (out / "prompt-size-1500" / "summary.json").unlink()
+    assert main(["verify", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == (f"prompt-size-1500: missing artifact: "
+                      f"{out / 'prompt-size-1500' / 'summary.json'}")
+    assert len(err) > 2 and all(line.startswith("prompt-size-3000: ") for line in err[1:-1])
+    assert err[-1] == f"verify: {len(err) - 1} mismatch(es)"
+
+    shutil.rmtree(out / "prompt-size-1500")
+    assert main(["verify", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines()[0] == err[0]
+
+    (out / "ablation.csv").write_text("dimension,policy\n")
+    assert main(["verify", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == [
+        "ablation.csv: missing column(s) value", "verify: 1 mismatch(es)"]
+    (out / "ablation.csv").write_text("dimension,value\n")
+    assert main(["verify", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == ["ablation.csv: no rows",
+                                                    "verify: 1 mismatch(es)"]
 
 
 def test_ablate_rejects_unsorted_values(tmp_path, capsys):

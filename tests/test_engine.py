@@ -217,24 +217,22 @@ def test_dropped_entries_are_freed_without_gc():
             gc.enable()
 
 
-def test_whole_prompt_writes_are_views_and_breakpoint_writes_copies():
-    """A write up to the end of the prompt keeps a view of its ids (pinning
-    fewer than ``granularity`` extra tokens); one up to a breakpoint copies."""
+def test_every_write_is_a_read_only_view_of_its_array():
+    """Every write, up to the end of the prompt, up to a breakpoint or cut
+    short at a breaker, stores a read-only view of the first ids of the
+    array passed to ``access`` and keeps that array as its origin."""
     policy = make_policy(min_tokens=1024, granularity=128)
     store = CacheStore(policy)
-    whole = synth_tokens(2100, 19)
+    whole, partial, sealed = (synth_tokens(2100, seed) for seed in (19, 20, 24))
     assert access(store, whole, 2100, 0.0) == (0, 2048)
-    (entry,) = store.snapshot()
-    assert np.shares_memory(entry.tokens, whole)
-    assert entry.tokens.base is not None and entry.tokens.base.size - entry.tokens.size < 128
-    assert not entry.tokens.flags.writeable
-
-    partial = synth_tokens(2100, 20)
     assert access(store, partial, 1500, 1.0) == (0, 1408)
-    entry = store.snapshot()[-1]
-    assert entry.tokens.size == 1408
-    assert not np.shares_memory(entry.tokens, partial)
-    assert not entry.tokens.flags.writeable
+    assert access(store, sealed, 2050, 2.0, 1800, length=2050) == (0, 2048)
+    got = store.snapshot()
+    assert [(e.tokens.size, e.sealed) for e in got] == [(2048, False), (1408, False),
+                                                        (1800, True)]
+    for entry, array in zip(got, (whole, partial, sealed)):
+        assert entry.origin is array and entry.tokens.base is array
+        assert not entry.tokens.flags.writeable
 
 
 @given(n=st.integers(1, 80), m=st.integers(0, 80), data=st.data())
@@ -447,28 +445,6 @@ def test_an_offset_view_of_an_entrys_origin_is_compared():
     assert access(store, template, 0, 10.0, length=1500) == (1500, 0)
 
 
-
-def test_a_dropped_copy_is_freed_while_its_origin_stays():
-    """A breakpoint write stores a copy that agrees with its prompt's origin
-    throughout; once the copy's entry is subsumed or expires, nothing keeps
-    the copy alive, even while the store still sees the same origin."""
-    policy = make_policy(min_tokens=1024, granularity=1, ttl=10.0)
-    prompt = synth_tokens(3000, 23)
-    store = CacheStore(policy)
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        assert access(store, prompt, 1500, 0.0) == (0, 1500)
-        first = weakref.ref(store.snapshot()[0].tokens)
-        assert access(store, prompt, 2000, 1.0) == (1500, 500)
-        assert first() is None
-        second = weakref.ref(store.snapshot()[0].tokens)
-        assert access(store, prompt, 0, 12.0) == (0, 0)
-        assert second() is None
-    finally:
-        if was_enabled:
-            gc.enable()
-
 def test_length_sends_a_prefix_of_the_array():
     """``length`` sends the array's first tokens: it reads and writes as
     the sliced prompt would, bounds ``stop`` and the limit, and must lie
@@ -483,6 +459,64 @@ def test_length_sends_a_prefix_of_the_array():
     for length, limit, stop in ((-1, 0, None), (3001, 0, None), (10, 11, None), (10, 0, 11)):
         with pytest.raises(ValueError):
             access(whole, template, limit, 5.0, stop, length=length)
+
+
+class _Logged(np.ndarray):
+    """A session template whose slices log each elementwise ``!=`` made
+    with them as ``(own template, other operand's template, first
+    position, tokens compared)``, so a test counts the engine's token
+    comparisons without a counter in the engine."""
+
+    def __array_finalize__(self, obj):
+        self.template = getattr(obj, "template", None)
+        self.log = getattr(obj, "log", None)
+
+    def __ne__(self, other):
+        first = (self.__array_interface__["data"][0]
+                 - self.template.__array_interface__["data"][0]) // self.itemsize
+        self.log.append((self.template, getattr(other, "template", None), first, self.size))
+        return np.asarray(self) != np.asarray(other)
+
+
+def _logged(ids: np.ndarray, log: list) -> _Logged:
+    template = ids.view(_Logged)
+    template.setflags(write=False)
+    template.template, template.log = template, log
+    return template
+
+
+def test_a_session_compares_each_position_once():
+    """Four sessions of eight growing requests over a shared 5,000-token
+    system prompt, each pair also sharing a 300-token task, under a
+    granularity that leaves some calls unwritten. A session never compares
+    its template with itself, compares each position of it with a stored
+    origin at most once, and the system prompt exactly once: tokens
+    compared are bounded by the sessions' template lengths, not by their
+    calls."""
+    policy = make_policy(min_tokens=1024, granularity=128)
+    system = synth_tokens(5000, 31)
+    tasks = [synth_tokens(300, 32 + t) for t in range(2)]
+    store = CacheStore(policy)
+    log: list = []
+    bound = 0
+    now = 0.0
+    for s in range(4):
+        template = _logged(np.concatenate([system, tasks[s // 2], synth_tokens(480, 40 + s)]),
+                           log)
+        start = len(log)
+        for r in range(1, 9):
+            n = 5300 + 60 * r
+            access(store, template, n, now, length=n)
+            now += 1.0
+        compared = np.zeros(template.size, dtype=np.int64)
+        for own, other, first, size in log[start:]:
+            assert own is template and other is not template
+            compared[first:first + size] += 1
+        assert compared.max(initial=0) <= 1
+        assert s == 0 or (compared[:5000] == 1).all()
+        if s:
+            bound += template.size
+    assert sum(size for *_, size in log) <= bound
 
 
 def _session_interleaving(rng: random.Random):
@@ -529,7 +563,7 @@ def _session_interleaving(rng: random.Random):
 @pytest.mark.parametrize("seed", range(40))
 def test_session_templates_match_the_oracle(seed):
     """Sessions sent as growing lengths of shared read-only templates,
-    interleaved, with expiry, refresh-on-read and breakpoint copies: the
+    interleaved, with expiry, refresh-on-read and breakpoint writes: the
     engine, which compares each entry origin with a template once, agrees
     with the oracle's plain scan on every read, every write and the store
     after every step. The oracle sees each prompt as its own array, with
