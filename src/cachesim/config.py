@@ -37,7 +37,10 @@ fails to load, before anything runs.
 
 :func:`to_json` gives the JSON form of a config, a policy or a report:
 each dataclass maps to its fields, so every echoed object lists the
-same fields as the dataclass behind it.
+same fields as the dataclass behind it. ``PER_CALL_COLUMNS`` and
+``PER_SESSION_COLUMNS`` name the columns of a run's two CSV artifacts,
+in order, for :mod:`cachesim.runner`, which writes them, and
+:mod:`cachesim.verify`, which reads them back.
 
 The value types a config is built from live here too, next to the
 checks that load them: :class:`StrategyMode`, :class:`WorkloadSpec` with
@@ -357,6 +360,14 @@ def config_from_dict(data: dict, master_seed: int | None = None) -> ExperimentCo
         raise
     except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
+
+
+PER_CALL_COLUMNS = ["session_id", "call_index", "mode", "policy", "uncached",
+                    "cached_read", "cache_write", "output", "cost_usd",
+                    "ttft_ms", "time_s"]
+PER_SESSION_COLUMNS = ["policy", "mode", "session_id", "calls", "total_cost_usd",
+                       "mean_ttft_ms", "uncached", "cached_read", "cache_write",
+                       "output"]
 
 
 def to_json(value):

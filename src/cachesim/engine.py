@@ -87,7 +87,9 @@ session sent as growing lengths of one template thus compares each token
 of another origin once, not once per call. The pass has no early exit:
 the walk enters an edge only through a matching first token, and the
 origins then mostly agree to its end. The map holds arrays, not
-entries, so a dropped entry is still freed at once.
+entries, so a dropped entry is still freed at once; the store counts
+the live entries of each origin and drops an origin's record with its
+last entry, so the map pins no array that no entry views.
 
 The store keeps its entries in order of their last use: a write appends
 its entry and a refresh moves the hit to the end, and the clock never
@@ -162,6 +164,9 @@ class CacheStore:
         # found]``; the array keeps its id from being reused.
         self._origin: np.ndarray | None = None
         self._agreed: dict[int, list] = {}
+        # The number of live entries by the id of their origin; an origin's
+        # record in ``_agreed`` goes with its last entry.
+        self._live: dict[int, int] = {}
         # The content of every segment seen, under opportunistic segments.
         self._seen: set[bytes] | None = set() if policy.opportunistic_segments else None
 
@@ -184,8 +189,26 @@ class CacheStore:
                 reps.append(node.held[0])
             node.rep = min(reps, key=rank)
 
-    def _remove(self, entry: CacheEntry) -> None:
+    def _add(self, entry: CacheEntry) -> None:
+        self._entries[entry] = self._inserted
+        self._inserted += 1
+        key = id(entry.origin)
+        self._live[key] = self._live.get(key, 0) + 1
+
+    def _forget(self, entry: CacheEntry) -> None:
+        """Drop ``entry`` from the entries, and with its origin's last live
+        entry the origin's record in ``_agreed``."""
         del self._entries[entry]
+        key = id(entry.origin)
+        left = self._live[key] - 1
+        if left:
+            self._live[key] = left
+        else:
+            del self._live[key]
+            self._agreed.pop(key, None)
+
+    def _remove(self, entry: CacheEntry) -> None:
+        self._forget(entry)
         tokens = entry.tokens
         path = []
         node = self._root
@@ -333,15 +356,14 @@ def access(store: CacheStore, prompt: np.ndarray, cacheable_limit: int,
         stored = prompt[:size]
         stored.setflags(write=False)
         entry = CacheEntry(tokens=stored, last_used_at=now, sealed=w > stop, origin=prompt)
-        store._entries[entry] = store._inserted
-        store._inserted += 1
+        store._add(entry)
         if cut is None and node.held and not node.held[0].sealed:
             # ``node`` is the leaf of an unsealed entry the new one extends: subsume it.
             gone = node.held[0]
             node.rep = entry
             node.end = size
             node.held = [entry]
-            del store._entries[gone]
+            store._forget(gone)
             store._repoint(path, gone)
         else:
             if cut is not None:

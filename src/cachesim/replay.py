@@ -5,21 +5,23 @@ A run replays the same transcripts under every (policy, mode) condition,
 and each per-call fact is computed once, at the level it depends on:
 
 * The run's :class:`Timeline` holds what depends only on the transcripts:
-  each call's send time and output tokens, and each session's id and
-  first row. Simulated time starts at 0 s, and each call advances it by
-  the gap between its transcript's timestamps to the next request (to the
-  final message after the last call), so each session starts where the
-  one before it ended; transcripts hold only finite, non-decreasing
-  timestamps, the timeline rejects a clock that ends a session past
-  ``MAX_CLOCK_S`` (half the largest float, the bound a generated
-  workload keeps), and the store rejects a time that is not finite or
-  goes back. This one clock is every store's time, so no condition keeps
-  a clock of its own.
+  each call's send time and output tokens, as read-only arrays, and each
+  session's id and first row. Simulated time starts at 0 s, and each
+  call advances it by the gap between its transcript's timestamps to the
+  next request (to the final message after the last call), so each
+  session starts where the one before it ended; transcripts hold only
+  finite, non-decreasing timestamps, the timeline rejects a clock that
+  ends a session past ``MAX_CLOCK_S`` (half the largest float, the bound
+  a generated workload keeps), and the store rejects a time that is not
+  finite or goes back. This one clock is every store's time, so no
+  condition keeps a clock of its own.
 * A :class:`CacheTrace` holds what depends on the mode and the cache
   rules (:attr:`~cachesim.policies.ProviderPolicy.cache_rules`): one fresh
   store, and each call's uncached, cached-read and cache-write tokens as
-  columns. Policies whose rules are equal share one trace per mode
-  (gpt-4o and gpt-5.2 do), whatever their prices.
+  columns: lists while the mode's sessions are replayed, then read-only
+  ``int64`` arrays (:meth:`CacheTrace.finish`). Policies whose rules are
+  equal share one trace per mode (gpt-4o and gpt-5.2 do), whatever their
+  prices.
 * :func:`price_condition` is the one pass per condition over what
   depends on the condition itself: it prices the trace's columns by the
   condition's own policy (:func:`price_call`) and models
@@ -69,8 +71,12 @@ Warmup sessions are the first ones replayed, to prime the store; their
 rows are excluded from evaluation and their cache writes and cost are
 reported in a separate ledger. A :class:`ConditionRun` holds the
 timeline's and the trace's evaluation columns by reference, shared with
-every other condition of the run and of the trace, as read-only data;
-only its cost and TTFT columns and session totals are its own.
+every other condition of the run and of the trace; only its cost and
+TTFT columns and session totals are its own. Every per-call column is a
+read-only 1-D numpy array (``int64`` token counts, ``float64`` cost,
+TTFT and send time), 8 bytes a call rather than a boxed Python number
+and a list slot; the session-level columns are lists of Python
+numbers.
 
 ``tests/reference.py`` restates a whole condition one request at a time,
 with real breaker ids, a plain-list cache and plain-Python pricing, and
@@ -81,7 +87,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -113,34 +118,43 @@ class ConditionRun:
 
     Evaluation session ``i`` is ``session_ids[i]``; its calls, in request
     order, are rows ``offsets[i]`` up to ``offsets[i + 1]`` of the per-call
-    columns (token counts as ints; cost, TTFT and send time as floats).
+    columns, read-only 1-D arrays (token counts as ``int64``; cost, TTFT
+    and send time as ``float64``; ``.tolist()`` gives Python numbers).
     ``session_cost_usd`` and ``session_ttft_ms`` hold each session's total
     cost and mean TTFT, summed once, left to right. Every column but the
     cost and TTFT ones may be shared with other conditions of the same run,
-    so treat them as read-only.
+    so treat the lists as read-only too.
     """
 
     policy_name: str
     mode: StrategyMode
     session_ids: list[str]
     offsets: list[int]
-    uncached: list[int]
-    cached_read: list[int]
-    cache_write: list[int]
-    output: list[int]
-    cost_usd: list[float]
-    ttft_ms: list[float]
-    time_s: list[float]
+    uncached: np.ndarray
+    cached_read: np.ndarray
+    cache_write: np.ndarray
+    output: np.ndarray
+    cost_usd: np.ndarray
+    ttft_ms: np.ndarray
+    time_s: np.ndarray
     session_cost_usd: list[float]
     session_ttft_ms: list[float]
     warmup: WarmupLedger
 
 
+def _frozen(values: list, dtype) -> np.ndarray:
+    """``values`` as a read-only 1-D array of ``dtype``."""
+    column = np.array(values, dtype=dtype)
+    column.setflags(write=False)
+    return column
+
+
 class Timeline:
     """What every condition of a run shares, computed once from the
-    transcripts: each call's send time (``time_s``) and output tokens
-    (``output``), one row per call in replay order, warmup sessions
-    first; session ``s`` is rows ``offsets[s]`` up to ``offsets[s + 1]``.
+    transcripts: each call's send time (``time_s``, ``float64``) and output
+    tokens (``output``, ``int64``) as read-only arrays, one row per call in
+    replay order, warmup sessions first; session ``s`` is rows
+    ``offsets[s]`` up to ``offsets[s + 1]``.
     A clock that runs past ``MAX_CLOCK_S`` by a session's end is a
     ``ValueError`` that names the session.
     """
@@ -168,22 +182,26 @@ class Timeline:
                     f"session {transcript.session_id}: the run's clock reaches {now_s!r} s "
                     f"by its end, more than MAX_CLOCK_S={MAX_CLOCK_S!r}")
         self.warmup_sessions = warmup_sessions
-        self.time_s = time_s
-        self.output = output
+        self.time_s = _frozen(time_s, np.float64)
+        self.output = _frozen(output, np.int64)
         self.offsets = offsets
         k = offsets[warmup_sessions]
         # The evaluation rows, held by reference by every ConditionRun.
         self.shared = dict(
             session_ids=[t.session_id for t in transcripts[warmup_sessions:]],
             offsets=[offset - k for offset in offsets[warmup_sessions:]],
-            output=output[k:], time_s=time_s[k:])
+            output=self.output[k:], time_s=self.time_s[k:])
+
+
+_TOKEN_COLUMNS = ("uncached", "cached_read", "cache_write")
 
 
 class CacheTrace:
     """One mode's cache outcomes under one set of cache rules: a fresh store
     built for ``policy`` (whose rules alone it reads) and each call's
     ``uncached``, ``cached_read`` and ``cache_write`` tokens, by row of
-    ``timeline``, as the store served them."""
+    ``timeline``, as the store served them: lists that replay appends to,
+    until :meth:`finish` turns them into arrays."""
 
     def __init__(self, timeline: Timeline, mode: StrategyMode,
                  policy: ProviderPolicy) -> None:
@@ -196,18 +214,18 @@ class CacheTrace:
         self.cached_read: list[int] = []
         self.cache_write: list[int] = []
 
-    @cached_property
-    def usage(self) -> UsageRecord:
-        """Every row's usage as float columns, built once for pricing."""
+    def finish(self) -> None:
+        """Once every session has been replayed, turn the token lists into
+        read-only ``int64`` arrays, one column at a time so that no column
+        is held as both, and build from them every row's ``usage`` as float
+        columns, for pricing, and the evaluation rows (``shared``) that
+        every ConditionRun of the trace holds by reference."""
+        for name in _TOKEN_COLUMNS:
+            setattr(self, name, _frozen(getattr(self, name), np.int64))
         columns = (self.uncached, self.cached_read, self.cache_write, self.timeline.output)
-        return UsageRecord(*(np.array(column, dtype=np.float64) for column in columns))
-
-    @cached_property
-    def shared(self) -> dict[str, list[int]]:
-        """The evaluation rows, held by reference by every ConditionRun."""
+        self.usage = UsageRecord(*(column.astype(np.float64) for column in columns))
         k = self.timeline.offsets[self.timeline.warmup_sessions]
-        return dict(uncached=self.uncached[k:], cached_read=self.cached_read[k:],
-                    cache_write=self.cache_write[k:])
+        self.shared = {name: getattr(self, name)[k:] for name in _TOKEN_COLUMNS}
 
 
 class CallRecord:
@@ -224,8 +242,8 @@ class CallRecord:
     @property
     def usage(self) -> UsageRecord:
         trace, row = self.trace, self.row
-        return UsageRecord(trace.uncached[row], trace.cached_read[row],
-                           trace.cache_write[row], trace.timeline.output[row])
+        return UsageRecord(int(trace.uncached[row]), int(trace.cached_read[row]),
+                           int(trace.cache_write[row]), int(trace.timeline.output[row]))
 
 
 def replay_call(trace: CacheTrace, layout: SessionLayout, request_index: int, *,
@@ -237,9 +255,10 @@ def replay_call(trace: CacheTrace, layout: SessionLayout, request_index: int, *,
 
     The first condition of the trace to send the call runs it through the
     trace's store, at the timeline's send time, and appends its tokens to
-    the trace's columns; every later one touches neither. Calls reach the
-    store in row order. Every condition gets a record of the same row, so
-    the same usage. Per-call tracing reads ``session_seed`` by name."""
+    the trace's column lists; every later one touches neither. Calls reach
+    the store in row order. Every condition gets a record of the same row,
+    so the same usage, of Python ints. Per-call tracing reads
+    ``session_seed`` by name."""
     timeline = trace.timeline
     first = timeline.offsets[session_seed]
     if not 1 <= request_index <= timeline.offsets[session_seed + 1] - first:
@@ -255,7 +274,7 @@ def replay_call(trace: CacheTrace, layout: SessionLayout, request_index: int, *,
         if limit is None or not trace.explicit_breakpoints:
             limit = n
         segments = layout.segment_contents if trace.opportunistic_segments else ()
-        cached, write = access(trace.store, layout.template, limit, timeline.time_s[row],
+        cached, write = access(trace.store, layout.template, limit, timeline.time_s.item(row),
                                min(layout.stop, n), segments, length=n)
         trace.uncached.append(n - cached)
         trace.cached_read.append(cached)
@@ -298,7 +317,8 @@ def price_call(usage: UsageRecord, policy: ProviderPolicy) -> np.ndarray:
 def price_condition(trace: CacheTrace, policy: ProviderPolicy,
                     latency_model: LatencyModel) -> ConditionRun:
     """The (policy, trace's mode) condition's results, once every session
-    has been replayed through ``trace``: every call priced by ``policy``'s
+    has been replayed through ``trace`` and it is finished
+    (:meth:`CacheTrace.finish`): every call priced by ``policy``'s
     own rates and timed by ``latency_model`` in one pass. A noise factor,
     cost or TTFT, or a session's total of them, that is not finite is a
     ``ValueError`` naming the policy and mode.
@@ -306,8 +326,7 @@ def price_condition(trace: CacheTrace, policy: ProviderPolicy,
     The noise stream is derived from (latency seed, policy, mode), so
     conditions stay independent no matter how many run or in what order.
     """
-    timeline, mode = trace.timeline, trace.mode
-    usage = trace.usage
+    timeline, mode, usage = trace.timeline, trace.mode, trace.usage
     noise = np.random.Generator(np.random.PCG64(
         derive_seed(latency_model.seed, "noise", policy.name, mode.value)))
 
@@ -326,13 +345,17 @@ def price_condition(trace: CacheTrace, policy: ProviderPolicy,
     for what, column in (("a noise factor", factors), ("a cost", cost), ("a TTFT", ttft)):
         if not np.isfinite(column).all():
             raise not_finite(what)
-    cost, ttft = cost.tolist(), ttft.tolist()
+    cost.setflags(write=False)
+    ttft.setflags(write=False)
 
+    # Session sums run left to right over Python floats; the lists live
+    # only for this pass.
     w, offsets = timeline.warmup_sessions, timeline.offsets
     k = offsets[w]
     sessions = list(zip(offsets, offsets[1:]))
-    session_cost = [left_sum(cost[start:end]) for start, end in sessions]
-    session_ttft = [left_sum(ttft[start:end]) / (end - start) for start, end in sessions[w:]]
+    costs, ttfts = cost.tolist(), ttft.tolist()
+    session_cost = [left_sum(costs[start:end]) for start, end in sessions]
+    session_ttft = [left_sum(ttfts[start:end]) / (end - start) for start, end in sessions[w:]]
     warmup_cost = left_sum(session_cost[:w])
     if not all(map(math.isfinite, (warmup_cost, *session_cost, *session_ttft))):
         raise not_finite("a session's total cost or mean TTFT")
@@ -341,4 +364,4 @@ def price_condition(trace: CacheTrace, policy: ProviderPolicy,
         cost_usd=cost[k:], ttft_ms=ttft[k:],
         session_cost_usd=session_cost[w:], session_ttft_ms=session_ttft,
         warmup=WarmupLedger(policy.name, mode.value, w,
-                            sum(trace.cache_write[:k]), warmup_cost))
+                            int(trace.cache_write[:k].sum()), warmup_cost))

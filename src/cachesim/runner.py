@@ -27,14 +27,18 @@ condition at a time, with every string cell quoted as ``csv.writer``
 quotes it. Text that comes from columns several conditions hold by
 reference (the timeline's session ids, call indexes and send times, a
 trace's token counts) is formatted once per shared column, and each
-condition adds only its own cost and TTFT cells. Costs repeat (by call
-index, and across sessions), so each condition formats each distinct
-nonzero cost once per column. Every summary value can
-be recomputed from ``per_call.csv`` alone;
-:func:`cachesim.verify.verify_run` does exactly that, and
-:mod:`cachesim.verify` owns the CSV column names this module writes.
-This module replays and prices through numpy, so the CLI imports it
-only for the commands that run an experiment.
+condition adds only its own cost and TTFT cells. Every per-call column
+is a numpy array, formatted from one ``tolist()`` of it, so each cell is
+the ``repr`` of a Python number, as ``csv.writer`` writes it. Costs
+repeat (by call index, and across sessions), so each condition formats
+each distinct nonzero cost once per column. Every summary value can be
+recomputed from ``per_call.csv`` alone;
+:func:`cachesim.verify.verify_run` does exactly that, from the CSV
+columns (``PER_CALL_COLUMNS``, ``PER_SESSION_COLUMNS``) that
+:mod:`cachesim.config` names for both modules. This module replays and
+prices through numpy, so the CLI imports it only for the commands that
+run an experiment, and it imports neither :mod:`cachesim.verify` nor
+``statistics`` (only an ablation loads it, for its medians).
 """
 
 from __future__ import annotations
@@ -42,18 +46,19 @@ from __future__ import annotations
 import csv
 import io
 import json
-import statistics
 from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from .config import AblationGrid, ExperimentConfig, LatencyModel, StrategyMode, to_json
+import numpy as np
+
+from .config import (PER_CALL_COLUMNS, PER_SESSION_COLUMNS, AblationGrid, ExperimentConfig,
+                     LatencyModel, StrategyMode, to_json)
 from .policies import ProviderPolicy
 from .replay import CacheTrace, ConditionRun, Timeline, price_condition, replay_session
 from .stats import (BASELINE_MODE, Comparison, ConditionSamples, ExperimentReport,
                     summarize_experiment)
 from .strategies import session_layout
-from .verify import PER_CALL_COLUMNS, PER_SESSION_COLUMNS
 from .workload import SessionTranscript, generate
 
 
@@ -67,7 +72,7 @@ def _replay_mode(transcripts: Sequence[SessionTranscript], timeline: Timeline, m
                  conditions: Sequence[tuple[ProviderPolicy, LatencyModel]]) -> list[ConditionRun]:
     """Replay one mode's (policy, latency model) conditions in lockstep, with
     one trace per distinct set of cache rules and one layout per session,
-    then price each condition."""
+    then finish each trace and price each condition."""
     traces: dict[tuple, CacheTrace] = {}
     for policy, _ in conditions:
         if policy.cache_rules not in traces:
@@ -77,6 +82,8 @@ def _replay_mode(transcripts: Sequence[SessionTranscript], timeline: Timeline, m
         layout = session_layout(transcript, mode)
         for trace in condition_traces:
             replay_session(trace, session, layout)
+    for trace in traces.values():
+        trace.finish()
     return [price_condition(trace, policy, latency_model)
             for trace, (policy, latency_model) in zip(condition_traces, conditions)]
 
@@ -108,7 +115,8 @@ def _report(config: ExperimentConfig, runs: Sequence[ConditionRun]) -> Experimen
     per_call = config.ttft_aggregation == "per-call"
     samples = [ConditionSamples(policy=run.policy_name, mode=run.mode.value,
                                 costs=tuple(run.session_cost_usd),
-                                ttfts=tuple(run.ttft_ms if per_call else run.session_ttft_ms))
+                                ttfts=tuple(run.ttft_ms.tolist() if per_call
+                                            else run.session_ttft_ms))
                for run in runs]
     return summarize_experiment(samples, alpha=config.alpha)
 
@@ -150,14 +158,13 @@ def _call_heads(session_ids: list[str], offsets: list[int]) -> list[str]:
             for r in range(1, end - start + 1)]
 
 
-def _call_tokens(uncached: list[int], cached_read: list[int], cache_write: list[int],
-                 output: list[int]) -> list[str]:
+def _call_tokens(*columns: np.ndarray) -> list[str]:
     return [f"{u},{c},{w},{o},"
-            for u, c, w, o in zip(uncached, cached_read, cache_write, output)]
+            for u, c, w, o in zip(*(column.tolist() for column in columns))]
 
 
-def _call_tails(time_s: list[float]) -> list[str]:
-    return [f",{t!r}\r\n" for t in time_s]
+def _call_tails(time_s: np.ndarray) -> list[str]:
+    return [f",{t!r}\r\n" for t in time_s.tolist()]
 
 
 def _float_texts(values: list[float]) -> list[str]:
@@ -175,7 +182,8 @@ def _per_call_rows(run: ConditionRun, shared) -> list[str]:
                 shared(_call_heads, run.session_ids, run.offsets),
                 shared(_call_tokens, run.uncached, run.cached_read, run.cache_write,
                        run.output),
-                _float_texts(run.cost_usd), run.ttft_ms, shared(_call_tails, run.time_s))]
+                _float_texts(run.cost_usd.tolist()), run.ttft_ms.tolist(),
+                shared(_call_tails, run.time_s))]
 
 
 def _session_heads(session_ids: list[str], offsets: list[int]) -> list[str]:
@@ -183,10 +191,10 @@ def _session_heads(session_ids: list[str], offsets: list[int]) -> list[str]:
             for session, (start, end) in zip(session_ids, _spans(offsets))]
 
 
-def _session_tokens(offsets: list[int], *columns: list[int]) -> list[str]:
+def _session_tokens(offsets: list[int], *columns: np.ndarray) -> list[str]:
     """Each session's token totals, summed once per set of shared columns."""
-    totals = [[sum(column[start:end]) for start, end in _spans(offsets)]
-              for column in columns]
+    totals = [[sum(values[start:end]) for start, end in _spans(offsets)]
+              for values in (column.tolist() for column in columns)]
     return [f",{u},{c},{w},{o}\r\n" for u, c, w, o in zip(*totals)]
 
 
@@ -288,6 +296,10 @@ def run_ablation(config: ExperimentConfig, grid: AblationGrid, *,
     configs = {value: _ablation_config(config, grid, value) for value in grid.values}
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+
+    # Imported here, its one use, so that simulate never loads it (nor the
+    # fractions and decimal modules it imports).
+    import statistics
 
     rows: list[AblationRow] = []
     for value, value_config in configs.items():

@@ -4,9 +4,10 @@
 comparison report from ``per_call.csv`` alone and reports every value
 that is not equal to the recorded one. Every sum runs left to right and
 every float round-trips through its ``repr``, so the recomputation gives
-the same bits, and no tolerance is needed. This module owns the CSV
-columns (``PER_CALL_COLUMNS``, ``PER_SESSION_COLUMNS``) that
-:mod:`cachesim.runner` writes, and it imports nothing that loads numpy.
+the same bits, and no tolerance is needed. It reads the CSV columns by the
+names :mod:`cachesim.config` gives them (``PER_CALL_COLUMNS``,
+``PER_SESSION_COLUMNS``), the same lists :mod:`cachesim.runner` writes,
+and it imports nothing that loads numpy.
 """
 
 from __future__ import annotations
@@ -19,15 +20,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .checks import is_finite_number
-from .config import to_json
+from .config import PER_CALL_COLUMNS, PER_SESSION_COLUMNS, to_json
 from .stats import BASELINE_MODE, ConditionSamples, summarize_experiment
-
-PER_CALL_COLUMNS = ["session_id", "call_index", "mode", "policy", "uncached",
-                    "cached_read", "cache_write", "output", "cost_usd",
-                    "ttft_ms", "time_s"]
-PER_SESSION_COLUMNS = ["policy", "mode", "session_id", "calls", "total_cost_usd",
-                       "mean_ttft_ms", "uncached", "cached_read", "cache_write",
-                       "output"]
 
 
 class _NonJson(str):

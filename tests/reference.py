@@ -15,6 +15,8 @@ segment memo of the replay path:
   :func:`cachesim.access`. Its entries keep both their creation and
   last-use times and pick the one a policy's expiry rule runs from, so
   the oracle does not lean on the engine's single expiry reference.
+* :func:`listed` gives a :class:`~cachesim.ConditionRun` with its per-call
+  columns as lists, so two runs compare field for field with ``==``.
 * :func:`reference_condition` replays a whole (policy, mode) condition
   one API call at a time through the two above and its own segment
   memo, then prices and times each call with :func:`reference_price`
@@ -196,8 +198,9 @@ def oracle_access(entries: Iterable[OracleEntry], prompt: np.ndarray,
     live = [replace(entry) for entry in entries
             if now - entry.expires_from(policy) <= policy.ttl_seconds]
     # Read: the first live entry with the longest common prefix, compared
-    # token by token, is the one a refresh touches.
-    tokens = prompt.tolist()
+    # token by token, is the one a refresh touches. No comparison runs past
+    # the longest live entry, so only the prompt's ids up to there are read.
+    tokens = prompt[:max((len(entry.ids) for entry in live), default=0)].tolist()
     best = 0
     hit: OracleEntry | None = None
     for entry in live:
@@ -217,7 +220,7 @@ def oracle_access(entries: Iterable[OracleEntry], prompt: np.ndarray,
     w = cacheable_limit // g * g
     if w < policy.min_cache_tokens or w <= read:
         return read, 0, live
-    head = tokens[:w]
+    head = prompt[:w].tolist()
     kept = [entry for entry in live
             if not (len(entry.ids) <= w and entry.ids == head[:len(entry.ids)])]
     kept.append(OracleEntry(tokens=prompt[:w], created_at=now, last_used_at=now, ids=head))
@@ -257,6 +260,14 @@ CALL_COLUMNS = ("uncached", "cached_read", "cache_write", "output",
                 "cost_usd", "ttft_ms", "time_s")
 
 
+def listed(run: ConditionRun) -> ConditionRun:
+    """``run`` with each per-call column that is an array as a list of
+    Python numbers, the form :func:`reference_condition` builds, so that
+    two runs compare field for field with ``==``."""
+    return replace(run, **{name: getattr(run, name).tolist() for name in CALL_COLUMNS
+                           if isinstance(getattr(run, name), np.ndarray)})
+
+
 def reference_price(usage: UsageRecord, policy: ProviderPolicy, prompt_total: int) -> float:
     """One call's price in USD: every component at its per-token rate, the
     tier picked from the whole prompt size (boundary exclusive)."""
@@ -281,7 +292,8 @@ def reference_ttft(latency: LatencyModel, usage: UsageRecord, z: float) -> float
 def reference_condition(transcripts: Sequence[SessionTranscript], mode: StrategyMode,
                         policy: ProviderPolicy, latency: LatencyModel,
                         warmup: int = 0) -> ConditionRun:
-    """The :class:`~cachesim.ConditionRun` that ``run_condition`` must return."""
+    """The :class:`~cachesim.ConditionRun` that ``run_condition`` must
+    return, with its per-call columns as lists (see :func:`listed`)."""
     noise = np.random.Generator(np.random.PCG64(
         derive_seed(latency.seed, "noise", policy.name, mode.value)))
     entries: list = []

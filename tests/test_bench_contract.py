@@ -2,7 +2,8 @@
 
 ``bench/tracer.py`` wraps ``cachesim.replay.replay_call`` by name and reads
 its ``session_seed`` and ``request_index`` arguments and its result's
-``.usage``; ``bench/run.py`` writes the configs the benchmark runs. A
+``.usage`` (Python ints, which ``bench/run.py`` prints as JSON);
+``bench/run.py`` writes the configs the benchmark runs. A
 change to the simulator that breaks either fails here, in the tier-1
 suite, rather than only in ``bench/test_bench.py``.
 """
@@ -55,6 +56,8 @@ def test_tracer_sees_every_api_call(tmp_path):
         trace = pickle.load(fh)
     metrics = BENCH_RUN.analyse_spans(trace["spans"], **trace["span_cost"])
     assert metrics["replay.api_calls"] == 144
+    # bench/run.py prints the metrics as JSON, which holds no numpy scalar.
+    assert json.loads(json.dumps(metrics)) == metrics
 
 
 @pytest.mark.parametrize("name", sorted(BENCH_RUN.WORKLOADS))

@@ -967,6 +967,21 @@ def test_commands_that_compute_nothing_run_without_numpy(tmp_path):
     assert out.split() == ["False"]
 
 
+def test_runner_loads_neither_statistics_nor_verify():
+    """``simulate`` imports ``cachesim.runner``, which loads neither
+    ``statistics`` (only an ablation's medians use it) nor
+    ``cachesim.verify`` (both modules take the CSV column names from
+    ``cachesim.config``)."""
+    src = str(Path(cachesim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import sys, cachesim.runner; "
+            "print(*(name in sys.modules for name in ('statistics', 'cachesim.verify')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.split() == ["False", "False"]
+
+
 def test_package_names_resolve_to_their_home_modules():
     """Every name in ``cachesim.__all__`` is the object its home module
     defines, ``dir`` and a star import list it, and any other name is an

@@ -217,6 +217,26 @@ def test_dropped_entries_are_freed_without_gc():
             gc.enable()
 
 
+def test_an_origin_leaves_the_agreement_map_with_its_last_entry():
+    """The store remembers how far each entry origin agrees with the
+    current prompt origin, but not past the origin's last live entry: a
+    2,000-token template whose only entry a longer prompt from another
+    array subsumes is collected while that array stays the prompt origin."""
+    policy = make_policy(min_tokens=1024, granularity=1)
+    store = CacheStore(policy)
+    template = synth_tokens(2000, 25)
+    longer = np.concatenate([template, synth_tokens(500, 26)])
+    longer.setflags(write=False)
+    assert access(store, template, 2000, 0.0) == (0, 2000)
+    assert access(store, longer, 2500, 1.0) == (2000, 500)
+    dropped = weakref.ref(template)
+    del template
+    gc.collect()
+    assert dropped() is None
+    assert [entry.origin is longer for entry in store.snapshot()] == [True]
+    assert access(store, longer, 0, 2.0) == (2500, 0)
+
+
 def test_every_write_is_a_read_only_view_of_its_array():
     """Every write, up to the end of the prompt, up to a breakpoint or cut
     short at a breaker, stores a read-only view of the first ids of the

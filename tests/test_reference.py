@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from cachesim import (CacheMode, LatencyModel, Message, Role, SessionTranscript,
                       StrategyMode, WorkloadSpec, builtin_policy, derive_seed,
                       generate, run_condition, synth_tokens)
-from reference import CALL_COLUMNS, reference_condition
+from reference import CALL_COLUMNS, listed, reference_condition
 
 _POLICIES = ("gpt-4o", "gpt-5.2", "claude-sonnet-4.5", "gemini-2.5-pro")
 
 
 def _assert_same_run(got, want) -> None:
+    got, want = listed(got), listed(want)
     assert got.warmup == want.warmup
     assert got.session_ids == want.session_ids
     assert got.offsets == want.offsets

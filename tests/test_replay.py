@@ -7,6 +7,7 @@ import math
 from collections import defaultdict
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from cachesim import (CacheStore, LatencyModel, Role, StrategyMode,
@@ -15,7 +16,7 @@ from cachesim import (CacheStore, LatencyModel, Role, StrategyMode,
 from cachesim import replay, runner
 from cachesim.replay import CacheTrace, Timeline, replay_call
 from cachesim.config import config_from_dict, to_json
-from reference import flat_length, reference_condition
+from reference import CALL_COLUMNS, flat_length, listed, reference_condition
 from test_golden import GOLDEN_CONFIG
 
 QUIET = LatencyModel(base_ms=40.0, per_uncached_token_ms=0.05,
@@ -91,12 +92,36 @@ def test_ttft_formula_when_noise_is_zero():
         assert run.ttft_ms[row] == pytest.approx(expected, rel=1e-12)
 
 
+def test_per_call_columns_are_read_only_arrays():
+    """Every per-call column of a condition is a read-only 1-D array of one
+    row per evaluated call, ``int64`` token counts and ``float64`` cost,
+    TTFT and send time; the session-level columns stay lists of Python
+    values, and the warmup ledger holds Python numbers, as JSON needs."""
+    transcripts = generate(small_spec(sessions=3))
+    run = run_condition(transcripts, StrategyMode.SYSTEM_PROMPT,
+                        builtin_policy("claude-sonnet-4.5"), QUIET, warmup_sessions=1)
+    dtypes = dict.fromkeys(("uncached", "cached_read", "cache_write", "output"), np.int64)
+    dtypes.update(dict.fromkeys(("cost_usd", "ttft_ms", "time_s"), np.float64))
+    assert set(dtypes) == set(CALL_COLUMNS)
+    for name, dtype in dtypes.items():
+        column = getattr(run, name)
+        assert type(column) is np.ndarray and column.ndim == 1, name
+        assert column.dtype == dtype and not column.flags.writeable, name
+        assert len(column) == run.offsets[-1], name
+    assert type(run.session_ids) is list and type(run.offsets) is list
+    for name in ("session_cost_usd", "session_ttft_ms"):
+        column = getattr(run, name)
+        assert type(column) is list and {type(value) for value in column} == {float}, name
+    assert type(run.warmup.write_tokens) is int and run.warmup.write_tokens > 0
+    assert type(run.warmup.cost_usd) is float
+
+
 def test_virtual_times_follow_the_gap():
     spec = small_spec(sessions=2, inter_call_gap_seconds=5.0)
     run = run_condition(generate(spec), StrategyMode.FULL_CONTEXT,
                         builtin_policy("gpt-4o"), QUIET)
     assert run.offsets == [0, 4, 8]
-    assert run.time_s[:4] == [0.0, 5.0, 10.0, 15.0]
+    assert run.time_s[:4].tolist() == [0.0, 5.0, 10.0, 15.0]
     # next session starts after the final answer's slot
     assert run.time_s[4] == 20.0
 
@@ -109,8 +134,8 @@ def test_shifted_timestamps_replay_the_same():
                for t in transcripts]
     policy = builtin_policy("claude-sonnet-4.5")
     for mode in (StrategyMode.FULL_CONTEXT, StrategyMode.SYSTEM_PROMPT):
-        run = run_condition(transcripts, mode, policy, QUIET, warmup_sessions=1)
-        assert run_condition(shifted, mode, policy, QUIET, warmup_sessions=1) == run
+        run = listed(run_condition(transcripts, mode, policy, QUIET, warmup_sessions=1))
+        assert listed(run_condition(shifted, mode, policy, QUIET, warmup_sessions=1)) == run
         assert reference_condition(shifted, mode, policy, QUIET, 1) == run
 
 
@@ -142,7 +167,7 @@ def test_bitwise_determinism():
                       builtin_policy("gpt-5.2"), noisy, warmup_sessions=1)
     b = run_condition(transcripts, StrategyMode.FULL_CONTEXT,
                       builtin_policy("gpt-5.2"), noisy, warmup_sessions=1)
-    assert a == b
+    assert listed(a) == listed(b)
 
 
 def test_condition_noise_streams_differ():
@@ -152,7 +177,7 @@ def test_condition_noise_streams_differ():
                         builtin_policy("gpt-5.2"), noisy)
     fc = run_condition(transcripts, StrategyMode.FULL_CONTEXT,
                        builtin_policy("gpt-5.2"), noisy)
-    assert spo.ttft_ms != fc.ttft_ms
+    assert spo.ttft_ms.tolist() != fc.ttft_ms.tolist()
 
 
 def test_lockstep_replay_equals_each_condition_alone(tmp_path, monkeypatch):
@@ -178,8 +203,9 @@ def test_lockstep_replay_equals_each_condition_alone(tmp_path, monkeypatch):
     transcripts = generate(replace(config.workload, sessions=sessions))
     for run in runs:
         policy = next(p for p in config.policies if p.name == run.policy_name)
-        assert run == run_condition(transcripts, run.mode, policy,
-                                    config.latency_for(policy.name), config.warmup_sessions)
+        assert listed(run) == listed(run_condition(
+            transcripts, run.mode, policy, config.latency_for(policy.name),
+            config.warmup_sessions))
 
 
 # One value per cache rule that differs from gpt-4o's.
@@ -223,8 +249,9 @@ def test_policies_with_equal_cache_rules_share_one_trace(field, tmp_path, monkey
     transcripts = generate(replace(config.workload, sessions=sessions))
     for run in runs:
         policy = next(p for p in config.policies if p.name == run.policy_name)
-        assert run == run_condition(transcripts, run.mode, policy,
-                                    config.latency_for(policy.name), config.warmup_sessions)
+        assert listed(run) == listed(run_condition(
+            transcripts, run.mode, policy, config.latency_for(policy.name),
+            config.warmup_sessions))
 
 
 def test_one_replay_call_per_api_call(tmp_path, monkeypatch):
@@ -338,7 +365,7 @@ def test_opportunistic_segments_keep_the_baselines_on_a_repeated_session():
     system = (1 + spec.system_prompt_tokens) // g * g
     for mode in (StrategyMode.NO_CACHE, StrategyMode.SYSTEM_PROMPT):
         run = run_condition(transcripts, mode, policy, QUIET)
-        assert run == reference_condition(transcripts, mode, policy, QUIET)
+        assert listed(run) == reference_condition(transcripts, mode, policy, QUIET)
         ceiling = 0 if mode is StrategyMode.NO_CACHE else system
         assert max(run.cached_read) == ceiling
 
