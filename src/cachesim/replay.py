@@ -1,5 +1,5 @@
-"""Session replay: one cache trace per set of cache rules, then one pricing
-pass per condition.
+"""Session replay: one cache trace per set of cache rules, then, once
+every mode is replayed, one pricing pass per condition.
 
 A run replays the same transcripts under every (policy, mode) condition,
 and each per-call fact is computed once, at the level it depends on:
@@ -19,12 +19,14 @@ and each per-call fact is computed once, at the level it depends on:
   rules (:attr:`~cachesim.policies.ProviderPolicy.cache_rules`): one fresh
   store, and each call's uncached, cached-read and cache-write tokens as
   columns: lists while the mode's sessions are replayed, then read-only
-  ``int64`` arrays (:meth:`CacheTrace.finish`). Policies whose rules are
-  equal share one trace per mode (gpt-4o and gpt-5.2 do), whatever their
-  prices.
+  ``int64`` arrays (:meth:`CacheTrace.finish`, which also releases the
+  store). Policies whose rules are equal share one trace per mode
+  (gpt-4o and gpt-5.2 do), whatever their prices.
 * :func:`price_condition` is the one pass per condition over what
-  depends on the condition itself: it prices the trace's columns by the
-  condition's own policy (:func:`price_call`) and models
+  depends on the condition itself, made once every mode of the run is
+  replayed: it converts the trace's columns to float for this pass
+  alone, so one condition's float columns are alive at a time, prices
+  them by the condition's own policy (:func:`price_call`) and models
   time-to-first-token by its :class:`~cachesim.config.LatencyModel` as
 
       ttft = (base + per_uncached * uncached + per_cached * cached
@@ -86,7 +88,7 @@ the tests compare the two call for call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -111,7 +113,7 @@ class WarmupLedger:
     cost_usd: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionRun:
     """Evaluation results for one (policy, mode) condition, as columns, plus
     its warmup ledger.
@@ -124,6 +126,10 @@ class ConditionRun:
     cost and mean TTFT, summed once, left to right. Every column but the
     cost and TTFT ones may be shared with other conditions of the same run,
     so treat the lists as read-only too.
+
+    Runs compare equal when every field is equal, array columns by value
+    (a column may also be a list of the same numbers); a run holds lists
+    and arrays, so it is not hashable.
     """
 
     policy_name: str
@@ -140,6 +146,18 @@ class ConditionRun:
     session_cost_usd: list[float]
     session_ttft_ms: list[float]
     warmup: WarmupLedger
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ConditionRun):
+            return NotImplemented
+        for field in fields(self):
+            mine, theirs = getattr(self, field.name), getattr(other, field.name)
+            if isinstance(mine, np.ndarray) or isinstance(theirs, np.ndarray):
+                if not np.array_equal(mine, theirs):
+                    return False
+            elif mine != theirs:
+                return False
+        return True
 
 
 def _frozen(values: list, dtype) -> np.ndarray:
@@ -207,7 +225,7 @@ class CacheTrace:
                  policy: ProviderPolicy) -> None:
         self.timeline = timeline
         self.mode = mode
-        self.store = CacheStore(policy)
+        self.store: CacheStore | None = CacheStore(policy)
         self.explicit_breakpoints = policy.mode is CacheMode.EXPLICIT_BREAKPOINTS
         self.opportunistic_segments = policy.opportunistic_segments
         self.uncached: list[int] = []
@@ -215,15 +233,14 @@ class CacheTrace:
         self.cache_write: list[int] = []
 
     def finish(self) -> None:
-        """Once every session has been replayed, turn the token lists into
-        read-only ``int64`` arrays, one column at a time so that no column
-        is held as both, and build from them every row's ``usage`` as float
-        columns, for pricing, and the evaluation rows (``shared``) that
-        every ConditionRun of the trace holds by reference."""
+        """Once every session has been replayed, release the store, turn
+        the token lists into read-only ``int64`` arrays, one column at a
+        time so that no column is held as both, and take from them the
+        evaluation rows (``shared``) that every ConditionRun of the trace
+        holds by reference. A finished trace takes no more calls."""
+        self.store = None
         for name in _TOKEN_COLUMNS:
             setattr(self, name, _frozen(getattr(self, name), np.int64))
-        columns = (self.uncached, self.cached_read, self.cache_write, self.timeline.output)
-        self.usage = UsageRecord(*(column.astype(np.float64) for column in columns))
         k = self.timeline.offsets[self.timeline.warmup_sessions]
         self.shared = {name: getattr(self, name)[k:] for name in _TOKEN_COLUMNS}
 
@@ -326,7 +343,11 @@ def price_condition(trace: CacheTrace, policy: ProviderPolicy,
     The noise stream is derived from (latency seed, policy, mode), so
     conditions stay independent no matter how many run or in what order.
     """
-    timeline, mode, usage = trace.timeline, trace.mode, trace.usage
+    timeline, mode = trace.timeline, trace.mode
+    # Float usage columns for this pass alone, so that at most one
+    # condition's are alive at a time.
+    usage = UsageRecord(*(column.astype(np.float64) for column in (
+        trace.uncached, trace.cached_read, trace.cache_write, timeline.output)))
     noise = np.random.Generator(np.random.PCG64(
         derive_seed(latency_model.seed, "noise", policy.name, mode.value)))
 

@@ -8,10 +8,14 @@ distinct set of cache rules, shared by the policies that have those
 rules, and replays the mode's conditions in lockstep: each session's
 layout is built once and replayed through every policy's trace, one
 :func:`~cachesim.replay.replay_session` per (condition, session), then
-dropped before the next session. Once a mode's sessions are replayed,
-each condition prices its trace's columns in one pass
-(:func:`~cachesim.replay.price_condition`). :func:`run_condition` is
-that loop with one mode and one policy. The run writes:
+dropped before the next session. The run replays every mode, then
+prices each condition: once every mode is replayed (and each trace has
+released its store), the transcripts are dropped, and only then does
+each condition price its trace's columns in one pass
+(:func:`~cachesim.replay.price_condition`), which loads
+``numpy.random``. So replay's working set and pricing's modules are
+never held at once. :func:`run_condition` is that loop with one mode and
+one policy, then its one pricing pass. The run writes:
 
 * ``per_call.csv``  - one row per evaluated API call
 * ``per_session.csv`` - one row per evaluated session
@@ -38,7 +42,7 @@ columns (``PER_CALL_COLUMNS``, ``PER_SESSION_COLUMNS``) that
 :mod:`cachesim.config` names for both modules. This module replays and
 prices through numpy, so the CLI imports it only for the commands that
 run an experiment, and it imports neither :mod:`cachesim.verify` nor
-``statistics`` (only an ablation loads it, for its medians).
+``statistics`` (an ablation takes its medians with :func:`_median`).
 """
 
 from __future__ import annotations
@@ -69,42 +73,47 @@ class RunResult:
 
 
 def _replay_mode(transcripts: Sequence[SessionTranscript], timeline: Timeline, mode: StrategyMode,
-                 conditions: Sequence[tuple[ProviderPolicy, LatencyModel]]) -> list[ConditionRun]:
-    """Replay one mode's (policy, latency model) conditions in lockstep, with
-    one trace per distinct set of cache rules and one layout per session,
-    then finish each trace and price each condition."""
+                 policies: Sequence[ProviderPolicy]) -> list[CacheTrace]:
+    """Replay one mode's policies in lockstep, with one trace per distinct
+    set of cache rules and one layout per session, finish each trace, and
+    return each policy's trace."""
     traces: dict[tuple, CacheTrace] = {}
-    for policy, _ in conditions:
+    for policy in policies:
         if policy.cache_rules not in traces:
             traces[policy.cache_rules] = CacheTrace(timeline, mode, policy)
-    condition_traces = [traces[policy.cache_rules] for policy, _ in conditions]
+    policy_traces = [traces[policy.cache_rules] for policy in policies]
     for session, transcript in enumerate(transcripts):
         layout = session_layout(transcript, mode)
-        for trace in condition_traces:
+        for trace in policy_traces:
             replay_session(trace, session, layout)
     for trace in traces.values():
         trace.finish()
-    return [price_condition(trace, policy, latency_model)
-            for trace, (policy, latency_model) in zip(condition_traces, conditions)]
+    return policy_traces
 
 
 def run_condition(transcripts: Sequence[SessionTranscript], mode: StrategyMode,
                   policy: ProviderPolicy, latency_model: LatencyModel,
                   warmup_sessions: int = 0) -> ConditionRun:
     """Replay all transcripts under one (policy, mode) condition alone, with
-    a fresh store and time from 0 s: the run's loop with one mode and one
-    policy. The first ``warmup_sessions`` transcripts prime the cache."""
-    [run] = _replay_mode(transcripts, Timeline(transcripts, warmup_sessions), mode,
-                         [(policy, latency_model)])
-    return run
+    a fresh store and time from 0 s, then price it: the run's loop with one
+    mode and one policy. The first ``warmup_sessions`` transcripts prime
+    the cache."""
+    [trace] = _replay_mode(transcripts, Timeline(transcripts, warmup_sessions), mode, [policy])
+    return price_condition(trace, policy, latency_model)
 
 
 def _execute_matrix(config: ExperimentConfig) -> tuple[ConditionRun, ...]:
+    """Replay every mode, then price every condition. Replay's transcripts
+    and stores are gone before pricing loads ``numpy.random``, so the two
+    phases' memory never adds up; each condition's noise comes from its
+    own seed, so the order of pricing changes no value."""
     transcripts = generate(config.run_workload)
     timeline = Timeline(transcripts, config.warmup_sessions)
-    conditions = [(policy, config.latency_for(policy.name)) for policy in config.policies]
-    runs = [run for mode in config.modes
-            for run in _replay_mode(transcripts, timeline, mode, conditions)]
+    traces = [_replay_mode(transcripts, timeline, mode, config.policies)
+              for mode in config.modes]
+    del transcripts
+    runs = [price_condition(trace, policy, config.latency_for(policy.name))
+            for mode_traces in traces for policy, trace in zip(config.policies, mode_traces)]
     return tuple(sorted(runs, key=lambda r: (r.policy_name, r.mode.value)))
 
 
@@ -286,6 +295,14 @@ def _ablation_config(config: ExperimentConfig, grid: AblationGrid,
     return replace(config, workload=workload)
 
 
+def _median(values: Sequence[float]) -> float:
+    """``statistics.median`` of floats, without importing ``statistics``
+    (which loads ``fractions``, ``decimal`` and ``random``)."""
+    ordered = sorted(values)
+    middle = len(ordered) // 2
+    return ordered[middle] if len(ordered) % 2 else (ordered[middle - 1] + ordered[middle]) / 2
+
+
 def run_ablation(config: ExperimentConfig, grid: AblationGrid, *,
                  out_dir: str | Path | None = None) -> tuple[AblationRow, ...]:
     """Sweep one workload dimension: a full :func:`run_experiment` run in
@@ -297,17 +314,13 @@ def run_ablation(config: ExperimentConfig, grid: AblationGrid, *,
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    # Imported here, its one use, so that simulate never loads it (nor the
-    # fractions and decimal modules it imports).
-    import statistics
-
     rows: list[AblationRow] = []
     for value, value_config in configs.items():
         runs = run_experiment(value_config, out_dir=out / f"{grid.dimension}-{value}").runs
         medians = {
             (run.policy_name, run.mode.value): (
-                statistics.median(run.session_cost_usd),
-                statistics.median(run.session_ttft_ms),
+                _median(run.session_cost_usd),
+                _median(run.session_ttft_ms),
             )
             for run in runs
         }

@@ -22,6 +22,7 @@ framing tokens can always be told apart from content.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 
@@ -48,6 +49,11 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4B9B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
 
+# Every stream synth_tokens has returned that is still alive, by id. Its
+# ids are above the floor by construction, so a Message over the stream or
+# a slice of it skips the floor check; the map holds no stream alive.
+_STREAMS: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
+
 
 def synth_tokens(count: int, stream_seed: int) -> np.ndarray:
     """Generate ``count`` deterministic tokens from ``stream_seed``.
@@ -71,6 +77,7 @@ def synth_tokens(count: int, stream_seed: int) -> np.ndarray:
     z ^= z >> np.uint64(31)
     z[z < RESERVED_TOKEN_FLOOR] += np.uint64(RESERVED_TOKEN_FLOOR)
     z.setflags(write=False)
+    _STREAMS[id(z)] = z
     return z
 
 
@@ -78,7 +85,10 @@ def synth_tokens(count: int, stream_seed: int) -> np.ndarray:
 class Message:
     """One chat message: a role plus its token payload, a non-empty,
     read-only, one-dimensional ``uint64`` array of content ids, none
-    below ``RESERVED_TOKEN_FLOOR``.
+    below ``RESERVED_TOKEN_FLOOR``. Ids are checked against the floor
+    unless the array is a stream from :func:`synth_tokens`, or a slice of
+    one (its ``base``), which is above the floor by construction; the
+    check assumes such a view keeps the stream's ``uint64`` ids whole.
 
     Messages compare equal when their roles and token ids are equal.
     """
@@ -95,7 +105,8 @@ class Message:
             raise ValueError("message tokens must be a read-only 1-D uint64 array")
         if tokens.size == 0:
             raise ValueError("message tokens must be non-empty")
-        if tokens.min() < RESERVED_TOKEN_FLOOR:
+        base = tokens if tokens.base is None else tokens.base
+        if _STREAMS.get(id(base)) is not base and tokens.min() < RESERVED_TOKEN_FLOOR:
             raise ValueError(f"message token ids must be >= {RESERVED_TOKEN_FLOOR}; "
                              "lower ids are reserved for role framing")
 

@@ -11,6 +11,7 @@ import math
 import os
 import re
 import shutil
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +25,7 @@ from cachesim.config import (DEFAULT_GRIDS, MAX_RUN_CALLS, MAX_RUN_SESSIONS, Abl
                              config_from_dict, to_json)
 from cachesim.errors import ConfigError
 from cachesim.policies import builtin_policy
-from cachesim.runner import _float_texts, run_ablation, run_experiment
+from cachesim.runner import _float_texts, _median, run_ablation, run_experiment
 
 
 def tiny_config(tmp_path, **overrides) -> str:
@@ -51,6 +52,13 @@ def tiny_config(tmp_path, **overrides) -> str:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def _src_env() -> dict[str, str]:
+    """The environment with this checkout's ``src`` first on the path."""
+    src = str(Path(cachesim.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
 
 
 def sha256(path) -> str:
@@ -918,9 +926,7 @@ def test_import_needs_only_numpy():
     """numpy is the one runtime dependency: importing cachesim and a
     numpy-backed name in a fresh interpreter loads no other top-level
     module outside the standard library."""
-    src = str(Path(cachesim.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    env = _src_env()
     code = ("import sys; before = set(sys.modules); import cachesim; cachesim.generate; "
             "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
             " - set(sys.stdlib_module_names))))")
@@ -930,56 +936,127 @@ def test_import_needs_only_numpy():
 
 
 # Runs the cachesim CLI as ``python -m cachesim.cli`` does, then reports at
-# exit whether numpy was ever imported.
-_NUMPY_PROBE = ("import atexit, runpy, sys\n"
-                "atexit.register(lambda: print('numpy:', 'numpy' in sys.modules,"
-                " file=sys.stderr))\n"
-                "sys.argv[0] = 'cachesim'\n"
-                "runpy.run_module('cachesim.cli', run_name='__main__', alter_sys=True)\n")
+# exit which of ``_PROBED`` were ever imported: numpy, OpenSSL's hashlib
+# backend and ``statistics``.
+_PROBED = ("numpy", "_hashlib", "statistics")
+_MODULE_PROBE = ("import atexit, runpy, sys\n"
+                 "atexit.register(lambda: print('loaded:', *(name for name in "
+                 f"{_PROBED!r} if name in sys.modules), file=sys.stderr))\n"
+                 "sys.argv[0] = 'cachesim'\n"
+                 "runpy.run_module('cachesim.cli', run_name='__main__', alter_sys=True)\n")
+
+
+def _cli_loads(*args: str) -> tuple[int, set[str]]:
+    """Exit code of the CLI run with ``args`` in a fresh interpreter, and
+    which of ``_PROBED`` it imported."""
+    proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, *args], env=_src_env(),
+                          capture_output=True, text=True, check=False, timeout=60)
+    last = proc.stderr.splitlines()[-1].split()
+    assert last[0] == "loaded:", proc.stderr
+    return proc.returncode, set(last[1:])
 
 
 def test_commands_that_compute_nothing_run_without_numpy(tmp_path):
-    """``policies``, ``verify`` and a config that fails to load never import
-    numpy, and neither does loading a config through the package."""
-    src = str(Path(cachesim.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    """``policies``, ``verify`` and a config that fails to load import
+    neither numpy nor OpenSSL (``_hashlib``) nor ``statistics``, and
+    loading a config through the package imports neither numpy nor
+    OpenSSL."""
     config = tiny_config(tmp_path)
     assert main(["simulate", config]) == EXIT_OK
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**json.loads(Path(config).read_text()), "modes": ["full-context"]}))
 
-    def numpy_loaded(*args) -> tuple[int, str]:
-        proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *args], env=env,
-                              capture_output=True, text=True, check=False, timeout=60)
-        return proc.returncode, proc.stderr.splitlines()[-1]
-
-    assert numpy_loaded("policies") == (EXIT_OK, "numpy: False")
-    assert numpy_loaded("policies", "--json") == (EXIT_OK, "numpy: False")
-    assert numpy_loaded("verify", str(tmp_path / "out")) == (EXIT_OK, "numpy: False")
-    assert numpy_loaded("simulate", str(bad)) == (EXIT_VALIDATION, "numpy: False")
-    assert numpy_loaded("simulate", config, "--out", str(tmp_path / "again")) == (
-        EXIT_OK, "numpy: True")
+    assert _cli_loads("policies") == (EXIT_OK, set())
+    assert _cli_loads("policies", "--json") == (EXIT_OK, set())
+    assert _cli_loads("verify", str(tmp_path / "out")) == (EXIT_OK, set())
+    assert _cli_loads("simulate", str(bad)) == (EXIT_VALIDATION, set())
+    code, loaded = _cli_loads("simulate", config, "--out", str(tmp_path / "again"))
+    assert code == EXIT_OK and "numpy" in loaded
     code = ("import sys, cachesim; cachesim.load_config(sys.argv[1]); "
-            "print('numpy' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, config], env=env, capture_output=True,
-                         text=True, check=True, timeout=60).stdout
-    assert out.split() == ["False"]
+            "print('numpy' in sys.modules, '_hashlib' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, config], env=_src_env(),
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out.split() == ["False", "False"]
 
 
 def test_runner_loads_neither_statistics_nor_verify():
     """``simulate`` imports ``cachesim.runner``, which loads neither
-    ``statistics`` (only an ablation's medians use it) nor
-    ``cachesim.verify`` (both modules take the CSV column names from
-    ``cachesim.config``)."""
-    src = str(Path(cachesim.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    ``statistics`` nor ``cachesim.verify`` (both modules take the CSV
+    column names from ``cachesim.config``)."""
     code = ("import sys, cachesim.runner; "
             "print(*(name in sys.modules for name in ('statistics', 'cachesim.verify')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out.split() == ["False", "False"]
+
+
+@pytest.mark.parametrize("values", [[1.5], [3.0, 1.0, 2.0], [0.25, 4.0],
+                                    [2.0, -1.0, 7.5, 0.1], [0.1] * 6 + [0.3] * 5])
+def test_ablation_medians_are_statistics_medians(values):
+    assert _median(values) == statistics.median(values)
+    assert type(_median(values)) is float
+
+
+def test_ablate_does_not_load_statistics(tmp_path):
+    """An ablation takes its session medians without ``statistics``, which
+    would also load ``fractions``, ``decimal`` and ``random``."""
+    code, loaded = _cli_loads("ablate", tiny_config(tmp_path), "--dimension", "tool-count",
+                              "--values", "1", "2", "--out", str(tmp_path / "abl"))
+    assert code == EXIT_OK and "numpy" in loaded and "statistics" not in loaded
+    assert (tmp_path / "abl" / "ablation.csv").is_file()
+
+
+# Runs simulate with ``runner``'s trace class, workload generator and
+# pricing wrapped, and reports what held at the first pricing call.
+_PHASE_PROBE = """\
+import sys, weakref
+import numpy as np
+from cachesim import cli, runner
+
+traces, streams, first = [], [], []
+
+
+class Trace(runner.CacheTrace):
+    def __init__(self, *args):
+        super().__init__(*args)
+        traces.append(self)
+
+
+def generate(spec):
+    transcripts = real_generate(spec)
+    streams.append(weakref.ref(transcripts[0].messages[1].tokens.base))
+    return transcripts
+
+
+def price_condition(*args):
+    if not first:
+        first.append(["numpy.random" not in sys.modules, len(traces),
+                      all(t.store is None and isinstance(t.uncached, np.ndarray)
+                          for t in traces),
+                      streams[0]() is None])
+    return real_price(*args)
+
+
+real_generate, real_price = runner.generate, runner.price_condition
+runner.CacheTrace, runner.generate, runner.price_condition = Trace, generate, price_condition
+code = cli.main(sys.argv[1:])
+print(*first[0])
+sys.exit(code)
+"""
+
+
+def test_every_mode_is_replayed_before_any_condition_is_priced(tmp_path):
+    """``simulate`` replays every mode, then prices: at the first pricing
+    call every trace of the run is finished and has released its store,
+    the transcripts' token streams are gone, and ``numpy.random`` is not
+    loaded yet."""
+    config = tiny_config(tmp_path, modes=["no-cache", "system-prompt", "full-context"])
+    proc = subprocess.run([sys.executable, "-c", _PHASE_PROBE, "simulate", config],
+                          env=_src_env(), capture_output=True, text=True, check=False,
+                          timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    # Three modes, and gpt-4o and claude-sonnet-4.5 differ in cache rules.
+    assert proc.stdout.splitlines()[-1].split() == ["True", "6", "True", "True"]
 
 
 def test_package_names_resolve_to_their_home_modules():
@@ -1010,9 +1087,7 @@ def test_cli_process_exits_with_the_main_exit_code(tmp_path):
     the heap before it exits: a run exits 0 with artifacts that verify, a
     bad config exits 1 with an ``error:`` line and no traceback. ``main``
     itself, called in-process, freezes nothing."""
-    src = str(Path(cachesim.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    env = _src_env()
 
     def cli(*args):
         return subprocess.run([sys.executable, "-m", "cachesim.cli", *args], env=env,

@@ -170,6 +170,24 @@ def test_bitwise_determinism():
     assert listed(a) == listed(b)
 
 
+def test_condition_runs_compare_by_value():
+    """Two results of one condition are equal, array columns compared by
+    value, and so are their ``listed`` forms; one changed TTFT cell makes
+    them unequal. A run holds lists and arrays, so it is not hashable."""
+    transcripts = generate(small_spec(sessions=2))
+    a, b = (run_condition(transcripts, StrategyMode.FULL_CONTEXT, builtin_policy("gpt-4o"),
+                          QUIET) for _ in range(2))
+    assert a == b and not a != b
+    assert listed(a) == listed(b) == a
+    ttft = a.ttft_ms.copy()
+    ttft[-1] += 1.0
+    changed = replace(a, ttft_ms=ttft)
+    assert a != changed and changed != b and listed(changed) != listed(a)
+    assert a != "run"
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
+
+
 def test_condition_noise_streams_differ():
     transcripts = generate(small_spec(sessions=2))
     noisy = replace(QUIET, noise_sigma=0.2)

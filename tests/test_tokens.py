@@ -86,6 +86,20 @@ def test_message_rejects_reserved_ids(ids):
     assert Message(Role.HUMAN, floor).tokens[0] == RESERVED_TOKEN_FLOOR
 
 
+def test_slices_of_code_built_arrays_keep_the_id_check():
+    """Only a stream from ``synth_tokens``, and its slices, skip the floor
+    check, being above the floor by construction. A slice of an array built
+    in code is checked like the array: a reserved id in it is rejected."""
+    ids = np.array([70, 80, 1, 90], dtype=np.uint64)
+    ids.setflags(write=False)
+    for tokens in (ids[1:3], ids[2:], ids[::2], ids[2:3]):
+        assert tokens.base is ids
+        with pytest.raises(ValueError, match=f">= {RESERVED_TOKEN_FLOOR}"):
+            Message(Role.HUMAN, tokens)
+    stream = synth_tokens(8, 5)
+    assert Message(Role.HUMAN, stream[2:5]).tokens.base is stream
+
+
 def test_message_requires_tokens():
     with pytest.raises(ValueError):
         Message(Role.HUMAN, synth_tokens(1, 0)[:0])

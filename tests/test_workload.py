@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -139,6 +140,23 @@ def test_request_timing():
     assert transcript.timestamps[1::2] == (0.0, 2.5, 5.0, 7.5)  # each call's newest input
     assert [gap for _, gap in transcript.requests()] == [2.5] * 4
     assert transcript.timestamps[-1] == 10.0
+
+
+@pytest.mark.parametrize("root, labels", [
+    (0, ()), (0, ("system",)), (2**64 - 1, ("session", 3)), (2**64 - 1, ()),
+    (77, ("noise", "gpt-4o", "full-context")), (5, (1, "1", -2)),
+    (123, ("Sitzung", "caf\u00e9", "\u03c4\u03b1\u03c5", "\U0001f600")),
+])
+def test_derive_seed_is_blake2b_of_its_path(root, labels):
+    """A child seed is the little-endian 8-byte BLAKE2b digest of the
+    root's 8 little-endian bytes, then each label's UTF-8 text followed by
+    0x1f: the value ``hashlib.blake2b`` gives for the same input."""
+    h = hashlib.blake2b(digest_size=8)
+    h.update(root.to_bytes(8, "little"))
+    for label in labels:
+        h.update(str(label).encode("utf-8"))
+        h.update(b"\x1f")
+    assert derive_seed(root, *labels) == int.from_bytes(h.digest(), "little")
 
 
 def test_generate_is_deterministic():
