@@ -35,10 +35,9 @@ Each API call is one :func:`access`, which works in four steps:
    Unsealed entries that are prefixes of the new one are dropped
    (subsumed): the new entry matches at least as much and expires no
    sooner. Every entry is a read-only view of the first ``min(w, stop)``
-   ids of the array given to :func:`access`, its origin: it copies no
-   token and pins that whole array, which for a prompt served from a
-   session layout is the session's template that all of the session's
-   entries share.
+   ids of the array given to :func:`access`: it copies no token and pins
+   that whole array, which for a prompt served from a session layout is
+   the session's template that all of the session's entries share.
 4. **Segments.** Under an opportunistic-segments policy, a provider that
    reuses repeated interior content is modeled as matching any segment
    it has seen verbatim before, in any earlier call to the store. A
@@ -68,28 +67,29 @@ new entry never stops at or inside a live unsealed one and the ones it
 extends are dropped. Sealed entries may end at any node, several at one
 node, and a sealed entry that ends inside an edge splits it.
 
-A prompt is the first ``length`` tokens of an array, its *origin*:
-replay passes a session layout's template, so all of a session's
-requests share one. Each entry is a prefix of the origin of the prompt
-that wrote it. **Arrays given to a store are read-only and never written
-afterwards** (the store already relies on this to keep views of them as
-entries), so two arrays that agree on a prefix agree on it for good. The
-store remembers the last prompt origin it was given, by identity, and
-for each entry origin compared with it since, how many leading tokens
-the two are known to share and whether their first difference has been
-found; another prompt origin starts the map afresh. The prompt origin
-itself is never compared, so neither is an entry cut from it. Any other
-origin is compared only past what is known, and at most as far as the
-walk needs, the edge's end or ``stop``, in one pass. An edge then
-matches as far as its ``rep``'s origin agrees: the rep shares the path
-so far with the prompt, so its origin agrees at least that far. A
-session sent as growing lengths of one template thus compares each token
-of another origin once, not once per call. The pass has no early exit:
-the walk enters an edge only through a matching first token, and the
-origins then mostly agree to its end. The map holds arrays, not
-entries, so a dropped entry is still freed at once; the store counts
-the live entries of each origin and drops an origin's record with its
-last entry, so the map pins no array that no entry views.
+A prompt is the first ``length`` tokens of an array: replay passes a
+session layout's template, so all of a session's requests share one.
+**Arrays given to a store are read-only and never written afterwards**
+(the store already relies on this to keep views of them as entries), so
+an array that agrees with stored tokens on a prefix agrees on it for
+good. The store remembers the last array it was given, by identity, and
+counts an *epoch* that each other array starts. Each node remembers, for
+the epoch it last saw, how many leading tokens of its path that array is
+known to share and whether their first difference has been found. That
+is a fact about the edge, not about its ``rep``: every entry below the
+node spells the same path, so expiry, subsumption and a new ``rep``
+leave it true, and so does merging a node into its only child, which the
+walk reaches only after the merged edge matched in full. A node is
+compared only past what is known, and at most as far as the walk needs,
+the edge's end or ``stop``, in one pass; the pass has no early exit, as
+the walk enters an edge only through a matching first token and the two
+then mostly agree to its end. A write cuts its entry from the current
+array, so each node it creates or extends is known to agree to its end.
+A session sent as growing lengths of one template thus compares each
+edge once, not once per call. An array given again after another one
+starts a new epoch and compares its own edges again: interleaving
+arrays costs comparisons, never a different result, and replay sends
+each session's calls to a store one after another.
 
 The store keeps its entries in order of their last use: a write appends
 its entry and a refresh moves the hit to the end, and the clock never
@@ -108,7 +108,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -119,8 +119,8 @@ from .policies import ProviderPolicy
 @dataclass(eq=False)
 class CacheEntry:
     """One stored prefix. ``tokens`` is a read-only uint64 view of the
-    first ``tokens.size`` ids of ``origin``, the array its prompt was given
-    to :func:`access` as; ``last_used_at`` is its expiry reference;
+    first ``tokens.size`` ids of the array its prompt was given to
+    :func:`access` as; ``last_used_at`` is its expiry reference;
     ``sealed`` marks an entry cut short at its prompt's first breaker.
 
     Entries compare and hash by identity.
@@ -129,23 +129,28 @@ class CacheEntry:
     tokens: np.ndarray
     last_used_at: float
     sealed: bool = False
-    origin: np.ndarray = field(kw_only=True, repr=False)
 
 
 class _Node:
     """Radix-tree node; the edge into it starts at its parent's ``end`` and
     spells ``rep.tokens[parent.end:end]``; ``held`` lists the entries that
-    end at it."""
+    end at it. In store epoch ``epoch``, the array then given shares at
+    least ``agreed`` leading tokens with the node's path, exactly that
+    many if ``found``. A new node is cut from the current array, so it
+    agrees to its end."""
 
-    __slots__ = ("rep", "end", "children", "held")
+    __slots__ = ("rep", "end", "children", "held", "epoch", "agreed", "found")
 
-    def __init__(self, rep: CacheEntry | None, end: int,
+    def __init__(self, rep: CacheEntry | None, end: int, epoch: int,
                  children: dict[int, _Node] | None = None,
                  held: list[CacheEntry] | None = None) -> None:
         self.rep = rep
         self.end = end
         self.children = {} if children is None else children
         self.held = [] if held is None else held
+        self.epoch = epoch
+        self.agreed = end
+        self.found = False
 
 
 class CacheStore:
@@ -157,16 +162,11 @@ class CacheStore:
         # in order of the expiry reference, which the purge needs.
         self._entries: OrderedDict[CacheEntry, int] = OrderedDict()
         self._inserted = 0
-        self._root = _Node(None, 0)
+        self._root = _Node(None, 0, 0)
         self._now = -math.inf
-        # The last prompt origin given and, by the id of each other entry
-        # origin compared with it, ``[array, tokens known to agree, difference
-        # found]``; the array keeps its id from being reused.
-        self._origin: np.ndarray | None = None
-        self._agreed: dict[int, list] = {}
-        # The number of live entries by the id of their origin; an origin's
-        # record in ``_agreed`` goes with its last entry.
-        self._live: dict[int, int] = {}
+        # The last array given, and the epoch it started.
+        self._prompt: np.ndarray | None = None
+        self._epoch = 0
         # The content of every segment seen, under opportunistic segments.
         self._seen: set[bytes] | None = set() if policy.opportunistic_segments else None
 
@@ -189,26 +189,8 @@ class CacheStore:
                 reps.append(node.held[0])
             node.rep = min(reps, key=rank)
 
-    def _add(self, entry: CacheEntry) -> None:
-        self._entries[entry] = self._inserted
-        self._inserted += 1
-        key = id(entry.origin)
-        self._live[key] = self._live.get(key, 0) + 1
-
-    def _forget(self, entry: CacheEntry) -> None:
-        """Drop ``entry`` from the entries, and with its origin's last live
-        entry the origin's record in ``_agreed``."""
-        del self._entries[entry]
-        key = id(entry.origin)
-        left = self._live[key] - 1
-        if left:
-            self._live[key] = left
-        else:
-            del self._live[key]
-            self._agreed.pop(key, None)
-
     def _remove(self, entry: CacheEntry) -> None:
-        self._forget(entry)
+        del self._entries[entry]
         tokens = entry.tokens
         path = []
         node = self._root
@@ -237,25 +219,25 @@ class CacheStore:
                 break
             self._remove(oldest)
 
-    def _agreement(self, origin: np.ndarray, depth: int, end: int) -> int:
-        """How many leading tokens ``origin``, an entry's origin known to
-        agree with the current prompt origin below ``depth``, shares with
-        it: the exact count if it is below ``end``, else at least ``end``."""
-        if origin is self._origin:
-            return end
-        known = self._agreed.setdefault(id(origin), [origin, 0, False])
-        _, agreed, found = known
-        if found or agreed >= end:
-            return agreed
-        agreed = max(agreed, depth)
-        differs = self._origin[agreed:end] != origin[agreed:end]
+    def _agreement(self, node: _Node, depth: int, end: int) -> int:
+        """How many leading tokens the current array, known to agree with
+        ``node``'s path below ``depth``, shares with it: the exact count if
+        it is below ``end``, else at least ``end``."""
+        if node.epoch != self._epoch:
+            node.epoch = self._epoch
+            node.agreed = 0
+            node.found = False
+        elif node.found or node.agreed >= end:
+            return node.agreed
+        agreed = max(node.agreed, depth)
+        differs = self._prompt[agreed:end] != node.rep.tokens[agreed:end]
         k = int(differs.argmax())
         if differs[k]:
             agreed += k
-            known[2] = True
+            node.found = True
         else:
             agreed = end
-        known[1] = agreed
+        node.agreed = agreed
         return agreed
 
 
@@ -267,12 +249,12 @@ def access(store: CacheStore, prompt: np.ndarray, cacheable_limit: int,
 
     The call sends ``prompt[:length]`` (the whole array when ``length`` is
     omitted). ``prompt`` is a read-only ``uint64`` token array that must
-    never be written afterwards: it is the prompt's origin, a written
-    entry is a view of its first ids, and the store remembers how far it
-    agrees with each stored entry's origin (see the module docstring), so
-    a caller that sends a session's requests as growing lengths of one
-    template compares each stored token once per session, not once per
-    call. Positions below are in the prompt sent.
+    never be written afterwards: a written entry is a view of its first
+    ids, and the store's tree remembers how far it agrees with each
+    stored edge (see the module docstring), so a caller that sends a
+    session's requests as growing lengths of one template compares each
+    stored token once per session, not once per call. Positions below
+    are in the prompt sent.
 
     Purges expired entries, reads the longest usable cached prefix of
     the prompt (refreshing the matched entry under a refresh-on-read
@@ -306,9 +288,9 @@ def access(store: CacheStore, prompt: np.ndarray, cacheable_limit: int,
             f"access at {now} s: the store was last accessed at {store._now} s "
             "and time must stay finite and never go back")
     store._now = now
-    if prompt is not store._origin:
-        store._origin = prompt
-        store._agreed.clear()
+    if prompt is not store._prompt:
+        store._prompt = prompt
+        store._epoch += 1
     if store._entries:
         store._purge(now)
 
@@ -324,7 +306,7 @@ def access(store: CacheStore, prompt: np.ndarray, cacheable_limit: int,
         if child is None:
             break
         end = min(child.end, stop)
-        agreed = store._agreement(child.rep.origin, depth, end)
+        agreed = store._agreement(child, depth, end)
         if agreed < end:
             depth = agreed
             cut = child
@@ -355,26 +337,28 @@ def access(store: CacheStore, prompt: np.ndarray, cacheable_limit: int,
         size = min(w, stop)
         stored = prompt[:size]
         stored.setflags(write=False)
-        entry = CacheEntry(tokens=stored, last_used_at=now, sealed=w > stop, origin=prompt)
-        store._add(entry)
+        entry = CacheEntry(tokens=stored, last_used_at=now, sealed=w > stop)
+        store._entries[entry] = store._inserted
+        store._inserted += 1
         if cut is None and node.held and not node.held[0].sealed:
             # ``node`` is the leaf of an unsealed entry the new one extends: subsume it.
+            # The walk matched it in full, so its path now agrees to its new end.
             gone = node.held[0]
             node.rep = entry
-            node.end = size
+            node.end = node.agreed = size
             node.held = [entry]
-            store._forget(gone)
+            del store._entries[gone]
             store._repoint(path, gone)
         else:
             if cut is not None:
                 # Split the edge the prompt left: ``mid`` keeps the shared part.
-                mid = _Node(cut.rep, depth, {int(cut.rep.tokens[depth]): cut})
+                mid = _Node(cut.rep, depth, store._epoch, {int(cut.rep.tokens[depth]): cut})
                 node.children[int(prompt[node.end])] = mid
                 node = mid
             if size == depth:
                 node.held.append(entry)
             else:
-                node.children[int(prompt[depth])] = _Node(entry, size, held=[entry])
+                node.children[int(prompt[depth])] = _Node(entry, size, store._epoch, held=[entry])
 
     seen = store._seen
     if seen is not None:

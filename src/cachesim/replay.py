@@ -42,8 +42,8 @@ Each session is flattened once per mode into a
 its requests that the strategy decides and depends on no policy. A call
 sends its request's prompt as the first ``length`` tokens of the
 session's template (with a placeholder in each breaker slot), so all of
-a session's requests share one origin and the store compares each stored
-token with it at most once. It cuts the layout's first breaker slot to the prompt's
+a session's requests share one array and the store compares each stored
+edge with it at most once. It cuts the layout's first breaker slot to the prompt's
 length and takes the layout's explicit breakpoint as its cacheable limit
 under a breakpoint-style policy (the whole prompt otherwise). It then
 reads from and writes to the trace's store in one access, passing the

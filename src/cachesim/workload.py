@@ -7,7 +7,7 @@ Request ``r`` of a session sends every message up to and including the
 previous turn's tool result, so consecutive requests grow append-only:
 each request's flattened prompt is a strict token prefix of the next
 one before any strategy is applied. A :class:`SessionTranscript` checks
-this message layout and finite, non-decreasing timestamps with a finite
+its field types, this message layout and finite, non-decreasing timestamps with a finite
 span when it is built, so the strategies and replay rely on both without checking again;
 :meth:`SessionTranscript.requests` gives replay each call's output length
 and its gap to the next call in one pass.
@@ -64,7 +64,16 @@ class SessionTranscript:
     timestamps: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.session_id, str):
+            raise TranscriptValidationError(
+                f"session {self.session_id!r}: session_id must be a str")
         msgs = self.messages
+        if not (isinstance(msgs, tuple) and all(isinstance(m, Message) for m in msgs)):
+            raise TranscriptValidationError(
+                f"session {self.session_id!r}: messages must be a tuple of Message")
+        if not isinstance(self.timestamps, tuple):
+            raise TranscriptValidationError(
+                f"session {self.session_id!r}: timestamps must be a tuple")
         if len(msgs) < 3 or len(msgs) % 2 == 0:
             raise TranscriptValidationError(
                 f"session {self.session_id}: expected system, question, "

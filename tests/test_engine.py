@@ -217,11 +217,11 @@ def test_dropped_entries_are_freed_without_gc():
             gc.enable()
 
 
-def test_an_origin_leaves_the_agreement_map_with_its_last_entry():
-    """The store remembers how far each entry origin agrees with the
-    current prompt origin, but not past the origin's last live entry: a
+def test_a_subsumed_template_is_freed():
+    """The store pins an array only through the entries that view it: a
     2,000-token template whose only entry a longer prompt from another
-    array subsumes is collected while that array stays the prompt origin."""
+    array subsumes is collected while that array stays the last one
+    given."""
     policy = make_policy(min_tokens=1024, granularity=1)
     store = CacheStore(policy)
     template = synth_tokens(2000, 25)
@@ -233,14 +233,14 @@ def test_an_origin_leaves_the_agreement_map_with_its_last_entry():
     del template
     gc.collect()
     assert dropped() is None
-    assert [entry.origin is longer for entry in store.snapshot()] == [True]
+    assert [entry.tokens.base is longer for entry in store.snapshot()] == [True]
     assert access(store, longer, 0, 2.0) == (2500, 0)
 
 
 def test_every_write_is_a_read_only_view_of_its_array():
     """Every write, up to the end of the prompt, up to a breakpoint or cut
     short at a breaker, stores a read-only view of the first ids of the
-    array passed to ``access`` and keeps that array as its origin."""
+    array passed to ``access``."""
     policy = make_policy(min_tokens=1024, granularity=128)
     store = CacheStore(policy)
     whole, partial, sealed = (synth_tokens(2100, seed) for seed in (19, 20, 24))
@@ -251,7 +251,7 @@ def test_every_write_is_a_read_only_view_of_its_array():
     assert [(e.tokens.size, e.sealed) for e in got] == [(2048, False), (1408, False),
                                                         (1800, True)]
     for entry, array in zip(got, (whole, partial, sealed)):
-        assert entry.origin is array and entry.tokens.base is array
+        assert entry.tokens.base is array
         assert not entry.tokens.flags.writeable
 
 
@@ -450,7 +450,7 @@ def test_sealed_entries_match_the_oracle_with_fresh_breakers(seed):
 
 def test_an_offset_view_of_an_entrys_origin_is_compared():
     """A prompt that views the same array as a stored entry, but from
-    another first token, shares no memory identity with the entry's origin
+    another first token, shares no memory identity with the entry's array
     that would let it skip the comparison: it reads only what it shares."""
     policy = make_policy(min_tokens=1, granularity=1)
     template = np.concatenate([np.full(5, 70, dtype=np.uint64), synth_tokens(2000, 21)])
@@ -505,15 +505,18 @@ def _logged(ids: np.ndarray, log: list) -> _Logged:
     return template
 
 
-def test_a_session_compares_each_position_once():
+@pytest.mark.parametrize("ttl", [300.0, 12.0])
+def test_a_session_compares_each_position_once(ttl):
     """Four sessions of eight growing requests over a shared 5,000-token
     system prompt, each pair also sharing a 300-token task, under a
     granularity that leaves some calls unwritten. A session never compares
-    its template with itself, compares each position of it with a stored
-    origin at most once, and the system prompt exactly once: tokens
+    its template with itself, compares each position of it with stored
+    tokens at most once, and the system prompt exactly once: tokens
     compared are bounded by the sessions' template lengths, not by their
-    calls."""
-    policy = make_policy(min_tokens=1024, granularity=128)
+    calls. At a 12 s TTL, session 0's entries expire during session 2's
+    calls, so the entry that the system prompt's edge is read through
+    changes mid-session."""
+    policy = make_policy(min_tokens=1024, granularity=128, ttl=ttl)
     system = synth_tokens(5000, 31)
     tasks = [synth_tokens(300, 32 + t) for t in range(2)]
     store = CacheStore(policy)
@@ -584,7 +587,7 @@ def _session_interleaving(rng: random.Random):
 def test_session_templates_match_the_oracle(seed):
     """Sessions sent as growing lengths of shared read-only templates,
     interleaved, with expiry, refresh-on-read and breakpoint writes: the
-    engine, which compares each entry origin with a template once, agrees
+    engine, which compares each stored edge with a template once, agrees
     with the oracle's plain scan on every read, every write and the store
     after every step. The oracle sees each prompt as its own array, with
     a fresh breaker id in the template's breaker slot."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -194,6 +195,27 @@ def test_transcript_rejects_broken_sessions(roles, stamps, reason):
     _transcript(_VALID_ROLES)  # with a tool-call turn, the unbroken session builds
     with pytest.raises(TranscriptValidationError, match=f"session a: .*{reason}"):
         _transcript(roles, stamps)
+
+
+@pytest.mark.parametrize("session_id, messages, stamps, reason", [
+    (None, "rows", (0.0, 0.0, 1.0), "session None: session_id must be a str"),
+    (7, "rows", (0.0, 0.0, 1.0), "session 7: session_id must be a str"),
+    (b"id", "rows", (0.0, 0.0, 1.0), "session b'id': session_id must be a str"),
+    ("a", (1, 2, 3), (0.0, 0.0, 1.0), "session 'a': messages must be a tuple of Message"),
+    ("a", None, (0.0, 0.0, 1.0), "session 'a': messages must be a tuple of Message"),
+    ("a", "list", (0.0, 0.0, 1.0), "session 'a': messages must be a tuple of Message"),
+    ("a", "rows", None, "session 'a': timestamps must be a tuple"),
+    ("a", "rows", [0.0, 0.0, 1.0], "session 'a': timestamps must be a tuple"),
+])
+def test_transcript_rejects_fields_of_the_wrong_type(session_id, messages, stamps, reason):
+    """A session id that is not a ``str``, messages that are not a tuple of
+    ``Message`` or timestamps that are not a tuple fail as a transcript
+    error that names the session by its repr, not as a bare
+    ``AttributeError`` or ``TypeError``, and not by building."""
+    rows = _minimal_rows()
+    messages = {"rows": rows, "list": list(rows)}.get(messages, messages)
+    with pytest.raises(TranscriptValidationError, match=re.escape(reason)):
+        SessionTranscript(session_id, messages, stamps)
 
 
 # A transcript a library caller builds in code is checked as the simulator
